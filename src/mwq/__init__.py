@@ -4,6 +4,7 @@ quartic, conic counts from lattice enumeration, and Zariski-pair verdicts."""
 
 from .lattice import (
     GramLattice,
+    InternalInconsistencyError,
     MWStructure,
     ade_gram,
     count_etc,

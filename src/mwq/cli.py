@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 ok, 1 mismatch, 2 input error, 3 internal inconsistency.
+Exit codes: 0 ok, 1 mismatch, 2 input error, 3 internal inconsistency or any
+other unexpected error.
 Every subcommand supports `--format text|records`; the records output is a
 deterministic line-delimited JSON stream.
 """
@@ -9,13 +10,13 @@ from __future__ import annotations
 
 import argparse
 import sys
+import traceback
 from fractions import Fraction
 
 from . import mwtable
 from .lattice import dual_gram, enumerate_by_norm, lattice_from_text
 from .parsing import (
     InputFormatError,
-    ParseError,
     parse_conic_rhs,
     parse_curve_rhs,
     parse_section,
@@ -37,8 +38,6 @@ from .report import (
 from .surface import (
     INFINITY_PLACE,
     InternalInconsistencyError,
-    NeedsManualComponent,
-    NeedsManualIntersection,
     add,
     double,
     halve,
@@ -340,17 +339,17 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, InputFormatError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except (NeedsManualComponent, NeedsManualIntersection) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except ValueError as exc:
+    except ValueError as exc:  # ParseError, InputFormatError and NeedsManual* too
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except InternalInconsistencyError as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except Exception as exc:
+        # A bug, not a mismatch: exit 3, never the interpreter's exit 1.
+        # BaseException (KeyboardInterrupt, SystemExit) still propagates.
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc(file=sys.stderr)
         return EXIT_INTERNAL
 
 

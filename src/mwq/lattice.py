@@ -18,6 +18,10 @@ Vector = tuple[int, ...]
 Matrix = tuple[tuple[Fraction, ...], ...]
 
 
+class InternalInconsistencyError(RuntimeError):
+    """An exact identity that must hold failed; signals a bug, never bad input."""
+
+
 def _to_matrix(rows: Sequence[Sequence]) -> Matrix:
     return tuple(tuple(Fraction(x) for x in row) for row in rows)
 
@@ -516,7 +520,10 @@ def count_etc(mw: MWStructure) -> int:
     if mw.narrow_gram.rank == 0:
         return 0
     n = len(enumerate_by_norm(mw.narrow_gram, Fraction(2)))
-    assert n % 2 == 0
+    if n % 2:
+        raise InternalInconsistencyError(
+            f"odd number {n} of norm-2 vectors; v and -v must pair up"
+        )
     return n // 2
 
 
@@ -531,7 +538,10 @@ def count_qretc(mw: MWStructure) -> int:
         target = tuple(Fraction(2 * c) for c in v)
         if solve_integer(mw.narrow_basis, target) is not None:
             hits += 1
-    assert hits % 2 == 0
+    if hits % 2:
+        raise InternalInconsistencyError(
+            f"odd number {hits} of norm-1/2 halvings; v and -v must pair up"
+        )
     return hits // 2
 
 

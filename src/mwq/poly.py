@@ -348,40 +348,17 @@ def interpolate(points: Sequence[tuple[Scalar, Scalar]], max_degree: int) -> Opt
     return poly
 
 
-def _integer_divisors(n: int) -> list[int]:
-    import sympy
-
-    return sorted(sympy.divisors(abs(n)))
-
-
 def rational_roots(p: UniPoly) -> list[Fraction]:
-    """All rational roots with multiplicity, via divisor candidates of the
-    primitive integer model (complete by the rational root theorem)."""
+    """All rational roots with multiplicity, sorted: the roots of the degree-1
+    factors from `irreducible_factors`.  No integer derived from `p` is ever
+    factored, so the cost does not grow with the prime factors of its
+    coefficients."""
     if p.is_zero:
         raise ValueError("rational roots of the zero polynomial")
     roots: list[Fraction] = []
-    # strip powers of t
-    k = p.trailing_order()
-    if k:
-        roots.extend([Fraction(0)] * k)
-        p = UniPoly(p.coeffs[k:])
-    if p.degree <= 0:
-        return roots
-    den_lcm = math.lcm(*[c.denominator for c in p.coeffs])
-    ints = [c.numerator * (den_lcm // c.denominator) for c in p.coeffs]
-    g = math.gcd(*ints)
-    ints = [c // g for c in ints]
-    lead, const = ints[-1], ints[0]
-    cands: set[Fraction] = set()
-    for a in _integer_divisors(const):
-        for b in _integer_divisors(lead):
-            cands.add(Fraction(a, b))
-            cands.add(Fraction(-a, b))
-    work = p
-    for c in sorted(cands):
-        while not work.is_zero and work.degree > 0 and work(c) == 0:
-            roots.append(c)
-            work = work.exact_div(UniPoly.of(-c, 1))
+    for f, mult in irreducible_factors(p):
+        if f.degree == 1:
+            roots.extend([-f.coeffs[0]] * mult)
     return sorted(roots)
 
 

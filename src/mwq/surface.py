@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Union
 
-from .lattice import ade_gram
+from .lattice import InternalInconsistencyError, ade_gram
 from .poly import (
     T,
     UNIPOLY_ONE,
@@ -48,10 +48,6 @@ class NeedsManualComponent(ValueError):
 
 class NeedsManualIntersection(ValueError):
     """Pair intersection outside the supported local configurations."""
-
-
-class InternalInconsistencyError(RuntimeError):
-    """An exact identity that must hold failed; signals a bug, never bad input."""
 
 
 # ---------------------------------------------------------------------------
@@ -722,12 +718,13 @@ def height_pairing(ctx: HeightContext, p: SectionPoint, q: SectionPoint) -> Frac
 
 
 def _specialization_points(curve: WeierstrassCurve, count: int) -> list[Fraction]:
-    bad = {r for r in rational_roots(curve.discriminant())}
+    """The first `count` integers t0 >= 0 at good fibers (disc(t0) != 0)."""
+    disc = curve.discriminant()
     pts = []
     k = 0
     while len(pts) < count:
         c = Fraction(k)
-        if c not in bad:
+        if disc(c) != 0:
             pts.append(c)
         k += 1
     return pts

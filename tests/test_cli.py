@@ -25,11 +25,14 @@ from mwq.parsing import (
 )
 from mwq.poly import RatFn, UniPoly
 from mwq.replay import EXAMPLES, run_example
-from mwq.report import EXIT_INPUT_ERROR, EXIT_MISMATCH, EXIT_OK
+from mwq.report import EXIT_INPUT_ERROR, EXIT_INTERNAL, EXIT_MISMATCH, EXIT_OK
 
 Q51 = "u^3 + (271350 - 98*t)*u^2 + t*(t-5825)*(t-2025)*u + 36*t^2*(t-2025)^2"
 C51_1 = "u = 1/144*t^2 + 1231/72*t - 5143775/144"
 C51_2 = "u = 1/36*t^2 + 435/2*t - 921375/4"
+Q52 = "u^3 + (25*t + 9)*u^2 + (144*t^2 + t^3)*u + 16*t^4"
+C52_1 = "u = 1/64*t^2 - 41/2*t + 315"
+C52_2 = "u = t^2 + 192*t + 8640"
 
 
 # ---------------------------------------------------------------------------
@@ -253,3 +256,107 @@ def test_records_carry_provenance(capsys):
     named = {r["name"]: r for r in recs if r["kind"] == "result"}
     assert "qr_symbol" in named["symbol"]["provenance"]
     assert "halve" in named["halving_witness"]["provenance"]
+
+
+def test_unexpected_exception_exits_3(capsys, monkeypatch):
+    import mwq.cli as cli
+
+    def broken(quartic, conic):
+        raise ZeroDivisionError("simulated bug")
+
+    monkeypatch.setattr(cli, "qr_symbol", broken)
+    assert main(["symbol", Q51, C51_1]) == EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert "internal error: ZeroDivisionError: simulated bug" in err
+
+
+def test_keyboard_interrupt_propagates(monkeypatch):
+    import mwq.cli as cli
+
+    def interrupted(quartic, conic):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "qr_symbol", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main(["symbol", Q51, C51_1])
+
+
+# ---------------------------------------------------------------------------
+# running time: no integer derived from the input is ever factored
+# ---------------------------------------------------------------------------
+
+# A 51-digit semiprime: (10^25 + 13) * (3*10^25 + 67).
+N51 = 10000000000000000000000013 * 30000000000000000000000067
+FACTOR_LIMIT = 10 ** 6
+
+
+@pytest.fixture
+def factoring_guard(monkeypatch):
+    """Make sympy's integer factoring raise on any argument above FACTOR_LIMIT;
+    yields the list of such arguments seen (empty when the guard held)."""
+    import sympy
+    import sympy.ntheory
+    import sympy.ntheory.factor_
+
+    seen = []
+
+    def guarded(original):
+        def wrapper(n, *args, **kwargs):
+            if isinstance(n, (int, sympy.Integer)) and abs(int(n)) > FACTOR_LIMIT:
+                seen.append(int(n))
+                raise AssertionError(f"integer factoring of {n}")
+            return original(n, *args, **kwargs)
+
+        return wrapper
+
+    for module, name in (
+        (sympy, "divisors"),
+        (sympy, "factorint"),
+        (sympy.ntheory, "factorint"),
+        (sympy.ntheory.factor_, "factorint"),
+    ):
+        monkeypatch.setattr(module, name, guarded(getattr(module, name)))
+    return seen
+
+
+def _rescaled(text: str, n: int) -> str:
+    """The input under t -> n*t."""
+    return text.replace("t", f"({n}*t)")
+
+
+def _results(capsys) -> dict:
+    recs = [json.loads(line) for line in capsys.readouterr().out.strip().splitlines()]
+    return {r["name"]: r["value"] for r in recs if r["kind"] == "result"}
+
+
+def _certificate_expands_to_quartic(quartic: str, conic: str, cert: dict) -> bool:
+    """f == (a1*(u - q) + a3)^2 + (u - q + a2)^2 * (u - q), expanded by sympy."""
+    import sympy
+
+    t, u = sympy.symbols("t u")
+
+    def sym(text):
+        return sympy.sympify(text.replace("^", "**"), locals={"t": t, "u": u})
+
+    f, q = sym(quartic), sym(conic.split("=", 1)[1])
+    a1, a2, a3 = (sym(cert[k]) for k in ("a1", "a2", "a3"))
+    w = u - q
+    return sympy.expand(f - (a1 * w + a3) ** 2 - (w + a2) ** 2 * w) == 0
+
+
+@pytest.mark.parametrize("quartic, conic1, conic2, n", [
+    (Q52, C52_1, C52_2, N51),
+    (Q51, C51_1, C51_2, 1003),
+])
+def test_rescaled_examples_factor_no_input_integer(capsys, factoring_guard,
+                                                   quartic, conic1, conic2, n):
+    quartic, conic1, conic2 = (_rescaled(x, n) for x in (quartic, conic1, conic2))
+    assert main(["symbol", quartic, conic1, "--format", "records"]) == EXIT_OK
+    named = _results(capsys)
+    assert named["symbol"] == 1
+    assert _certificate_expands_to_quartic(quartic, conic1, named["splitting_certificate"])
+    assert main(["symbol", quartic, conic2, "--format", "records"]) == EXIT_OK
+    assert _results(capsys)["symbol"] == -1
+    assert main(["zariski", quartic, conic1, conic2, "--format", "records"]) == EXIT_OK
+    assert _results(capsys)["verdict"] == "ZariskiPair"
+    assert factoring_guard == []

@@ -232,6 +232,27 @@ def test_count_qretc_spot_rows():
     assert count_qretc(row(5).mw) == 1
 
 
+def test_odd_vector_counts_are_internal_inconsistencies(monkeypatch):
+    import mwq.lattice as lattice
+
+    real = lattice.enumerate_by_norm
+    # drop one vector of each +-v pair set, so the counts come out odd
+    monkeypatch.setattr(lattice, "enumerate_by_norm", lambda lat, norm: real(lat, norm)[:-1])
+    with pytest.raises(lattice.InternalInconsistencyError, match="norm-2"):
+        count_etc(row(10).mw)
+    with pytest.raises(lattice.InternalInconsistencyError, match="norm-1/2"):
+        count_qretc(row(40).mw)
+
+
+def test_internal_inconsistency_error_is_one_class():
+    import mwq
+    import mwq.lattice
+    import mwq.surface
+
+    assert mwq.InternalInconsistencyError is mwq.lattice.InternalInconsistencyError
+    assert mwq.surface.InternalInconsistencyError is mwq.lattice.InternalInconsistencyError
+
+
 def test_no_norm_half_vectors_in_the_exceptional_rows():
     for n in (37, 38, 39, 41, 45, 46, 48, 49, 51):
         mw = row(n).mw

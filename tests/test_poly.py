@@ -1,10 +1,13 @@
 """Exact polynomial arithmetic: gcd, squarefree parts, square roots,
 resultants, interpolation, rational roots."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mwq.poly import (
     BiPoly,
@@ -309,3 +312,87 @@ def test_ratfn_reduction_and_arithmetic():
         RatFn(UNIPOLY_ONE, UNIPOLY_ZERO)
     with pytest.raises(ZeroDivisionError):
         s(Fraction(0))
+
+
+# ---------------------------------------------------------------------------
+# rational roots against the rational root theorem (independent oracle)
+# ---------------------------------------------------------------------------
+
+
+def rational_roots_by_divisors(p: UniPoly) -> list[Fraction]:
+    """Oracle: try every +-a/b with a | constant and b | leading coefficient of
+    the primitive integer model, dividing out each root found.  Factors both
+    coefficients, so only for small-coefficient inputs."""
+    import sympy
+
+    k = p.trailing_order()
+    roots = [Fraction(0)] * k
+    p = UniPoly(p.coeffs[k:])
+    if p.degree <= 0:
+        return roots
+    den = math.lcm(*[c.denominator for c in p.coeffs])
+    ints = [c.numerator * (den // c.denominator) for c in p.coeffs]
+    g = math.gcd(*ints)
+    const, lead = ints[0] // g, ints[-1] // g
+    cands = {
+        Fraction(s * a, b)
+        for a in sympy.divisors(const)
+        for b in sympy.divisors(lead)
+        for s in (1, -1)
+    }
+    work = p
+    for c in sorted(cands):
+        while work.degree > 0 and work(c) == 0:
+            roots.append(c)
+            work = work.exact_div(UniPoly.of(-c, 1))
+    return sorted(roots)
+
+
+_linear_factors = st.lists(
+    st.tuples(st.integers(-9, 9), st.integers(1, 4), st.integers(1, 3)), max_size=3
+)
+_higher_factors = st.lists(
+    st.lists(st.integers(-6, 6), min_size=3, max_size=4).filter(lambda cs: cs[-1] != 0),
+    max_size=2,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    lin=_linear_factors,
+    higher=_higher_factors,
+    t_power=st.integers(0, 3),
+    scale=st.fractions(min_value=-5, max_value=5, max_denominator=6).filter(bool),
+)
+def test_rational_roots_match_divisor_oracle(lin, higher, t_power, scale):
+    p = T ** t_power * scale
+    for num, den, mult in lin:
+        p = p * UniPoly.of(-num, den) ** mult  # root num/den, multiplicity mult
+    for cs in higher:
+        p = p * UniPoly(cs)
+    got = rational_roots(p)
+    assert got == sorted(got)
+    assert got == rational_roots_by_divisors(p)
+    for num, den, mult in lin:
+        assert got.count(Fraction(num, den)) >= mult
+
+
+def test_rational_roots_of_zero_polynomial_raises():
+    with pytest.raises(ValueError):
+        rational_roots(UNIPOLY_ZERO)
+
+
+@pytest.mark.parametrize("quartic", [
+    "u^3 + (271350 - 98*t)*u^2 + t*(t-5825)*(t-2025)*u + 36*t^2*(t-2025)^2",
+    "u^3 + (25*t + 9)*u^2 + (144*t^2 + t^3)*u + 16*t^4",
+])
+def test_specialization_points_skip_exactly_the_bad_fibers(quartic):
+    from mwq.parsing import parse_curve_rhs
+    from mwq.surface import WeierstrassCurve, _specialization_points
+
+    f = parse_curve_rhs(quartic)
+    curve = WeierstrassCurve(f.coeff_u(2), f.coeff_u(1), f.coeff_u(0))
+    bad = set(rational_roots_by_divisors(curve.discriminant()))
+    n = 5
+    first_good = [Fraction(k) for k in range(n + len(bad)) if Fraction(k) not in bad][:n]
+    assert _specialization_points(curve, n) == first_good
