@@ -43,7 +43,6 @@ from .quartic import (
     qr_symbol,
     singular_configuration,
     splitting_certificate,
-    surface_of,
     verify_splitting_certificate,
     zariski_pair_check,
 )

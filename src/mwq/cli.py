@@ -231,21 +231,20 @@ def _cmd_curve(args) -> int:
         curve, (p, q) = _curve_and_points(args, 2)
         rep.inputs.update({"p1": args.p1, "p2": args.p2})
         ctx = height_context(curve)
+        manual = {}
         for spec in args.component or []:
             place_label, _, idx = spec.partition("=")
             targets = [p, q]
             if ":" in place_label:
                 which, _, place_label = place_label.partition(":")
                 targets = [p] if which == "p1" else [q]
-            matched = False
-            for pd in ctx.places:
-                if pd.label.replace(" ", "") == place_label.replace(" ", ""):
-                    for sec in targets:
-                        pd.components[sec.key()] = int(idx)
-                    matched = True
-            if not matched:
+            places = [pd.place for pd in ctx.places
+                      if pd.label.replace(" ", "") == place_label.replace(" ", "")]
+            if not places:
                 raise InputFormatError(f"no bad place labelled {place_label!r}")
-        rep.add("height", height_pairing(ctx, p, q), ("height_pairing", "corr_v", "component_of"))
+            manual.update({(place, sec): int(idx) for place in places for sec in targets})
+        rep.add("height", height_pairing(ctx, p, q, manual),
+                ("height_pairing", "corr_v", "component_of"))
         return _emit(rep, args.format)
     raise InputFormatError(f"unknown curve operation {args.op!r}")
 

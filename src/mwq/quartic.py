@@ -45,10 +45,10 @@ class PreparedQuartic:
 
     Irreducibility is certified at the level this package needs: the cubic has
     no root in Q[t] of degree <= 2, which also rules out 2-torsion on the
-    associated surface.
+    associated surface.  `curve` is the rational elliptic surface y^2 = f(t, u).
     """
 
-    __slots__ = ("f", "curve")
+    __slots__ = ("f", "curve", "_configuration")
 
     def __init__(self, f: BiPoly, check_irreducible: bool = True):
         if f.degree_u != 3 or f.coeff_u(3) != UNIPOLY_ONE:
@@ -63,33 +63,33 @@ class PreparedQuartic:
     def __setattr__(self, *a):
         raise AttributeError("PreparedQuartic is immutable")
 
+    @property
+    def configuration(self) -> SingularConfiguration:
+        """The quartic's singular configuration (fibers, singularity type, table
+        row, height context), computed on first use and kept: every symbol,
+        type and verdict on this quartic reads this one copy."""
+        try:
+            return self._configuration
+        except AttributeError:
+            config = singular_configuration(self)
+            object.__setattr__(self, "_configuration", config)
+            return config
+
     def __repr__(self):
         from .parsing import bipoly_text
 
         return f"PreparedQuartic({bipoly_text(self.f)} = 0)"
 
 
-def surface_of(quartic: PreparedQuartic) -> WeierstrassCurve:
-    """The rational elliptic surface y^2 = f(t, u) attached to the quartic."""
-    return quartic.curve
-
-
 @dataclass(frozen=True)
 class Conic:
-    """The conic u = q(t) (deg q = 2), tangent to V = 0 at the marked point.
-
-    Lines (deg q < 2) are accepted only with `allow_degenerate`, for
-    experiments; the symbol machinery requires a genuine conic.
-    """
+    """The conic u = q(t) (deg q = 2), tangent to V = 0 at the marked point."""
 
     q: UniPoly
-    allow_degenerate: bool = False
 
     def __post_init__(self):
-        if self.q.degree > 2:
-            raise ValueError("conic must have the form u = q(t) with deg q <= 2")
-        if self.q.degree < 2 and not self.allow_degenerate:
-            raise ValueError("degenerate conic (deg q < 2) needs allow_degenerate")
+        if self.q.degree != 2:
+            raise ValueError("conic must have the form u = q(t) with deg q = 2")
 
     def __repr__(self):
         from .parsing import poly_text
@@ -105,7 +105,6 @@ class TangencyReport:
     is_even_tangential: bool
     contact: tuple[tuple[ContactPlace, int], ...]  # (place or 'inf', multiplicity)
     sqrt_witness: Optional[UniPoly]
-    bezout_total: int
     note: str = ""
 
     def contact_point_count(self) -> int:
@@ -123,22 +122,21 @@ def even_tangency(quartic: PreparedQuartic, conic: Conic) -> TangencyReport:
     g = quartic.f.eval_u(conic.q)
     if g.is_zero:
         raise ValueError("the conic is a component of the quartic; impossible for irreducible input")
-    bezout = 8 if conic.q.degree == 2 else 4
     decomp = squarefree_decompose(g)
     contact_raw: list[tuple[ContactPlace, int]] = []
     for factor, mult in decomp:
         for irr, _one in irreducible_factors(factor):
             contact_raw.append((irr, mult))
-    inf_mult = bezout - g.degree
+    inf_mult = 8 - g.degree
     if inf_mult > 0:
         contact_raw.append((INFINITY_PLACE, inf_mult))
     contact = tuple(contact_raw)
     if any(mult % 2 for _p, mult in contact):
-        return TangencyReport(False, contact, None, bezout, "odd local intersection multiplicity")
+        return TangencyReport(False, contact, None, "odd local intersection multiplicity")
     witness = is_perfect_square(g)
     if witness is None:
         return TangencyReport(
-            False, contact, None, bezout,
+            False, contact, None,
             "even multiplicities, but the restriction is not a square over Q "
             "(leading coefficient is not a rational square)",
         )
@@ -150,18 +148,27 @@ def even_tangency(quartic: PreparedQuartic, conic: Conic) -> TangencyReport:
             continue  # the marked point is smooth by assumption
         if ord_at(f_u, place) > 0 and ord_at(f_t, place) > 0:
             return TangencyReport(
-                False, contact, None, bezout,
+                False, contact, None,
                 "contact at a singular point of the quartic",
             )
-    return TangencyReport(True, contact, witness, bezout)
+    return TangencyReport(True, contact, witness)
+
+
+def _require_even(report: TangencyReport) -> TangencyReport:
+    if not report.is_even_tangential:
+        raise ValueError(f"conic is not even tangential: {report.note}")
+    return report
 
 
 def lift_conic(quartic: PreparedQuartic, conic: Conic) -> tuple[SectionPoint, SectionPoint]:
     """The two sections (q, +h) and (q, -h) over an even tangential conic."""
-    report = even_tangency(quartic, conic)
-    if not report.is_even_tangential:
-        raise ValueError(f"conic is not even tangential: {report.note}")
-    h = report.sqrt_witness
+    return _lifts(quartic, conic, even_tangency(quartic, conic))
+
+
+def _lifts(
+    quartic: PreparedQuartic, conic: Conic, report: TangencyReport
+) -> tuple[SectionPoint, SectionPoint]:
+    h = _require_even(report).sqrt_witness
     plus = SectionPoint(RatFn(conic.q), RatFn(h))
     minus = SectionPoint(RatFn(conic.q), RatFn(-h))
     curve = quartic.curve
@@ -307,6 +314,7 @@ class SplittingCertificate:
 class SymbolResult:
     value: int  # +1 or -1
     route: str
+    tangency: TangencyReport
     witness_section: Optional[SectionPoint] = None
     witness_certificate: Optional[SplittingCertificate] = None
 
@@ -319,21 +327,18 @@ def qr_symbol(quartic: PreparedQuartic, conic: Conic) -> SymbolResult:
     Mordell-Weil group, and the halving (plus a splitting certificate) is
     attached as a machine-checkable witness.
     """
-    report = even_tangency(quartic, conic)
-    if not report.is_even_tangential:
-        raise ValueError(f"conic is not even tangential: {report.note}")
-    config = singular_configuration(quartic)
-    genus = genus_from_sing(config.sing_type)
+    report = _require_even(even_tangency(quartic, conic))
+    genus = genus_from_sing(quartic.configuration.sing_type)
     if genus == 0:
-        return SymbolResult(1, ROUTE_GENUS0)
+        return SymbolResult(1, ROUTE_GENUS0, report)
     if genus >= 2:
-        return SymbolResult(-1, ROUTE_GENUS_GE2)
-    s_plus, _s_minus = lift_conic(quartic, conic)
+        return SymbolResult(-1, ROUTE_GENUS_GE2, report)
+    s_plus, _s_minus = _lifts(quartic, conic, report)
     s_o = halve(quartic.curve, s_plus)
     if s_o is None:
-        return SymbolResult(-1, ROUTE_HALVING_ABSENCE)
-    cert = splitting_certificate(quartic, conic, s_o)
-    return SymbolResult(1, ROUTE_HALVING, witness_section=s_o, witness_certificate=cert)
+        return SymbolResult(-1, ROUTE_HALVING_ABSENCE, report)
+    cert = _certificate_of_half(quartic, conic, s_o)
+    return SymbolResult(1, ROUTE_HALVING, report, s_o, cert)
 
 
 def splitting_certificate(
@@ -352,6 +357,13 @@ def splitting_certificate(
         doubled = double(quartic.curve, s_o)
     if doubled != s_plus:
         raise ValueError("the given section does not halve the lifted section")
+    return _certificate_of_half(quartic, conic, s_o)
+
+
+def _certificate_of_half(
+    quartic: PreparedQuartic, conic: Conic, s_o: SectionPoint
+) -> SplittingCertificate:
+    """The certificate from s_o with 2 s_o = s_conic^+ (the caller's guarantee)."""
     f_o = s_o.x.as_unipoly()
     g_o = s_o.y.as_unipoly()
     curve = quartic.curve
@@ -394,10 +406,11 @@ class CombinatorialType:
 
 
 def combinatorial_type(quartic: PreparedQuartic, conic: Conic) -> CombinatorialType:
-    report = even_tangency(quartic, conic)
-    if not report.is_even_tangential:
-        raise ValueError(f"conic is not even tangential: {report.note}")
-    config = singular_configuration(quartic)
+    return _combinatorial_type(quartic, _require_even(even_tangency(quartic, conic)))
+
+
+def _combinatorial_type(quartic: PreparedQuartic, report: TangencyReport) -> CombinatorialType:
+    config = quartic.configuration
     mults: list[int] = []
     for place, mult in report.contact:
         copies = 1 if place == INFINITY_PLACE else place.degree
@@ -423,10 +436,17 @@ def zariski_pair_check(
     pair1: tuple[PreparedQuartic, Conic], pair2: tuple[PreparedQuartic, Conic]
 ) -> ZariskiVerdict:
     """Equal combinatorial types with opposite symbols make a Zariski pair."""
-    t1 = combinatorial_type(*pair1)
-    t2 = combinatorial_type(*pair2)
-    s1 = qr_symbol(*pair1).value
-    s2 = qr_symbol(*pair2).value
+    return zariski_verdict((pair1[0], qr_symbol(*pair1)), (pair2[0], qr_symbol(*pair2)))
+
+
+def zariski_verdict(
+    pair1: tuple[PreparedQuartic, SymbolResult], pair2: tuple[PreparedQuartic, SymbolResult]
+) -> ZariskiVerdict:
+    """The verdict on two (quartic, symbol) pairs whose symbols are already
+    known; each combinatorial type comes from its symbol's tangency report."""
+    t1 = _combinatorial_type(pair1[0], pair1[1].tangency)
+    t2 = _combinatorial_type(pair2[0], pair2[1].tangency)
+    s1, s2 = pair1[1].value, pair2[1].value
     if t1 != t2:
         verdict = VERDICT_NOT_COMPARABLE
     elif s1 != s2:
@@ -452,9 +472,8 @@ class FeasibilityReport:
 def dihedral_feasibility(quartic: PreparedQuartic, conic: Conic) -> FeasibilityReport:
     """Existence criteria for dihedral covers branched along the conic-quartic
     pair, as far as the symbol decides them."""
-    config = singular_configuration(quartic)
     sym = qr_symbol(quartic, conic)
-    xi = config.sing_type
+    xi = quartic.configuration.sing_type
     if sym.value == -1:
         return FeasibilityReport(
             sym, xi, INFEASIBLE_ODD_PRIMES,

@@ -18,13 +18,12 @@ from .quartic import (
     ROUTE_HALVING,
     ROUTE_HALVING_ABSENCE,
     VERDICT_ZARISKI,
-    even_tangency,
     qr_symbol,
     verify_splitting_certificate,
-    zariski_pair_check,
+    zariski_verdict,
 )
 from .report import RunReport
-from .surface import add, double, height_context, height_pairing, on_curve
+from .surface import add, double, height_pairing, on_curve
 
 
 EXAMPLES: dict[str, dict] = {
@@ -91,7 +90,7 @@ def run_example(which: str, data: dict | None = None) -> RunReport:
     if not all_on:
         return rep  # everything downstream needs sections on the surface
 
-    ctx = height_context(curve)
+    ctx = quartic.configuration.context
     fiber_map = {pd.label.replace(" ", ""): pd.kodaira for pd in ctx.places}
     for label, expected in data["fibers"].items():
         got = fiber_map.get(label)
@@ -114,8 +113,9 @@ def run_example(which: str, data: dict | None = None) -> RunReport:
 
     conic1 = Conic(s1_printed.x.as_unipoly())
     conic2 = Conic(s2_printed.x.as_unipoly())
-    for name, conic in (("conic1", conic1), ("conic2", conic2)):
-        tang = even_tangency(quartic, conic)
+    sym1 = qr_symbol(quartic, conic1)
+    sym2 = qr_symbol(quartic, conic2)
+    for name, tang in (("conic1", sym1.tangency), ("conic2", sym2.tangency)):
         points = tang.contact_point_count()
         rep.add(
             f"even_tangency[{name}]",
@@ -124,7 +124,6 @@ def run_example(which: str, data: dict | None = None) -> RunReport:
             ok=tang.is_even_tangential and points == 4,
         )
 
-    sym1 = qr_symbol(quartic, conic1)
     doubled = (
         double(curve, sym1.witness_section) if sym1.witness_section is not None else None
     )
@@ -143,7 +142,6 @@ def run_example(which: str, data: dict | None = None) -> RunReport:
         ("qr_symbol", "halve", "splitting_certificate"),
         ok=ok1,
     )
-    sym2 = qr_symbol(quartic, conic2)
     rep.add(
         "symbol[conic2]",
         {"value": sym2.value, "route": sym2.route},
@@ -151,7 +149,7 @@ def run_example(which: str, data: dict | None = None) -> RunReport:
         ok=sym2.value == -1 and sym2.route == ROUTE_HALVING_ABSENCE,
     )
 
-    verdict = zariski_pair_check((quartic, conic1), (quartic, conic2))
+    verdict = zariski_verdict((quartic, sym1), (quartic, sym2))
     rep.add(
         "zariski_verdict",
         verdict.verdict,

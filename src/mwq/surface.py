@@ -15,9 +15,10 @@ with Corr_v read off the negative inverse of the fiber component matrix.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from types import MappingProxyType
+from typing import Mapping, Optional, Union
 
 from .lattice import InternalInconsistencyError, ade_gram
 from .poly import (
@@ -38,6 +39,10 @@ from .poly import (
 
 INFINITY_PLACE = "inf"
 Place = Union[UniPoly, str]
+# Manual component assignments, keyed by (place, section), for fibers where
+# the automated assignment declines; read, never written, by the height code.
+ManualComponents = Mapping[tuple[Place, "SectionPoint"], int]
+NO_MANUAL: ManualComponents = MappingProxyType({})
 
 _BIG = 10 ** 9
 
@@ -75,13 +80,10 @@ class SectionPoint:
     def is_zero(self) -> bool:
         return self.x is None
 
-    def key(self) -> str:
+    def __repr__(self):
         from .parsing import section_text
 
-        return section_text(self)
-
-    def __repr__(self):
-        return f"SectionPoint({self.key()})"
+        return f"SectionPoint({section_text(self)})"
 
 
 class WeierstrassCurve:
@@ -237,14 +239,12 @@ def _ratfn_infinity(r: RatFn, weight: int) -> RatFn:
 _EULER = {"II": 2, "III": 3, "IV": 4, "IV*": 8, "III*": 9, "II*": 10}
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class PlaceData:
     """A place of bad reduction together with its fiber data.
 
     `a_v` is the intersection matrix of the non-identity components; component 0
-    is the one met by the zero section.  `components` caches section-component
-    assignments keyed by the section's text form; entries may also be supplied
-    manually for configurations the automation declines.
+    is the one met by the zero section.
     """
 
     place: Place
@@ -257,8 +257,6 @@ class PlaceData:
     chart_curve: WeierstrassCurve
     chart_place: UniPoly
     sing_u: Optional[Fraction] = None
-    components: dict[str, int] = field(default_factory=dict)
-    _neg_a_inv: Optional[tuple[tuple[Fraction, ...], ...]] = None
 
     @property
     def label(self) -> str:
@@ -285,13 +283,10 @@ class PlaceData:
         return {"II": None, "III": "A1", "IV": "A2", "IV*": "E6", "III*": "E7", "II*": "E8"}[fam]
 
     def neg_a_inv(self) -> tuple[tuple[Fraction, ...], ...]:
-        if self._neg_a_inv is None:
-            n = self.m_v - 1
-            from .lattice import _invert
+        from .lattice import _invert
 
-            inv = _invert(tuple(tuple(Fraction(x) for x in row) for row in self.a_v)) if n else ()
-            self._neg_a_inv = tuple(tuple(-x for x in row) for row in inv)
-        return self._neg_a_inv
+        inv = _invert(tuple(tuple(Fraction(x) for x in row) for row in self.a_v)) if self.a_v else ()
+        return tuple(tuple(-x for x in row) for row in inv)
 
 
 def _classify(v_c4: int, v_c6: int, v_disc: int) -> str:
@@ -412,40 +407,34 @@ def _series_of(r: RatFn, a: Fraction, n: int) -> UniPoly:
     return r.num.shift(a).truncate(n).mul_trunc(den.inverse_series(n), n)
 
 
-def component_of(curve: WeierstrassCurve, pd: PlaceData, point: SectionPoint) -> int:
+def component_of(pd: PlaceData, point: SectionPoint, manual: ManualComponents = NO_MANUAL) -> int:
     """Index of the fiber component met by the section, 0 being the identity
     component.  Automated for I_n and III fibers over rational places (and the
-    infinity chart); anything else must be supplied via `pd.components`."""
+    infinity chart); anything else must be supplied in `manual`."""
     if point.is_zero:
         return 0
-    key = point.key()
-    if key in pd.components:
-        return pd.components[key]
+    if (pd.place, point) in manual:
+        return manual[pd.place, point]
     if pd.m_v == 1:
-        idx = 0
-    else:
-        if pd.degree != 1 or pd.sing_u is None:
-            raise NeedsManualComponent(
-                f"component at place {pd.label} needs a manual assignment"
-            )
-        cp = _chart_coords(pd, point)
-        a = -pd.chart_place.coeffs[0]
-        if cp.x.ord_at(pd.chart_place) < 0:
-            idx = 0  # the section passes through the zero point of this fiber
-        else:
-            xbar, ybar = cp.x(a), cp.y(a)
-            if (xbar, ybar) != (pd.sing_u, Fraction(0)):
-                idx = 0
-            elif pd.kodaira == "III":
-                idx = 1
-            elif pd.fiber_type_index()[0] == "I" and pd.m_v >= 2:
-                idx = _cycle_index(pd, cp, a)
-            else:
-                raise NeedsManualComponent(
-                    f"component on a {pd.kodaira} fiber needs a manual assignment"
-                )
-    pd.components[key] = idx
-    return idx
+        return 0
+    if pd.degree != 1 or pd.sing_u is None:
+        raise NeedsManualComponent(
+            f"component at place {pd.label} needs a manual assignment"
+        )
+    cp = _chart_coords(pd, point)
+    a = -pd.chart_place.coeffs[0]
+    if cp.x.ord_at(pd.chart_place) < 0:
+        return 0  # the section passes through the zero point of this fiber
+    xbar, ybar = cp.x(a), cp.y(a)
+    if (xbar, ybar) != (pd.sing_u, Fraction(0)):
+        return 0
+    if pd.kodaira == "III":
+        return 1
+    if pd.fiber_type_index()[0] == "I" and pd.m_v >= 2:
+        return _cycle_index(pd, cp, a)
+    raise NeedsManualComponent(
+        f"component on a {pd.kodaira} fiber needs a manual assignment"
+    )
 
 
 def _cycle_index(pd: PlaceData, cp: SectionPoint, a: Fraction) -> int:
@@ -506,16 +495,11 @@ def _cycle_index(pd: PlaceData, cp: SectionPoint, a: Fraction) -> int:
 
 
 def corr_v(
-    pd: PlaceData,
-    p: SectionPoint,
-    q: SectionPoint,
-    curve: Optional[WeierstrassCurve] = None,
+    pd: PlaceData, p: SectionPoint, q: SectionPoint, manual: ManualComponents = NO_MANUAL
 ) -> Fraction:
     """Local correction (-A_v^{-1}) contribution for one place."""
-    if curve is None:
-        curve = pd.chart_curve if pd.place != INFINITY_PLACE else None
-    i = component_of(curve, pd, p)
-    j = component_of(curve, pd, q)
+    i = component_of(pd, p, manual)
+    j = i if p == q else component_of(pd, q, manual)
     if i == 0 or j == 0:
         return Fraction(0)
     return pd.neg_a_inv()[i - 1][j - 1]
@@ -621,8 +605,8 @@ def _pair_local(chart: WeierstrassCurve, place: UniPoly, p: SectionPoint, q: Sec
     if pd.fiber_type_index()[0] != "I":
         return None
     try:
-        i = component_of(chart, pd, p)
-        j = component_of(chart, pd, q)
+        i = component_of(pd, p)
+        j = component_of(pd, q)
     except NeedsManualComponent:
         return None
     if i != j:
@@ -667,16 +651,11 @@ class HeightContext:
     chi: Fraction
     places: tuple[PlaceData, ...]
 
-    def place(self, label: str) -> PlaceData:
-        for pd in self.places:
-            if pd.label == label:
-                return pd
-        raise KeyError(label)
-
 
 def height_context(curve: WeierstrassCurve) -> HeightContext:
-    """Fresh context per call: place data carries a mutable component cache
-    (and accepts manual overrides), so contexts are deliberately not shared."""
+    """Classify every bad fiber of the curve.  The context is immutable, so one
+    context serves every height pairing on the curve; manual component
+    assignments are passed to `height_pairing`, not stored here."""
     places = []
     for sqfree, _mult in squarefree_decompose(curve.discriminant()):
         for irr, _one in irreducible_factors(sqfree):
@@ -693,14 +672,14 @@ def height_context(curve: WeierstrassCurve) -> HeightContext:
     return HeightContext(curve, Fraction(1), tuple(places))
 
 
-def height_pairing(ctx: HeightContext, p: SectionPoint, q: SectionPoint) -> Fraction:
+def height_pairing(
+    ctx: HeightContext, p: SectionPoint, q: SectionPoint, manual: ManualComponents = NO_MANUAL
+) -> Fraction:
     """Shioda's pairing; pairing anything with the zero section is 0."""
     if p.is_zero or q.is_zero:
         return Fraction(0)
     _require_on_curve(ctx.curve, p, q)
-    corr = sum(
-        pd.degree * corr_v(pd, p, q, curve=ctx.curve) for pd in ctx.places
-    )
+    corr = sum(pd.degree * corr_v(pd, p, q, manual) for pd in ctx.places)
     if p == q:
         return 2 * ctx.chi + 2 * section_O_intersection(ctx.curve, p) - corr
     return (

@@ -3,7 +3,9 @@
 import dataclasses
 import json
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -238,6 +240,20 @@ def test_input_errors_exit_2(capsys):
     capsys.readouterr()
 
 
+def test_untabulated_fiber_at_infinity_exits_2(capsys):
+    # an even tangential conic on a quartic with a smooth fiber at infinity:
+    # tangency never reads the fiber types, the symbol commands reject them
+    quartic = ("((-2*t)*(u - (t^2 + t + 3)) + (t^3 + t + 1))^2 "
+               "+ (u - (t^2 + t + 3) + (-2*t^2 + t + 1))^2*(u - (t^2 + t + 3))")
+    conic = "u = t^2 + t + 3"
+    assert main(["tangency", quartic, conic]) == EXIT_OK
+    assert "is_even_tangential = True" in capsys.readouterr().out
+    for argv in (["symbol", quartic, conic], ["zariski", quartic, conic, conic],
+                 ["feasibility", quartic, conic]):
+        assert main(argv) == EXIT_INPUT_ERROR
+        assert "no singular fiber at infinity" in capsys.readouterr().err
+
+
 def test_records_output_is_byte_stable(capsys):
     assert main(["table", "--verify", "--rows", "1..5", "--format", "records"]) == EXIT_OK
     first = capsys.readouterr().out
@@ -360,3 +376,81 @@ def test_rescaled_examples_factor_no_input_integer(capsys, factoring_guard,
     assert main(["zariski", quartic, conic1, conic2, "--format", "records"]) == EXIT_OK
     assert _results(capsys)["verdict"] == "ZariskiPair"
     assert factoring_guard == []
+
+
+# ---------------------------------------------------------------------------
+# golden records: the records stream of the worked examples, byte for byte
+# ---------------------------------------------------------------------------
+
+RECORDS_DIR = Path(__file__).parent / "data" / "records"
+S51_T1 = EXAMPLES["5.1"]["s_t1"]
+S51_T2 = EXAMPLES["5.1"]["s_t2"]
+
+GOLDEN_RECORDS = {
+    "example_5.1": ["example", "5.1"],
+    "example_5.2": ["example", "5.2"],
+    "symbol_5.1_conic1": ["symbol", Q51, C51_1],
+    "symbol_5.1_conic2": ["symbol", Q51, C51_2],
+    "zariski_5.1": ["zariski", Q51, C51_1, C51_2],
+    "feasibility_5.1_conic1": ["feasibility", Q51, C51_1],
+    "feasibility_5.1_conic2": ["feasibility", Q51, C51_2],
+    "tangency_5.2_conic1": ["tangency", Q52, C52_1],
+    "tangency_5.2_conic2": ["tangency", Q52, C52_2],
+    "curve_fibers_5.1": ["curve", "fibers", Q51],
+    "curve_height_5.1": ["curve", "height", Q51, S51_T1, S51_T2],
+    "curve_height_5.1_component": ["curve", "height", Q51, S51_T1, S51_T2,
+                                   "--component", "t-2025=1"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_RECORDS))
+def test_golden_records(capsys, name):
+    assert main(GOLDEN_RECORDS[name] + ["--format", "records"]) == EXIT_OK
+    expected = (RECORDS_DIR / f"{name}.jsonl").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == expected
+
+
+# ---------------------------------------------------------------------------
+# each fact once: one analysis per quartic, one tangency and halving per conic
+# ---------------------------------------------------------------------------
+
+COUNTED = ("height_context", "singular_configuration", "even_tangency", "halve")
+
+
+@pytest.fixture
+def call_counts(monkeypatch):
+    """Count calls of the COUNTED functions through every mwq namespace that
+    binds them (the package binds names with `from .x import y`)."""
+    counts = dict.fromkeys(COUNTED, 0)
+    wrappers = {}
+
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name != "mwq" and not module_name.startswith("mwq."):
+            continue
+        for name in COUNTED:
+            original = getattr(module, name, None)
+            if original is None:
+                continue
+            if id(original) not in wrappers:
+                wrappers[id(original)] = counting(name, original)
+            monkeypatch.setattr(module, name, wrappers[id(original)])
+    return counts
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["example", "5.1"],
+     {"height_context": 1, "even_tangency": 2, "halve": 2, "singular_configuration": 1}),
+    (["zariski", Q51, C51_1, C51_2], {"height_context": 1, "even_tangency": 2, "halve": 2}),
+    (["symbol", Q51, C51_1], {"even_tangency": 1}),
+], ids=["example_5.1", "zariski_5.1", "symbol_5.1_conic1"])
+def test_each_fact_computed_once(capsys, call_counts, argv, expected):
+    assert main(argv + ["--format", "records"]) == EXIT_OK
+    capsys.readouterr()
+    assert {name: call_counts[name] for name in expected} == expected

@@ -29,7 +29,6 @@ from mwq.quartic import (
     qr_symbol,
     singular_configuration,
     splitting_certificate,
-    surface_of,
     verify_splitting_certificate,
     zariski_pair_check,
 )
@@ -79,8 +78,8 @@ def conic_t2():
 
 
 def test_surface_of_matches_displayed_models(q51, q52):
-    assert surface_of(q51).c1 == UniPoly.of(271350, -98)
-    assert surface_of(q52).c3 == UniPoly.of(0, 0, 0, 0, 16)
+    assert q51.curve.c1 == UniPoly.of(271350, -98)
+    assert q52.curve.c3 == UniPoly.of(0, 0, 0, 0, 16)
 
 
 def test_degree_overflow_rejected():
@@ -206,10 +205,9 @@ def test_component_conic_rejected():
         even_tangency(quartic, Conic(q))
 
 
-def test_degenerate_conic_needs_flag():
+def test_degenerate_conic_rejected():
     with pytest.raises(ValueError):
         Conic(T)
-    Conic(T, allow_degenerate=True)
 
 
 # ---------------------------------------------------------------------------

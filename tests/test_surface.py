@@ -1,5 +1,6 @@
 """Group law, fiber classification, components, heights, halving."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -228,14 +229,14 @@ def test_euler_sum_is_twelve(e51, e52):
 
 def test_zero_section_on_identity_component(e51):
     pd = kodaira_type_at(e51, T)
-    assert component_of(e51, pd, SectionPoint.zero()) == 0
+    assert component_of(pd, SectionPoint.zero()) == 0
 
 
 def test_component_misses_node(e51):
     # s_t1 at t = 2025: x = -64800 is far from the node at u = 0
     pd = kodaira_type_at(e51, UniPoly.of(-2025, 1))
     p = parse_section(SECTIONS_51["s_t1"])
-    assert component_of(e51, pd, p) == 0
+    assert component_of(pd, p) == 0
 
 
 def test_components_of_s_o_example_51(e51):
@@ -245,9 +246,9 @@ def test_components_of_s_o_example_51(e51):
     total = Fraction(0)
     for place in (T, UniPoly.of(-2025, 1), INFINITY_PLACE):
         pd = kodaira_type_at(e51, place)
-        idx = component_of(e51, pd, pts["s_o"])
+        idx = component_of(pd, pts["s_o"])
         assert idx == 1
-        total += corr_v(pd, pts["s_o"], pts["s_o"], curve=e51)
+        total += corr_v(pd, pts["s_o"], pts["s_o"])
     assert total == Fraction(3, 2)
 
 
@@ -255,12 +256,12 @@ def test_cycle_components_example_52(e52):
     # the I4 fiber separates the two generators onto opposite components
     pd = kodaira_type_at(e52, T)
     pts = secs(SECTIONS_52)
-    i1 = component_of(e52, pd, pts["s_t1"])
-    i2 = component_of(e52, pd, pts["s_t2"])
+    i1 = component_of(pd, pts["s_t1"])
+    i2 = component_of(pd, pts["s_t2"])
     assert {i1, i2} == {1, 3}
-    assert component_of(e52, pd, pts["s_o"]) == 2
+    assert component_of(pd, pts["s_o"]) == 2
     s2 = add(e52, pts["s_t1"], pts["s_t2"])
-    assert component_of(e52, pd, s2) == 0  # indices add on the cycle
+    assert component_of(pd, s2) == 0  # indices add on the cycle
 
 
 def test_corr_in_closed_form_matches_matrix():
@@ -295,8 +296,24 @@ def test_manual_component_assignment_used():
     pd = PlaceData(place=T, kodaira="IV", m_v=3, a_v=((-2, 1), (1, -2)), degree=1,
                    euler=4, v_disc=4, chart_curve=None, chart_place=T)
     p = SectionPoint.of(T, T)
-    pd.components[p.key()] = 2
-    assert corr_v(pd, p, p) == Fraction(2, 3)
+    assert corr_v(pd, p, p, {(T, p): 2}) == Fraction(2, 3)
+
+
+def test_place_data_is_immutable(e51):
+    pd = kodaira_type_at(e51, T)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        pd.kodaira = "I3"
+
+
+def test_manual_components_do_not_leak_into_the_context(e51):
+    # one context, the same pair: the override applies to its own call only
+    ctx = height_context(e51)
+    pts = secs(SECTIONS_51)
+    p, q = pts["s_t1"], pts["s_t2"]
+    place = UniPoly.of(-2025, 1)
+    manual = {(place, p): 1, (place, q): 1}
+    assert height_pairing(ctx, p, q, manual) == Fraction(-1, 2)
+    assert height_pairing(ctx, p, q) == 0
 
 
 def test_unautomated_component_raises():
@@ -304,7 +321,7 @@ def test_unautomated_component_raises():
     pd = kodaira_type_at(curve, T)
     probe = SectionPoint.of(T, T)  # reduces to the cusp; not automated for IV
     with pytest.raises(NeedsManualComponent):
-        component_of(curve, pd, probe)
+        component_of(pd, probe)
 
 
 # ---------------------------------------------------------------------------
