@@ -338,7 +338,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:  # ParseError, InputFormatError and NeedsManual* too
+    except ValueError as exc:  # ParseError, InputFormatError and NeedsManualComponent too
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except InternalInconsistencyError as exc:

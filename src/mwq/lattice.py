@@ -1,8 +1,8 @@
 """Positive-definite rational Gram lattices.
 
 ADE root lattices and their duals, exact short-vector enumeration in the
-Fincke-Pohst style (rational LDL^T, integer interval bounds from integer
-square roots -- no floating point), orthogonal complements over Z, sublattice
+Fincke-Pohst style (one LDL^T over the rationals, then a walk in integers
+only -- no floating point), orthogonal complements over Z, sublattice
 embeddings found by exhaustive enumeration, and the Mordell-Weil structures
 whose norm-2 / norm-1/2 vector counts this package reports.
 """
@@ -10,7 +10,8 @@ whose norm-2 / norm-1/2 vector counts this package reports.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
@@ -26,11 +27,37 @@ def _to_matrix(rows: Sequence[Sequence]) -> Matrix:
     return tuple(tuple(Fraction(x) for x in row) for row in rows)
 
 
+def _ldl(g: Matrix) -> tuple[list[Fraction], list[list[Fraction]]]:
+    """g = L^T D L with L unit upper triangular: q(x) = sum_i d[i]*(x_i + sum_{j>i} L[i][j] x_j)^2.
+
+    Raises ValueError at the first pivot d[i] <= 0, i.e. unless g is
+    positive definite."""
+    n = len(g)
+    a = [list(row) for row in g]
+    d = [Fraction(0)] * n
+    lm = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        d[i] = a[i][i]
+        if d[i] <= 0:
+            raise ValueError("gram matrix must be positive definite")
+        for j in range(i + 1, n):
+            lm[i][j] = a[i][j] / d[i]
+        for j in range(i + 1, n):
+            for k in range(j, n):
+                a[j][k] -= d[i] * lm[i][j] * lm[i][k]
+    return d, lm
+
+
 @dataclass(frozen=True)
 class GramLattice:
-    """Symmetric positive-definite Gram matrix; rank 0 is the trivial lattice."""
+    """Symmetric positive-definite Gram matrix; rank 0 is the trivial lattice.
+
+    `den` is the least common denominator of the entries and `igram` the
+    integer matrix den * gram, so that pairings are integer sums."""
 
     gram: Matrix
+    den: int = field(init=False, repr=False, compare=False)
+    igram: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         g = _to_matrix(self.gram)
@@ -43,25 +70,27 @@ class GramLattice:
             for j in range(i):
                 if g[i][j] != g[j][i]:
                     raise ValueError("gram matrix must be symmetric")
-        # positive definiteness via leading principal minors
-        for k in range(1, n + 1):
-            if _det([row[:k] for row in g[:k]]) <= 0:
-                raise ValueError("gram matrix must be positive definite")
+        # Sylvester: positive definite iff every LDL^T pivot is positive
+        _ldl(g)
+        den = math.lcm(*(x.denominator for row in g for x in row))
+        object.__setattr__(self, "den", den)
+        object.__setattr__(
+            self, "igram", tuple(tuple(int(x * den) for x in row) for row in g)
+        )
 
     @property
     def rank(self) -> int:
         return len(self.gram)
 
     def det(self) -> Fraction:
-        return _det([list(r) for r in self.gram])
+        return math.prod(_ldl(self.gram)[0], start=Fraction(1))
 
     def inner(self, v: Vector, w: Vector) -> Fraction:
-        return sum(
-            Fraction(v[i]) * self.gram[i][j] * w[j]
-            for i in range(self.rank)
-            for j in range(self.rank)
-            if v[i] and w[j]
-        ) if self.rank else Fraction(0)
+        s = 0
+        for vi, row in zip(v, self.igram):
+            if vi:
+                s += vi * sum(map(operator.mul, row, w))
+        return Fraction(s, self.den)
 
     def norm(self, v: Vector) -> Fraction:
         return self.inner(v, v)
@@ -80,29 +109,6 @@ class GramLattice:
 
 
 TRIVIAL_LATTICE = GramLattice(())
-
-
-def _det(rows: list[list[Fraction]]) -> Fraction:
-    n = len(rows)
-    if n == 0:
-        return Fraction(1)
-    m = [list(map(Fraction, r)) for r in rows]
-    det = Fraction(1)
-    for k in range(n):
-        piv = next((r for r in range(k, n) if m[r][k] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != k:
-            m[k], m[piv] = m[piv], m[k]
-            det = -det
-        det *= m[k][k]
-        inv = 1 / m[k][k]
-        for r in range(k + 1, n):
-            f = m[r][k] * inv
-            if f:
-                for c in range(k, n):
-                    m[r][c] -= f * m[k][c]
-    return det
 
 
 def _invert(rows: Matrix) -> Matrix:
@@ -158,7 +164,8 @@ def dual_gram(lat: GramLattice) -> GramLattice:
 def discriminant_group_order(family: str, n: int) -> int:
     """Order of L*/L for the named root lattice (the Gram determinant)."""
     d = ade_gram(family, n).det()
-    assert d.denominator == 1
+    if d.denominator != 1:
+        raise InternalInconsistencyError(f"root lattice {family}{n} has determinant {d}")
     return int(d)
 
 
@@ -167,64 +174,61 @@ def discriminant_group_order(family: str, n: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _ldl(g: Matrix) -> tuple[list[Fraction], list[list[Fraction]]]:
-    """g = L^T D L with L unit upper triangular: q(x) = sum_i d[i]*(x_i + sum_{j>i} L[i][j] x_j)^2."""
-    n = len(g)
-    a = [list(row) for row in g]
-    d = [Fraction(0)] * n
-    lm = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        d[i] = a[i][i]
-        for j in range(i + 1, n):
-            lm[i][j] = a[i][j] / d[i]
-        for j in range(i + 1, n):
-            for k in range(j, n):
-                a[j][k] -= d[i] * lm[i][j] * lm[i][k]
-    return d, lm
+def _short_vectors(lat: GramLattice, bound: Fraction, exact: bool) -> list[Vector]:
+    """Integer vectors x with q(x) <= bound (q(x) == bound if `exact`), lex sorted.
 
-
-def _floor_sqrt(q: Fraction) -> Fraction:
-    """A rational s with s <= sqrt(q) < s + 1/q.denominator (q >= 0)."""
-    return Fraction(math.isqrt(q.numerator * q.denominator), q.denominator)
-
-
-def _int_interval(center: Fraction, bound: Fraction) -> range:
-    """Integers x with (x + center)^2 <= bound, by exact arithmetic."""
+    With y_i = cd[i]*x_i + C_i, C_i = sum_{j>i} num[i][j]*x_j, the LDL^T form
+    reads unit*q(x) = sum_i k[i]*y_i^2 with integers cd, num, k and one common
+    unit.  The walk carries the integer budget rem = unit*(bound - partial q),
+    so each level's range is |y_i| <= isqrt(rem // k[i]) and a leaf's rem is
+    exactly unit*(bound - q(x)): zero iff q(x) == bound.
+    """
+    n = lat.rank
     if bound < 0:
-        return range(0)
-    s = _floor_sqrt(bound)
-    hi = math.floor(s - center) + 1
-    while (hi + center) * (hi + center) <= bound:
-        hi += 1
-    hi -= 1
-    lo = math.floor(-s - center)
-    while lo <= hi and (lo + center) * (lo + center) > bound:
-        lo += 1
-    return range(lo, hi + 1)
+        return []
+    if n == 0:
+        return [()] if bound == 0 or not exact else []
+    d, lm = _ldl(lat.gram)
+    cd = [math.lcm(*(lm[i][j].denominator for j in range(i + 1, n))) for i in range(n)]
+    num = [[int(lm[i][j] * cd[i]) for j in range(n)] for i in range(n)]
+    weights = [d[i] / (cd[i] * cd[i]) for i in range(n)]
+    unit = math.lcm(bound.denominator, *(w.denominator for w in weights))
+    k = [int(w * unit) for w in weights]
+    out: list[Vector] = []
+    x = [0] * n
+
+    def walk(i: int, rem: int):
+        ci, ki, row = cd[i], k[i], num[i]
+        c = sum(map(operator.mul, row, x))  # row[j] == 0 for j <= i
+        if i == 0 and exact:
+            # the last coordinate must use up the budget: k*y^2 == rem
+            t, r = divmod(rem, ki)
+            s = math.isqrt(t)
+            if r or s * s != t:
+                return
+            for y in {s, -s}:
+                if (y - c) % ci == 0:
+                    x[0] = (y - c) // ci
+                    out.append(tuple(x))
+            x[0] = 0
+            return
+        s = math.isqrt(rem // ki)
+        for xi in range(-((s + c) // ci), (s - c) // ci + 1):
+            x[i] = xi
+            if i:
+                y = ci * xi + c
+                walk(i - 1, rem - ki * y * y)
+            else:
+                out.append(tuple(x))
+        x[i] = 0
+
+    walk(n - 1, int(bound * unit))
+    return sorted(out)
 
 
 def enumerate_up_to(lat: GramLattice, bound: Fraction) -> list[Vector]:
     """All integer vectors with norm <= bound, zero included, in lex order."""
-    n = lat.rank
-    bound = Fraction(bound)
-    if n == 0:
-        return [()] if bound >= 0 else []
-    d, lm = _ldl(lat.gram)
-    out: list[Vector] = []
-    x = [0] * n
-
-    def walk(i: int, rem: Fraction):
-        if i < 0:
-            out.append(tuple(x))
-            return
-        center = sum(lm[i][j] * x[j] for j in range(i + 1, n))
-        for xi in _int_interval(center, rem / d[i]):
-            x[i] = xi
-            walk(i - 1, rem - d[i] * (xi + center) ** 2)
-        x[i] = 0
-
-    walk(n - 1, bound)
-    return sorted(out)
+    return _short_vectors(lat, Fraction(bound), exact=False)
 
 
 def enumerate_by_norm(lat: GramLattice, q: Fraction) -> list[Vector]:
@@ -232,7 +236,7 @@ def enumerate_by_norm(lat: GramLattice, q: Fraction) -> list[Vector]:
     q = Fraction(q)
     if q <= 0:
         raise ValueError("norm must be positive")
-    return [v for v in enumerate_up_to(lat, q) if lat.norm(v) == q]
+    return _short_vectors(lat, q, exact=True)
 
 
 def minimal_norm(lat: GramLattice) -> Fraction:
@@ -362,7 +366,10 @@ def find_sublattice_embedding(
         small = _to_matrix(small_gram)
         for i in range(len(cols)):
             for j in range(len(cols)):
-                assert big.inner(cols[i], cols[j]) == small[i][j]
+                if big.inner(cols[i], cols[j]) != small[i][j]:
+                    raise InternalInconsistencyError(
+                        f"embedding misses the Gram entry ({i}, {j})"
+                    )
         return cols
     return None
 
@@ -450,7 +457,8 @@ class MWStructure:
         if self.mw_free.rank == 0:
             return 1
         idx = frac_index(self.narrow_gram.det() / self.mw_free.det())
-        assert idx is not None
+        if idx is None:
+            raise InternalInconsistencyError("narrow index is not an integer")
         return idx
 
 
@@ -479,7 +487,10 @@ def integral_dual_basis(lat: GramLattice) -> list[Vector]:
     # solutions of A v = -n w: kernel of [A | n I] in Z^(2r), projected to v
     block = [a[i] + [n if j == i else 0 for j in range(r)] for i in range(r)]
     kernel = integer_kernel(block, 2 * r)
-    assert len(kernel) == r
+    if len(kernel) != r:
+        raise InternalInconsistencyError(
+            f"integral-pairing kernel has rank {len(kernel)}, not {r}"
+        )
     return [vec[:r] for vec in kernel]
 
 

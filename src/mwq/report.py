@@ -27,6 +27,11 @@ EXIT_INTERNAL = 3
 
 def plain(value: Any) -> Any:
     """Coerce domain values to JSON-safe, deterministic primitives."""
+    # primitives and integer vectors first: they need none of the imports below
+    if value is None or isinstance(value, (bool, int, str)):
+        return value
+    if isinstance(value, (list, tuple)) and all(isinstance(v, int) for v in value):
+        return list(value)
     from .parsing import bipoly_text, frac_text, poly_text, ratfn_text, section_text
     from .poly import BiPoly, RatFn, UniPoly
     from .surface import SectionPoint
@@ -45,8 +50,6 @@ def plain(value: Any) -> Any:
         return [plain(v) for v in value]
     if isinstance(value, dict):
         return {str(k): plain(v) for k, v in value.items()}
-    if value is None or isinstance(value, (bool, int, str)):
-        return value
     return str(value)
 
 

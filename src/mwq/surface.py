@@ -51,10 +51,6 @@ class NeedsManualComponent(ValueError):
     """Component index not automatable; callers may supply it explicitly."""
 
 
-class NeedsManualIntersection(ValueError):
-    """Pair intersection outside the supported local configurations."""
-
-
 # ---------------------------------------------------------------------------
 # sections and curves
 # ---------------------------------------------------------------------------

@@ -379,7 +379,8 @@ def test_rescaled_examples_factor_no_input_integer(capsys, factoring_guard,
 
 
 # ---------------------------------------------------------------------------
-# golden records: the records stream of the worked examples, byte for byte
+# golden records: the records stream of the worked examples and of the
+# lattice path, byte for byte
 # ---------------------------------------------------------------------------
 
 RECORDS_DIR = Path(__file__).parent / "data" / "records"
@@ -400,6 +401,14 @@ GOLDEN_RECORDS = {
     "curve_height_5.1": ["curve", "height", Q51, S51_T1, S51_T2],
     "curve_height_5.1_component": ["curve", "height", Q51, S51_T1, S51_T2,
                                    "--component", "t-2025=1"],
+    "lattice_enumerate_E8_4": ["lattice", "enumerate", "E8", "4"],
+    # E6* in a skewed basis (a unimodular change of the inverse Cartan matrix)
+    "lattice_enumerate_E6dual_skew_4": [
+        "lattice", "enumerate",
+        "(1/3)[[10,-1,-19,-21,-7,6],[-1,4,4,6,1,-3],[-19,4,58,66,28,-15],"
+        "[-21,6,66,78,33,-18],[-7,1,28,33,16,-6],[6,-3,-15,-18,-6,6]]", "4"],
+    "lattice_enumerate_D4dual_A1dual_half": ["lattice", "enumerate", "D4*+A1*", "1/2"],
+    "table_verify": ["table", "--verify"],
 }
 
 

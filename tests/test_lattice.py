@@ -1,19 +1,30 @@
 """Root lattices, duals, short vectors, complements, embeddings, and the
 conic-count operations on Mordell-Weil structures."""
 
+import itertools
+import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+import sympy as sp
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from mwq.lattice import (
     GramLattice,
+    InternalInconsistencyError,
     ade_gram,
     count_etc,
     count_qretc,
     discriminant_group_order,
     dual_gram,
     enumerate_by_norm,
+    enumerate_up_to,
     find_sublattice_embedding,
     find_sublattice_embeddings,
     integer_kernel,
@@ -119,6 +130,84 @@ def test_enumeration_exact_and_negation_symmetric():
 def test_enumerate_rejects_nonpositive_norm():
     with pytest.raises(ValueError):
         enumerate_by_norm(ade_gram("A", 2), 0)
+
+
+def test_integer_gram_and_definiteness():
+    lat = lattice_from_text("(1/10)[[2,1],[1,3]]")[0]
+    assert lat.den == 10 and lat.igram == ((2, 1), (1, 3))
+    assert lat.inner((1, 0), (0, 1)) == Fraction(1, 10)
+    assert lat.norm((1, -1)) == Fraction(3, 10)
+    assert GramLattice(()).inner((), ()) == 0
+    for bad in (((0,),), ((1, 2), (2, 1)), ((2, 1, 0), (1, 2, 0), (0, 0, -1))):
+        with pytest.raises(ValueError, match="positive definite"):
+            GramLattice(bad)
+
+
+# An independent completeness oracle: every integer vector in a box that must
+# contain the whole ellipsoid, its norm computed with plain Fractions from the
+# Gram matrix.  For q(x) <= q, Cauchy-Schwarz gives x_i^2 <= q * (G^-1)_ii.
+
+BOX_CAP = 4000
+
+
+def _brute_force(gram, bound):
+    r = len(gram)
+    inv = sp.Matrix(r, r, lambda i, j: sp.Rational(gram[i][j].numerator,
+                                                   gram[i][j].denominator)).inv()
+    radius = [math.isqrt(math.floor(bound * Fraction(int(inv[i, i].p), int(inv[i, i].q)))) + 1
+              for i in range(r)]
+    assume(math.prod(2 * b + 1 for b in radius) <= BOX_CAP)
+    found = {}
+    for x in itertools.product(*(range(-b, b + 1) for b in radius)):
+        q = sum(x[i] * gram[i][j] * x[j] for i in range(r) for j in range(r))
+        if q <= bound:
+            found[x] = q
+    return found
+
+
+@st.composite
+def gram_cases(draw):
+    """(G, U, bound): G = B^T D B positive definite, U unimodular."""
+    r = draw(st.integers(1, 4))
+    b = [[draw(st.integers(-1, 1)) for _ in range(r)] for _ in range(r)]
+    assume(sp.Matrix(b).det() != 0)
+    d = [Fraction(draw(st.integers(1, 4)), draw(st.integers(1, 3))) for _ in range(r)]
+    gram = tuple(tuple(sum(b[k][i] * d[k] * b[k][j] for k in range(r)) for j in range(r))
+                 for i in range(r))
+    u = [[int(i == j) for j in range(r)] for i in range(r)]
+    for _ in range(draw(st.integers(0, 4)) if r > 1 else 0):
+        i, j = draw(st.permutations(range(r)))[:2]
+        c = draw(st.sampled_from((-1, 1)))
+        for row in u:
+            row[j] += c * row[i]
+    if draw(st.booleans()):
+        probe = [draw(st.integers(-1, 1)) for _ in range(r)]
+        assume(any(probe))
+        bound = sum(probe[i] * gram[i][j] * probe[j] for i in range(r) for j in range(r))
+    else:
+        bound = Fraction(draw(st.integers(1, 12)), draw(st.integers(1, 4)))
+    return gram, u, bound
+
+
+@settings(max_examples=60, deadline=None)
+@given(gram_cases())
+def test_enumeration_matches_brute_force_and_is_skew_invariant(case):
+    gram, u, bound = case
+    r = len(gram)
+    lat = GramLattice(gram)
+    expected = _brute_force(gram, bound)
+    assert enumerate_up_to(lat, bound) == sorted(expected)
+    exact = sorted(x for x, q in expected.items() if q == bound)
+    assert enumerate_by_norm(lat, bound) == exact
+    # the same lattice in the basis U: x' is a vector there iff U x' is one here
+    skewed = GramLattice(tuple(
+        tuple(sum(u[k][i] * gram[k][m] * u[m][j] for k in range(r) for m in range(r))
+              for j in range(r))
+        for i in range(r)))
+    image = sorted(tuple(sum(u[i][j] * x[j] for j in range(r)) for i in range(r))
+                   for x in enumerate_by_norm(skewed, bound))
+    assert image == exact
+    assert len(enumerate_up_to(skewed, bound)) == len(expected)
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +331,31 @@ def test_odd_vector_counts_are_internal_inconsistencies(monkeypatch):
         count_etc(row(10).mw)
     with pytest.raises(lattice.InternalInconsistencyError, match="norm-1/2"):
         count_qretc(row(40).mw)
+
+
+def test_failed_rechecks_are_internal_inconsistencies(monkeypatch):
+    # these checks must not be asserts: `python -O` would strip them
+    import mwq.lattice as lattice
+
+    wrong = ((1, 0),)
+    monkeypatch.setattr(lattice, "find_sublattice_embeddings", lambda big, small: iter([wrong]))
+    with pytest.raises(InternalInconsistencyError, match="Gram entry"):
+        lattice.find_sublattice_embedding(ade_gram("A", 2), ((4,),))
+    monkeypatch.setattr(lattice, "integer_kernel", lambda rows, n_cols: [])
+    with pytest.raises(InternalInconsistencyError, match="kernel has rank 0"):
+        lattice.integral_dual_basis(dual_gram(ade_gram("A", 1)))
+
+
+@pytest.mark.skipif(sys.flags.optimize > 0, reason="already running under python -O")
+def test_lattice_and_table_tests_pass_under_python_optimize():
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "tests/test_lattice.py", "tests/test_table.py"],
+        cwd=root, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+    )
+    assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
 
 
 def test_internal_inconsistency_error_is_one_class():
