@@ -1,7 +1,9 @@
 """Exact polynomial and rational-function arithmetic over Q.
 
-Coefficients are always `fractions.Fraction`; no floating point enters any
-computation in this package.  Three value types live here:
+Coefficients are rationals, held exactly: a UniPoly is a `fractions.Fraction`
+content times a primitive integer coefficient list, so its arithmetic runs on
+Python ints.  No floating point enters any computation in this package.  Three
+value types live here:
 
   * UniPoly -- dense univariate polynomials (the variable is called t),
   * RatFn   -- reduced rational functions num/den with monic denominator,
@@ -35,22 +37,31 @@ def frac_sqrt(q: Fraction) -> Optional[Fraction]:
 
 
 class UniPoly:
-    """Dense polynomial in t over Q; the zero polynomial has degree -1."""
+    """Dense polynomial in t over Q; the zero polynomial has degree -1.
 
-    __slots__ = ("coeffs",)
+    A polynomial is stored as a rational content `_c` times a primitive integer
+    coefficient tuple `_p`, listed low degree first, whose gcd is 1 and whose
+    leading entry is positive; the zero polynomial is `_c = 0`, `_p = ()`.  The
+    form is canonical, so equality and hashing compare (`_c`, `_p`), and all
+    coefficient arithmetic runs on Python ints: the content is the only
+    `Fraction` an operation touches.
+    """
+
+    __slots__ = ("_c", "_p")
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
-        cs = [frac(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        cs = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
+        den = math.lcm(*(c.denominator for c in cs))
+        ints = [c.numerator * (den // c.denominator) for c in cs]
+        _init_canonical(self, ints, 1, den)
 
     def __setattr__(self, *a):  # immutability
         raise AttributeError("UniPoly is immutable")
 
     @staticmethod
     def const(c: Scalar) -> "UniPoly":
-        return UniPoly([c])
+        c = frac(c)
+        return _make(c, (1,)) if c else UNIPOLY_ZERO
 
     @staticmethod
     def of(*coeffs: Scalar) -> "UniPoly":
@@ -60,50 +71,67 @@ class UniPoly:
     # -- basic queries -------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as Fractions, low degree first (built on demand)."""
+        n, d = self._c.numerator, self._c.denominator
+        return tuple(Fraction(n * a, d) for a in self._p)
+
+    @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self._p) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._p
 
     @property
     def leading(self) -> Fraction:
-        if self.is_zero:
+        if not self._p:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return self._c * self._p[-1]
 
     def coeff(self, i: int) -> Fraction:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else Fraction(0)
+        return self._c * self._p[i] if 0 <= i < len(self._p) else Fraction(0)
 
     def is_constant(self) -> bool:
-        return len(self.coeffs) <= 1
+        return len(self._p) <= 1
 
     # -- arithmetic ----------------------------------------------------
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             other = UniPoly.const(other)
-        return isinstance(other, UniPoly) and self.coeffs == other.coeffs
+        return isinstance(other, UniPoly) and self._c == other._c and self._p == other._p
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self._c, self._p))
 
     def __neg__(self) -> "UniPoly":
-        return UniPoly([-c for c in self.coeffs])
+        return _make(-self._c, self._p)
 
     def __add__(self, other) -> "UniPoly":
         if isinstance(other, (int, Fraction)):
             other = UniPoly.const(other)
-        if not isinstance(other, UniPoly):
+        elif not isinstance(other, UniPoly):
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
+        if not other._p:
+            return self
+        if not self._p:
+            return other
+        # common denominator of the two contents, then one integer sum
+        n1, d1 = self._c.numerator, self._c.denominator
+        n2, d2 = other._c.numerator, other._c.denominator
+        g = math.gcd(d1, d2)
+        f1, f2 = n1 * (d2 // g), n2 * (d1 // g)
+        h = math.gcd(f1, f2)
+        f1, f2 = f1 // h, f2 // h
+        a, b = self._p, other._p
         if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return UniPoly(out)
+            a, b, f1, f2 = b, a, f2, f1
+        out = [f1 * x for x in a]
+        for i, y in enumerate(b):
+            out[i] += f2 * y
+        return _canonical(out, h, d1 // g * d2)
 
     __radd__ = __add__
 
@@ -115,52 +143,78 @@ class UniPoly:
 
     def __mul__(self, other) -> "UniPoly":
         if isinstance(other, (int, Fraction)):
-            c = frac(other)
-            return UniPoly([c * a for a in self.coeffs])
+            if not other or not self._p:
+                return UNIPOLY_ZERO
+            return _make(self._c * other, self._p)
         if not isinstance(other, UniPoly):
             return NotImplemented
-        if self.is_zero or other.is_zero:
-            return UniPoly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        out[i + j] += a * b
-        return UniPoly(out)
+        a, b = self._p, other._p
+        if not a or not b:
+            return UNIPOLY_ZERO
+        c = self._c * other._c
+        # a constant's primitive part is (1,); otherwise convolve.  By Gauss's
+        # lemma the product of primitive polynomials is primitive.
+        if len(a) == 1:
+            return _make(c, b)
+        if len(b) == 1:
+            return _make(c, a)
+        return _make(c, tuple(_convolve(a, b, len(a) + len(b) - 1)))
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "UniPoly":
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = UniPoly.const(1)
+        result = UNIPOLY_ONE
         base = self
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def __divmod__(self, other: "UniPoly"):
         if isinstance(other, (int, Fraction)):
             other = UniPoly.const(other)
-        if other.is_zero:
+        b = other._p
+        if not b:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
+        a = self._p
+        db = len(b) - 1
+        dq = len(a) - 1 - db
         if dq < 0:
-            return UniPoly(), self
-        quo = [Fraction(0)] * (dq + 1)
-        lead = other.leading
+            return UNIPOLY_ZERO, self
+        if db == 0:
+            return _make(self._c / other._c, a), UNIPOLY_ZERO
+        # integer pseudo-division: scale * a = quo * b + rem, where scale is a
+        # product of divisors of lead(b), taken only where a step needs it
+        rem = list(a)
+        quo = [0] * (dq + 1)
+        lead = b[-1]
+        scale = 1
         for k in range(dq, -1, -1):
-            c = rem[k + other.degree] / lead
-            quo[k] = c
-            if c:
-                for j, b in enumerate(other.coeffs):
-                    rem[k + j] -= c * b
-        return UniPoly(quo), UniPoly(rem[: other.degree if other.degree > 0 else 0])
+            r = rem[k + db]
+            if not r:
+                continue
+            if r % lead:
+                s = lead // math.gcd(r, lead)
+                scale *= s
+                r *= s
+                for i in range(k + db):
+                    rem[i] *= s
+                for i in range(k + 1, dq + 1):
+                    quo[i] *= s
+            q = r // lead
+            quo[k] = q
+            for j in range(db):
+                rem[k + j] -= q * b[j]
+        ca, cb = self._c, other._c
+        return (
+            _canonical(quo, ca.numerator * cb.denominator, ca.denominator * cb.numerator * scale),
+            _canonical(rem[:db], ca.numerator, ca.denominator * scale),
+        )
 
     def __floordiv__(self, other) -> "UniPoly":
         return divmod(self, other)[0]
@@ -175,23 +229,36 @@ class UniPoly:
         return q
 
     def __call__(self, x):
-        """Horner evaluation; works for Fraction, UniPoly, RatFn and BiPoly inputs."""
-        if self.is_zero:
-            return Fraction(0) if isinstance(x, (int, Fraction)) else x * 0
-        acc = self.coeffs[-1] if isinstance(x, (int, Fraction)) else x * 0 + self.coeffs[-1]
-        for c in reversed(self.coeffs[:-1]):
-            acc = acc * x + c
-        return acc
+        """Horner evaluation; works for Fraction, UniPoly and RatFn inputs.  At a
+        rational n/d the sum runs in integers over powers of d."""
+        p = self._p
+        if isinstance(x, (int, Fraction)):
+            if not p:
+                return Fraction(0)
+            n, d = x.numerator, x.denominator
+            acc = p[-1]
+            dk = 1
+            for a in p[-2::-1]:
+                dk *= d
+                acc = acc * n + a * dk
+            return Fraction(self._c.numerator * acc, self._c.denominator * dk)
+        if not p:
+            return x * 0
+        acc = x * 0 + p[-1]
+        for a in p[-2::-1]:
+            acc = acc * x + a
+        return acc * self._c
 
     # -- structure -----------------------------------------------------
 
     def derivative(self) -> "UniPoly":
-        return UniPoly([i * c for i, c in enumerate(self.coeffs)][1:])
+        c = self._c
+        return _canonical([i * a for i, a in enumerate(self._p)][1:], c.numerator, c.denominator)
 
     def monic(self) -> "UniPoly":
-        if self.is_zero:
+        if not self._p:
             return self
-        return self * (1 / self.leading)
+        return _make(Fraction(1, self._p[-1]), self._p)
 
     def shift(self, a: Scalar) -> "UniPoly":
         """Return p(t + a)."""
@@ -201,28 +268,25 @@ class UniPoly:
         """Return t^k * p(1/t); requires k >= deg p."""
         if k < self.degree:
             raise ValueError("reversal order below degree")
-        out = [Fraction(0)] * (k + 1)
-        for i, c in enumerate(self.coeffs):
-            out[k - i] = c
-        return UniPoly(out)
+        p, c = self._p, self._c
+        return _canonical([0] * (k + 1 - len(p)) + list(p[::-1]), c.numerator, c.denominator)
 
     def truncate(self, n: int) -> "UniPoly":
-        return UniPoly(self.coeffs[:n])
+        c = self._c
+        return _canonical(list(self._p[:n]), c.numerator, c.denominator)
 
     def mul_trunc(self, other: "UniPoly", n: int) -> "UniPoly":
-        out = [Fraction(0)] * n
-        for i, a in enumerate(self.coeffs[:n]):
-            if a:
-                for j, b in enumerate(other.coeffs[: n - i]):
-                    if b:
-                        out[i + j] += a * b
-        return UniPoly(out)
+        a, b = self._p[:n], other._p[:n]
+        if not a or not b or n <= 0:
+            return UNIPOLY_ZERO
+        c = self._c * other._c
+        return _canonical(_convolve(a, b, n), c.numerator, c.denominator)
 
     def inverse_series(self, n: int) -> "UniPoly":
         """Inverse modulo t^n by Newton iteration; constant term must be nonzero."""
-        if self.is_zero or self.coeffs[0] == 0:
+        if self.is_zero or self._p[0] == 0:
             raise ZeroDivisionError("series inverse needs a unit constant term")
-        inv = UniPoly.const(1 / self.coeffs[0])
+        inv = UniPoly.const(1 / self.coeff(0))
         prec = 1
         while prec < n:
             prec = min(2 * prec, n)
@@ -233,15 +297,56 @@ class UniPoly:
         """Order of vanishing at t = 0; a large sentinel for the zero polynomial."""
         if self.is_zero:
             return 10 ** 9
-        for i, c in enumerate(self.coeffs):
-            if c:
-                return i
-        raise AssertionError
+        return next(i for i, c in enumerate(self._p) if c)
 
     def __repr__(self):
         from .parsing import poly_text
 
         return f"UniPoly({poly_text(self)})"
+
+
+_set_content = UniPoly._c.__set__
+_set_primitive = UniPoly._p.__set__
+
+
+def _make(c: Fraction, p: tuple[int, ...]) -> UniPoly:
+    """A UniPoly from a canonical (content, primitive part) pair."""
+    poly = object.__new__(UniPoly)
+    _set_content(poly, c)
+    _set_primitive(poly, p)
+    return poly
+
+
+def _init_canonical(poly: UniPoly, ints: list[int], num: int, den: int) -> None:
+    """Set `poly` to (num/den) * sum ints[i] t^i, where `ints` (consumed) may
+    carry trailing zeros, a common factor and a negative leading entry."""
+    while ints and not ints[-1]:
+        ints.pop()
+    if not ints:
+        _set_content(poly, Fraction(0))
+        _set_primitive(poly, ())
+        return
+    g = math.gcd(*ints)
+    if ints[-1] < 0:
+        g = -g
+    _set_content(poly, Fraction(num * g, den))
+    _set_primitive(poly, tuple(ints) if g == 1 else tuple(x // g for x in ints))
+
+
+def _canonical(ints: list[int], num: int, den: int) -> UniPoly:
+    poly = object.__new__(UniPoly)
+    _init_canonical(poly, ints, num, den)
+    return poly
+
+
+def _convolve(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
+    """The first n coefficients of the product of two integer polynomials."""
+    out = [0] * n
+    for i, x in enumerate(a[:n]):
+        if x:
+            for j, y in enumerate(b[: n - i]):
+                out[i + j] += x * y
+    return out
 
 
 UNIPOLY_ZERO = UniPoly()
@@ -251,11 +356,11 @@ T = UniPoly.of(0, 1)
 
 def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
     """Monic gcd; gcd(a, 0) = monic(a)."""
+    # each remainder is stored as content times primitive part, so this is the
+    # primitive remainder sequence: contents never enter the next division
     while not b.is_zero:
-        a, b = b, (a % b)
-        if not b.is_zero:
-            b = b.monic()  # keeps coefficient growth in check
-    return a.monic() if not a.is_zero else a
+        a, b = b, a % b
+    return a.monic()
 
 
 def ord_at(p: UniPoly, place: UniPoly) -> int:
@@ -300,21 +405,30 @@ def is_perfect_square(p: UniPoly) -> Optional[UniPoly]:
         return UNIPOLY_ZERO
     if p.degree % 2:
         return None
-    lead = frac_sqrt(p.leading)
-    if lead is None:
+    # p = c * P is a square iff the content c is a square in Q and the
+    # primitive part P is the square of a primitive integer polynomial
+    content = frac_sqrt(p._c)
+    if content is None:
+        return None
+    prim = p._p
+    lead = math.isqrt(prim[-1])
+    if lead * lead != prim[-1]:
         return None
     m = p.degree // 2
-    h = [Fraction(0)] * (m + 1)
+    h = [0] * (m + 1)
     h[m] = lead
     for k in range(1, m + 1):
         # match the coefficient of t^(2m-k)
-        s = Fraction(0)
+        s = 0
         for i in range(m - k + 1, m + 1):
             j = 2 * m - k - i
             if m - k < j <= m:
                 s += h[i] * h[j]
-        h[m - k] = (p.coeff(2 * m - k) - s) / (2 * lead)
-    cand = UniPoly(h)
+        q, r = divmod(prim[2 * m - k] - s, 2 * lead)
+        if r:
+            return None
+        h[m - k] = q
+    cand = _canonical(h, content.numerator, content.denominator)
     if cand * cand == p:
         return cand
     return None
@@ -358,24 +472,24 @@ def rational_roots(p: UniPoly) -> list[Fraction]:
     roots: list[Fraction] = []
     for f, mult in irreducible_factors(p):
         if f.degree == 1:
-            roots.extend([-f.coeffs[0]] * mult)
+            roots.extend([-f.coeff(0)] * mult)
     return sorted(roots)
 
 
 def irreducible_factors(p: UniPoly) -> list[tuple[UniPoly, int]]:
-    """Monic irreducible factors over Q with multiplicity (sympy-backed)."""
+    """Monic irreducible factors over Q with multiplicity (sympy-backed).  The
+    content does not change the monic factors, so sympy factors the primitive
+    integer part over ZZ."""
     if p.is_zero:
         raise ValueError("factoring the zero polynomial")
     if p.degree == 0:
         return []
     import sympy
 
-    x = sympy.Symbol("x")
-    expr = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)], x)
+    expr = sympy.Poly.from_list(list(p._p[::-1]), sympy.Symbol("x"), domain=sympy.ZZ)
     out = []
     for fac, mult in expr.factor_list()[1]:
-        cs = [Fraction(c.p, c.q) for c in reversed(fac.all_coeffs())]
-        out.append((UniPoly(cs).monic(), mult))
+        out.append((UniPoly([int(c) for c in reversed(fac.all_coeffs())]).monic(), mult))
     out.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
     return out
 

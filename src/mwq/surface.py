@@ -85,7 +85,7 @@ class SectionPoint:
 class WeierstrassCurve:
     """y^2 = u^3 + c1 u^2 + c2 u + c3 with deg c_k <= 2k and nonzero discriminant."""
 
-    __slots__ = ("c1", "c2", "c3", "_disc")
+    __slots__ = ("c1", "c2", "c3", "_disc", "_inf")
 
     def __init__(self, c1: UniPoly, c2: UniPoly, c3: UniPoly):
         for k, c in enumerate((c1, c2, c3), start=1):
@@ -98,6 +98,7 @@ class WeierstrassCurve:
         object.__setattr__(self, "c2", c2)
         object.__setattr__(self, "c3", c3)
         object.__setattr__(self, "_disc", disc)
+        object.__setattr__(self, "_inf", None)
 
     def __setattr__(self, *a):
         raise AttributeError("WeierstrassCurve is immutable")
@@ -129,10 +130,14 @@ class WeierstrassCurve:
         return 2 * self.c1 ** 3 - 9 * self.c1 * self.c2 + 27 * self.c3
 
     def infinity_model(self) -> "WeierstrassCurve":
-        """The same surface in the chart s = 1/t, via c_k -> s^(2k) c_k(1/s)."""
-        return WeierstrassCurve(
-            self.c1.reversed_at(2), self.c2.reversed_at(4), self.c3.reversed_at(6)
-        )
+        """The same surface in the chart s = 1/t, via c_k -> s^(2k) c_k(1/s).
+        Built on first use and kept, so each curve has one such chart."""
+        if self._inf is None:
+            chart = WeierstrassCurve(
+                self.c1.reversed_at(2), self.c2.reversed_at(4), self.c3.reversed_at(6)
+            )
+            object.__setattr__(self, "_inf", chart)
+        return self._inf
 
     def __repr__(self):
         from .parsing import bipoly_text
@@ -373,13 +378,13 @@ def kodaira_type_at(curve: WeierstrassCurve, place: Place) -> PlaceData:
 
 def _singular_u(chart: WeierstrassCurve, p: UniPoly) -> Fraction:
     """u-coordinate of the singular point of the reduced fiber (rational place)."""
-    a = -p.coeffs[0]
+    a = -p.coeff(0)
     reduced = UniPoly.of(chart.c3(a), chart.c2(a), chart.c1(a), 1)
     g = poly_gcd(reduced, reduced.derivative())
     if g.degree == 1:
-        return -g.coeffs[0]
+        return -g.coeff(0)
     if g.degree == 2:
-        u0 = -g.coeffs[1] / 2
+        u0 = -g.coeff(1) / 2
         if g != UniPoly.of(u0 * u0, -2 * u0, 1):
             raise InternalInconsistencyError("repeated factor of the fiber cubic is not a square")
         return u0
@@ -398,7 +403,7 @@ def _chart_coords(pd: PlaceData, point: SectionPoint) -> SectionPoint:
 def _series_of(r: RatFn, a: Fraction, n: int) -> UniPoly:
     """Power-series expansion of r at t = a (denominator must be a unit there)."""
     den = r.den.shift(a)
-    if den.coeffs and den.coeffs[0] == 0:
+    if den.coeff(0) == 0:
         raise ZeroDivisionError("pole at the expansion point")
     return r.num.shift(a).truncate(n).mul_trunc(den.inverse_series(n), n)
 
@@ -418,7 +423,7 @@ def component_of(pd: PlaceData, point: SectionPoint, manual: ManualComponents = 
             f"component at place {pd.label} needs a manual assignment"
         )
     cp = _chart_coords(pd, point)
-    a = -pd.chart_place.coeffs[0]
+    a = -pd.chart_place.coeff(0)
     if cp.x.ord_at(pd.chart_place) < 0:
         return 0  # the section passes through the zero point of this fiber
     xbar, ybar = cp.x(a), cp.y(a)
@@ -527,82 +532,96 @@ def section_O_intersection(curve: WeierstrassCurve, point: SectionPoint) -> int:
 
 
 def section_pair_intersection(
-    curve: WeierstrassCurve, p: SectionPoint, q: SectionPoint
+    ctx: HeightContext, p: SectionPoint, q: SectionPoint, manual: ManualComponents = NO_MANUAL
 ) -> int:
     """s1.s2 as a sum of local coincidence multiplicities.
 
     At places where the two sections reduce to the same smooth fiber point the
     multiplicity is ord(x_p - x_q), or ord(y_p - y_q) when the common y-value
     vanishes.  Coincidences at a singular fiber point contribute 0 when the
-    sections sit on different components of the resolved cycle; the remaining
+    sections sit on different components of the resolved cycle (fiber data
+    from the context, components from `manual` first); the remaining
     configurations are settled by translation invariance, s1.s2 = (s1 - s2).O.
     """
     if p.is_zero or q.is_zero:
         raise ValueError("pair intersection needs two nonzero sections")
     if p == q:
         raise ValueError("pair intersection of a section with itself")
+    curve = ctx.curve
     _require_on_curve(curve, p, q)
-    direct = _pair_direct(curve, p, q)
+    direct = _pair_direct(ctx, p, q, manual)
     if direct is not None:
         return direct
     return section_O_intersection(curve, add(curve, p, negate(curve, q)))
 
 
-def _pair_direct(curve: WeierstrassCurve, p: SectionPoint, q: SectionPoint) -> Optional[int]:
+def _pair_direct(
+    ctx: HeightContext, p: SectionPoint, q: SectionPoint, manual: ManualComponents
+) -> Optional[int]:
+    bad = {pd.place: pd for pd in ctx.places}
     total = 0
-    for chart, pp, qq, places in _pair_charts(curve, p, q):
-        for place in places:
-            local = _pair_local(chart, place, pp, qq)
+    for pp, qq, places in _pair_charts(p, q):
+        for place, key in places:
+            local = _pair_local(place, bad.get(key), pp, qq, p, q, manual)
             if local is None:
                 return None
             total += place.degree * local
     return total
 
 
-def _pair_charts(curve, p, q):
+def _pair_charts(p: SectionPoint, q: SectionPoint):
+    """Per chart: p and q in its coordinates, and the candidate places as
+    (place in the chart, the place's key in a HeightContext)."""
     dx = p.x - q.x
     dy = p.y - q.y
     finite_src = dx.num if not dx.is_zero else dy.num
-    finite = [f for f, _ in irreducible_factors(finite_src)]
-    yield curve, p, q, finite
-    inf_curve = curve.infinity_model()
-    pi, qi = section_at_infinity(p), section_at_infinity(q)
-    yield inf_curve, pi, qi, [T]
+    yield p, q, [(f, f) for f, _ in irreducible_factors(finite_src)]
+    yield section_at_infinity(p), section_at_infinity(q), [(T, INFINITY_PLACE)]
 
 
-def _pair_local(chart: WeierstrassCurve, place: UniPoly, p: SectionPoint, q: SectionPoint):
-    vpd = ord_at(p.x.den, place)
-    vqd = ord_at(q.x.den, place)
+def _pair_local(
+    place: UniPoly,
+    pd: Optional[PlaceData],
+    pp: SectionPoint,
+    qq: SectionPoint,
+    p: SectionPoint,
+    q: SectionPoint,
+    manual: ManualComponents,
+) -> Optional[int]:
+    """Local multiplicity of p.q at one place of a chart, where pp, qq are p, q
+    in the chart's coordinates and pd is the fiber data of a bad place (None at
+    a good one); None when only translation settles it."""
+    vpd = ord_at(pp.x.den, place)
+    vqd = ord_at(qq.x.den, place)
     if vpd > 0 and vqd > 0:
         return None  # both sections meet the fiber at the zero point
     if vpd > 0 or vqd > 0:
         return 0
-    xnp = _ratfn_mod(p.x, place)
-    xnq = _ratfn_mod(q.x, place)
+    xnp = _ratfn_mod(pp.x, place)
+    xnq = _ratfn_mod(qq.x, place)
     if xnp != xnq:
         return 0
-    ynp = _ratfn_mod(p.y, place)
-    ynq = _ratfn_mod(q.y, place)
+    ynp = _ratfn_mod(pp.y, place)
+    ynq = _ratfn_mod(qq.y, place)
     if ynp != ynq:
         return 0
-    dx = p.x - q.x
-    dy = p.y - q.y
+    dx = pp.x - qq.x
+    dy = pp.y - qq.y
     if not ynp.is_zero:
         return dx.ord_at(place) if not dx.is_zero else None
     # common reduced point with y = 0: a 2-torsion point, or the fiber's
     # singular point when the place divides the discriminant
-    if ord_at(chart.discriminant(), place) == 0:
+    if pd is None:
         return dy.ord_at(place) if not dy.is_zero else None
     if place.degree != 1:
         return None
-    pd = kodaira_type_at(chart, place)
     if pd.sing_u is None or xnp != UniPoly.const(pd.sing_u):
         return dy.ord_at(place) if not dy.is_zero else None
     if pd.fiber_type_index()[0] != "I":
         return None
     try:
-        i = component_of(pd, p)
-        j = component_of(pd, q)
+        i = component_of(pd, p, manual)
+        j = component_of(pd, q, manual)
     except NeedsManualComponent:
         return None
     if i != j:
@@ -617,7 +636,7 @@ def _ratfn_mod(r: RatFn, place: UniPoly) -> UniPoly:
     g, s, _ = poly_ext_gcd(den, place)
     if g.degree != 0:
         raise ZeroDivisionError("pole at the place")
-    return (num * s * (1 / g.coeffs[0])) % place
+    return (num * s * (1 / g.coeff(0))) % place
 
 
 def poly_ext_gcd(a: UniPoly, b: UniPoly):
@@ -682,7 +701,7 @@ def height_pairing(
         ctx.chi
         + section_O_intersection(ctx.curve, p)
         + section_O_intersection(ctx.curve, q)
-        - section_pair_intersection(ctx.curve, p, q)
+        - section_pair_intersection(ctx, p, q, manual)
         - corr
     )
 

@@ -420,10 +420,13 @@ def test_golden_records(capsys, name):
 
 
 # ---------------------------------------------------------------------------
-# each fact once: one analysis per quartic, one tangency and halving per conic
+# each fact once: one analysis per quartic, one classification per bad fiber,
+# one tangency and halving per conic, one infinity chart per curve (every
+# WeierstrassCurve computes one cubic discriminant)
 # ---------------------------------------------------------------------------
 
-COUNTED = ("height_context", "singular_configuration", "even_tangency", "halve")
+COUNTED = ("height_context", "singular_configuration", "even_tangency", "halve",
+           "kodaira_type_at", "cubic_discriminant")
 
 
 @pytest.fixture
@@ -454,11 +457,16 @@ def call_counts(monkeypatch):
 
 
 @pytest.mark.parametrize("argv, expected", [
+    # four bad places: t, t-2025, a quintic and infinity
     (["example", "5.1"],
-     {"height_context": 1, "even_tangency": 2, "halve": 2, "singular_configuration": 1}),
+     {"height_context": 1, "even_tangency": 2, "halve": 2, "singular_configuration": 1,
+      "kodaira_type_at": 4, "cubic_discriminant": 2}),
+    # three bad places: t (I4), a quintic (I1) and infinity (III)
+    (["example", "5.2"],
+     {"height_context": 1, "kodaira_type_at": 3, "cubic_discriminant": 2}),
     (["zariski", Q51, C51_1, C51_2], {"height_context": 1, "even_tangency": 2, "halve": 2}),
     (["symbol", Q51, C51_1], {"even_tangency": 1}),
-], ids=["example_5.1", "zariski_5.1", "symbol_5.1_conic1"])
+], ids=["example_5.1", "example_5.2", "zariski_5.1", "symbol_5.1_conic1"])
 def test_each_fact_computed_once(capsys, call_counts, argv, expected):
     assert main(argv + ["--format", "records"]) == EXIT_OK
     capsys.readouterr()

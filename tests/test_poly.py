@@ -396,3 +396,153 @@ def test_specialization_points_skip_exactly_the_bad_fibers(quartic):
     n = 5
     first_good = [Fraction(k) for k in range(n + len(bad)) if Fraction(k) not in bad][:n]
     assert _specialization_points(curve, n) == first_good
+
+
+# ---------------------------------------------------------------------------
+# UniPoly against plain lists of Fractions (independent oracle)
+# ---------------------------------------------------------------------------
+
+
+def ref_trim(cs):
+    cs = [Fraction(c) for c in cs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
+def ref_add(a, b):
+    n = max(len(a), len(b))
+    return ref_trim([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)])
+
+
+def ref_mul(a, b):
+    if not a or not b:
+        return []
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return ref_trim(out)
+
+
+def ref_divmod(a, b):
+    rem = list(a)
+    quo = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    for k in range(len(quo) - 1, -1, -1):
+        c = rem[k + len(b) - 1] / b[-1]
+        quo[k] = c
+        for j, y in enumerate(b):
+            rem[k + j] -= c * y
+    return ref_trim(quo), ref_trim(rem)
+
+
+def ref_eval(a, x):
+    return sum((c * x ** i for i, c in enumerate(a)), Fraction(0))
+
+
+_scalars = st.one_of(
+    st.integers(-50, 50),
+    st.integers(-(10 ** 30), 10 ** 30),
+    st.fractions(min_value=-20, max_value=20, max_denominator=12),
+    st.builds(Fraction, st.integers(-(10 ** 25), 10 ** 25), st.integers(1, 10 ** 25)),
+)
+# up to degree 6, the zero polynomial and constants included; trailing zeros
+# and negative leading coefficients occur freely
+_coeff_lists = st.lists(st.one_of(st.just(0), _scalars), max_size=7)
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=_coeff_lists, b=_coeff_lists, s=_scalars, x=_scalars, n=st.integers(0, 3))
+def test_unipoly_matches_fraction_lists(a, b, s, x, n):
+    ra, rb, s, x = ref_trim(a), ref_trim(b), Fraction(s), Fraction(x)
+    pa, pb = UniPoly(a), UniPoly(b)
+
+    assert pa.coeffs == tuple(ra)
+    assert all(type(c) is Fraction for c in pa.coeffs)
+    assert pa.degree == len(ra) - 1
+    assert pa.is_zero == (not ra)
+    assert [pa.coeff(i) for i in range(-1, len(ra) + 2)] == [Fraction(0)] + ra + [0, 0]
+    if ra:
+        assert pa.leading == ra[-1]
+        assert pa.monic().coeffs == tuple(c / ra[-1] for c in ra)
+    else:
+        with pytest.raises(ValueError):
+            pa.leading
+        assert pa.monic() == pa
+
+    assert (pa + pb).coeffs == tuple(ref_add(ra, rb))
+    assert (pa - pb).coeffs == tuple(ref_add(ra, [-c for c in rb]))
+    assert (-pa).coeffs == tuple(-c for c in ra)
+    assert (pa + s).coeffs == (s + pa).coeffs == tuple(ref_add(ra, [s]))
+    assert (s - pa).coeffs == tuple(ref_add([s], [-c for c in ra]))
+    assert (pa * pb).coeffs == tuple(ref_mul(ra, rb))
+    assert (pa * s).coeffs == (s * pa).coeffs == tuple(ref_trim([c * s for c in ra]))
+    power = [Fraction(1)]
+    for _ in range(n):
+        power = ref_mul(power, ra)
+    assert (pa ** n).coeffs == tuple(power)
+    assert pa.derivative().coeffs == tuple(ref_trim([i * c for i, c in enumerate(ra)][1:]))
+    assert pa(x) == ref_eval(ra, x)
+    assert type(pa(x)) is Fraction
+    shifted, x_power = [], [Fraction(1)]
+    for c in ra:
+        shifted = ref_add(shifted, [c * y for y in x_power])
+        x_power = ref_mul(x_power, [x, Fraction(1)])
+    assert pa.shift(x).coeffs == tuple(shifted)
+    k = len(ra) + n
+    assert pa.reversed_at(k).coeffs == tuple(ref_trim([0] * (k + 1 - len(ra)) + ra[::-1]))
+    assert pa.truncate(n).coeffs == tuple(ref_trim(ra[:n]))
+    assert pa.mul_trunc(pb, n + 1).coeffs == tuple(ref_trim(ref_mul(ra, rb)[: n + 1]))
+    assert pa.trailing_order() == next((i for i, c in enumerate(ra) if c), 10 ** 9)
+
+    if rb:
+        q, r = divmod(pa, pb)
+        rq, rr = ref_divmod(ra, rb)
+        assert (q.coeffs, r.coeffs) == (tuple(rq), tuple(rr))
+        assert ((pa // pb).coeffs, (pa % pb).coeffs) == (tuple(rq), tuple(rr))
+        assert (pa * pb).exact_div(pb) == pa
+        if rr:
+            with pytest.raises(ValueError):
+                pa.exact_div(pb)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            divmod(pa, pb)
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=_coeff_lists, k=_scalars.filter(bool))
+def test_unipoly_equality_and_hash_ignore_how_it_was_built(a, k):
+    k = Fraction(k)
+    ra = ref_trim(a)
+    built = [
+        UniPoly(a),
+        UniPoly(list(a) + [0, Fraction(0)]),
+        UniPoly([Fraction(c) for c in a]),
+        UniPoly([c * k for c in ra]) * (1 / k),
+        UniPoly([c * k for c in ra]).exact_div(UniPoly.const(k)),
+        UniPoly([c * 2 for c in ra]) - UniPoly(ra),
+    ]
+    for p in built:
+        assert p == built[0] and hash(p) == hash(built[0])
+        assert p.coeffs == tuple(ra)
+    if len(ra) <= 1:
+        c = ra[0] if ra else 0
+        assert built[0] == c and built[0] == UniPoly.const(c)
+        assert hash(built[0]) == hash(UniPoly.const(c))
+    assert (built[0] == UniPoly(ra + [1])) is False
+
+
+def test_unipoly_errors_and_immutability():
+    p = UniPoly.of(1, 2)
+    with pytest.raises(ValueError):
+        p ** -1
+    with pytest.raises(ZeroDivisionError):
+        p % UNIPOLY_ZERO
+    with pytest.raises(ZeroDivisionError):
+        UniPoly.of(0, 1).inverse_series(3)
+    with pytest.raises(ValueError):
+        p.reversed_at(0)
+    with pytest.raises(AttributeError):
+        p.coeffs = ()
+    with pytest.raises(AttributeError):
+        p._p = (1,)
