@@ -20,7 +20,6 @@ from .poly import (
     BiPoly,
     RatFn,
     UniPoly,
-    interpolate,
     is_perfect_square,
     poly_gcd,
     rational_roots,

@@ -9,6 +9,7 @@ deterministic line-delimited JSON stream.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import traceback
 from fractions import Fraction
@@ -283,7 +284,9 @@ def _cmd_lattice(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and kept: `parse_args` leaves it unchanged."""
     top = argparse.ArgumentParser(
         prog="mwq",
         description="Mordell-Weil lattice computations for plane quartics and "

@@ -434,34 +434,6 @@ def is_perfect_square(p: UniPoly) -> Optional[UniPoly]:
     return None
 
 
-def interpolate(points: Sequence[tuple[Scalar, Scalar]], max_degree: int) -> Optional[UniPoly]:
-    """Unique polynomial of degree <= max_degree through the points, else None.
-
-    Uses the first max_degree+1 points for a Newton interpolant and checks the
-    remainder; an inconsistent overdetermined set yields None.
-    """
-    pts = [(frac(a), frac(b)) for a, b in points]
-    absc = [a for a, _ in pts]
-    if len(set(absc)) != len(absc):
-        raise ValueError("duplicate abscissae")
-    if len(pts) < max_degree + 1:
-        raise ValueError("not enough points")
-    base = pts[: max_degree + 1]
-    # Newton divided differences
-    coef = [b for _, b in base]
-    xs = [a for a, _ in base]
-    for j in range(1, len(base)):
-        for i in range(len(base) - 1, j - 1, -1):
-            coef[i] = (coef[i] - coef[i - 1]) / (xs[i] - xs[i - j])
-    poly = UniPoly.const(coef[-1])
-    for i in range(len(base) - 2, -1, -1):
-        poly = poly * UniPoly.of(-xs[i], 1) + coef[i]
-    for a, b in pts:
-        if poly(a) != b:
-            return None
-    return poly
-
-
 def rational_roots(p: UniPoly) -> list[Fraction]:
     """All rational roots with multiplicity, sorted: the roots of the degree-1
     factors from `irreducible_factors`.  No integer derived from `p` is ever

@@ -14,11 +14,10 @@ with Corr_v read off the negative inverse of the fiber component matrix.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Mapping, Optional, Union
+from typing import Mapping, Optional, Sequence, Union
 
 from .lattice import InternalInconsistencyError, ade_gram
 from .poly import (
@@ -28,7 +27,6 @@ from .poly import (
     BiPoly,
     RatFn,
     UniPoly,
-    interpolate,
     irreducible_factors,
     is_perfect_square,
     ord_at,
@@ -408,6 +406,28 @@ def _series_of(r: RatFn, a: Fraction, n: int) -> UniPoly:
     return r.num.shift(a).truncate(n).mul_trunc(den.inverse_series(n), n)
 
 
+def _lift_root(coeffs: Sequence[UniPoly], root: Fraction, prec: int) -> UniPoly:
+    """The series X(s) = root + O(s) with sum_k coeffs[k] X^k = 0 mod s^prec,
+    where the coefficients are series in s and `root` is a simple root of
+    their constant terms: Newton iteration, doubling the precision each step."""
+    def value_and_derivative(x: UniPoly, n: int) -> tuple[UniPoly, UniPoly]:
+        val = der = UNIPOLY_ZERO
+        for c in reversed(coeffs):
+            der = der.mul_trunc(x, n) + val
+            val = val.mul_trunc(x, n) + c.truncate(n)
+        return val, der
+
+    x = UniPoly.const(root)
+    n = 1
+    while n < prec:
+        n = min(2 * n, prec)
+        val, der = value_and_derivative(x, n)
+        x = (x - val.mul_trunc(der.inverse_series(n), n)).truncate(n)
+    if not value_and_derivative(x, prec)[0].is_zero:
+        raise InternalInconsistencyError("Newton lift is not a root")
+    return x
+
+
 def component_of(pd: PlaceData, point: SectionPoint, manual: ManualComponents = NO_MANUAL) -> int:
     """Index of the fiber component met by the section, 0 being the identity
     component.  Automated for I_n and III fibers over rational places (and the
@@ -461,18 +481,7 @@ def _cycle_index(pd: PlaceData, cp: SectionPoint, a: Fraction) -> int:
     if c == 0:
         raise InternalInconsistencyError("node without distinct tangent directions")
 
-    def c0_at(r: UniPoly) -> UniPoly:
-        return ((r + e2).mul_trunc(r, prec) + e1).mul_trunc(r, prec) + e0
-
-    def c0_deriv_at(r: UniPoly) -> UniPoly:
-        return (3 * r + 2 * e2).mul_trunc(r, prec) + e1
-
-    root = UniPoly.const(-c)
-    for _ in range(prec.bit_length() + 1):
-        corr = c0_at(root).mul_trunc(c0_deriv_at(root).inverse_series(prec), prec)
-        root = (root - corr).truncate(prec)
-    if not c0_at(root).truncate(prec).is_zero:
-        raise InternalInconsistencyError("Newton lift of the fiber node failed")
+    root = _lift_root((e0, e1, e2, UNIPOLY_ONE), -c, prec)
     p_lin = (e2 + root).truncate(prec)
     q_lin = (e1 + p_lin.mul_trunc(root, prec)).truncate(prec)
     d_ser = (p_lin.mul_trunc(p_lin, prec) * Fraction(1, 4) - q_lin).truncate(prec)
@@ -711,26 +720,24 @@ def height_pairing(
 # ---------------------------------------------------------------------------
 
 
-def _specialization_points(curve: WeierstrassCurve, count: int) -> list[Fraction]:
-    """The first `count` integers t0 >= 0 at good fibers (disc(t0) != 0)."""
+def _good_fiber(curve: WeierstrassCurve, avoid: UniPoly = UNIPOLY_ONE) -> Fraction:
+    """The least integer t0 >= 0 with a smooth fiber (disc(t0) != 0) at which
+    `avoid`, a nonzero polynomial, does not vanish either."""
     disc = curve.discriminant()
-    pts = []
     k = 0
-    while len(pts) < count:
-        c = Fraction(k)
-        if disc(c) != 0:
-            pts.append(c)
+    while disc(Fraction(k)) == 0 or avoid(Fraction(k)) == 0:
         k += 1
-    return pts
+    return Fraction(k)
 
 
-def _halving_quartic(curve: WeierstrassCurve, t0: Fraction, rho: Fraction) -> UniPoly:
-    """Monic quartic whose roots are the x-coordinates of halvings of any point
-    with x = rho on the specialized fiber: f'(X)^2 - 4 (a2 + 2X + rho) f(X)."""
-    a2, a4, a6 = curve.c1(t0), curve.c2(t0), curve.c3(t0)
-    f = UniPoly.of(a6, a4, a2, 1)
-    fp = f.derivative()
-    return fp * fp - UniPoly.of(4 * a2 + 4 * rho, 8) * f
+def _lifted_roots(poly: BiPoly, t0: Fraction) -> list[UniPoly]:
+    """The Newton lifts mod (t - t0)^3 of the rational roots of poly(t0, u),
+    in ascending order of those roots, shifted back to t; `poly` is a
+    polynomial in u over Q[t] whose roots at t0 are simple.  Every root of
+    `poly` in Q[t] of degree <= 2 is among them."""
+    spec = UniPoly([c(t0) for c in poly.coeffs])
+    series = [c.shift(t0).truncate(3) for c in poly.coeffs]
+    return [_lift_root(series, r, 3).shift(-t0) for r in rational_roots(spec)]
 
 
 def halve(curve: WeierstrassCurve, point: SectionPoint) -> Optional[SectionPoint]:
@@ -738,10 +745,15 @@ def halve(curve: WeierstrassCurve, point: SectionPoint) -> Optional[SectionPoint
 
     Requires polynomial coordinates with deg x <= 2, deg y <= 3 (equivalently
     s.O = 0); any half of such a section again has polynomial coordinates
-    within the same bounds, so specializing at three good fibers, collecting
-    rational roots of the degree-4 halving polynomial, interpolating every
-    branch choice and verifying the doubled candidate exactly is a complete
-    decision procedure.  Two further specializations pre-filter candidates.
+    within the same bounds.  Its x is a root of the halving quartic
+    H(t, X) = f'(X)^2 - 4 (c1 + 2X + x_P) f(X), f the cubic.  At a smooth fiber
+    t0 with y_P(t0) != 0 the four roots of H(t0, X) are distinct (two halves
+    sharing an x would make P(t0) 2-torsion), so each rational root lifts to a
+    unique series root, and a half has the lift mod (t - t0)^3 as its x.  Each
+    candidate is decided by the exact checks alone: f(x) a square, then the
+    doubling.  A 2-torsion point (y_P = 0) has H = ((X - x_P)^2 - f'(x_P))^2,
+    so its candidates are x_P +- sqrt(f'(x_P)), tried in ascending order at a
+    smooth fiber that separates them, as the lifts are at t0.
     """
     _require_on_curve(curve, point)
     if point.is_zero:
@@ -750,26 +762,20 @@ def halve(curve: WeierstrassCurve, point: SectionPoint) -> Optional[SectionPoint
         raise ValueError("halving needs polynomial coordinates (s.O = 0)")
     if point.x.num.degree > 2 or point.y.num.degree > 3:
         raise ValueError("halving needs deg x <= 2 and deg y <= 3 (s.O = 0)")
-    pts = _specialization_points(curve, 5)
-    quartics = []
-    root_sets: list[list[Fraction]] = []
-    for t0 in pts:
-        h = _halving_quartic(curve, t0, point.x(t0))
-        quartics.append(h)
-        roots = sorted(set(rational_roots(h)))
-        if not roots:
+    f = curve.cubic()
+    fp = f.deriv_u()
+    x_p = point.x.num
+    if point.y.is_zero:
+        g = is_perfect_square(fp.eval_u(x_p))
+        if g is None:
             return None
-        root_sets.append(roots)
-    seen: set[UniPoly] = set()
-    for combo in itertools.product(*root_sets[:3]):
-        cand = interpolate(list(zip(pts[:3], combo)), 2)
-        if cand is None or cand in seen:
-            continue
-        seen.add(cand)
-        if any(quartics[k](cand(pts[k])) != 0 for k in (3, 4)):
-            continue
-        w = ((cand + curve.c1) * cand + curve.c2) * cand + curve.c3
-        g = is_perfect_square(w)
+        t0 = _good_fiber(curve, g)
+        candidates = sorted((x_p - g, x_p + g), key=lambda c: c(t0))
+    else:
+        quartic = fp * fp - BiPoly([4 * (curve.c1 + x_p), 8]) * f
+        candidates = _lifted_roots(quartic, _good_fiber(curve, point.y.num))
+    for cand in candidates:
+        g = is_perfect_square(f.eval_u(cand))
         if g is None:
             continue
         for y_half in (g, -g):
@@ -780,21 +786,8 @@ def halve(curve: WeierstrassCurve, point: SectionPoint) -> Optional[SectionPoint
 
 
 def two_torsion_free(curve: WeierstrassCurve) -> bool:
-    """True iff the cubic has no root in Q[t] of degree <= 2; the same
-    specialize-interpolate-verify search as `halve`."""
-    pts = _specialization_points(curve, 4)
+    """True iff the cubic has no root in Q[t] of degree <= 2.  At a smooth
+    fiber the cubic's roots are simple, so such a root is the lift of a
+    rational root there, and the lifts are checked exactly."""
     cubic = curve.cubic()
-    root_sets = []
-    for t0 in pts[:3]:
-        spec = UniPoly.of(curve.c3(t0), curve.c2(t0), curve.c1(t0), 1)
-        roots = sorted(set(rational_roots(spec)))
-        if not roots:
-            return True
-        root_sets.append(roots)
-    for combo in itertools.product(*root_sets):
-        cand = interpolate(list(zip(pts[:3], combo)), 2)
-        if cand is None:
-            continue
-        if cubic.eval_u(cand).is_zero:
-            return False
-    return True
+    return not any(cubic.eval_u(x).is_zero for x in _lifted_roots(cubic, _good_fiber(curve)))

@@ -195,6 +195,18 @@ def test_curve_commands(capsys):
     assert "divisible_by_2 = False" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("curve, divisible, result", [
+    ("y^2 = u^3 + 7*u^2 + u", True, "(1, 3)"),
+    ("y^2 = u^3 + (t^2+7)*u^2 + u", False, None),
+])
+def test_curve_halve_of_a_two_torsion_section(capsys, curve, divisible, result):
+    # y_P = 0 at every fiber, so no fiber separates the halving roots
+    assert main(["curve", "halve", curve, "(0, 0)", "--format", "records"]) == EXIT_OK
+    named = {r["name"]: r["value"] for r in map(json.loads, capsys.readouterr().out.splitlines())
+             if r["kind"] == "result"}
+    assert named == {"divisible_by_2": divisible, **({"result": result} if result else {})}
+
+
 def test_curve_add_negate_commands(capsys):
     assert main(["curve", "negate", Q51, "(0, 6*t^2 - 12150*t)"]) == EXIT_OK
     assert "-6*t^2 + 12150*t" in capsys.readouterr().out

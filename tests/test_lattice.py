@@ -351,7 +351,8 @@ def test_lattice_and_table_tests_pass_under_python_optimize():
     root = Path(__file__).resolve().parent.parent
     proc = subprocess.run(
         [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         "tests/test_lattice.py", "tests/test_table.py", "tests/test_poly.py"],
+         "tests/test_lattice.py", "tests/test_table.py", "tests/test_poly.py",
+         "tests/test_surface.py"],
         cwd=root, capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": str(root / "src")},
     )

@@ -1,5 +1,5 @@
 """Exact polynomial arithmetic: gcd, squarefree parts, square roots,
-resultants, interpolation, rational roots."""
+resultants, rational roots."""
 
 import math
 import random
@@ -16,7 +16,6 @@ from mwq.poly import (
     UNIPOLY_ONE,
     UNIPOLY_ZERO,
     UniPoly,
-    interpolate,
     irreducible_factors,
     is_perfect_square,
     ord_at,
@@ -217,42 +216,6 @@ def test_resultant_random_vs_specialized_gcd():
 
 
 # ---------------------------------------------------------------------------
-# interpolation
-# ---------------------------------------------------------------------------
-
-
-def test_interpolate_constant():
-    assert interpolate([(0, 1), (1, 1), (2, 1)], 2) == UNIPOLY_ONE
-
-
-def test_interpolate_exact_recovery():
-    p = UniPoly.of(0, -3, 1)  # t^2 - 3t
-    pts = [(Fraction(k), p(Fraction(k))) for k in range(4)]
-    assert interpolate(pts, 2) == p
-
-
-def test_interpolate_inconsistent_returns_none():
-    p = UniPoly.of(0, 0, 0, 1)  # t^3
-    pts = [(Fraction(k), p(Fraction(k))) for k in range(5)]
-    assert interpolate(pts, 2) is None
-
-
-def test_interpolate_rejects_duplicates():
-    with pytest.raises(ValueError):
-        interpolate([(1, 1), (1, 2), (3, 4)], 2)
-
-
-def test_interpolate_reproduces_any_low_degree_poly():
-    rng = random.Random(808)
-    for _ in range(40):
-        n = rng.randint(0, 5)
-        p = rand_poly(rng, n)
-        xs = rng.sample(range(-20, 20), n + 1)
-        pts = [(Fraction(x), p(Fraction(x))) for x in xs]
-        assert interpolate(pts, n) == p
-
-
-# ---------------------------------------------------------------------------
 # rational roots
 # ---------------------------------------------------------------------------
 
@@ -387,15 +350,25 @@ def test_rational_roots_of_zero_polynomial_raises():
     "u^3 + (25*t + 9)*u^2 + (144*t^2 + t^3)*u + 16*t^4",
 ])
 def test_specialization_points_skip_exactly_the_bad_fibers(quartic):
+    # the fiber `halve` and `two_torsion_free` specialize at: the least integer
+    # t0 >= 0 that is neither a root of the discriminant nor of `avoid`
     from mwq.parsing import parse_curve_rhs
-    from mwq.surface import WeierstrassCurve, _specialization_points
+    from mwq.surface import WeierstrassCurve, _good_fiber
 
     f = parse_curve_rhs(quartic)
     curve = WeierstrassCurve(f.coeff_u(2), f.coeff_u(1), f.coeff_u(0))
     bad = set(rational_roots_by_divisors(curve.discriminant()))
-    n = 5
-    first_good = [Fraction(k) for k in range(n + len(bad)) if Fraction(k) not in bad][:n]
-    assert _specialization_points(curve, n) == first_good
+    good = [Fraction(k) for k in range(len(bad) + 3) if Fraction(k) not in bad]
+    avoids = [
+        UNIPOLY_ONE,
+        T ** 2,  # vanishes only where the discriminant does
+        (T - good[0]) * (T - good[1]) * (2 * T + 1),  # the first two good fibers
+        T - good[2],
+    ]
+    for avoid in avoids:
+        skip = bad | set(rational_roots_by_divisors(avoid))
+        expected = next(Fraction(k) for k in range(len(skip) + 1) if Fraction(k) not in skip)
+        assert _good_fiber(curve, avoid) == expected
 
 
 # ---------------------------------------------------------------------------

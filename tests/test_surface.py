@@ -1,15 +1,17 @@
 """Group law, fiber classification, components, heights, halving."""
 
 import dataclasses
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from mwq.parsing import parse_curve_rhs, parse_section
-from mwq.poly import T, UNIPOLY_ONE, UNIPOLY_ZERO, RatFn, UniPoly
+from mwq.poly import T, UNIPOLY_ONE, UNIPOLY_ZERO, RatFn, UniPoly, is_perfect_square, rational_roots
 from mwq.surface import (
     INFINITY_PLACE,
+    InternalInconsistencyError,
     NeedsManualComponent,
     PlaceData,
     SectionPoint,
@@ -535,3 +537,160 @@ def test_two_torsion_detected():
     c3 = UniPoly.of(0, -1, -1)
     curve2 = WeierstrassCurve(c1, c2, c3)
     assert not two_torsion_free(curve2)
+
+
+# ---------------------------------------------------------------------------
+# oracle: the specialize-interpolate-verify search that `halve` and
+# `two_torsion_free` used before the Newton lift, kept here as an independent
+# decision procedure (several fibers, every branch choice interpolated)
+# ---------------------------------------------------------------------------
+
+
+def _interpolate(points, max_degree):
+    """Unique polynomial of degree <= max_degree through the points, else None
+    (Newton divided differences on the first max_degree + 1 points)."""
+    base = points[: max_degree + 1]
+    xs = [a for a, _ in base]
+    coef = [b for _, b in base]
+    for j in range(1, len(base)):
+        for i in range(len(base) - 1, j - 1, -1):
+            coef[i] = (coef[i] - coef[i - 1]) / (xs[i] - xs[i - j])
+    poly = UniPoly.const(coef[-1])
+    for i in range(len(base) - 2, -1, -1):
+        poly = poly * UniPoly.of(-xs[i], 1) + coef[i]
+    return poly if all(poly(a) == b for a, b in points) else None
+
+
+def _first_good_fibers(curve, count):
+    disc = curve.discriminant()
+    return [Fraction(k) for k in range(count + disc.degree + 1) if disc(Fraction(k)) != 0][:count]
+
+
+def _spec_roots(poly):
+    return sorted(set(rational_roots(poly)))
+
+
+def halve_by_interpolation(curve, point):
+    pts = _first_good_fibers(curve, 5)
+    quartics = []
+    for t0 in pts:
+        f = UniPoly.of(curve.c3(t0), curve.c2(t0), curve.c1(t0), 1)
+        fp = f.derivative()
+        quartics.append(fp * fp - UniPoly.of(4 * curve.c1(t0) + 4 * point.x(t0), 8) * f)
+    root_sets = [_spec_roots(h) for h in quartics]
+    if not all(root_sets):
+        return None
+    seen = set()
+    for combo in itertools.product(*root_sets[:3]):
+        cand = _interpolate(list(zip(pts, combo)), 2)
+        if cand is None or cand in seen:
+            continue
+        seen.add(cand)
+        if any(quartics[k](cand(pts[k])) != 0 for k in (3, 4)):
+            continue
+        g = is_perfect_square(curve.cubic().eval_u(cand))
+        if g is None:
+            continue
+        for y_half in (g, -g):
+            s_o = SectionPoint(RatFn(cand), RatFn(y_half))
+            if double(curve, s_o) == point:
+                return s_o
+    return None
+
+
+def two_torsion_free_by_interpolation(curve):
+    pts = _first_good_fibers(curve, 3)
+    root_sets = [
+        _spec_roots(UniPoly.of(curve.c3(t0), curve.c2(t0), curve.c1(t0), 1)) for t0 in pts
+    ]
+    for combo in itertools.product(*root_sets):
+        cand = _interpolate(list(zip(pts, combo)), 2)
+        if cand is not None and curve.cubic().eval_u(cand).is_zero:
+            return False
+    return True
+
+
+def _halvable_input(point):
+    return (
+        not point.is_zero
+        and point.x.is_polynomial() and point.x.num.degree <= 2
+        and point.y.is_polynomial() and point.y.num.degree <= 3
+    )
+
+
+def _curve(rhs):
+    f = parse_curve_rhs(rhs)
+    return WeierstrassCurve(f.coeff_u(2), f.coeff_u(1), f.coeff_u(0))
+
+
+# curves with a rational 2-torsion section, and that section
+TWO_TORSION = [
+    ("u^3 + 7*u^2 + u", "(0, 0)"),
+    ("u^3 + (t^2+7)*u^2 + u", "(0, 0)"),
+    ("u^3 + 5*u^2 + 4*u", "(0, 0)"),  # both x_P +- sqrt(f'(x_P)) give halves
+    ("u^3 + u", "(0, 0)"),
+    ("u^3 + (1-t)*u^2 + u - t^2 - t", "(t, 0)"),  # (u - t)(u^2 + u + 1 + t)
+]
+
+
+@pytest.mark.parametrize("curve_of, table", [(curve_51, SECTIONS_51), (curve_52, SECTIONS_52)],
+                         ids=["5.1", "5.2"])
+def test_halve_agrees_with_the_interpolation_search(curve_of, table):
+    curve = curve_of()
+    pts = secs(table)
+    inputs = []
+    for a, b, c in itertools.product(range(-2, 3), repeat=3):
+        s = add(curve, add(curve, multiple(curve, a, pts["s_o"]), multiple(curve, b, pts["s_t1"])),
+                multiple(curve, c, pts["s_t2"]))
+        if _halvable_input(s):
+            inputs += [s] + [d for d in (double(curve, s),) if _halvable_input(d)]
+    halved = 0
+    for p in inputs:
+        got = halve(curve, p)
+        assert got == halve_by_interpolation(curve, p)
+        halved += got is not None
+    assert halved and halved < len(inputs)
+
+
+@pytest.mark.parametrize("rhs, section", TWO_TORSION)
+def test_two_torsion_inputs_agree_with_the_interpolation_search(rhs, section):
+    curve = _curve(rhs)
+    point = parse_section(section)
+    assert halve(curve, point) == halve_by_interpolation(curve, point)
+    assert not two_torsion_free(curve)
+    assert not two_torsion_free_by_interpolation(curve)
+
+
+def test_two_torsion_free_agrees_with_the_interpolation_search(e51, e52):
+    for curve in (e51, e52, _curve("u^3 + (t^2+7)*u^2 + u + t")):
+        assert two_torsion_free(curve) == two_torsion_free_by_interpolation(curve)
+
+
+def test_one_specialization_per_call(e51, monkeypatch):
+    import mwq.surface
+
+    calls = []
+    original = mwq.surface.rational_roots
+    monkeypatch.setattr(mwq.surface, "rational_roots", lambda p: calls.append(p) or original(p))
+    pts = secs(SECTIONS_51)
+    for point in (double(e51, pts["s_o"]), add(e51, pts["s_t1"], pts["s_t2"])):
+        calls.clear()
+        halve(e51, point)
+        assert len(calls) == 1
+    calls.clear()
+    two_torsion_free(e51)
+    assert len(calls) == 1
+
+
+def test_lift_root_is_the_series_root_or_raises():
+    from mwq.surface import _lift_root
+
+    # u^2 = 1 + s: the root 1 lifts to sqrt(1 + s) = 1 + s/2 - s^2/8 + s^3/16 - ...
+    coeffs = (-UniPoly.of(1, 1), UNIPOLY_ZERO, UNIPOLY_ONE)
+    assert _lift_root(coeffs, Fraction(1), 4) == UniPoly.of(1, Fraction(1, 2), Fraction(-1, 8),
+                                                            Fraction(1, 16))
+    assert _lift_root(coeffs, Fraction(-1), 3) == UniPoly.of(-1, Fraction(-1, 2), Fraction(1, 8))
+    # 1 is no root of u^2 - 2: two Newton steps do not reach one, and the
+    # check raises (it is not an assert, so this also holds under python -O)
+    with pytest.raises(InternalInconsistencyError):
+        _lift_root((UniPoly.const(-2), UNIPOLY_ZERO, UNIPOLY_ONE), Fraction(1), 3)
