@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
@@ -434,34 +434,99 @@ def is_perfect_square(p: UniPoly) -> Optional[UniPoly]:
     return None
 
 
+def _primes() -> Iterator[int]:
+    """2, 3, 5, 7, ... by trial division, without end."""
+    found: list[int] = []
+    q = 2
+    while True:
+        if all(q % r for r in found if r * r <= q):
+            found.append(q)
+            yield q
+        q += 1
+
+
+def _horner_mod(p: Sequence[int], x: int, m: int) -> int:
+    acc = 0
+    for a in reversed(p):
+        acc = (acc * x + a) % m
+    return acc
+
+
+def _squarefree_rational_roots(p: tuple[int, ...]) -> list[Fraction]:
+    """The rational roots, unsorted, of a primitive squarefree integer
+    polynomial `p` (low degree first) by p-adic lifting (Loos 1983): at the
+    least prime q not dividing the leading coefficient a_n at which every root
+    of p mod q is simple, each such root lifts to a unique q-adic root, and a
+    rational root num/den (den | a_n) is one of those lifts.  Once the modulus
+    m exceeds 2 |a_0 a_n|, the symmetric residue of a_n * z mod m is the
+    integer a_n * num / den, so each lift gives one candidate, kept only if it
+    is a root; a lift of an irrational root fails that check.  No integer is
+    factored, and the primes tried are bounded by the bit size of a_n * disc."""
+    roots = []
+    if p[0] == 0:
+        roots.append(Fraction(0))
+        p = p[1:]
+    n = len(p) - 1
+    if n < 1:
+        return roots
+    lead = p[-1]
+    dp = [i * a for i, a in enumerate(p)][1:]
+    for q in _primes():
+        if lead % q == 0:
+            continue
+        zs = [z for z in range(q) if _horner_mod(p, z, q) == 0]
+        if all(_horner_mod(dp, z, q) for z in zs):
+            break
+    bound = 2 * abs(p[0] * lead)
+    for z in zs:
+        m = q
+        while m <= bound:
+            m *= m
+            z = (z - _horner_mod(p, z, m) * pow(_horner_mod(dp, z, m), -1, m)) % m
+        w = lead * z % m
+        if 2 * w > m:
+            w -= m
+        r = Fraction(w, lead)
+        num, den = r.numerator, r.denominator
+        if sum(a * num ** i * den ** (n - i) for i, a in enumerate(p)) == 0:
+            roots.append(r)
+    return roots
+
+
 def rational_roots(p: UniPoly) -> list[Fraction]:
-    """All rational roots with multiplicity, sorted: the roots of the degree-1
-    factors from `irreducible_factors`.  No integer derived from `p` is ever
-    factored, so the cost does not grow with the prime factors of its
-    coefficients."""
+    """All rational roots with multiplicity, sorted: the roots of each
+    squarefree factor, found by p-adic lifting.  No integer derived from `p`
+    is ever factored, and sympy is not used."""
     if p.is_zero:
         raise ValueError("rational roots of the zero polynomial")
     roots: list[Fraction] = []
-    for f, mult in irreducible_factors(p):
-        if f.degree == 1:
-            roots.extend([-f.coeff(0)] * mult)
+    for f, mult in squarefree_decompose(p):
+        for r in _squarefree_rational_roots(f._p):
+            roots.extend([r] * mult)
     return sorted(roots)
 
 
 def irreducible_factors(p: UniPoly) -> list[tuple[UniPoly, int]]:
-    """Monic irreducible factors over Q with multiplicity (sympy-backed).  The
-    content does not change the monic factors, so sympy factors the primitive
-    integer part over ZZ."""
+    """Monic irreducible factors over Q with multiplicity, ordered by degree,
+    then coefficients.  Each squarefree factor loses the linear factors of its
+    rational roots; a rootless cofactor of degree 2 or 3 is irreducible, and
+    only a rootless cofactor of degree >= 4 is factored by sympy, over ZZ."""
     if p.is_zero:
         raise ValueError("factoring the zero polynomial")
-    if p.degree == 0:
-        return []
-    import sympy
-
-    expr = sympy.Poly.from_list(list(p._p[::-1]), sympy.Symbol("x"), domain=sympy.ZZ)
     out = []
-    for fac, mult in expr.factor_list()[1]:
-        out.append((UniPoly([int(c) for c in reversed(fac.all_coeffs())]).monic(), mult))
+    for f, mult in squarefree_decompose(p):
+        for r in _squarefree_rational_roots(f._p):
+            linear = UniPoly.of(-r, 1)
+            out.append((linear, mult))
+            f = f.exact_div(linear)
+        if 2 <= f.degree <= 3:
+            out.append((f, mult))
+        elif f.degree >= 4:
+            import sympy
+
+            expr = sympy.Poly.from_list(list(f._p[::-1]), sympy.Symbol("x"), domain=sympy.ZZ)
+            for fac, _one in expr.factor_list()[1]:
+                out.append((UniPoly([int(c) for c in reversed(fac.all_coeffs())]).monic(), mult))
     out.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
     return out
 

@@ -2,7 +2,9 @@
 
 import dataclasses
 import json
+import os
 import random
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -483,3 +485,37 @@ def test_each_fact_computed_once(capsys, call_counts, argv, expected):
     assert main(argv + ["--format", "records"]) == EXIT_OK
     capsys.readouterr()
     assert {name: call_counts[name] for name in expected} == expected
+
+
+@pytest.mark.parametrize("argv, expected", [
+    # one sympy factorization per quartic: the degree-5 I1 block of the
+    # discriminant, which has no rational root; every rational root is found
+    # by p-adic lifting
+    (["example", "5.1"], 1),
+    (["example", "5.2"], 1),
+    (["symbol", Q51, C51_1], 1),
+    (["tangency", Q51, C51_2], 0),
+    (["curve", "fibers", Q51], 1),
+], ids=["example_5.1", "example_5.2", "symbol_5.1_conic1", "tangency_5.1_conic2",
+        "curve_fibers_5.1"])
+def test_sympy_factors_only_rootless_pieces(capsys, monkeypatch, argv, expected):
+    import sympy
+
+    calls = []
+    original = sympy.Poly.factor_list
+    monkeypatch.setattr(sympy.Poly, "factor_list",
+                        lambda self, *a, **k: calls.append(self) or original(self, *a, **k))
+    assert main(argv + ["--format", "records"]) == EXIT_OK
+    capsys.readouterr()
+    assert len(calls) == expected
+
+
+def test_python_dash_m_runs_the_command_line():
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-m", "mwq", "example", "5.2", "--format", "records"],
+        cwd=root, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert proc.stdout == (RECORDS_DIR / "example_5.2.jsonl").read_text(encoding="utf-8")

@@ -1,5 +1,5 @@
 """Exact polynomial arithmetic: gcd, squarefree parts, square roots,
-resultants, rational roots."""
+resultants, rational roots, irreducible factors."""
 
 import math
 import random
@@ -278,7 +278,8 @@ def test_ratfn_reduction_and_arithmetic():
 
 
 # ---------------------------------------------------------------------------
-# rational roots against the rational root theorem (independent oracle)
+# rational roots and irreducible factors against sympy and the rational root
+# theorem (independent oracles)
 # ---------------------------------------------------------------------------
 
 
@@ -311,6 +312,51 @@ def rational_roots_by_divisors(p: UniPoly) -> list[Fraction]:
     return sorted(roots)
 
 
+def factors_by_sympy(p: UniPoly) -> list[tuple[UniPoly, int]]:
+    """Oracle: sympy's factor_list over QQ, made monic and ordered by degree,
+    then coefficients."""
+    import sympy
+
+    x = sympy.Symbol("x")
+    expr = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)], x)
+    out = [
+        (UniPoly([Fraction(int(c.p), int(c.q)) for c in reversed(f.all_coeffs())]).monic(), m)
+        for f, m in expr.factor_list()[1]
+    ]
+    return sorted(out, key=lambda fm: (fm[0].degree, fm[0].coeffs))
+
+
+def rational_roots_by_sympy(p: UniPoly) -> list[Fraction]:
+    return sorted(-f.coeff(0) for f, m in factors_by_sympy(p) if f.degree == 1 for _ in range(m))
+
+
+def _is_prime(n: int) -> bool:
+    return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+PRIMORIAL_600 = math.prod(q for q in range(600) if _is_prime(q))
+MOD_3_TO_13 = 3 * 5 * 7 * 11 * 13
+N51 = 10000000000000000000000013 * 30000000000000000000000067  # 51 digits
+
+
+def _special_factor(kind: str, k: int) -> UniPoly:
+    """One factor that makes the p-adic root search work harder."""
+    if kind == "primorial lead":
+        # every prime below 600 divides the leading coefficient, so the
+        # prime search must go past all of them
+        return UniPoly.of(k, PRIMORIAL_600) * UniPoly.of(1, 0, PRIMORIAL_600)
+    if kind == "colliding roots":
+        # three distinct roots, equal mod 3, 5, 7, 11 and 13: the reduction
+        # has a multiple root at each of those primes
+        r = Fraction(k, 2)
+        return (UniPoly.of(-r, 1) * UniPoly.of(-r - k * MOD_3_TO_13, 1)
+                * UniPoly.of(-r + 2 * MOD_3_TO_13, 1))
+    if kind == "51 digits":
+        # a rational root and an irrational pair with 51-digit coefficients
+        return UniPoly.of(-(N51 + 2 * k), N51) * UniPoly.of(-N51, 0, k)
+    return UNIPOLY_ONE
+
+
 _linear_factors = st.lists(
     st.tuples(st.integers(-9, 9), st.integers(1, 4), st.integers(1, 3)), max_size=3
 )
@@ -326,18 +372,55 @@ _higher_factors = st.lists(
     higher=_higher_factors,
     t_power=st.integers(0, 3),
     scale=st.fractions(min_value=-5, max_value=5, max_denominator=6).filter(bool),
+    special=st.sampled_from(["none", "primorial lead", "colliding roots", "51 digits"]),
+    k=st.integers(1, 3),
 )
-def test_rational_roots_match_divisor_oracle(lin, higher, t_power, scale):
-    p = T ** t_power * scale
+def test_rational_roots_match_divisor_oracle(lin, higher, t_power, scale, special, k):
+    """Against sympy's linear factors always, and against the rational root
+    theorem where the coefficients are small enough to factor."""
+    p = T ** t_power * scale * _special_factor(special, k)
     for num, den, mult in lin:
         p = p * UniPoly.of(-num, den) ** mult  # root num/den, multiplicity mult
     for cs in higher:
         p = p * UniPoly(cs)
     got = rational_roots(p)
     assert got == sorted(got)
-    assert got == rational_roots_by_divisors(p)
+    assert got == rational_roots_by_sympy(p)
+    if special in ("none", "colliding roots"):
+        assert got == rational_roots_by_divisors(p)
     for num, den, mult in lin:
         assert got.count(Fraction(num, den)) >= mult
+
+
+ROOTLESS_QUARTICS = {
+    "none": UNIPOLY_ONE,
+    "(t^2+1)(t^2+2)": UniPoly.of(1, 0, 1) * UniPoly.of(2, 0, 1),
+    "t^4-10t^2+1": UniPoly.of(1, 0, -10, 0, 1),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    lin=_linear_factors,
+    higher=st.lists(
+        st.tuples(st.lists(st.integers(-6, 6), min_size=3, max_size=4).filter(lambda cs: cs[-1]),
+                  st.integers(1, 2)),
+        max_size=2,
+    ),
+    quartic=st.sampled_from(sorted(ROOTLESS_QUARTICS)),
+    quartic_mult=st.integers(1, 2),
+)
+def test_irreducible_factors_match_sympy(lin, higher, quartic, quartic_mult):
+    """Linear factors times quadratics and cubics, each possibly repeated,
+    and either (t^2+1)(t^2+2), a rootless quartic that sympy must still split,
+    or t^4 - 10 t^2 + 1, irreducible but reducible modulo every prime."""
+    p = UNIPOLY_ONE
+    for num, den, mult in lin:
+        p = p * UniPoly.of(-num, den) ** mult
+    for cs, mult in higher:
+        p = p * UniPoly(cs) ** mult
+    p = p * ROOTLESS_QUARTICS[quartic] ** quartic_mult
+    assert irreducible_factors(p) == factors_by_sympy(p)
 
 
 def test_rational_roots_of_zero_polynomial_raises():

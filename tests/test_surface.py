@@ -2,8 +2,12 @@
 
 import dataclasses
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -680,6 +684,28 @@ def test_one_specialization_per_call(e51, monkeypatch):
     calls.clear()
     two_torsion_free(e51)
     assert len(calls) == 1
+
+
+def test_halving_and_two_torsion_never_import_sympy():
+    # every root these need is a rational root, found by p-adic lifting
+    code = "\n".join([
+        "import sys",
+        "from mwq.parsing import parse_curve_rhs, parse_section",
+        "from mwq.replay import EXAMPLES",
+        "from mwq.surface import WeierstrassCurve, add, double, halve, two_torsion_free",
+        "ex = EXAMPLES['5.1']",
+        "f = parse_curve_rhs(ex['quartic'])",
+        "curve = WeierstrassCurve(f.coeff_u(2), f.coeff_u(1), f.coeff_u(0))",
+        "s_o, s_t1, s_t2 = (parse_section(ex[k]) for k in ('s_o', 's_t1', 's_t2'))",
+        "assert halve(curve, double(curve, s_o)) == s_o",
+        "assert halve(curve, add(curve, s_t1, s_t2)) is None",
+        "assert two_torsion_free(curve)",
+        "assert 'sympy' not in sys.modules, 'sympy was imported'",
+    ])
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "-c", code], cwd=root, capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(root / "src")})
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_lift_root_is_the_series_root_or_raises():
