@@ -487,27 +487,32 @@ def test_each_fact_computed_once(capsys, call_counts, argv, expected):
     assert {name: call_counts[name] for name in expected} == expected
 
 
-@pytest.mark.parametrize("argv, expected", [
-    # one sympy factorization per quartic: the degree-5 I1 block of the
-    # discriminant, which has no rational root; every rational root is found
-    # by p-adic lifting
-    (["example", "5.1"], 1),
-    (["example", "5.2"], 1),
-    (["symbol", Q51, C51_1], 1),
-    (["tangency", Q51, C51_2], 0),
-    (["curve", "fibers", Q51], 1),
-], ids=["example_5.1", "example_5.2", "symbol_5.1_conic1", "tangency_5.1_conic2",
-        "curve_fibers_5.1"])
-def test_sympy_factors_only_rootless_pieces(capsys, monkeypatch, argv, expected):
-    import sympy
+# No command imports sympy: each runs in a fresh interpreter where
+# `import sympy` raises, and prints its golden records byte for byte.
+SYMPY_BLOCKED = ("import sys; sys.modules['sympy'] = None; "
+                 "from mwq.cli import main; sys.exit(main(sys.argv[1:]))")
+NOT_GOLDEN = {
+    "tangency_5.1_conic2": ["tangency", Q51, C51_2],
+    "zariski_5.2_rescaled_N51": ["zariski", *(_rescaled(x, N51) for x in (Q52, C52_1, C52_2))],
+}
 
-    calls = []
-    original = sympy.Poly.factor_list
-    monkeypatch.setattr(sympy.Poly, "factor_list",
-                        lambda self, *a, **k: calls.append(self) or original(self, *a, **k))
-    assert main(argv + ["--format", "records"]) == EXIT_OK
-    capsys.readouterr()
-    assert len(calls) == expected
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_RECORDS) + sorted(NOT_GOLDEN))
+def test_cli_runs_with_sympy_blocked(name):
+    root = Path(__file__).resolve().parent.parent
+    argv = GOLDEN_RECORDS.get(name) or NOT_GOLDEN[name]
+    proc = subprocess.run(
+        [sys.executable, "-c", SYMPY_BLOCKED, *argv, "--format", "records"],
+        cwd=root, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    if name in GOLDEN_RECORDS:
+        assert proc.stdout == (RECORDS_DIR / f"{name}.jsonl").read_text(encoding="utf-8")
+    elif name == "zariski_5.2_rescaled_N51":
+        recs = [json.loads(line) for line in proc.stdout.splitlines()]
+        results = {r["name"]: r["value"] for r in recs if r["kind"] == "result"}
+        assert results["verdict"] == "ZariskiPair"
 
 
 def test_python_dash_m_runs_the_command_line():

@@ -4,12 +4,14 @@ resultants, rational roots, irreducible factors."""
 import math
 import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mwq.poly import (
+    _primes,
     BiPoly,
     RatFn,
     T,
@@ -392,11 +394,51 @@ def test_rational_roots_match_divisor_oracle(lin, higher, t_power, scale, specia
         assert got.count(Fraction(num, den)) >= mult
 
 
-ROOTLESS_QUARTICS = {
+# The rootless degree-5 block, of fiber type I1, of the discriminant of each
+# worked example, and its images under the coordinate changes t -> lam*t + mu
+# of the conics benchmark strata (perfbench/workloads.py) and under t -> N*t
+# for a 4-digit and for the 51-digit semiprime.
+I1_BLOCKS = {
+    "5.1": UniPoly.of(94685096001234375, -231999587386875, 191118586950, -59451062, 2723, 1),
+    "5.2": UniPoly.of(-1632960, -8965728, -438993, 28990, 815, 4),
+}
+I1_IMAGES = (
+    ("5.2", -1, 1), ("5.2", 2, -1), ("5.2", -2, 3), ("5.2", 3, 2), ("5.2", Fraction(1, 2), -2),
+    ("5.2", -3, -1), ("5.1", -1, -1), ("5.1", 2, -2), ("5.1", 1, 1),
+    ("5.2", 17 * 59, 0), ("5.2", N51, 0),
+)
+
+ROOTLESS = {
     "none": UNIPOLY_ONE,
     "(t^2+1)(t^2+2)": UniPoly.of(1, 0, 1) * UniPoly.of(2, 0, 1),
+    # irreducible, but reducible modulo every prime
     "t^4-10t^2+1": UniPoly.of(1, 0, -10, 0, 1),
+    "t^8-40t^6+352t^4-960t^2+576": UniPoly.of(576, 0, -960, 0, 352, 0, -40, 0, 1),
+    # each factor splits modulo every prime, so a factor over Z is a product
+    # of two or more factors modulo any prime
+    "(t^4+1)(t^4-t^2+1)": UniPoly.of(1, 0, 0, 0, 1) * UniPoly.of(1, 0, -1, 0, 1),
+    "(t^4+1)(t^4-10t^2+1)(t^4-t^2+1)":
+        UniPoly.of(1, 0, 0, 0, 1) * UniPoly.of(1, 0, -10, 0, 1) * UniPoly.of(1, 0, -1, 0, 1),
+    # leading coefficients divisible by 3*5*7*11, so no prime up to 11 is used
+    "(1155t^4+t+1)(2310t^4-3t^3+5)": UniPoly.of(1, 1, 0, 0, 1155) * UniPoly.of(5, 0, 0, -3, 2310),
+    # a factor with 51-digit coefficients that recombination must read from
+    # its Hensel lifts
+    "51-digit quintic*(t^2+t+1)":
+        UniPoly.of(-(N51 + 2), 3, -N51, 0, 0, 1) * UniPoly.of(1, 1, 1),
+    # t (t+1) (t^2+t+1) mod 2, as few factors as modulo the next good primes,
+    # so a factorizer that admitted 2 would split there, where
+    # Cantor-Zassenhaus does not work
+    "(t^2-t-4)(t^2-t+3)": UniPoly.of(-4, -1, 1) * UniPoly.of(3, -1, 1),
+    **{f"I1 {base} t->{lam}*t+{mu}": I1_BLOCKS[base](UniPoly.of(mu, lam))
+       for base, lam, mu in I1_IMAGES},
 }
+
+
+def _each_rootless_alone(test):
+    """Run `test` on every entry of ROOTLESS by itself, besides the draws."""
+    for name in ROOTLESS:
+        test = example(lin=[], higher=[], rootless=name, rootless_mult=1)(test)
+    return test
 
 
 @settings(max_examples=60, deadline=None)
@@ -407,20 +449,26 @@ ROOTLESS_QUARTICS = {
                   st.integers(1, 2)),
         max_size=2,
     ),
-    quartic=st.sampled_from(sorted(ROOTLESS_QUARTICS)),
-    quartic_mult=st.integers(1, 2),
+    rootless=st.sampled_from(sorted(ROOTLESS)),
+    rootless_mult=st.integers(1, 2),
 )
-def test_irreducible_factors_match_sympy(lin, higher, quartic, quartic_mult):
+@_each_rootless_alone
+def test_irreducible_factors_match_sympy(lin, higher, rootless, rootless_mult):
     """Linear factors times quadratics and cubics, each possibly repeated,
-    and either (t^2+1)(t^2+2), a rootless quartic that sympy must still split,
-    or t^4 - 10 t^2 + 1, irreducible but reducible modulo every prime."""
+    and a rootless piece of degree >= 4 that must be factored over Z."""
     p = UNIPOLY_ONE
     for num, den, mult in lin:
         p = p * UniPoly.of(-num, den) ** mult
     for cs, mult in higher:
         p = p * UniPoly(cs) ** mult
-    p = p * ROOTLESS_QUARTICS[quartic] ** quartic_mult
+    p = p * ROOTLESS[rootless] ** rootless_mult
     assert irreducible_factors(p) == factors_by_sympy(p)
+
+
+def test_primes_match_sympy():
+    import sympy
+
+    assert list(islice(_primes(), 300)) == list(sympy.primerange(2, sympy.prime(300) + 1))
 
 
 def test_rational_roots_of_zero_polynomial_raises():
