@@ -37,7 +37,6 @@ from .report import (
     RunReport,
 )
 from .surface import (
-    INFINITY_PLACE,
     InternalInconsistencyError,
     add,
     double,
@@ -108,10 +107,7 @@ def _cmd_tangency(args) -> int:
     rep.add("is_even_tangential", tang.is_even_tangential, ("even_tangency",))
     rep.add(
         "contact",
-        [
-            {"place": p if p == INFINITY_PLACE else p, "multiplicity": m}
-            for p, m in tang.contact
-        ],
+        [{"place": p, "multiplicity": m} for p, m in tang.contact],
         ("even_tangency", "squarefree_decompose"),
     )
     if tang.sqrt_witness is not None:

@@ -4,6 +4,11 @@ Grammar: integer literals, the variables `t` and `u`, operators + - * / ^,
 and parentheses.  Rationals are written a/b; `/` is ordinary division, so
 `1/144*t^2` means (1/144)*t^2.  Parsing is exact; nothing is ever rounded.
 
+One grammar, evaluated as it is read in the target type: curves and conics
+in `BiPoly`, where every divisor must be a nonzero constant; section
+coordinates in `RatFn`, where a divisor may be any nonzero polynomial in t
+and `u` is rejected.  The first fault in reading order is reported.
+
 Syntax errors carry the offending position.  Degree-bound and shape errors
 are raised separately by the constructors of the target types.
 """
@@ -12,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .poly import UNIPOLY_ONE, UNIPOLY_ZERO, BiPoly, RatFn, UniPoly
+from .poly import T, UNIPOLY_ONE, UNIPOLY_ZERO, BiPoly, RatFn, UniPoly
 
 
 class ParseError(ValueError):
@@ -26,7 +31,7 @@ class InputFormatError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# tokenizer / recursive descent over bivariate rational expressions
+# tokenizer / recursive descent evaluating in the target type
 # ---------------------------------------------------------------------------
 
 _OPS = set("+-*/^(),=")
@@ -64,38 +69,15 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return toks
 
 
-class _BiRat:
-    """Unreduced bivariate rational used only while parsing."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: BiPoly, den: BiPoly):
-        self.num, self.den = num, den
-
-    @staticmethod
-    def const(c: Fraction) -> "_BiRat":
-        return _BiRat(BiPoly([UniPoly.const(c)]), _BI_ONE)
-
-    def __add__(self, o):
-        return _BiRat(self.num * o.den + o.num * self.den, self.den * o.den)
-
-    def __sub__(self, o):
-        return _BiRat(self.num * o.den - o.num * self.den, self.den * o.den)
-
-    def __mul__(self, o):
-        return _BiRat(self.num * o.num, self.den * o.den)
-
-    def __neg__(self):
-        return _BiRat(-self.num, self.den)
-
-
-_BI_ONE = BiPoly([UNIPOLY_ONE])
-
-
 class _Parser:
-    def __init__(self, text: str):
+    """Recursive descent that evaluates as it reads, in the target type given
+    by `const` (integer literal -> value), `names` (variable -> value) and
+    `divide` (which may reject a divisor the target cannot take)."""
+
+    def __init__(self, text: str, const, names, divide):
         self.toks = _tokenize(text)
         self.i = 0
+        self.const, self.names, self.divide = const, names, divide
 
     def peek(self):
         return self.toks[self.i]
@@ -110,7 +92,7 @@ class _Parser:
         if kind != "end":
             raise ParseError(f"trailing input {val!r}", pos)
 
-    def expr(self) -> _BiRat:
+    def expr(self):
         acc = self.term()
         while True:
             kind, val, _ = self.peek()
@@ -121,7 +103,7 @@ class _Parser:
             else:
                 return acc
 
-    def term(self) -> _BiRat:
+    def term(self):
         acc = self.factor()
         while True:
             kind, val, pos = self.peek()
@@ -131,13 +113,13 @@ class _Parser:
                 if val == "*":
                     acc = acc * rhs
                 else:
-                    if rhs.num.is_zero:
+                    if rhs.is_zero:
                         raise ParseError("division by zero", pos)
-                    acc = _BiRat(acc.num * rhs.den, acc.den * rhs.num)
+                    acc = self.divide(acc, rhs)
             else:
                 return acc
 
-    def factor(self) -> _BiRat:
+    def factor(self):
         kind, val, pos = self.peek()
         if kind == "op" and val == "-":
             self.take()
@@ -153,27 +135,25 @@ class _Parser:
                 nkind, nval, npos = self.take()
             if nkind != "num":
                 raise ParseError("exponent must be an integer", npos)
-            n = int(nval)
-            num, den = _BI_ONE, _BI_ONE
-            for _ in range(n):
-                num = num * base.num
-                den = den * base.den
+            power = self.const(1)
+            for _ in range(int(nval)):
+                power = power * base
             if neg:
-                if num.is_zero:
+                if power.is_zero:
                     raise ParseError("zero to a negative power", npos)
-                num, den = den, num
-            return _BiRat(num, den)
+                power = self.divide(self.const(1), power)
+            return power
         return base
 
-    def atom(self) -> _BiRat:
+    def atom(self):
         kind, val, pos = self.take()
         if kind == "num":
-            return _BiRat.const(Fraction(int(val)))
+            return self.const(int(val))
         if kind == "name":
-            if val == "t":
-                return _BiRat(BiPoly([UniPoly.of(0, 1)]), _BI_ONE)
+            if val in self.names:
+                return self.names[val]
             if val == "u":
-                return _BiRat(BiPoly([UNIPOLY_ZERO, UNIPOLY_ONE]), _BI_ONE)
+                raise InputFormatError("expression must not involve u")
             raise ParseError(f"unknown name {val!r}", pos)
         if kind == "op" and val == "(":
             inner = self.expr()
@@ -184,23 +164,30 @@ class _Parser:
         raise ParseError(f"unexpected token {val!r}", pos)
 
 
-def parse_birational(text: str) -> tuple[BiPoly, BiPoly]:
-    p = _Parser(text)
-    v = p.expr()
+def _evaluate(text: str, const, names, divide):
+    p = _Parser(text, const, names, divide)
+    value = p.expr()
     p.expect_end()
-    return v.num, v.den
+    return value
 
 
-def _require_constant_den(num: BiPoly, den: BiPoly, what: str) -> BiPoly:
-    if den.degree_u > 0 or (not den.is_zero and den.coeffs[0].degree > 0):
-        raise InputFormatError(f"{what} must be polynomial (no division by t or u)")
-    c = den.coeffs[0].coeffs[0]
-    return num * BiPoly([UniPoly.const(1 / c)])
+def _bipoly_const(n: int) -> BiPoly:
+    return BiPoly([UniPoly.const(n)])
+
+
+def _bipoly_divide(a: BiPoly, b: BiPoly) -> BiPoly:
+    if b.degree_u > 0 or b.coeffs[0].degree > 0:
+        raise InputFormatError("expression must be polynomial (no division by t or u)")
+    inv = 1 / b.coeffs[0].coeff(0)
+    return BiPoly([c * inv for c in a.coeffs])
+
+
+_BIPOLY_NAMES = {"t": BiPoly([T]), "u": BiPoly([UNIPOLY_ZERO, UNIPOLY_ONE])}
+_RATFN_NAMES = {"t": RatFn(T)}
 
 
 def parse_bipoly(text: str) -> BiPoly:
-    num, den = parse_birational(text)
-    return _require_constant_den(num, den, "expression")
+    return _evaluate(text, _bipoly_const, _BIPOLY_NAMES, _bipoly_divide)
 
 
 def parse_unipoly(text: str) -> UniPoly:
@@ -211,10 +198,7 @@ def parse_unipoly(text: str) -> UniPoly:
 
 
 def parse_ratfn(text: str) -> RatFn:
-    num, den = parse_birational(text)
-    if num.degree_u > 0 or den.degree_u > 0:
-        raise InputFormatError("expression must not involve u")
-    return RatFn(num.coeff_u(0), den.coeff_u(0) if not den.is_zero else UNIPOLY_ONE)
+    return _evaluate(text, RatFn, _RATFN_NAMES, RatFn.__truediv__)
 
 
 def parse_conic_rhs(text: str) -> UniPoly:

@@ -777,6 +777,9 @@ class RatFn:
             raise ZeroDivisionError("rational function with zero denominator")
         if num.is_zero:
             den = UNIPOLY_ONE
+        elif den.is_constant():
+            if den != UNIPOLY_ONE:
+                num, den = num * (1 / den.leading), UNIPOLY_ONE
         else:
             g = poly_gcd(num, den)
             if g.degree > 0:

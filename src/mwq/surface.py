@@ -540,125 +540,15 @@ def section_O_intersection(curve: WeierstrassCurve, point: SectionPoint) -> int:
     return total
 
 
-def section_pair_intersection(
-    ctx: HeightContext, p: SectionPoint, q: SectionPoint, manual: ManualComponents = NO_MANUAL
-) -> int:
-    """s1.s2 as a sum of local coincidence multiplicities.
-
-    At places where the two sections reduce to the same smooth fiber point the
-    multiplicity is ord(x_p - x_q), or ord(y_p - y_q) when the common y-value
-    vanishes.  Coincidences at a singular fiber point contribute 0 when the
-    sections sit on different components of the resolved cycle (fiber data
-    from the context, components from `manual` first); the remaining
-    configurations are settled by translation invariance, s1.s2 = (s1 - s2).O.
+def section_pair_intersection(curve: WeierstrassCurve, p: SectionPoint, q: SectionPoint) -> int:
+    """s1.s2 by translation invariance: translation by -s2 is an automorphism
+    of the surface that carries s2 to O, so s1.s2 = (s1 - s2).O (Shioda 1990).
     """
     if p.is_zero or q.is_zero:
         raise ValueError("pair intersection needs two nonzero sections")
     if p == q:
         raise ValueError("pair intersection of a section with itself")
-    curve = ctx.curve
-    _require_on_curve(curve, p, q)
-    direct = _pair_direct(ctx, p, q, manual)
-    if direct is not None:
-        return direct
     return section_O_intersection(curve, add(curve, p, negate(curve, q)))
-
-
-def _pair_direct(
-    ctx: HeightContext, p: SectionPoint, q: SectionPoint, manual: ManualComponents
-) -> Optional[int]:
-    bad = {pd.place: pd for pd in ctx.places}
-    total = 0
-    for pp, qq, places in _pair_charts(p, q):
-        for place, key in places:
-            local = _pair_local(place, bad.get(key), pp, qq, p, q, manual)
-            if local is None:
-                return None
-            total += place.degree * local
-    return total
-
-
-def _pair_charts(p: SectionPoint, q: SectionPoint):
-    """Per chart: p and q in its coordinates, and the candidate places as
-    (place in the chart, the place's key in a HeightContext)."""
-    dx = p.x - q.x
-    dy = p.y - q.y
-    finite_src = dx.num if not dx.is_zero else dy.num
-    yield p, q, [(f, f) for f, _ in irreducible_factors(finite_src)]
-    yield section_at_infinity(p), section_at_infinity(q), [(T, INFINITY_PLACE)]
-
-
-def _pair_local(
-    place: UniPoly,
-    pd: Optional[PlaceData],
-    pp: SectionPoint,
-    qq: SectionPoint,
-    p: SectionPoint,
-    q: SectionPoint,
-    manual: ManualComponents,
-) -> Optional[int]:
-    """Local multiplicity of p.q at one place of a chart, where pp, qq are p, q
-    in the chart's coordinates and pd is the fiber data of a bad place (None at
-    a good one); None when only translation settles it."""
-    vpd = ord_at(pp.x.den, place)
-    vqd = ord_at(qq.x.den, place)
-    if vpd > 0 and vqd > 0:
-        return None  # both sections meet the fiber at the zero point
-    if vpd > 0 or vqd > 0:
-        return 0
-    xnp = _ratfn_mod(pp.x, place)
-    xnq = _ratfn_mod(qq.x, place)
-    if xnp != xnq:
-        return 0
-    ynp = _ratfn_mod(pp.y, place)
-    ynq = _ratfn_mod(qq.y, place)
-    if ynp != ynq:
-        return 0
-    dx = pp.x - qq.x
-    dy = pp.y - qq.y
-    if not ynp.is_zero:
-        return dx.ord_at(place) if not dx.is_zero else None
-    # common reduced point with y = 0: a 2-torsion point, or the fiber's
-    # singular point when the place divides the discriminant
-    if pd is None:
-        return dy.ord_at(place) if not dy.is_zero else None
-    if place.degree != 1:
-        return None
-    if pd.sing_u is None or xnp != UniPoly.const(pd.sing_u):
-        return dy.ord_at(place) if not dy.is_zero else None
-    if pd.fiber_type_index()[0] != "I":
-        return None
-    try:
-        i = component_of(pd, p, manual)
-        j = component_of(pd, q, manual)
-    except NeedsManualComponent:
-        return None
-    if i != j:
-        return 0
-    return None  # same component through the node: settled by translation
-
-
-def _ratfn_mod(r: RatFn, place: UniPoly) -> UniPoly:
-    """r modulo an irreducible place at which r has no pole."""
-    num = r.num % place
-    den = r.den % place
-    g, s, _ = poly_ext_gcd(den, place)
-    if g.degree != 0:
-        raise ZeroDivisionError("pole at the place")
-    return (num * s * (1 / g.coeff(0))) % place
-
-
-def poly_ext_gcd(a: UniPoly, b: UniPoly):
-    """(g, s, t) with s a + t b = g; g is not normalized to monic."""
-    r0, r1 = a, b
-    s0, s1 = UNIPOLY_ONE, UNIPOLY_ZERO
-    t0, t1 = UNIPOLY_ZERO, UNIPOLY_ONE
-    while not r1.is_zero:
-        qt, rem = divmod(r0, r1)
-        r0, r1 = r1, rem
-        s0, s1 = s1, s0 - qt * s1
-        t0, t1 = t1, t0 - qt * t1
-    return r0, s0, t0
 
 
 # ---------------------------------------------------------------------------
@@ -710,7 +600,7 @@ def height_pairing(
         ctx.chi
         + section_O_intersection(ctx.curve, p)
         + section_O_intersection(ctx.curve, q)
-        - section_pair_intersection(ctx, p, q, manual)
+        - section_pair_intersection(ctx.curve, p, q)
         - corr
     )
 

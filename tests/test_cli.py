@@ -317,36 +317,25 @@ def test_keyboard_interrupt_propagates(monkeypatch):
 
 # A 51-digit semiprime: (10^25 + 13) * (3*10^25 + 67).
 N51 = 10000000000000000000000013 * 30000000000000000000000067
-FACTOR_LIMIT = 10 ** 6
+PRIME_LIMIT = 10 ** 3
 
 
 @pytest.fixture
-def factoring_guard(monkeypatch):
-    """Make sympy's integer factoring raise on any argument above FACTOR_LIMIT;
-    yields the list of such arguments seen (empty when the guard held)."""
-    import sympy
-    import sympy.ntheory
-    import sympy.ntheory.factor_
+def prime_guard(monkeypatch):
+    """Record every prime that `mwq.poly._primes` yields, the only place where
+    mwq enumerates primes; returns the list of them."""
+    import mwq.poly
 
-    seen = []
+    drawn = []
+    primes = mwq.poly._primes
 
-    def guarded(original):
-        def wrapper(n, *args, **kwargs):
-            if isinstance(n, (int, sympy.Integer)) and abs(int(n)) > FACTOR_LIMIT:
-                seen.append(int(n))
-                raise AssertionError(f"integer factoring of {n}")
-            return original(n, *args, **kwargs)
+    def recorded():
+        for q in primes():
+            drawn.append(q)
+            yield q
 
-        return wrapper
-
-    for module, name in (
-        (sympy, "divisors"),
-        (sympy, "factorint"),
-        (sympy.ntheory, "factorint"),
-        (sympy.ntheory.factor_, "factorint"),
-    ):
-        monkeypatch.setattr(module, name, guarded(getattr(module, name)))
-    return seen
+    monkeypatch.setattr(mwq.poly, "_primes", recorded)
+    return drawn
 
 
 def _rescaled(text: str, n: int) -> str:
@@ -378,7 +367,7 @@ def _certificate_expands_to_quartic(quartic: str, conic: str, cert: dict) -> boo
     (Q52, C52_1, C52_2, N51),
     (Q51, C51_1, C51_2, 1003),
 ])
-def test_rescaled_examples_factor_no_input_integer(capsys, factoring_guard,
+def test_rescaled_examples_factor_no_input_integer(capsys, prime_guard,
                                                    quartic, conic1, conic2, n):
     quartic, conic1, conic2 = (_rescaled(x, n) for x in (quartic, conic1, conic2))
     assert main(["symbol", quartic, conic1, "--format", "records"]) == EXIT_OK
@@ -389,7 +378,8 @@ def test_rescaled_examples_factor_no_input_integer(capsys, factoring_guard,
     assert _results(capsys)["symbol"] == -1
     assert main(["zariski", quartic, conic1, conic2, "--format", "records"]) == EXIT_OK
     assert _results(capsys)["verdict"] == "ZariskiPair"
-    assert factoring_guard == []
+    # the primes drawn are bounded by the bit size of the input, not its value
+    assert prime_guard and max(prime_guard) < PRIME_LIMIT
 
 
 # ---------------------------------------------------------------------------

@@ -352,7 +352,7 @@ def test_lattice_and_table_tests_pass_under_python_optimize():
     proc = subprocess.run(
         [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
          "tests/test_lattice.py", "tests/test_table.py", "tests/test_poly.py",
-         "tests/test_surface.py"],
+         "tests/test_surface.py", "tests/test_parsing.py"],
         cwd=root, capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": str(root / "src")},
     )

@@ -378,12 +378,12 @@ def test_pair_intersection_zero_when_x_differs_by_constant(e51):
     pts = secs(SECTIONS_51)
     # x-coordinates -32t and -20t meet only over t = 0 (the node); the
     # resolved cycle there keeps the sections apart
-    assert section_pair_intersection(height_context(e51), pts["s_t1"], pts["s_t2"]) == 0
+    assert section_pair_intersection(e51, pts["s_t1"], pts["s_t2"]) == 0
 
 
 def test_pair_intersection_consistent_with_heights(e52):
     pts = secs(SECTIONS_52)
-    assert section_pair_intersection(height_context(e52), pts["s_t1"], pts["s_t2"]) == 0
+    assert section_pair_intersection(e52, pts["s_t1"], pts["s_t2"]) == 0
 
 
 def test_pair_intersection_positive_case(e51):
@@ -395,35 +395,22 @@ def test_pair_intersection_positive_case(e51):
     h_pp = height_pairing(ctx, p, p)
     h_pq = height_pairing(ctx, p, q)
     assert h_pq == -h_pp
-    got = section_pair_intersection(ctx, p, q)
+    got = section_pair_intersection(e51, p, q)
     assert got >= 0
 
 
-def test_pair_intersection_reads_the_context_and_manual_components(e51, monkeypatch):
-    # s_t1 and s_t2 both pass through the node of the I2 fiber over t = 0, so
-    # the local term there asks for their components: from the context's
-    # fiber data (no fiber is classified again) and the caller's assignments
+def test_pair_intersection_classifies_no_fiber_again(e51, monkeypatch):
+    # s_t1 and s_t2 both pass through the node of the I2 fiber over t = 0;
+    # translation settles their pairing without classifying any fiber
     import mwq.surface
 
-    ctx = height_context(e51)
     pts = secs(SECTIONS_51)
-    p, q = pts["s_t1"], pts["s_t2"]
-    manual = {(T, p): 1, (T, q): 1}
-    seen = []
-    component = mwq.surface.component_of
-
-    def spy(pd, point, manual=mwq.surface.NO_MANUAL):
-        seen.append((pd, manual))
-        return component(pd, point, manual)
 
     def no_reclassification(*args):
         raise AssertionError("fiber classified again")
 
-    monkeypatch.setattr(mwq.surface, "component_of", spy)
     monkeypatch.setattr(mwq.surface, "kodaira_type_at", no_reclassification)
-    assert section_pair_intersection(ctx, p, q, manual) == 0
-    assert [pd.place for pd, _ in seen] == [T, T]
-    assert all(pd in ctx.places and got is manual for pd, got in seen)
+    assert section_pair_intersection(e51, pts["s_t1"], pts["s_t2"]) == 0
 
 
 # ---------------------------------------------------------------------------
