@@ -51,8 +51,6 @@ from .surface import (
     SectionPoint,
     WeierstrassCurve,
     add,
-    component_of,
-    corr_v,
     double,
     halve,
     height_context,
@@ -61,7 +59,6 @@ from .surface import (
     negate,
     on_curve,
     section_O_intersection,
-    section_pair_intersection,
     two_torsion_free,
 )
 

@@ -227,21 +227,7 @@ def _cmd_curve(args) -> int:
     if args.op == "height":
         curve, (p, q) = _curve_and_points(args, 2)
         rep.inputs.update({"p1": args.p1, "p2": args.p2})
-        ctx = height_context(curve)
-        manual = {}
-        for spec in args.component or []:
-            place_label, _, idx = spec.partition("=")
-            targets = [p, q]
-            if ":" in place_label:
-                which, _, place_label = place_label.partition(":")
-                targets = [p] if which == "p1" else [q]
-            places = [pd.place for pd in ctx.places
-                      if pd.label.replace(" ", "") == place_label.replace(" ", "")]
-            if not places:
-                raise InputFormatError(f"no bad place labelled {place_label!r}")
-            manual.update({(place, sec): int(idx) for place in places for sec in targets})
-        rep.add("height", height_pairing(ctx, p, q, manual),
-                ("height_pairing", "corr_v", "component_of"))
+        rep.add("height", height_pairing(height_context(curve), p, q), ("height_pairing",))
         return _emit(rep, args.format)
     raise InputFormatError(f"unknown curve operation {args.op!r}")
 
@@ -320,8 +306,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("curve")
     p.add_argument("p1", nargs="?")
     p.add_argument("p2", nargs="?")
-    p.add_argument("--component", action="append", metavar="[pK:]place=idx",
-                   help="manual component assignment for the height computation")
     p.set_defaults(func=_cmd_curve)
 
     p = with_format(sub.add_parser("lattice", help="enumerate vectors, roots, duals"))
@@ -337,7 +321,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:  # ParseError, InputFormatError and NeedsManualComponent too
+    except ValueError as exc:  # ParseError and InputFormatError too
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except InternalInconsistencyError as exc:

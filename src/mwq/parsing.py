@@ -23,6 +23,7 @@ from .poly import T, UNIPOLY_ONE, UNIPOLY_ZERO, BiPoly, RatFn, UniPoly
 class ParseError(ValueError):
     def __init__(self, message: str, pos: int):
         super().__init__(f"{message} (at position {pos})")
+        self.message = message
         self.pos = pos
 
 
@@ -243,9 +244,15 @@ def parse_section(text: str):
             break
     if split_at is None:
         raise InputFormatError("section must have two coordinates")
-    x = parse_ratfn(inner[:split_at])
-    y = parse_ratfn(inner[split_at + 1 :])
-    return SectionPoint(x, y)
+    # positions are reported within `text`: inner starts after the "("
+    lead = len(text) - len(text.lstrip()) + 1
+    coords = []
+    for start, end in ((0, split_at), (split_at + 1, len(inner))):
+        try:
+            coords.append(parse_ratfn(inner[start:end]))
+        except ParseError as exc:
+            raise ParseError(exc.message, lead + start + exc.pos) from None
+    return SectionPoint(*coords)
 
 
 # ---------------------------------------------------------------------------

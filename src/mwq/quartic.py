@@ -22,7 +22,6 @@ from .poly import (
     irreducible_factors,
     is_perfect_square,
     ord_at,
-    squarefree_decompose,
 )
 from .surface import (
     INFINITY_PLACE,
@@ -122,11 +121,9 @@ def even_tangency(quartic: PreparedQuartic, conic: Conic) -> TangencyReport:
     g = quartic.f.eval_u(conic.q)
     if g.is_zero:
         raise ValueError("the conic is a component of the quartic; impossible for irreducible input")
-    decomp = squarefree_decompose(g)
-    contact_raw: list[tuple[ContactPlace, int]] = []
-    for factor, mult in decomp:
-        for irr, _one in irreducible_factors(factor):
-            contact_raw.append((irr, mult))
+    contact_raw: list[tuple[ContactPlace, int]] = sorted(
+        irreducible_factors(g), key=lambda fm: (fm[1], fm[0].degree, fm[0].coeffs)
+    )
     inf_mult = 8 - g.degree
     if inf_mult > 0:
         contact_raw.append((INFINITY_PLACE, inf_mult))

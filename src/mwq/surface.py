@@ -7,19 +7,19 @@ Singular fibers are classified by the valuations of (c4, c6, disc) -- the
 residue fields have characteristic zero, so the short form of Tate's algorithm
 applies.  Heights follow Shioda's formula
 
-    <s1, s2> = chi + s1.O + s2.O - s1.s2 - sum_v Corr_v(s1, s2)
+    <P, P> = 2 chi + 2 P.O - sum_v deg v * contr_v(P)
 
-with Corr_v read off the negative inverse of the fiber component matrix.
+with each local correction contr_v read off the valuations of P's coordinates
+at v (Silverman 1988); cross pairings follow by bilinearity.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from types import MappingProxyType
-from typing import Mapping, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
-from .lattice import InternalInconsistencyError, ade_gram
+from .lattice import InternalInconsistencyError
 from .poly import (
     T,
     UNIPOLY_ONE,
@@ -30,23 +30,12 @@ from .poly import (
     irreducible_factors,
     is_perfect_square,
     ord_at,
-    poly_gcd,
     rational_roots,
     squarefree_decompose,
 )
 
 INFINITY_PLACE = "inf"
 Place = Union[UniPoly, str]
-# Manual component assignments, keyed by (place, section), for fibers where
-# the automated assignment declines; read, never written, by the height code.
-ManualComponents = Mapping[tuple[Place, "SectionPoint"], int]
-NO_MANUAL: ManualComponents = MappingProxyType({})
-
-_BIG = 10 ** 9
-
-
-class NeedsManualComponent(ValueError):
-    """Component index not automatable; callers may supply it explicitly."""
 
 
 # ---------------------------------------------------------------------------
@@ -235,27 +224,21 @@ def _ratfn_infinity(r: RatFn, weight: int) -> RatFn:
 # fiber classification (Tate over residue characteristic zero)
 # ---------------------------------------------------------------------------
 
-_EULER = {"II": 2, "III": 3, "IV": 4, "IV*": 8, "III*": 9, "II*": 10}
-
 
 @dataclass(frozen=True, eq=False)
 class PlaceData:
-    """A place of bad reduction together with its fiber data.
-
-    `a_v` is the intersection matrix of the non-identity components; component 0
-    is the one met by the zero section.
-    """
+    """A place of bad reduction together with its fiber data; `chart_curve` is
+    the model in which `chart_place` is the place (the s = 1/t chart at
+    infinity)."""
 
     place: Place
     kodaira: str
     m_v: int
-    a_v: tuple[tuple[int, ...], ...]
     degree: int
     euler: int
     v_disc: int
     chart_curve: WeierstrassCurve
     chart_place: UniPoly
-    sing_u: Optional[Fraction] = None
 
     @property
     def label(self) -> str:
@@ -280,12 +263,6 @@ class PlaceData:
         if fam == "I*":
             return f"D{n + 4}"
         return {"II": None, "III": "A1", "IV": "A2", "IV*": "E6", "III*": "E7", "II*": "E8"}[fam]
-
-    def neg_a_inv(self) -> tuple[tuple[Fraction, ...], ...]:
-        from .lattice import _invert
-
-        inv = _invert(tuple(tuple(Fraction(x) for x in row) for row in self.a_v)) if self.a_v else ()
-        return tuple(tuple(-x for x in row) for row in inv)
 
 
 def _classify(v_c4: int, v_c6: int, v_disc: int) -> str:
@@ -313,26 +290,21 @@ def _classify(v_c4: int, v_c6: int, v_disc: int) -> str:
     )
 
 
-def _fiber_shape(kodaira: str) -> tuple[int, int, Optional[tuple[str, int]]]:
-    """(m_v, euler, root lattice of non-identity components)."""
+def _fiber_shape(kodaira: str) -> tuple[int, int]:
+    """(m_v, euler)."""
     if kodaira.startswith("I") and kodaira[1:].isdigit():
         n = int(kodaira[1:])
-        return (1, 1, None) if n == 1 else (n, n, ("A", n - 1))
+        return n, n
     if kodaira.startswith("I") and kodaira.endswith("*") and kodaira[1:-1].isdigit():
         n = int(kodaira[1:-1])
-        return (5 + n, 6 + n, ("D", 4 + n))
+        return 5 + n, 6 + n
     return {
-        "II": (1, 2, None),
-        "III": (2, 3, ("A", 1)),
-        "IV": (3, 4, ("A", 2)),
-        "IV*": (7, 8, ("E", 6)),
-        "III*": (8, 9, ("E", 7)),
-        "II*": (9, 10, ("E", 8)),
+        "II": (1, 2), "III": (2, 3), "IV": (3, 4), "IV*": (7, 8), "III*": (8, 9), "II*": (9, 10),
     }[kodaira]
 
 
 def kodaira_type_at(curve: WeierstrassCurve, place: Place) -> PlaceData:
-    """Fiber type, component count and intersection matrix at a bad place.
+    """Fiber type, component count and Euler number at a bad place.
 
     The place is a monic irreducible polynomial, or INFINITY_PLACE (handled by
     the exact twisted substitution, valid because deg c_k <= 2k).
@@ -353,44 +325,21 @@ def kodaira_type_at(curve: WeierstrassCurve, place: Place) -> PlaceData:
     v_c4 = ord_at(chart.c4_quantity(), p)
     v_c6 = ord_at(chart.c6_quantity(), p)
     kod = _classify(v_c4, v_c6, v_disc)
-    m_v, euler, root = _fiber_shape(kod)
-    if root is None:
-        a_v: tuple[tuple[int, ...], ...] = ()
-    else:
-        gram = ade_gram(*root).gram
-        a_v = tuple(tuple(-int(x) for x in row) for row in gram)
-    sing_u = _singular_u(chart, p) if degree == 1 else None
+    m_v, euler = _fiber_shape(kod)
     return PlaceData(
         place=place if place == INFINITY_PLACE else p,
         kodaira=kod,
         m_v=m_v,
-        a_v=a_v,
         degree=degree,
         euler=euler,
         v_disc=v_disc,
         chart_curve=chart,
         chart_place=p,
-        sing_u=sing_u,
     )
 
 
-def _singular_u(chart: WeierstrassCurve, p: UniPoly) -> Fraction:
-    """u-coordinate of the singular point of the reduced fiber (rational place)."""
-    a = -p.coeff(0)
-    reduced = UniPoly.of(chart.c3(a), chart.c2(a), chart.c1(a), 1)
-    g = poly_gcd(reduced, reduced.derivative())
-    if g.degree == 1:
-        return -g.coeff(0)
-    if g.degree == 2:
-        u0 = -g.coeff(1) / 2
-        if g != UniPoly.of(u0 * u0, -2 * u0, 1):
-            raise InternalInconsistencyError("repeated factor of the fiber cubic is not a square")
-        return u0
-    raise InternalInconsistencyError("singular fiber without a repeated root")
-
-
 # ---------------------------------------------------------------------------
-# component assignment
+# local corrections
 # ---------------------------------------------------------------------------
 
 
@@ -398,12 +347,109 @@ def _chart_coords(pd: PlaceData, point: SectionPoint) -> SectionPoint:
     return section_at_infinity(point) if pd.place == INFINITY_PLACE else point
 
 
-def _series_of(r: RatFn, a: Fraction, n: int) -> UniPoly:
-    """Power-series expansion of r at t = a (denominator must be a unit there)."""
-    den = r.den.shift(a)
-    if den.coeff(0) == 0:
-        raise ZeroDivisionError("pole at the expansion point")
-    return r.num.shift(a).truncate(n).mul_trunc(den.inverse_series(n), n)
+def local_correction(pd: PlaceData, point: SectionPoint) -> Fraction:
+    """contr_v(P), the correction of <P, P> at one bad place, from valuations
+    alone (J. Silverman, Computing heights on elliptic curves, Math. Comp. 51
+    (1988), Thm 5.2).  It needs a minimal model at the place, which the chart
+    is wherever `_classify` succeeds.  The value is the diagonal entry of the
+    inverse Cartan matrix of the fiber at the component that P meets, and 0
+    on the identity component.
+
+    The polynomials in x are evaluated homogeneously on x = num/den: they are
+    reached only when v(den) = 0, so they have the valuations of their values.
+    """
+    if point.is_zero:
+        return Fraction(0)
+    cp = _chart_coords(pd, point)
+    chart, place = pd.chart_curve, pd.chart_place
+    c1, c2, c3 = chart.c1, chart.c2, chart.c3
+    num, den = cp.x.num, cp.x.den
+    v_y = cp.y.ord_at(place)
+    if ord_at(den, place) > 0 or v_y <= 0:
+        return Fraction(0)  # P meets the zero point, or misses the singular point
+    if ord_at(3 * num * num + 2 * c1 * num * den + c2 * den * den, place) <= 0:
+        return Fraction(0)
+    family, n = pd.fiber_type_index()
+    if family == "I":
+        m = min(Fraction(v_y), Fraction(n, 2))
+        return m * (n - m) / n
+    n2, nd, d2 = num * num, num * den, den * den
+    psi3 = (3 * n2 * n2 + 4 * c1 * n2 * nd + 6 * c2 * n2 * d2 + 12 * c3 * nd * d2
+            + (4 * c1 * c3 - c2 * c2) * d2 * d2)
+    v_psi3 = ord_at(psi3, place)
+    return Fraction(2 * v_y, 3) if v_psi3 >= 3 * v_y else Fraction(v_psi3, 4)
+
+
+# ---------------------------------------------------------------------------
+# intersection numbers
+# ---------------------------------------------------------------------------
+
+
+def section_O_intersection(curve: WeierstrassCurve, point: SectionPoint) -> int:
+    """Intersection number with the zero section, from the pole structure of x."""
+    if point.is_zero:
+        raise ValueError("O.O is not defined here; self-pairings go through the height")
+    _require_on_curve(curve, point)
+    total = sum(f.degree * ((mult + 1) // 2) for f, mult in squarefree_decompose(point.x.den))
+    inf_pole = point.x.num.degree - point.x.den.degree - 2
+    if inf_pole > 0:
+        total += (inf_pole + 1) // 2
+    return total
+
+
+# ---------------------------------------------------------------------------
+# height pairing
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class HeightContext:
+    """A curve together with all of its bad places; Euler numbers must sum to
+    12*chi (and chi = 1 here: the surface is rational)."""
+
+    curve: WeierstrassCurve
+    chi: Fraction
+    places: tuple[PlaceData, ...]
+
+
+def height_context(curve: WeierstrassCurve) -> HeightContext:
+    """Classify every bad fiber of the curve.  The context is immutable, so one
+    context serves every height pairing on the curve."""
+    disc = curve.discriminant()
+    places = [kodaira_type_at(curve, irr) for irr, _mult in irreducible_factors(disc)]
+    inf_model = curve.infinity_model()
+    if ord_at(inf_model.discriminant(), T) > 0:
+        places.append(kodaira_type_at(curve, INFINITY_PLACE))
+    total = sum(pd.degree * pd.euler for pd in places)
+    if total != 12:
+        raise InternalInconsistencyError(
+            f"Euler numbers of the fibers sum to {total}, not 12"
+        )
+    places.sort(key=lambda pd: (pd.place == INFINITY_PLACE, pd.chart_place.coeffs))
+    return HeightContext(curve, Fraction(1), tuple(places))
+
+
+def _self_height(ctx: HeightContext, p: SectionPoint) -> Fraction:
+    corr = sum(pd.degree * local_correction(pd, p) for pd in ctx.places)
+    return 2 * ctx.chi + 2 * section_O_intersection(ctx.curve, p) - corr
+
+
+def height_pairing(ctx: HeightContext, p: SectionPoint, q: SectionPoint) -> Fraction:
+    """Shioda's pairing: <P, P> = 2 chi + 2 P.O - sum_v deg v * contr_v(P), and
+    <P, Q> = (<P, P> + <Q, Q> - <P - Q, P - Q>) / 2 by bilinearity.  Pairing
+    anything with the zero section is 0."""
+    if p.is_zero or q.is_zero:
+        return Fraction(0)
+    _require_on_curve(ctx.curve, p, q)
+    if p == q:
+        return _self_height(ctx, p)
+    diff = add(ctx.curve, p, negate(ctx.curve, q))
+    return (_self_height(ctx, p) + _self_height(ctx, q) - _self_height(ctx, diff)) / 2
+
+
+# ---------------------------------------------------------------------------
+# halving (2-divisibility) and 2-torsion
+# ---------------------------------------------------------------------------
 
 
 def _lift_root(coeffs: Sequence[UniPoly], root: Fraction, prec: int) -> UniPoly:
@@ -426,188 +472,6 @@ def _lift_root(coeffs: Sequence[UniPoly], root: Fraction, prec: int) -> UniPoly:
     if not value_and_derivative(x, prec)[0].is_zero:
         raise InternalInconsistencyError("Newton lift is not a root")
     return x
-
-
-def component_of(pd: PlaceData, point: SectionPoint, manual: ManualComponents = NO_MANUAL) -> int:
-    """Index of the fiber component met by the section, 0 being the identity
-    component.  Automated for I_n and III fibers over rational places (and the
-    infinity chart); anything else must be supplied in `manual`."""
-    if point.is_zero:
-        return 0
-    if (pd.place, point) in manual:
-        return manual[pd.place, point]
-    if pd.m_v == 1:
-        return 0
-    if pd.degree != 1 or pd.sing_u is None:
-        raise NeedsManualComponent(
-            f"component at place {pd.label} needs a manual assignment"
-        )
-    cp = _chart_coords(pd, point)
-    a = -pd.chart_place.coeff(0)
-    if cp.x.ord_at(pd.chart_place) < 0:
-        return 0  # the section passes through the zero point of this fiber
-    xbar, ybar = cp.x(a), cp.y(a)
-    if (xbar, ybar) != (pd.sing_u, Fraction(0)):
-        return 0
-    if pd.kodaira == "III":
-        return 1
-    if pd.fiber_type_index()[0] == "I" and pd.m_v >= 2:
-        return _cycle_index(pd, cp, a)
-    raise NeedsManualComponent(
-        f"component on a {pd.kodaira} fiber needs a manual assignment"
-    )
-
-
-def _cycle_index(pd: PlaceData, cp: SectionPoint, a: Fraction) -> int:
-    """Component index on an I_n cycle, for a section through the node.
-
-    Locally the surface is eta^2 = (xi'^2 - D) * unit with v(D) = n; the two
-    branch directions orient the cycle, and v(xi') determines the index up to
-    that orientation.  All series arithmetic is exact and truncated at order
-    n + 4, which is more precision than any compared valuation.
-    """
-    n = pd.v_disc
-    prec = n + 4
-    chart = pd.chart_curve
-    u0 = pd.sing_u
-    c1s = chart.c1.shift(a).truncate(prec)
-    c2s = chart.c2.shift(a).truncate(prec)
-    c3s = chart.c3.shift(a).truncate(prec)
-    # cubic recentered at the node: C0(u) = u^3 + e2 u^2 + e1 u + e0
-    e2 = (3 * u0 + c1s).truncate(prec)
-    e1 = (3 * u0 * u0 + 2 * u0 * c1s + c2s).truncate(prec)
-    e0 = (((c1s + u0) * u0 + c2s) * u0 + c3s).truncate(prec)
-    c = e2.coeff(0)
-    if c == 0:
-        raise InternalInconsistencyError("node without distinct tangent directions")
-
-    root = _lift_root((e0, e1, e2, UNIPOLY_ONE), -c, prec)
-    p_lin = (e2 + root).truncate(prec)
-    q_lin = (e1 + p_lin.mul_trunc(root, prec)).truncate(prec)
-    d_ser = (p_lin.mul_trunc(p_lin, prec) * Fraction(1, 4) - q_lin).truncate(prec)
-    if d_ser.trailing_order() != n:
-        raise InternalInconsistencyError("local discriminant order does not match I_n")
-    x_ser = (_series_of(cp.x, a, prec) - u0 + p_lin * Fraction(1, 2)).truncate(prec)
-    m = min(x_ser.trailing_order(), _BIG)
-    if 2 * m >= n:
-        if n % 2:
-            raise InternalInconsistencyError("deep node contact on an odd cycle")
-        return n // 2
-    y_ser = _series_of(cp.y, a, prec)
-    if y_ser.trailing_order() < m:
-        raise InternalInconsistencyError("section coordinates violate the node geometry")
-    xi_unit = UniPoly(x_ser.coeffs[m:])
-    ratio = y_ser.mul_trunc(xi_unit.inverse_series(prec), prec)
-    w = ratio.coeff(m)
-    if w * w != c:
-        raise InternalInconsistencyError("branch direction is not a residue square root")
-    return n - m if w > 0 else m
-
-
-def corr_v(
-    pd: PlaceData, p: SectionPoint, q: SectionPoint, manual: ManualComponents = NO_MANUAL
-) -> Fraction:
-    """Local correction (-A_v^{-1}) contribution for one place."""
-    i = component_of(pd, p, manual)
-    j = i if p == q else component_of(pd, q, manual)
-    if i == 0 or j == 0:
-        return Fraction(0)
-    return pd.neg_a_inv()[i - 1][j - 1]
-
-
-def corr_cycle_closed_form(n: int, i: int, j: int) -> Fraction:
-    """i(n-j)/n for components i <= j on an I_n cycle."""
-    i, j = min(i, j), max(i, j)
-    return Fraction(i * (n - j), n)
-
-
-# ---------------------------------------------------------------------------
-# intersection numbers
-# ---------------------------------------------------------------------------
-
-
-def section_O_intersection(curve: WeierstrassCurve, point: SectionPoint) -> int:
-    """Intersection number with the zero section, from the pole structure of x."""
-    if point.is_zero:
-        raise ValueError("O.O is not defined here; self-pairings go through the height")
-    _require_on_curve(curve, point)
-    total = 0
-    for p, mult in irreducible_factors(point.x.den):
-        total += p.degree * ((mult + 1) // 2)
-    inf_pole = point.x.num.degree - point.x.den.degree - 2
-    if inf_pole > 0:
-        total += (inf_pole + 1) // 2
-    return total
-
-
-def section_pair_intersection(curve: WeierstrassCurve, p: SectionPoint, q: SectionPoint) -> int:
-    """s1.s2 by translation invariance: translation by -s2 is an automorphism
-    of the surface that carries s2 to O, so s1.s2 = (s1 - s2).O (Shioda 1990).
-    """
-    if p.is_zero or q.is_zero:
-        raise ValueError("pair intersection needs two nonzero sections")
-    if p == q:
-        raise ValueError("pair intersection of a section with itself")
-    return section_O_intersection(curve, add(curve, p, negate(curve, q)))
-
-
-# ---------------------------------------------------------------------------
-# height pairing
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class HeightContext:
-    """A curve together with all of its bad places; Euler numbers must sum to
-    12*chi (and chi = 1 here: the surface is rational)."""
-
-    curve: WeierstrassCurve
-    chi: Fraction
-    places: tuple[PlaceData, ...]
-
-
-def height_context(curve: WeierstrassCurve) -> HeightContext:
-    """Classify every bad fiber of the curve.  The context is immutable, so one
-    context serves every height pairing on the curve; manual component
-    assignments are passed to `height_pairing`, not stored here."""
-    places = []
-    for sqfree, _mult in squarefree_decompose(curve.discriminant()):
-        for irr, _one in irreducible_factors(sqfree):
-            places.append(kodaira_type_at(curve, irr))
-    inf_model = curve.infinity_model()
-    if ord_at(inf_model.discriminant(), T) > 0:
-        places.append(kodaira_type_at(curve, INFINITY_PLACE))
-    total = sum(pd.degree * pd.euler for pd in places)
-    if total != 12:
-        raise InternalInconsistencyError(
-            f"Euler numbers of the fibers sum to {total}, not 12"
-        )
-    places.sort(key=lambda pd: (pd.place == INFINITY_PLACE, pd.chart_place.coeffs))
-    return HeightContext(curve, Fraction(1), tuple(places))
-
-
-def height_pairing(
-    ctx: HeightContext, p: SectionPoint, q: SectionPoint, manual: ManualComponents = NO_MANUAL
-) -> Fraction:
-    """Shioda's pairing; pairing anything with the zero section is 0."""
-    if p.is_zero or q.is_zero:
-        return Fraction(0)
-    _require_on_curve(ctx.curve, p, q)
-    corr = sum(pd.degree * corr_v(pd, p, q, manual) for pd in ctx.places)
-    if p == q:
-        return 2 * ctx.chi + 2 * section_O_intersection(ctx.curve, p) - corr
-    return (
-        ctx.chi
-        + section_O_intersection(ctx.curve, p)
-        + section_O_intersection(ctx.curve, q)
-        - section_pair_intersection(ctx.curve, p, q)
-        - corr
-    )
-
-
-# ---------------------------------------------------------------------------
-# halving (2-divisibility) and 2-torsion
-# ---------------------------------------------------------------------------
 
 
 def _good_fiber(curve: WeierstrassCurve, avoid: UniPoly = UNIPOLY_ONE) -> Fraction:

@@ -230,14 +230,6 @@ def test_curve_height_command(capsys):
     assert "height = 0" in capsys.readouterr().out
 
 
-def test_curve_height_with_manual_component(capsys):
-    # overriding components changes the local correction and hence the value
-    assert main(["curve", "height", Q51, "(-32*t, 2*t^2 - 6930*t)",
-                 "(-20*t, 4*t^2 - 4500*t)", "--component", "t-2025=1"]) == EXIT_OK
-    out = capsys.readouterr().out
-    assert "height = -1/2" in out
-
-
 def test_lattice_commands(capsys):
     assert main(["lattice", "roots", "A2"]) == EXIT_OK
     assert "count = 6" in capsys.readouterr().out
@@ -252,6 +244,11 @@ def test_input_errors_exit_2(capsys):
     assert main(["tangency", Q51, "u = t^3"]) == EXIT_INPUT_ERROR
     assert main(["curve", "check", Q51, "(1, 2,"]) == EXIT_INPUT_ERROR
     capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:  # argparse: the option does not exist
+        main(["curve", "height", Q51, "(0, 6*t^2 - 12150*t)", "(0, 6*t^2 - 12150*t)",
+              "--component", "t=1"])
+    assert exc.value.code == EXIT_INPUT_ERROR
+    assert "--component" in capsys.readouterr().err
 
 
 def test_untabulated_fiber_at_infinity_exits_2(capsys):
@@ -403,8 +400,9 @@ GOLDEN_RECORDS = {
     "tangency_5.2_conic2": ["tangency", Q52, C52_2],
     "curve_fibers_5.1": ["curve", "fibers", Q51],
     "curve_height_5.1": ["curve", "height", Q51, S51_T1, S51_T2],
-    "curve_height_5.1_component": ["curve", "height", Q51, S51_T1, S51_T2,
-                                   "--component", "t-2025=1"],
+    # a 2-torsion section through the I2 fiber over the degree-2 place t^2 - 2
+    "curve_height_torsion_I2_degree2": ["curve", "height", "u^3 + u^2 + (t^2 - 2)*u",
+                                        "(0, 0)", "(0, 0)"],
     "lattice_enumerate_E8_4": ["lattice", "enumerate", "E8", "4"],
     # E6* in a skewed basis (a unimodular change of the inverse Cartan matrix)
     "lattice_enumerate_E6dual_skew_4": [

@@ -49,6 +49,9 @@ SINGLE_FAULTS = [
     (parse_curve_rhs, "y^2 = u^3 + t/u", InputFormatError, NOT_POLYNOMIAL, None),
     (parse_conic_rhs, "u = t^-1", InputFormatError, NOT_POLYNOMIAL, None),
     (parse_conic_rhs, "u = t + u", InputFormatError, NOT_IN_T, None),
+    (parse_section, "(t, t + x)", ParseError, "unknown name 'x'", 8),
+    (parse_section, "(t + x, t)", ParseError, "unknown name 'x'", 5),
+    (parse_section, "  (t + x, t)", ParseError, "unknown name 'x'", 7),
     (parse_section, "(u, t)", InputFormatError, NOT_IN_T, None),
     (parse_section, "(t, 1/t + u)", InputFormatError, NOT_IN_T, None),
     (parse_ratfn, "u/u", InputFormatError, NOT_IN_T, None),

@@ -1,4 +1,4 @@
-"""Group law, fiber classification, components, heights, halving."""
+"""Group law, fiber classification, local corrections, heights, halving."""
 
 import dataclasses
 import itertools
@@ -11,29 +11,27 @@ from pathlib import Path
 
 import pytest
 
+from mwq.cli import main
+from mwq.lattice import ade_gram, dual_gram
 from mwq.parsing import parse_curve_rhs, parse_section
+from mwq.report import EXIT_OK
 from mwq.poly import T, UNIPOLY_ONE, UNIPOLY_ZERO, RatFn, UniPoly, is_perfect_square, rational_roots
 from mwq.surface import (
     INFINITY_PLACE,
     InternalInconsistencyError,
-    NeedsManualComponent,
-    PlaceData,
     SectionPoint,
     WeierstrassCurve,
     add,
-    component_of,
-    corr_cycle_closed_form,
-    corr_v,
     double,
     halve,
     height_context,
     height_pairing,
     kodaira_type_at,
+    local_correction,
     multiple,
     negate,
     on_curve,
     section_O_intersection,
-    section_pair_intersection,
     two_torsion_free,
 )
 
@@ -72,8 +70,39 @@ def e52():
     return curve_52()
 
 
+# torsion sections, each with its curve's bad fibers at finite places and at infinity
+TORSION = [
+    ("u^3 + t^2", "(0, t)"),  # IV, IV*
+    ("u^3 + t^4", "(0, t^2)"),  # IV*, IV
+    ("u^3 + t*u", "(0, 0)"),  # III, III*
+    ("u^3 + t^2*u", "(0, 0)"),  # I0*, I0*
+    ("u^3 + t^3*u", "(0, 0)"),  # III*, III
+    ("u^3 + t*u^2 + t^3*u", "(0, 0)"),  # I2*, III
+    ("u^3 + t*u^2 + t^4*u", "(0, 0)"),  # I4*
+    ("u^3 + u^2 + t^2*u", "(0, 0)"),  # I4, I0*
+    ("u^3 + u^2 + (t^2 - 2)*u", "(0, 0)"),  # I2 over the degree-2 place t^2 - 2, I0*
+]
+
+
 def secs(table):
     return {k: parse_section(v) for k, v in table.items()}
+
+
+def combinations(curve, table):
+    """a*s_o + b*s_t1 + c*s_t2 for a, b, c in {-1, 0, 1}, keyed by (a, b, c)."""
+    gens = [parse_section(table[k]) for k in ("s_o", "s_t1", "s_t2")]
+    out = {}
+    for v in itertools.product((-1, 0, 1), repeat=3):
+        s = SectionPoint.zero()
+        for a, g in zip(v, gens):
+            s = add(curve, s, multiple(curve, a, g))
+        out[v] = s
+    return out
+
+
+@pytest.fixture(scope="module")
+def combos(e51, e52):
+    return {"5.1": combinations(e51, SECTIONS_51), "5.2": combinations(e52, SECTIONS_52)}
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +220,7 @@ def test_kodaira_types_example_51(e51):
     assert kodaira_type_at(e51, T).kodaira == "I2"
     assert kodaira_type_at(e51, UniPoly.of(-2025, 1)).kodaira == "I2"
     pd = kodaira_type_at(e51, INFINITY_PLACE)
-    assert pd.kodaira == "III" and pd.m_v == 2 and pd.a_v == ((-2,),)
+    assert pd.kodaira == "III" and pd.m_v == 2 and pd.root_label() == "A1"
 
 
 def test_kodaira_types_example_52(e52):
@@ -229,20 +258,20 @@ def test_euler_sum_is_twelve(e51, e52):
 
 
 # ---------------------------------------------------------------------------
-# components and local corrections
+# local corrections
 # ---------------------------------------------------------------------------
 
 
 def test_zero_section_on_identity_component(e51):
     pd = kodaira_type_at(e51, T)
-    assert component_of(pd, SectionPoint.zero()) == 0
+    assert local_correction(pd, SectionPoint.zero()) == 0
 
 
 def test_component_misses_node(e51):
     # s_t1 at t = 2025: x = -64800 is far from the node at u = 0
     pd = kodaira_type_at(e51, UniPoly.of(-2025, 1))
     p = parse_section(SECTIONS_51["s_t1"])
-    assert component_of(pd, p) == 0
+    assert local_correction(pd, p) == 0
 
 
 def test_components_of_s_o_example_51(e51):
@@ -251,58 +280,51 @@ def test_components_of_s_o_example_51(e51):
     pts = secs(SECTIONS_51)
     total = Fraction(0)
     for place in (T, UniPoly.of(-2025, 1), INFINITY_PLACE):
-        pd = kodaira_type_at(e51, place)
-        idx = component_of(pd, pts["s_o"])
-        assert idx == 1
-        total += corr_v(pd, pts["s_o"], pts["s_o"])
+        corr = local_correction(kodaira_type_at(e51, place), pts["s_o"])
+        assert corr == Fraction(1, 2)
+        total += corr
     assert total == Fraction(3, 2)
 
 
 def test_cycle_components_example_52(e52):
-    # the I4 fiber separates the two generators onto opposite components
+    # on the I4 fiber i(4 - i)/4 is 3/4 on components 1 and 3 and 1 on
+    # component 2: the generators sit on opposite components, s_o between them
     pd = kodaira_type_at(e52, T)
     pts = secs(SECTIONS_52)
-    i1 = component_of(pd, pts["s_t1"])
-    i2 = component_of(pd, pts["s_t2"])
-    assert {i1, i2} == {1, 3}
-    assert component_of(pd, pts["s_o"]) == 2
+    assert local_correction(pd, pts["s_t1"]) == local_correction(pd, pts["s_t2"]) == Fraction(3, 4)
+    assert local_correction(pd, pts["s_o"]) == 1
     s2 = add(e52, pts["s_t1"], pts["s_t2"])
-    assert component_of(pd, s2) == 0  # indices add on the cycle
+    assert local_correction(pd, s2) == 0  # indices add on the cycle
 
 
-def test_corr_in_closed_form_matches_matrix():
-    for n in range(2, 10):
-        gram = [[0] * (n - 1) for _ in range(n - 1)]
-        for i in range(n - 1):
-            gram[i][i] = -2
-            if i + 1 < n - 1:
-                gram[i][i + 1] = gram[i + 1][i] = 1
-        pd = PlaceData(
-            place=T, kodaira=f"I{n}", m_v=n, a_v=tuple(map(tuple, gram)),
-            degree=1, euler=n, v_disc=n, chart_curve=None, chart_place=T,
-        )
-        inv = pd.neg_a_inv()
-        for i in range(1, n):
-            for j in range(1, n):
-                assert inv[i - 1][j - 1] == corr_cycle_closed_form(n, i, j)
+def test_corr_in_closed_form_matches_matrix(e51, e52, combos):
+    # every nonzero correction read off valuations is a diagonal entry of the
+    # inverse Cartan matrix of the fiber's root lattice, computed independently
+    cases = [(example, s) for example, by_vector in combos.items() for s in by_vector.values()]
+    cases += [(rhs, parse_section(section)) for rhs, section in TORSION]
+    curves = {"5.1": e51, "5.2": e52}
+    seen = set()
+    for name, s in cases:
+        ctx = height_context(curves[name] if name in curves else _curve(name))
+        for pd in ctx.places:
+            corr = local_correction(pd, s)
+            if corr == 0:
+                continue
+            root = pd.root_label()
+            inverse = dual_gram(ade_gram(root[0], int(root[1:]))).gram
+            assert corr in {inverse[i][i] for i in range(len(inverse))}, (name, pd.kodaira, s)
+            seen.add(pd.kodaira)
+    assert seen == {"I2", "I4", "III", "IV", "I0*", "I2*", "I4*", "IV*", "III*"}
 
 
 def test_corr_type_iii_and_iv():
-    pd3 = PlaceData(place=T, kodaira="III", m_v=2, a_v=((-2,),), degree=1,
-                    euler=3, v_disc=3, chart_curve=None, chart_place=T)
-    assert pd3.neg_a_inv() == ((Fraction(1, 2),),)
-    pd4 = PlaceData(place=T, kodaira="IV", m_v=3, a_v=((-2, 1), (1, -2)), degree=1,
-                    euler=4, v_disc=4, chart_curve=None, chart_place=T)
-    inv = pd4.neg_a_inv()
-    assert inv[0][0] == inv[1][1] == Fraction(2, 3)
-    assert inv[0][1] == Fraction(1, 3)
-
-
-def test_manual_component_assignment_used():
-    pd = PlaceData(place=T, kodaira="IV", m_v=3, a_v=((-2, 1), (1, -2)), degree=1,
-                   euler=4, v_disc=4, chart_curve=None, chart_place=T)
-    p = SectionPoint.of(T, T)
-    assert corr_v(pd, p, p, {(T, p): 2}) == Fraction(2, 3)
+    iii = kodaira_type_at(_curve("u^3 + t*u"), T)
+    assert iii.kodaira == "III"
+    assert local_correction(iii, parse_section("(0, 0)")) == Fraction(1, 2)
+    iv = kodaira_type_at(_curve("u^3 + t^2"), T)
+    assert iv.kodaira == "IV"
+    assert local_correction(iv, parse_section("(0, t)")) == Fraction(2, 3)
+    assert local_correction(iv, parse_section("(0, -t)")) == Fraction(2, 3)
 
 
 def test_place_data_is_immutable(e51):
@@ -311,23 +333,12 @@ def test_place_data_is_immutable(e51):
         pd.kodaira = "I3"
 
 
-def test_manual_components_do_not_leak_into_the_context(e51):
-    # one context, the same pair: the override applies to its own call only
-    ctx = height_context(e51)
-    pts = secs(SECTIONS_51)
-    p, q = pts["s_t1"], pts["s_t2"]
-    place = UniPoly.of(-2025, 1)
-    manual = {(place, p): 1, (place, q): 1}
-    assert height_pairing(ctx, p, q, manual) == Fraction(-1, 2)
-    assert height_pairing(ctx, p, q) == 0
-
-
-def test_unautomated_component_raises():
-    curve = WeierstrassCurve(UNIPOLY_ZERO, UNIPOLY_ZERO, T ** 2)  # IV at t = 0
-    pd = kodaira_type_at(curve, T)
-    probe = SectionPoint.of(T, T)  # reduces to the cusp; not automated for IV
-    with pytest.raises(NeedsManualComponent):
-        component_of(pd, probe)
+@pytest.mark.parametrize("rhs, section", TORSION)
+def test_torsion_sections_have_height_zero(capsys, rhs, section):
+    p = parse_section(section)
+    assert height_pairing(height_context(_curve(rhs)), p, p) == 0
+    assert main(["curve", "height", rhs, section, section]) == EXIT_OK
+    assert "height = 0" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------
@@ -374,16 +385,24 @@ def test_sO_shifted_denominator():
     assert section_O_intersection(curve, moved) == 1
 
 
+def pair_intersection(curve, p, q):
+    """s1.s2 = (s1 - s2).O: translation by -s2 is an automorphism of the
+    surface that carries s2 to O (Shioda 1990)."""
+    return section_O_intersection(curve, add(curve, p, negate(curve, q)))
+
+
 def test_pair_intersection_zero_when_x_differs_by_constant(e51):
     pts = secs(SECTIONS_51)
     # x-coordinates -32t and -20t meet only over t = 0 (the node); the
     # resolved cycle there keeps the sections apart
-    assert section_pair_intersection(e51, pts["s_t1"], pts["s_t2"]) == 0
+    assert pair_intersection(e51, pts["s_t1"], pts["s_t2"]) == 0
 
 
 def test_pair_intersection_consistent_with_heights(e52):
+    # <s_t1, s_t2> = 1 + 0 + 0 - s_t1.s_t2 - 3/4 on the I4 fiber
     pts = secs(SECTIONS_52)
-    assert section_pair_intersection(e52, pts["s_t1"], pts["s_t2"]) == 0
+    assert pair_intersection(e52, pts["s_t1"], pts["s_t2"]) == 0
+    assert height_pairing(height_context(e52), pts["s_t1"], pts["s_t2"]) == Fraction(1, 4)
 
 
 def test_pair_intersection_positive_case(e51):
@@ -395,22 +414,22 @@ def test_pair_intersection_positive_case(e51):
     h_pp = height_pairing(ctx, p, p)
     h_pq = height_pairing(ctx, p, q)
     assert h_pq == -h_pp
-    got = section_pair_intersection(e51, p, q)
-    assert got >= 0
+    assert pair_intersection(e51, p, q) == section_O_intersection(e51, double(e51, p)) == 1
 
 
-def test_pair_intersection_classifies_no_fiber_again(e51, monkeypatch):
+def test_height_pairing_classifies_no_fiber_again(e51, monkeypatch):
     # s_t1 and s_t2 both pass through the node of the I2 fiber over t = 0;
-    # translation settles their pairing without classifying any fiber
+    # their pairing reads the fibers from the context, classifying none again
     import mwq.surface
 
+    ctx = height_context(e51)
     pts = secs(SECTIONS_51)
 
     def no_reclassification(*args):
         raise AssertionError("fiber classified again")
 
     monkeypatch.setattr(mwq.surface, "kodaira_type_at", no_reclassification)
-    assert section_pair_intersection(e51, pts["s_t1"], pts["s_t2"]) == 0
+    assert height_pairing(ctx, pts["s_t1"], pts["s_t2"]) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -443,9 +462,21 @@ def test_height_with_zero_section_is_zero(e51):
     assert height_pairing(ctx, SectionPoint.zero(), SectionPoint.zero()) == 0
 
 
-def test_height_symmetry_and_bilinearity(e51, e52):
-    for curve, table in ((e51, SECTIONS_51), (e52, SECTIONS_52)):
+# the height Gram matrices of (s_o, s_t1, s_t2)
+GRAMS = {
+    "5.1": [[Fraction(1, 2), 0, 0], [0, 1, 0], [0, 0, 1]],
+    "5.2": [[Fraction(1, 2), 0, 0], [0, Fraction(3, 4), Fraction(1, 4)],
+            [0, Fraction(1, 4), Fraction(3, 4)]],
+}
+
+
+def test_height_symmetry_and_bilinearity(e51, e52, combos):
+    for name, curve, table in (("5.1", e51, SECTIONS_51), ("5.2", e52, SECTIONS_52)):
         ctx = height_context(curve)
+        gram = GRAMS[name]
+        for v, s in combos[name].items():
+            expected = sum(v[i] * gram[i][j] * v[j] for i in range(3) for j in range(3))
+            assert height_pairing(ctx, s, s) == expected, (name, v)
         pts = secs(table)
         p, q, r = pts["s_o"], pts["s_t1"], pts["s_t2"]
         assert height_pairing(ctx, p, q) == height_pairing(ctx, q, p)
