@@ -45,6 +45,7 @@ from .surface import (
     height_pairing,
     negate,
     on_curve,
+    require_on_curve,
 )
 
 
@@ -210,8 +211,10 @@ def _cmd_curve(args) -> int:
         curve, (p,) = _curve_and_points(args, 1)
         rep.inputs["p1"] = args.p1
         if args.op == "double":
+            require_on_curve(curve, p)
             rep.add("result", double(curve, p), ("double",))
         elif args.op == "negate":
+            require_on_curve(curve, p)
             rep.add("result", negate(curve, p), ("negate",))
         else:
             half = halve(curve, p)
@@ -222,6 +225,7 @@ def _cmd_curve(args) -> int:
     if args.op == "add":
         curve, (p, q) = _curve_and_points(args, 2)
         rep.inputs.update({"p1": args.p1, "p2": args.p2})
+        require_on_curve(curve, p, q)
         rep.add("result", add(curve, p, q), ("add",))
         return _emit(rep, args.format)
     if args.op == "height":

@@ -161,38 +161,31 @@ def dual_gram(lat: GramLattice) -> GramLattice:
     return GramLattice(_invert(lat.gram))
 
 
-def discriminant_group_order(family: str, n: int) -> int:
-    """Order of L*/L for the named root lattice (the Gram determinant)."""
-    d = ade_gram(family, n).det()
-    if d.denominator != 1:
-        raise InternalInconsistencyError(f"root lattice {family}{n} has determinant {d}")
-    return int(d)
-
-
 # ---------------------------------------------------------------------------
 # short-vector enumeration
 # ---------------------------------------------------------------------------
 
 
-def _short_vectors(lat: GramLattice, bound: Fraction, exact: bool) -> list[Vector]:
-    """Integer vectors x with q(x) <= bound (q(x) == bound if `exact`), lex sorted.
+def enumerate_by_norm(lat: GramLattice, q: Fraction) -> list[Vector]:
+    """All integer vectors v with v^T G v = q exactly, lexicographically sorted.
 
     With y_i = cd[i]*x_i + C_i, C_i = sum_{j>i} num[i][j]*x_j, the LDL^T form
-    reads unit*q(x) = sum_i k[i]*y_i^2 with integers cd, num, k and one common
-    unit.  The walk carries the integer budget rem = unit*(bound - partial q),
-    so each level's range is |y_i| <= isqrt(rem // k[i]) and a leaf's rem is
-    exactly unit*(bound - q(x)): zero iff q(x) == bound.
+    reads unit*v^T G v = sum_i k[i]*y_i^2 with integers cd, num, k and one
+    common unit.  The walk carries the integer budget rem = unit*(q - partial
+    norm), so each level's range is |y_i| <= isqrt(rem // k[i]), and the last
+    coordinate must use the budget up: k[0]*y_0^2 == rem.
     """
+    q = Fraction(q)
+    if q <= 0:
+        raise ValueError("norm must be positive")
     n = lat.rank
-    if bound < 0:
-        return []
     if n == 0:
-        return [()] if bound == 0 or not exact else []
+        return []
     d, lm = _ldl(lat.gram)
     cd = [math.lcm(*(lm[i][j].denominator for j in range(i + 1, n))) for i in range(n)]
     num = [[int(lm[i][j] * cd[i]) for j in range(n)] for i in range(n)]
     weights = [d[i] / (cd[i] * cd[i]) for i in range(n)]
-    unit = math.lcm(bound.denominator, *(w.denominator for w in weights))
+    unit = math.lcm(q.denominator, *(w.denominator for w in weights))
     k = [int(w * unit) for w in weights]
     out: list[Vector] = []
     x = [0] * n
@@ -200,8 +193,7 @@ def _short_vectors(lat: GramLattice, bound: Fraction, exact: bool) -> list[Vecto
     def walk(i: int, rem: int):
         ci, ki, row = cd[i], k[i], num[i]
         c = sum(map(operator.mul, row, x))  # row[j] == 0 for j <= i
-        if i == 0 and exact:
-            # the last coordinate must use up the budget: k*y^2 == rem
+        if i == 0:
             t, r = divmod(rem, ki)
             s = math.isqrt(t)
             if r or s * s != t:
@@ -215,36 +207,12 @@ def _short_vectors(lat: GramLattice, bound: Fraction, exact: bool) -> list[Vecto
         s = math.isqrt(rem // ki)
         for xi in range(-((s + c) // ci), (s - c) // ci + 1):
             x[i] = xi
-            if i:
-                y = ci * xi + c
-                walk(i - 1, rem - ki * y * y)
-            else:
-                out.append(tuple(x))
+            y = ci * xi + c
+            walk(i - 1, rem - ki * y * y)
         x[i] = 0
 
-    walk(n - 1, int(bound * unit))
+    walk(n - 1, int(q * unit))
     return sorted(out)
-
-
-def enumerate_up_to(lat: GramLattice, bound: Fraction) -> list[Vector]:
-    """All integer vectors with norm <= bound, zero included, in lex order."""
-    return _short_vectors(lat, Fraction(bound), exact=False)
-
-
-def enumerate_by_norm(lat: GramLattice, q: Fraction) -> list[Vector]:
-    """All integer vectors v with v^T G v = q exactly, lexicographically sorted."""
-    q = Fraction(q)
-    if q <= 0:
-        raise ValueError("norm must be positive")
-    return _short_vectors(lat, q, exact=True)
-
-
-def minimal_norm(lat: GramLattice) -> Fraction:
-    """Smallest norm of a nonzero vector."""
-    if lat.rank == 0:
-        raise ValueError("trivial lattice has no nonzero vectors")
-    cap = min(lat.gram[i][i] for i in range(lat.rank))
-    return min(lat.norm(v) for v in enumerate_up_to(lat, cap) if any(v))
 
 
 # ---------------------------------------------------------------------------
@@ -299,27 +267,10 @@ def orthogonal_complement_basis(
         row = [ambient.inner(e, tuple(int(i == j) for j in range(n))) for i in range(n)]
         lcm = math.lcm(*[x.denominator for x in row]) if row else 1
         rows.append([int(x * lcm) for x in row])
-    rank = _rational_rank(rows, n)
-    if rank != len(embedded):
+    kernel = integer_kernel(rows, n)
+    if len(kernel) != n - len(embedded):
         raise ValueError("embedded vectors are linearly dependent")
-    return integer_kernel(rows, n)
-
-
-def _rational_rank(rows: Sequence[Sequence[int]], n_cols: int) -> int:
-    m = [[Fraction(x) for x in r] for r in rows]
-    rank = 0
-    for c in range(n_cols):
-        piv = next((r for r in range(rank, len(m)) if m[r][c] != 0), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = 1 / m[rank][c]
-        for r in range(len(m)):
-            if r != rank and m[r][c]:
-                f = m[r][c] * inv
-                m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
-        rank += 1
-    return rank
+    return kernel
 
 
 def orthogonal_complement_gram(ambient: GramLattice, embedded: Sequence[Vector]) -> GramLattice:
@@ -582,6 +533,8 @@ def lattice_from_text(text: str) -> tuple[GramLattice, tuple[int, ...]]:
     lat = TRIVIAL_LATTICE
     torsion: list[int] = []
     for part in parts:
+        if not part:
+            raise ValueError(f"empty summand in lattice expression {text!r}")
         piece, power = part, 1
         if "^" in piece and not piece.startswith("<"):
             piece, pw = piece.rsplit("^", 1)
@@ -589,6 +542,8 @@ def lattice_from_text(text: str) -> tuple[GramLattice, tuple[int, ...]]:
         elif piece.startswith("<") and "^" in piece[piece.index(">") :]:
             piece, pw = piece.rsplit("^", 1)
             power = int(pw)
+        if power < 1:
+            raise ValueError(f"power {power} of {piece!r} must be at least 1")
         for _ in range(power):
             got = _lattice_atom(piece)
             if isinstance(got, int):

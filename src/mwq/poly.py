@@ -957,51 +957,3 @@ class BiPoly:
         from .parsing import bipoly_text
 
         return f"BiPoly({bipoly_text(self)})"
-
-
-def resultant_u(f: BiPoly, g: BiPoly) -> UniPoly:
-    """Resultant of f and g with respect to u (Sylvester determinant over Q[t],
-    evaluated by fraction-free Bareiss elimination)."""
-    if f.is_zero or g.is_zero:
-        raise ValueError("resultant of the zero polynomial")
-    m, n = f.degree_u, g.degree_u
-    if m == 0 and n == 0:
-        return UNIPOLY_ONE
-    if m == 0:
-        return f.coeffs[0] ** n
-    if n == 0:
-        return g.coeffs[0] ** m
-    size = m + n
-    rows: list[list[UniPoly]] = []
-    fc = [f.coeff_u(m - j) for j in range(m + 1)]  # high to low
-    gc = [g.coeff_u(n - j) for j in range(n + 1)]
-    for i in range(n):
-        rows.append([UNIPOLY_ZERO] * i + fc + [UNIPOLY_ZERO] * (size - m - 1 - i))
-    for i in range(m):
-        rows.append([UNIPOLY_ZERO] * i + gc + [UNIPOLY_ZERO] * (size - n - 1 - i))
-    return _poly_det(rows)
-
-
-def _poly_det(mat: list[list[UniPoly]]) -> UniPoly:
-    """Bareiss fraction-free determinant of a matrix of polynomials."""
-    n = len(mat)
-    if n == 0:
-        return UNIPOLY_ONE
-    m = [row[:] for row in mat]
-    sign = 1
-    prev = UNIPOLY_ONE
-    for k in range(n - 1):
-        if m[k][k].is_zero:
-            for r in range(k + 1, n):
-                if not m[r][k].is_zero:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return UNIPOLY_ZERO
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]).exact_div(prev)
-            m[i][k] = UNIPOLY_ZERO
-        prev = m[k][k]
-    return m[n - 1][n - 1] * sign

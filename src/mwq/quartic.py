@@ -29,12 +29,9 @@ from .surface import (
     InternalInconsistencyError,
     SectionPoint,
     WeierstrassCurve,
-    double,
     halve,
     height_context,
-    negate,
     on_curve,
-    section_O_intersection,
     two_torsion_free,
 )
 
@@ -151,42 +148,14 @@ def even_tangency(quartic: PreparedQuartic, conic: Conic) -> TangencyReport:
     return TangencyReport(True, contact, witness)
 
 
-def _require_even(report: TangencyReport) -> TangencyReport:
-    if not report.is_even_tangential:
-        raise ValueError(f"conic is not even tangential: {report.note}")
-    return report
-
-
-def lift_conic(quartic: PreparedQuartic, conic: Conic) -> tuple[SectionPoint, SectionPoint]:
-    """The two sections (q, +h) and (q, -h) over an even tangential conic."""
-    return _lifts(quartic, conic, even_tangency(quartic, conic))
-
-
-def _lifts(
-    quartic: PreparedQuartic, conic: Conic, report: TangencyReport
-) -> tuple[SectionPoint, SectionPoint]:
-    h = _require_even(report).sqrt_witness
-    plus = SectionPoint(RatFn(conic.q), RatFn(h))
-    minus = SectionPoint(RatFn(conic.q), RatFn(-h))
-    curve = quartic.curve
-    if not (on_curve(curve, plus) and on_curve(curve, minus)):
-        raise InternalInconsistencyError("lifted sections are off the surface")
-    if section_O_intersection(curve, plus) != 0:
-        raise InternalInconsistencyError("lifted section meets the zero section")
-    return plus, minus
-
-
-def conic_from_section(point: SectionPoint) -> Conic:
-    """The image conic u = x(t) of a section with polynomial x of degree <= 2."""
-    if point.is_zero:
-        raise ValueError("the zero section has no image conic")
-    if not point.x.is_polynomial():
-        raise ValueError("section with rational-function x-coordinate has no conic image")
-    if point.x.num.degree > 2:
-        raise ValueError("x-coordinate degree exceeds 2")
-    if not point.y.is_polynomial() or point.y.num.degree > 3:
-        raise ValueError("section must not meet the zero section (s.O = 0)")
-    return Conic(point.x.num)
+def _lift(quartic: PreparedQuartic, conic: Conic, report: TangencyReport) -> SectionPoint:
+    """The section (q, +h) over an even tangential conic, h the square root of
+    f(t, q) in the report; its negative (q, -h) is the other lift.  Checking the
+    plus lift checks both, since y -> -y leaves y^2 unchanged."""
+    plus = SectionPoint(RatFn(conic.q), RatFn(report.sqrt_witness))
+    if not on_curve(quartic.curve, plus):
+        raise InternalInconsistencyError("lifted section is off the surface")
+    return plus
 
 
 # ---------------------------------------------------------------------------
@@ -201,9 +170,6 @@ class SingularConfiguration:
     row: mwtable.TableRow
     context: HeightContext
     notes: tuple[str, ...] = ()
-
-
-_INF_ROOT = {"I2": "A1", "III": "A1", "I3": "A2", "IV": "A2"}
 
 
 def singular_configuration(quartic: PreparedQuartic) -> SingularConfiguration:
@@ -226,11 +192,7 @@ def singular_configuration(quartic: PreparedQuartic) -> SingularConfiguration:
         raise ValueError(
             f"fiber {inf_pd.kodaira} at infinity matches no tabulated configuration"
         )
-    roots: list[str] = []
-    inf_root = _INF_ROOT.get(inf_pd.kodaira, f"A{n - 1}" if fam == "I" else None)
-    if inf_root is None:
-        raise ValueError(f"fiber {inf_pd.kodaira} at infinity matches no tabulated configuration")
-    roots.append(inf_root)
+    roots = [inf_pd.root_label()]
     for pd in ctx.places:
         if pd.place == INFINITY_PLACE or pd.m_v == 1:
             continue
@@ -324,37 +286,19 @@ def qr_symbol(quartic: PreparedQuartic, conic: Conic) -> SymbolResult:
     Mordell-Weil group, and the halving (plus a splitting certificate) is
     attached as a machine-checkable witness.
     """
-    report = _require_even(even_tangency(quartic, conic))
+    report = even_tangency(quartic, conic)
+    if not report.is_even_tangential:
+        raise ValueError(f"conic is not even tangential: {report.note}")
     genus = genus_from_sing(quartic.configuration.sing_type)
     if genus == 0:
         return SymbolResult(1, ROUTE_GENUS0, report)
     if genus >= 2:
         return SymbolResult(-1, ROUTE_GENUS_GE2, report)
-    s_plus, _s_minus = _lifts(quartic, conic, report)
-    s_o = halve(quartic.curve, s_plus)
+    s_o = halve(quartic.curve, _lift(quartic, conic, report))
     if s_o is None:
         return SymbolResult(-1, ROUTE_HALVING_ABSENCE, report)
     cert = _certificate_of_half(quartic, conic, s_o)
     return SymbolResult(1, ROUTE_HALVING, report, s_o, cert)
-
-
-def splitting_certificate(
-    quartic: PreparedQuartic, conic: Conic, s_o: SectionPoint
-) -> SplittingCertificate:
-    """Build the splitting certificate from a halving section of s_conic^+.
-
-    a2 = q - x(s_o); a1 is the tangent slope of the surface's generic fiber at
-    s_o; a3 closes the identity.  Verification is by exact expansion; failure
-    is an internal inconsistency, never returned silently.
-    """
-    s_plus, s_minus = lift_conic(quartic, conic)
-    doubled = double(quartic.curve, s_o)
-    if doubled == s_minus and doubled != s_plus:
-        s_o = negate(quartic.curve, s_o)
-        doubled = double(quartic.curve, s_o)
-    if doubled != s_plus:
-        raise ValueError("the given section does not halve the lifted section")
-    return _certificate_of_half(quartic, conic, s_o)
 
 
 def _certificate_of_half(
@@ -400,10 +344,6 @@ class CombinatorialType:
     sing_type: tuple[str, ...]
     line_class: str
     contact_multiset: tuple[int, ...]  # local intersection numbers, one per point
-
-
-def combinatorial_type(quartic: PreparedQuartic, conic: Conic) -> CombinatorialType:
-    return _combinatorial_type(quartic, _require_even(even_tangency(quartic, conic)))
 
 
 def _combinatorial_type(quartic: PreparedQuartic, report: TangencyReport) -> CombinatorialType:

@@ -153,21 +153,23 @@ def on_curve(curve: WeierstrassCurve, point: SectionPoint) -> bool:
     return point.y * point.y == curve.rhs(point.x)
 
 
-def _require_on_curve(curve: WeierstrassCurve, *points: SectionPoint):
+def require_on_curve(curve: WeierstrassCurve, *points: SectionPoint):
+    """The check made once, where points enter: the group law below and
+    `section_O_intersection` assume points on the curve and do not repeat it."""
     for p in points:
         if not on_curve(curve, p):
             raise ValueError(f"point {p!r} is not on the curve")
 
 
 def negate(curve: WeierstrassCurve, point: SectionPoint) -> SectionPoint:
-    _require_on_curve(curve, point)
+    """-P; P must lie on the curve."""
     if point.is_zero:
         return point
     return SectionPoint(point.x, -point.y)
 
 
 def add(curve: WeierstrassCurve, p: SectionPoint, q: SectionPoint) -> SectionPoint:
-    _require_on_curve(curve, p, q)
+    """P + Q by the chord law; P and Q must lie on the curve."""
     if p.is_zero:
         return q
     if q.is_zero:
@@ -183,7 +185,7 @@ def add(curve: WeierstrassCurve, p: SectionPoint, q: SectionPoint) -> SectionPoi
 
 
 def double(curve: WeierstrassCurve, p: SectionPoint) -> SectionPoint:
-    _require_on_curve(curve, p)
+    """2P by the tangent law; P must lie on the curve."""
     if p.is_zero or p.y.is_zero:
         return SectionPoint.zero()
     lam = (3 * p.x * p.x + 2 * curve.c1 * p.x + curve.c2) / (2 * p.y)
@@ -284,8 +286,9 @@ def _classify(v_c4: int, v_c6: int, v_disc: int) -> str:
         return "III*"
     if v_disc == 10:
         return "II*"
+    shown = ["inf" if v >= 10 ** 9 else v for v in (v_c4, v_c6)]  # ord_at of zero
     raise ValueError(
-        f"unrecognized fiber data v(c4)={v_c4}, v(c6)={v_c6}, v(disc)={v_disc}; "
+        f"unrecognized fiber data v(c4)={shown[0]}, v(c6)={shown[1]}, v(disc)={v_disc}; "
         "the model is not minimal at this place"
     )
 
@@ -385,11 +388,11 @@ def local_correction(pd: PlaceData, point: SectionPoint) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def section_O_intersection(curve: WeierstrassCurve, point: SectionPoint) -> int:
-    """Intersection number with the zero section, from the pole structure of x."""
+def section_O_intersection(point: SectionPoint) -> int:
+    """Intersection number with the zero section, from the pole structure of x;
+    the point must lie on the curve."""
     if point.is_zero:
         raise ValueError("O.O is not defined here; self-pairings go through the height")
-    _require_on_curve(curve, point)
     total = sum(f.degree * ((mult + 1) // 2) for f, mult in squarefree_decompose(point.x.den))
     inf_pole = point.x.num.degree - point.x.den.degree - 2
     if inf_pole > 0:
@@ -431,16 +434,18 @@ def height_context(curve: WeierstrassCurve) -> HeightContext:
 
 def _self_height(ctx: HeightContext, p: SectionPoint) -> Fraction:
     corr = sum(pd.degree * local_correction(pd, p) for pd in ctx.places)
-    return 2 * ctx.chi + 2 * section_O_intersection(ctx.curve, p) - corr
+    return 2 * ctx.chi + 2 * section_O_intersection(p) - corr
 
 
 def height_pairing(ctx: HeightContext, p: SectionPoint, q: SectionPoint) -> Fraction:
     """Shioda's pairing: <P, P> = 2 chi + 2 P.O - sum_v deg v * contr_v(P), and
     <P, Q> = (<P, P> + <Q, Q> - <P - Q, P - Q>) / 2 by bilinearity.  Pairing
     anything with the zero section is 0."""
+    require_on_curve(ctx.curve, p)
+    if q != p:
+        require_on_curve(ctx.curve, q)
     if p.is_zero or q.is_zero:
         return Fraction(0)
-    _require_on_curve(ctx.curve, p, q)
     if p == q:
         return _self_height(ctx, p)
     diff = add(ctx.curve, p, negate(ctx.curve, q))
@@ -509,7 +514,7 @@ def halve(curve: WeierstrassCurve, point: SectionPoint) -> Optional[SectionPoint
     so its candidates are x_P +- sqrt(f'(x_P)), tried in ascending order at a
     smooth fiber that separates them, as the lifts are at t0.
     """
-    _require_on_curve(curve, point)
+    require_on_curve(curve, point)
     if point.is_zero:
         raise ValueError("halving the zero section")
     if not (point.x.is_polynomial() and point.y.is_polynomial()):

@@ -37,6 +37,8 @@ C51_2 = "u = 1/36*t^2 + 435/2*t - 921375/4"
 Q52 = "u^3 + (25*t + 9)*u^2 + (144*t^2 + t^3)*u + 16*t^4"
 C52_1 = "u = 1/64*t^2 - 41/2*t + 315"
 C52_2 = "u = t^2 + 192*t + 8640"
+S51_T1 = EXAMPLES["5.1"]["s_t1"]
+S51_T2 = EXAMPLES["5.1"]["s_t2"]
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +221,37 @@ def test_curve_add_negate_commands(capsys):
     capsys.readouterr()
 
 
+OFF_CURVE = "(1, t)"
+
+
+@pytest.mark.parametrize("op, points", [
+    ("add", [OFF_CURVE, S51_T1]),
+    ("add", [S51_T1, OFF_CURVE]),
+    ("double", [OFF_CURVE]),
+    ("negate", [OFF_CURVE]),
+    ("halve", [OFF_CURVE]),
+    ("height", [OFF_CURVE, S51_T1]),
+    ("height", [S51_T1, OFF_CURVE]),
+    ("height", [OFF_CURVE, "O"]),
+])
+def test_off_curve_point_rejected_where_it_enters(capsys, op, points):
+    assert main(["curve", op, Q51, *points]) == EXIT_INPUT_ERROR
+    err = capsys.readouterr().err
+    assert "not on the curve" in err and "internal error" not in err
+
+
+def test_curve_check_reports_an_off_curve_point(capsys):
+    assert main(["curve", "check", Q51, OFF_CURVE]) == EXIT_OK
+    assert "on_curve = False" in capsys.readouterr().out
+
+
+def test_unclassifiable_fiber_prints_infinite_valuation(capsys):
+    # c6 vanishes identically, so v(c6) is infinite at every place
+    assert main(["curve", "fibers", "u^3 - u"]) == EXIT_INPUT_ERROR
+    err = capsys.readouterr().err
+    assert "v(c6)=inf" in err and "1000000000" not in err
+
+
 def test_nonmonic_curve_rejected(capsys):
     assert main(["curve", "fibers", "2*u^3 + t*u + 1"]) == EXIT_INPUT_ERROR
     capsys.readouterr()
@@ -237,6 +270,12 @@ def test_lattice_commands(capsys):
     assert "count = 2" in capsys.readouterr().out
     assert main(["lattice", "dual", "A1"]) == EXIT_OK
     assert "1/2" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("text", ["A3+", "", "A3^0", "[[1]]^-1"])
+def test_lattice_grammar_rejects_empty_summands_and_powers_below_one(capsys, text):
+    assert main(["lattice", "enumerate", text, "2"]) == EXIT_INPUT_ERROR
+    assert "internal error" not in capsys.readouterr().err
 
 
 def test_input_errors_exit_2(capsys):
@@ -385,8 +424,6 @@ def test_rescaled_examples_factor_no_input_integer(capsys, prime_guard,
 # ---------------------------------------------------------------------------
 
 RECORDS_DIR = Path(__file__).parent / "data" / "records"
-S51_T1 = EXAMPLES["5.1"]["s_t1"]
-S51_T2 = EXAMPLES["5.1"]["s_t2"]
 
 GOLDEN_RECORDS = {
     "example_5.1": ["example", "5.1"],
@@ -428,7 +465,7 @@ def test_golden_records(capsys, name):
 # ---------------------------------------------------------------------------
 
 COUNTED = ("height_context", "singular_configuration", "even_tangency", "halve",
-           "kodaira_type_at", "cubic_discriminant")
+           "kodaira_type_at", "cubic_discriminant", "on_curve")
 
 
 @pytest.fixture
@@ -459,15 +496,18 @@ def call_counts(monkeypatch):
 
 
 @pytest.mark.parametrize("argv, expected", [
-    # four bad places: t, t-2025, a quintic and infinity
+    # four bad places: t, t-2025, a quintic and infinity; each point is checked
+    # on the curve once where it enters: three sections, five height inputs, and
+    # per conic its lift and the halving input
     (["example", "5.1"],
      {"height_context": 1, "even_tangency": 2, "halve": 2, "singular_configuration": 1,
-      "kodaira_type_at": 4, "cubic_discriminant": 2}),
+      "kodaira_type_at": 4, "cubic_discriminant": 2, "on_curve": 12}),
     # three bad places: t (I4), a quintic (I1) and infinity (III)
     (["example", "5.2"],
-     {"height_context": 1, "kodaira_type_at": 3, "cubic_discriminant": 2}),
-    (["zariski", Q51, C51_1, C51_2], {"height_context": 1, "even_tangency": 2, "halve": 2}),
-    (["symbol", Q51, C51_1], {"even_tangency": 1}),
+     {"height_context": 1, "kodaira_type_at": 3, "cubic_discriminant": 2, "on_curve": 12}),
+    (["zariski", Q51, C51_1, C51_2],
+     {"height_context": 1, "even_tangency": 2, "halve": 2, "on_curve": 4}),
+    (["symbol", Q51, C51_1], {"even_tangency": 1, "on_curve": 2}),
 ], ids=["example_5.1", "example_5.2", "zariski_5.1", "symbol_5.1_conic1"])
 def test_each_fact_computed_once(capsys, call_counts, argv, expected):
     assert main(argv + ["--format", "records"]) == EXIT_OK

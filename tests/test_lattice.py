@@ -1,12 +1,10 @@
 """Root lattices, duals, short vectors, complements, embeddings, and the
 conic-count operations on Mordell-Weil structures."""
 
+import ast
 import itertools
 import math
-import os
 import random
-import subprocess
-import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -21,17 +19,14 @@ from mwq.lattice import (
     ade_gram,
     count_etc,
     count_qretc,
-    discriminant_group_order,
     dual_gram,
     enumerate_by_norm,
-    enumerate_up_to,
     find_sublattice_embedding,
     find_sublattice_embeddings,
     integer_kernel,
     isometric,
     lattice_from_text,
     make_mw_structure,
-    minimal_norm,
     orthogonal_complement_basis,
     orthogonal_complement_gram,
     solve_integer,
@@ -69,18 +64,25 @@ def test_ade_invalid():
             ade_gram(fam, n)
 
 
+def _minimal_norm(lat):
+    """The least norm of a nonzero vector: norms lie in (1/den) Z, so ask for
+    each of 1/den, 2/den, ... in turn."""
+    return next(q for q in (Fraction(k, lat.den) for k in itertools.count(1))
+                if enumerate_by_norm(lat, q))
+
+
 def test_dual_of_a1():
     d = dual_gram(ade_gram("A", 1))
     assert d.gram == ((Fraction(1, 2),),)
-    assert minimal_norm(d) == Fraction(1, 2)
+    assert enumerate_by_norm(d, Fraction(1, 2)) == [(-1,), (1,)]
 
 
 def test_dual_minimal_norms():
     for n in range(1, 6):
-        assert minimal_norm(dual_gram(ade_gram("A", n))) == Fraction(n, n + 1)
-    assert minimal_norm(dual_gram(ade_gram("D", 4))) == 1
-    assert minimal_norm(dual_gram(ade_gram("E", 6))) == Fraction(4, 3)
-    assert minimal_norm(dual_gram(ade_gram("E", 7))) == Fraction(3, 2)
+        assert _minimal_norm(dual_gram(ade_gram("A", n))) == Fraction(n, n + 1)
+    assert _minimal_norm(dual_gram(ade_gram("D", 4))) == 1
+    assert _minimal_norm(dual_gram(ade_gram("E", 6))) == Fraction(4, 3)
+    assert _minimal_norm(dual_gram(ade_gram("E", 7))) == Fraction(3, 2)
 
 
 def test_dual_is_involution():
@@ -89,10 +91,9 @@ def test_dual_is_involution():
 
 
 def test_discriminant_group_orders():
-    assert discriminant_group_order("A", 4) == 5
-    assert discriminant_group_order("E", 7) == 2
-    assert discriminant_group_order("A", 1) == 2
-    assert discriminant_group_order("D", 6) == 4
+    # |L*/L| = det L = 1 / det L*
+    for fam, n, order in (("A", 4, 5), ("E", 7, 2), ("A", 1, 2), ("D", 6, 4)):
+        assert 1 / dual_gram(ade_gram(fam, n)).det() == order
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +197,10 @@ def test_enumeration_matches_brute_force_and_is_skew_invariant(case):
     r = len(gram)
     lat = GramLattice(gram)
     expected = _brute_force(gram, bound)
-    assert enumerate_up_to(lat, bound) == sorted(expected)
+    # norms of integer vectors lie in (1/den) Z: ask for every one up to the bound
+    norms = [Fraction(k, lat.den) for k in range(1, math.floor(bound * lat.den) + 1)]
+    for q in norms:
+        assert enumerate_by_norm(lat, q) == sorted(x for x, v in expected.items() if v == q)
     exact = sorted(x for x, q in expected.items() if q == bound)
     assert enumerate_by_norm(lat, bound) == exact
     # the same lattice in the basis U: x' is a vector there iff U x' is one here
@@ -207,7 +211,8 @@ def test_enumeration_matches_brute_force_and_is_skew_invariant(case):
     image = sorted(tuple(sum(u[i][j] * x[j] for j in range(r)) for i in range(r))
                    for x in enumerate_by_norm(skewed, bound))
     assert image == exact
-    assert len(enumerate_up_to(skewed, bound)) == len(expected)
+    # the zero vector is the one vector of norm 0
+    assert sum(len(enumerate_by_norm(skewed, q)) for q in norms) == len(expected) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -346,17 +351,19 @@ def test_failed_rechecks_are_internal_inconsistencies(monkeypatch):
         lattice.integral_dual_basis(dual_gram(ade_gram("A", 1)))
 
 
-@pytest.mark.skipif(sys.flags.optimize > 0, reason="already running under python -O")
-def test_lattice_and_table_tests_pass_under_python_optimize():
-    root = Path(__file__).resolve().parent.parent
-    proc = subprocess.run(
-        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         "tests/test_lattice.py", "tests/test_table.py", "tests/test_poly.py",
-         "tests/test_surface.py", "tests/test_parsing.py"],
-        cwd=root, capture_output=True, text=True,
-        env={**os.environ, "PYTHONPATH": str(root / "src")},
-    )
-    assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
+def test_no_check_in_src_is_stripped_by_python_optimize():
+    # `python -O` drops assert statements and `if __debug__:` blocks and sets
+    # sys.flags.optimize; it changes nothing else (docstrings go only under
+    # -OO).  Source free of all three runs the same with and without -O.
+    src = Path(__file__).resolve().parent.parent / "src" / "mwq"
+    found = []
+    for path in sorted(src.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if (isinstance(node, ast.Assert)
+                    or isinstance(node, ast.Name) and node.id == "__debug__"
+                    or isinstance(node, ast.Attribute) and node.attr == "optimize"):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
 
 
 def test_internal_inconsistency_error_is_one_class():

@@ -1,5 +1,5 @@
 """Exact polynomial arithmetic: gcd, squarefree parts, square roots,
-resultants, rational roots, irreducible factors."""
+rational roots, irreducible factors."""
 
 import math
 import random
@@ -23,7 +23,6 @@ from mwq.poly import (
     ord_at,
     poly_gcd,
     rational_roots,
-    resultant_u,
     squarefree_decompose,
 )
 
@@ -161,60 +160,6 @@ def test_square_root_example_restriction():
     assert h is not None and h.degree == 3
     assert poly_gcd(h, h.derivative()).degree == 0  # three distinct roots
     assert g.degree == 6  # multiplicity 8 - 6 = 2 at infinity
-
-
-# ---------------------------------------------------------------------------
-# resultants
-# ---------------------------------------------------------------------------
-
-
-def test_resultant_linear_factors():
-    a = UniPoly.of(1, 2)
-    b = UniPoly.of(3, 0, 1)
-    f = BiPoly([-a, UNIPOLY_ONE])  # u - a(t)
-    g = BiPoly([-b, UNIPOLY_ONE])  # u - b(t)
-    r = resultant_u(f, g)
-    assert r == a - b or r == b - a
-
-
-def test_resultant_against_cubic_discriminant():
-    # res_u(f, df/du) of a monic cubic is -(cubic discriminant)
-    rng = random.Random(505)
-    for _ in range(10):
-        c1, c2, c3 = (rand_poly(rng, rng.randint(0, 2)) for _ in range(3))
-        f = BiPoly([c3, c2, c1, UNIPOLY_ONE])
-        disc = (
-            18 * c1 * c2 * c3 - 4 * c1 ** 3 * c3 + c1 ** 2 * c2 ** 2
-            - 4 * c2 ** 3 - 27 * c3 ** 2
-        )
-        assert resultant_u(f, f.deriv_u()) == -disc
-
-
-def test_resultant_vanishes_at_common_root():
-    # g built to share a root with f exactly over t = 2 and t = -1
-    f = BiPoly([UniPoly.of(0, 0, -1), UNIPOLY_ONE])  # u - t^2
-    w = UniPoly.of(-2, 1) * UniPoly.of(1, 1)
-    g = BiPoly([UniPoly.of(0, 0, -1) - w, UNIPOLY_ONE])  # u - t^2 - (t-2)(t+1)
-    r = resultant_u(f, g)
-    assert r(Fraction(2)) == 0
-    assert r(Fraction(-1)) == 0
-    assert r(Fraction(0)) != 0
-
-
-def test_resultant_random_vs_specialized_gcd():
-    rng = random.Random(707)
-    for _ in range(15):
-        f = BiPoly([rand_poly(rng, 1, -3, 3) for _ in range(rng.randint(2, 3))] + [UNIPOLY_ONE])
-        g = BiPoly([rand_poly(rng, 1, -3, 3) for _ in range(rng.randint(1, 2))] + [UNIPOLY_ONE])
-        r = resultant_u(f, g)
-        for _ in range(8):
-            t0 = Fraction(rng.randint(-8, 8))
-            fs = UniPoly([c(t0) for c in f.coeffs])
-            gs = UniPoly([c(t0) for c in g.coeffs])
-            if fs.degree < f.degree_u or gs.degree < g.degree_u:
-                continue  # leading coefficient dropped: specialization invalid
-            share = poly_gcd(fs, gs).degree > 0
-            assert (r(t0) == 0) == share
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from mwq.parsing import parse_curve_rhs, parse_section
-from mwq.poly import BiPoly, T, UNIPOLY_ONE, UNIPOLY_ZERO, RatFn, UniPoly
+from mwq.poly import BiPoly, T, UNIPOLY_ONE, UNIPOLY_ZERO, UniPoly
 from mwq.quartic import (
     Conic,
     FEASIBLE_ALL_N,
@@ -20,19 +20,17 @@ from mwq.quartic import (
     VERDICT_INCONCLUSIVE,
     VERDICT_NOT_COMPARABLE,
     VERDICT_ZARISKI,
-    combinatorial_type,
-    conic_from_section,
+    _certificate_of_half,
+    _lift,
     dihedral_feasibility,
     even_tangency,
     genus_from_sing,
-    lift_conic,
     qr_symbol,
     singular_configuration,
-    splitting_certificate,
     verify_splitting_certificate,
     zariski_pair_check,
 )
-from mwq.surface import INFINITY_PLACE, halve, negate, on_curve
+from mwq.surface import INFINITY_PLACE, InternalInconsistencyError, halve, negate, on_curve
 
 Q51_TEXT = "u^3 + (271350 - 98*t)*u^2 + t*(t-5825)*(t-2025)*u + 36*t^2*(t-2025)^2"
 Q52_TEXT = "u^3 + (25*t + 9)*u^2 + (144*t^2 + t^3)*u + 16*t^4"
@@ -215,36 +213,30 @@ def test_degenerate_conic_rejected():
 # ---------------------------------------------------------------------------
 
 
+def lifts(quartic, conic):
+    plus = _lift(quartic, conic, even_tangency(quartic, conic))
+    return plus, negate(quartic.curve, plus)
+
+
 def test_lift_conic_sections_51(q51):
-    plus, minus = lift_conic(q51, Conic(C51_1))
+    plus, minus = lifts(q51, Conic(C51_1))
     curve = q51.curve
     assert on_curve(curve, plus) and on_curve(curve, minus)
     assert plus.x == minus.x and plus.y == -minus.y
-    assert negate(curve, plus) == minus
 
 
 def test_lift_then_project_round_trip(q51):
     for q in (C51_1, C51_2):
-        plus, minus = lift_conic(q51, Conic(q))
-        assert conic_from_section(plus).q == q
-        assert conic_from_section(minus).q == q
-
-
-def test_conic_from_section_rejects_rational_x(q51):
-    bad = SectionPoint_of_rational()
-    with pytest.raises(ValueError):
-        conic_from_section(bad)
-
-
-def SectionPoint_of_rational():
-    from mwq.surface import SectionPoint
-
-    return SectionPoint(RatFn(UNIPOLY_ONE, T), RatFn(UNIPOLY_ONE))
+        for lift in lifts(q51, Conic(q)):
+            assert lift.x.as_unipoly() == q and lift.y.is_polynomial()
 
 
 def test_lift_rejects_non_tangential(q51):
-    with pytest.raises(ValueError):
-        lift_conic(q51, Conic(C51_1 + 1))
+    # a conic without even tangency has no square root to lift, and no symbol
+    report = even_tangency(q51, Conic(C51_1 + 1))
+    assert not report.is_even_tangential and report.sqrt_witness is None
+    with pytest.raises(ValueError, match="not even tangential"):
+        qr_symbol(q51, Conic(C51_1 + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +261,7 @@ def test_symbols_52(q52):
 def test_symbol_sign_stability(q51, q52):
     # the two lifts of a conic halve together or not at all
     for quartic, qpoly in ((q51, C51_1), (q51, C51_2), (q52, C52_1), (q52, C52_2)):
-        plus, minus = lift_conic(quartic, Conic(qpoly))
+        plus, minus = lifts(quartic, Conic(qpoly))
         got_plus = halve(quartic.curve, plus)
         got_minus = halve(quartic.curve, minus)
         assert (got_plus is None) == (got_minus is None)
@@ -297,28 +289,28 @@ def test_symbol_requires_even_tangency(q51):
 
 def test_certificate_51(q51):
     s_o = parse_section("(0, 6*t^2 - 12150*t)")
-    cert = splitting_certificate(q51, Conic(C51_1), s_o)
+    cert = _certificate_of_half(q51, Conic(C51_1), s_o)
     assert cert.a1.degree <= 1 and cert.a2.degree <= 2 and cert.a3.degree <= 3
     assert verify_splitting_certificate(q51, Conic(C51_1), cert)
 
 
 def test_certificate_52(q52):
     s_o = parse_section("(0, 4*t^2)")
-    cert = splitting_certificate(q52, Conic(C52_1), s_o)
+    cert = _certificate_of_half(q52, Conic(C52_1), s_o)
     assert verify_splitting_certificate(q52, Conic(C52_1), cert)
 
 
 def test_corrupted_certificate_fails(q51):
-    s_o = parse_section("(0, 6*t^2 - 12150*t)")
-    cert = splitting_certificate(q51, Conic(C51_1), s_o)
+    cert = qr_symbol(q51, Conic(C51_1)).witness_certificate
     bad = SplittingCertificate(cert.a1, cert.a2, cert.a3 + 1)
     assert not verify_splitting_certificate(q51, Conic(C51_1), bad)
 
 
 def test_certificate_rejects_wrong_section(q51):
+    # s_t1 does not halve the lift of the conic: its certificate cannot verify
     wrong = parse_section("(-32*t, 2*t^2 - 6930*t)")
-    with pytest.raises(ValueError):
-        splitting_certificate(q51, Conic(C51_1), wrong)
+    with pytest.raises(InternalInconsistencyError):
+        _certificate_of_half(q51, Conic(C51_1), wrong)
 
 
 # ---------------------------------------------------------------------------
@@ -327,17 +319,15 @@ def test_certificate_rejects_wrong_section(q51):
 
 
 def test_combinatorial_types_equal_51(q51):
-    t1 = combinatorial_type(q51, Conic(C51_1))
-    t2 = combinatorial_type(q51, Conic(C51_2))
-    assert t1 == t2
-    assert t1.contact_multiset == (2, 2, 2, 2)
+    v = zariski_pair_check((q51, Conic(C51_1)), (q51, Conic(C51_2)))
+    assert v.type1 == v.type2
+    assert v.type1.contact_multiset == (2, 2, 2, 2)
 
 
 def test_combinatorial_types_differ_on_contact(q21, q51):
-    t21 = combinatorial_type(q21, conic_t2())
-    assert t21.contact_multiset == (4, 4)
-    t51 = combinatorial_type(q51, Conic(C51_1))
-    assert t21 != t51
+    v = zariski_pair_check((q21, conic_t2()), (q51, Conic(C51_1)))
+    assert v.type1.contact_multiset == (4, 4)
+    assert v.type1 != v.type2 and v.verdict == VERDICT_NOT_COMPARABLE
 
 
 def test_zariski_pair_51(q51):
