@@ -71,7 +71,11 @@ def _cmd_table(args) -> int:
     rows = None
     if args.rows:
         lo, _, hi = args.rows.partition("..")
-        rows = range(int(lo), int(hi or lo) + 1)
+        a, b = int(lo), int(hi or lo)
+        last = len(mwtable.builtin_table())
+        if not 1 <= a <= b <= last:
+            raise InputFormatError(f"row range {args.rows!r} needs 1 <= a <= b <= {last}")
+        rows = range(a, b + 1)
     report = RunReport(command="table", inputs={"verify": str(bool(args.verify))})
     results = mwtable.verify_table(rows)
     for r in results:

@@ -53,11 +53,16 @@ class GramLattice:
     """Symmetric positive-definite Gram matrix; rank 0 is the trivial lattice.
 
     `den` is the least common denominator of the entries and `igram` the
-    integer matrix den * gram, so that pairings are integer sums."""
+    integer matrix den * gram, so that pairings are integer sums.  `ldl` is
+    the one LDL^T factorization of the Gram, read by `det` and
+    `enumerate_by_norm`."""
 
     gram: Matrix
     den: int = field(init=False, repr=False, compare=False)
     igram: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    ldl: tuple[list[Fraction], list[list[Fraction]]] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         g = _to_matrix(self.gram)
@@ -71,7 +76,7 @@ class GramLattice:
                 if g[i][j] != g[j][i]:
                     raise ValueError("gram matrix must be symmetric")
         # Sylvester: positive definite iff every LDL^T pivot is positive
-        _ldl(g)
+        object.__setattr__(self, "ldl", _ldl(g))
         den = math.lcm(*(x.denominator for row in g for x in row))
         object.__setattr__(self, "den", den)
         object.__setattr__(
@@ -83,7 +88,7 @@ class GramLattice:
         return len(self.gram)
 
     def det(self) -> Fraction:
-        return math.prod(_ldl(self.gram)[0], start=Fraction(1))
+        return math.prod(self.ldl[0], start=Fraction(1))
 
     def inner(self, v: Vector, w: Vector) -> Fraction:
         s = 0
@@ -181,7 +186,7 @@ def enumerate_by_norm(lat: GramLattice, q: Fraction) -> list[Vector]:
     n = lat.rank
     if n == 0:
         return []
-    d, lm = _ldl(lat.gram)
+    d, lm = lat.ldl
     cd = [math.lcm(*(lm[i][j].denominator for j in range(i + 1, n))) for i in range(n)]
     num = [[int(lm[i][j] * cd[i]) for j in range(n)] for i in range(n)]
     weights = [d[i] / (cd[i] * cd[i]) for i in range(n)]
@@ -337,41 +342,6 @@ def isometric(a: GramLattice, b: GramLattice) -> bool:
     return find_sublattice_embedding(a, b.gram) is not None
 
 
-def solve_integer(columns: Sequence[Vector], target: Sequence[Fraction]) -> Optional[Vector]:
-    """Integer solution y of B y = target for full-column-rank B, or None."""
-    if not columns:
-        return () if all(x == 0 for x in target) else None
-    n = len(columns[0])
-    k = len(columns)
-    m = [[Fraction(columns[j][i]) for j in range(k)] + [Fraction(target[i])] for i in range(n)]
-    pivots = []
-    r = 0
-    for c in range(k):
-        piv = next((i for i in range(r, n) if m[i][c] != 0), None)
-        if piv is None:
-            return None  # not full column rank
-        m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(n):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(r)
-        r += 1
-    for i in range(r, n):
-        if m[i][k] != 0:
-            return None
-    y = tuple(m[i][k] for i in pivots)
-    if any(v.denominator != 1 for v in y):
-        return None
-    sol = tuple(int(v) for v in y)
-    for i in range(n):
-        if sum(columns[j][i] * sol[j] for j in range(k)) != target[i]:
-            return None
-    return sol
-
-
 # ---------------------------------------------------------------------------
 # Mordell-Weil structures
 # ---------------------------------------------------------------------------
@@ -379,47 +349,13 @@ def solve_integer(columns: Sequence[Vector], target: Sequence[Fraction]) -> Opti
 
 @dataclass(frozen=True)
 class MWStructure:
-    """Free part of a Mordell-Weil lattice, its odd torsion, and the embedded
-    narrow part (sections meeting the identity component of every fiber)."""
+    """Free part of a Mordell-Weil lattice, its odd torsion, and the Gram of
+    the narrow part (sections meeting the identity component of every fiber).
+    Build it with `make_mw_structure`, which checks how the three fit."""
 
     mw_free: GramLattice
     torsion: tuple[int, ...]
     narrow_gram: GramLattice
-    narrow_basis: tuple[Vector, ...]  # columns, in mw_free coordinates
-
-    def __post_init__(self):
-        for order in self.torsion:
-            if order % 2 == 0:
-                raise ValueError("torsion orders must be odd")
-        if self.mw_free.rank != self.narrow_gram.rank:
-            raise ValueError("narrow part must have full rank in the free part")
-        for i, bi in enumerate(self.narrow_basis):
-            for j, bj in enumerate(self.narrow_basis):
-                if self.mw_free.inner(bi, bj) != self.narrow_gram.gram[i][j]:
-                    raise ValueError("narrow basis does not realize the narrow Gram")
-        if self.mw_free.rank:
-            ratio = self.narrow_gram.det() / self.mw_free.det()
-            idx = frac_index(ratio)
-            if idx is None:
-                raise ValueError("narrow index is not an integer")
-
-    @property
-    def index(self) -> int:
-        if self.mw_free.rank == 0:
-            return 1
-        idx = frac_index(self.narrow_gram.det() / self.mw_free.det())
-        if idx is None:
-            raise InternalInconsistencyError("narrow index is not an integer")
-        return idx
-
-
-def frac_index(ratio: Fraction) -> Optional[int]:
-    if ratio <= 0:
-        return None
-    if ratio.denominator != 1:
-        return None
-    r = math.isqrt(ratio.numerator)
-    return r if r * r == ratio.numerator else None
 
 
 def integral_dual_basis(lat: GramLattice) -> list[Vector]:
@@ -448,31 +384,25 @@ def integral_dual_basis(lat: GramLattice) -> list[Vector]:
 def make_mw_structure(
     mw_free: GramLattice, torsion: Sequence[int], narrow_gram: GramLattice
 ) -> MWStructure:
-    """Bundle a free Gram with its narrow Gram and a basis of the narrow part.
+    """Bundle a free Gram with its odd torsion and its narrow Gram.
 
-    The narrow part is located canonically as the integral-pairing sublattice;
-    the Gram-embedding search then only rebases it to match the designated
-    narrow Gram exactly.  (Searching for an arbitrary Gram-isometric sublattice
-    instead can return a subgroup that is not the narrow part and corrupt the
-    2-divisibility counts.)
+    The narrow part lies in the integral-pairing sublattice K of the free part.
+    Requiring K to be isometric to the designated narrow Gram forces equal
+    determinants, hence index 1: the narrow part is exactly K.  That is what
+    lets `count_qretc` decide membership in the narrow part by integrality,
+    without choosing a basis of it.
     """
+    if any(order % 2 == 0 for order in torsion):
+        raise ValueError("torsion orders must be odd")
     kernel = integral_dual_basis(mw_free)
     restricted = GramLattice(
         tuple(tuple(mw_free.inner(b1, b2) for b2 in kernel) for b1 in kernel)
     )
-    if restricted.det() != narrow_gram.det():
+    if not isometric(restricted, narrow_gram):
         raise ValueError(
-            "integral-pairing sublattice does not match the designated narrow Gram"
+            "integral-pairing sublattice is not isometric to the designated narrow Gram"
         )
-    rebase = find_sublattice_embedding(restricted, narrow_gram.gram)
-    if rebase is None:
-        raise ValueError("no basis of the narrow part realizes the narrow Gram")
-    rank = mw_free.rank
-    basis = tuple(
-        tuple(sum(kernel[j][i] * col[j] for j in range(len(kernel))) for i in range(rank))
-        for col in rebase
-    )
-    return MWStructure(mw_free, tuple(torsion), narrow_gram, basis)
+    return MWStructure(mw_free, tuple(torsion), narrow_gram)
 
 
 def count_etc(mw: MWStructure) -> int:
@@ -490,15 +420,15 @@ def count_etc(mw: MWStructure) -> int:
 
 
 def count_qretc(mw: MWStructure) -> int:
-    """Half the number of vectors s with <s,s> = 1/2 whose double lies in the
-    narrow part.  Odd torsion cannot enter: 2*tau = 0 forces tau = 0."""
-    if mw.mw_free.rank == 0:
-        return 0
-    halves = enumerate_by_norm(mw.mw_free, Fraction(1, 2))
+    """Half the number of vectors v with <v,v> = 1/2 whose double lies in the
+    narrow part.  The narrow part is the integral-pairing sublattice (checked
+    by `make_mw_structure`), so 2v is narrow iff <2v, e_j> is an integer for
+    every basis vector e_j, i.e. iff 2*(igram v)_j = 0 mod den.  Odd torsion
+    cannot enter: 2*tau = 0 forces tau = 0."""
+    lat = mw.mw_free
     hits = 0
-    for v in halves:
-        target = tuple(Fraction(2 * c) for c in v)
-        if solve_integer(mw.narrow_basis, target) is not None:
+    for v in enumerate_by_norm(lat, Fraction(1, 2)):
+        if all(2 * sum(map(operator.mul, row, v)) % lat.den == 0 for row in lat.igram):
             hits += 1
     if hits % 2:
         raise InternalInconsistencyError(
@@ -545,7 +475,10 @@ def lattice_from_text(text: str) -> tuple[GramLattice, tuple[int, ...]]:
         if power < 1:
             raise ValueError(f"power {power} of {piece!r} must be at least 1")
         for _ in range(power):
-            got = _lattice_atom(piece)
+            try:
+                got = _lattice_atom(piece)
+            except ZeroDivisionError as exc:
+                raise ValueError(f"zero denominator in {piece!r}") from exc
             if isinstance(got, int):
                 torsion.append(got)
             else:

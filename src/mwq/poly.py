@@ -295,12 +295,6 @@ class UniPoly:
             inv = inv.mul_trunc(UniPoly.const(2) - self.mul_trunc(inv, prec), prec)
         return inv
 
-    def trailing_order(self) -> int:
-        """Order of vanishing at t = 0; a large sentinel for the zero polynomial."""
-        if self.is_zero:
-            return 10 ** 9
-        return next(i for i, c in enumerate(self._p) if c)
-
     def __repr__(self):
         from .parsing import poly_text
 

@@ -132,6 +132,8 @@ def test_table_rows_range(capsys):
     assert main(["table", "--verify", "--rows", "37..52"]) == EXIT_OK
     out = capsys.readouterr().out
     assert "rows_matched = 16" in out
+    assert main(["table", "--verify", "--rows", "1..1"]) == EXIT_OK
+    assert "rows_matched = 1" in capsys.readouterr().out
 
 
 def test_table_mismatch_detected_with_altered_fixture(capsys, monkeypatch):
@@ -276,6 +278,19 @@ def test_lattice_commands(capsys):
 def test_lattice_grammar_rejects_empty_summands_and_powers_below_one(capsys, text):
     assert main(["lattice", "enumerate", text, "2"]) == EXIT_INPUT_ERROR
     assert "internal error" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["<1/0>", "(1/0)[[2]]", "[[1/0]]"])
+def test_lattice_grammar_rejects_zero_denominators(capsys, text):
+    assert main(["lattice", "enumerate", text, "2"]) == EXIT_INPUT_ERROR
+    assert "internal error" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rows", ["70", "5..3", "0..2", "1..100"])
+def test_table_rejects_row_ranges_outside_the_table(capsys, rows):
+    assert main(["table", "--verify", "--rows", rows]) == EXIT_INPUT_ERROR
+    captured = capsys.readouterr()
+    assert "rows_matched" not in captured.out and "internal error" not in captured.err
 
 
 def test_input_errors_exit_2(capsys):

@@ -22,20 +22,49 @@ from mwq.lattice import (
     dual_gram,
     enumerate_by_norm,
     find_sublattice_embedding,
-    find_sublattice_embeddings,
     integer_kernel,
     isometric,
     lattice_from_text,
     make_mw_structure,
     orthogonal_complement_basis,
     orthogonal_complement_gram,
-    solve_integer,
 )
 from mwq.mwtable import builtin_table
 
 
 def row(n):
     return builtin_table()[n - 1]
+
+
+def integer_coordinates(columns, target):
+    """Oracle: the y in Z^k with sum_j y_j * columns[j] == target, or None.
+    Columns must be independent; solved exactly by sympy's normal equations."""
+    b = sp.Matrix(columns).T
+    t = sp.Matrix(target)
+    y = (b.T * b).inv() * b.T * t
+    if b * y != t or not all(c.is_integer for c in y):
+        return None
+    return tuple(int(c) for c in y)
+
+
+def unimodular(n, rng):
+    """A seeded random matrix in GL_n(Z), n >= 2: a product of column operations."""
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(n):
+        i, j = rng.sample(range(n), 2)
+        f = rng.choice((-1, 1))
+        for r in u:
+            r[i] += f * r[j]
+        if rng.random() < 0.3:
+            for r in u:
+                r[i] = -r[i]
+    return u
+
+
+def rebased(lat, u):
+    """The Gram of lat in the basis given by the columns of u: U^T G U."""
+    cols = [tuple(r[j] for r in u) for j in range(lat.rank)]
+    return GramLattice(tuple(tuple(lat.inner(a, b) for b in cols) for a in cols))
 
 
 # ---------------------------------------------------------------------------
@@ -267,8 +296,15 @@ def test_integer_kernel_is_saturated():
     # kernel of [2 4 6] over Z must contain (2,-1,0) and (0,3,-2), not just multiples
     kern = integer_kernel([[2, 4, 6]], 3)
     assert len(kern) == 2
-    assert solve_integer(kern, (2, -1, 0)) is not None
-    assert solve_integer(kern, (0, 3, -2)) is not None
+    (_, p1, p2), (_, q1, q2) = kern
+    # x0 = -2*x1 - 3*x2 on the kernel, so coordinates 1 and 2 fix a kernel vector:
+    # solve y*kern[0] + z*kern[1] == t on them by Cramer's rule, then check all three
+    det = p1 * q2 - p2 * q1
+    for t in ((2, -1, 0), (0, 3, -2)):
+        y = Fraction(t[1] * q2 - t[2] * q1, det)
+        z = Fraction(p1 * t[2] - p2 * t[1], det)
+        assert y.denominator == z.denominator == 1
+        assert tuple(y * a + z * b for a, b in zip(kern[0], kern[1])) == t
 
 
 # ---------------------------------------------------------------------------
@@ -388,61 +424,50 @@ def test_norm_half_only_where_counts_allow():
     assert count_qretc(mw) == 0
 
 
-def test_narrow_basis_spans_the_integral_pairing_sublattice():
-    # the canonical characterization of the narrow part, checked on all rows
+def test_qretc_integrality_matches_span_membership():
+    # count_qretc reads "2v is narrow" off integral pairings; recount on every
+    # row by solving for 2v in a basis of the integral-pairing sublattice
     from mwq.lattice import integral_dual_basis
 
     for r in builtin_table():
         mw = r.mw
         if mw.mw_free.rank == 0:
+            assert count_qretc(mw) == 0
             continue
         kernel = integral_dual_basis(mw.mw_free)
-        for b in mw.narrow_basis:
-            assert solve_integer(kernel, tuple(Fraction(c) for c in b)) is not None
-        for k in kernel:
-            assert solve_integer(mw.narrow_basis, tuple(Fraction(c) for c in k)) is not None
+        halves = enumerate_by_norm(mw.mw_free, Fraction(1, 2))
+        hits = [v for v in halves if integer_coordinates(kernel, [2 * c for c in v]) is not None]
+        assert len(hits) == 2 * count_qretc(mw) == 2 * r.qretc_expected, r.row_no
 
 
 def test_counts_independent_of_the_narrow_rebasing():
-    # any Gram-matching basis of the (canonical) narrow part gives the counts
-    from mwq.lattice import MWStructure, integral_dual_basis
-
+    # a seeded unimodular change of basis of the free part and of the narrow
+    # Gram changes neither count
+    rng = random.Random(20091)
     for n in (5, 24, 35, 40, 42, 50):
         r = row(n)
-        kernel = integral_dual_basis(r.mw.mw_free)
-        restricted = GramLattice(
-            tuple(tuple(r.mw.mw_free.inner(b1, b2) for b2 in kernel) for b1 in kernel)
-        )
-        seen = 0
-        for cols in find_sublattice_embeddings(restricted, r.mw.narrow_gram.gram):
-            rank = r.mw.mw_free.rank
-            basis = tuple(
-                tuple(sum(kernel[j][i] * c[j] for j in range(len(kernel))) for i in range(rank))
-                for c in cols
-            )
-            alt = MWStructure(r.mw.mw_free, r.mw.torsion, r.mw.narrow_gram, basis)
-            assert count_etc(alt) == r.etc_expected
-            assert count_qretc(alt) == r.qretc_expected
-            seen += 1
-            if seen >= 5:
-                break
-        assert seen >= 1
+        seen = set()
+        for _ in range(3):
+            free = rebased(r.mw.mw_free, unimodular(r.mw.mw_free.rank, rng))
+            narrow = rebased(r.mw.narrow_gram, unimodular(r.mw.narrow_gram.rank, rng))
+            mw = make_mw_structure(free, r.mw.torsion, narrow)
+            assert count_etc(mw) == r.etc_expected, n
+            assert count_qretc(mw) == r.qretc_expected, n
+            seen.add((free.gram, narrow.gram))
+        assert seen - {(r.mw.mw_free.gram, r.mw.narrow_gram.gram)}, n
 
 
 def test_gram_isometric_sublattice_need_not_be_narrow():
-    # why the canonical kernel matters: the free lattice A1* + <1/6> contains a
-    # Gram-isometric copy of diag(2, 6) that is NOT the narrow part, and the
-    # 2-divisibility count against it would come out wrong
-    from mwq.lattice import MWStructure
-
+    # why membership is read off integral pairings: the free lattice A1* + <1/6>
+    # contains a Gram-isometric copy of diag(2, 6) that is NOT the narrow part
     r5 = row(5)
     impostor = ((1, 3), (3, -3))
     free = r5.mw.mw_free
     for i in range(2):
         for j in range(2):
             assert free.inner(impostor[i], impostor[j]) == r5.mw.narrow_gram.gram[i][j]
-    fake = MWStructure(free, r5.mw.torsion, r5.mw.narrow_gram, impostor)
-    assert count_qretc(fake) != r5.qretc_expected
+    basis = [(1, 0), (0, 1)]
+    assert any(free.inner(b, e).denominator != 1 for b in impostor for e in basis)
     assert count_qretc(r5.mw) == r5.qretc_expected
 
 
@@ -450,11 +475,20 @@ def test_mw_structure_validation():
     free = dual_gram(ade_gram("A", 1))
     narrow = ade_gram("A", 1)
     mw = make_mw_structure(free, (), narrow)
-    assert mw.index == 2
+    assert mw.narrow_gram.det() / mw.mw_free.det() == 4  # index 2
     with pytest.raises(ValueError):
         make_mw_structure(free, (2,), narrow)  # even torsion rejected
     with pytest.raises(ValueError):
         make_mw_structure(GramLattice(((4,),)), (), GramLattice(((2,),)))  # no embedding
+
+
+def test_same_determinant_non_isometric_narrow_gram_rejected():
+    # [[4,2],[2,4]] has det 12 like A1 + <6>, but no vector of norm 2
+    r5 = row(5)
+    fake = GramLattice(((4, 2), (2, 4)))
+    assert fake.det() == r5.mw.narrow_gram.det()
+    with pytest.raises(ValueError):
+        make_mw_structure(r5.mw.mw_free, r5.mw.torsion, fake)
 
 
 def test_lattice_text_round_trips():

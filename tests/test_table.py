@@ -1,9 +1,16 @@
 """The sixty-row configuration table: transcription sanity, full count
 verification, and the genus dichotomies."""
 
+import math
 from fractions import Fraction
 
-from mwq.lattice import dual_gram, ade_gram
+from mwq.lattice import (
+    GramLattice,
+    ade_gram,
+    dual_gram,
+    find_sublattice_embedding,
+    integral_dual_basis,
+)
 from mwq.mwtable import builtin_table, parse_ade_multiset, verify_table
 from mwq.quartic import genus_from_sing
 
@@ -20,7 +27,7 @@ def test_row_1_scalar_lattices():
     r = row(1)
     assert r.mw.mw_free.gram == ((Fraction(1, 14),),)
     assert r.mw.narrow_gram.gram == ((14,),)
-    assert r.mw.index == 14
+    assert r.mw.narrow_gram.det() / r.mw.mw_free.det() == 196  # index 14
 
 
 def test_row_26_pure_torsion():
@@ -56,8 +63,11 @@ def test_torsion_orders_all_odd():
 
 
 def test_narrow_index_is_integral():
+    # det(narrow) / det(free) is the squared index of the narrow part
     for r in builtin_table():
-        assert r.mw.index >= 1
+        ratio = r.mw.narrow_gram.det() / r.mw.mw_free.det() if r.mw.mw_free.rank else 1
+        assert ratio.denominator == 1 and ratio >= 1, r.row_no
+        assert math.isqrt(ratio.numerator) ** 2 == ratio.numerator, r.row_no
 
 
 def test_genus_dichotomies_across_all_rows():
@@ -85,8 +95,18 @@ def test_parse_ade_multiset():
 
 
 def test_narrow_gram_realized_exactly():
+    # some basis of the integral-pairing sublattice has exactly the narrow Gram
     for r in builtin_table():
         mw = r.mw
-        for i, bi in enumerate(mw.narrow_basis):
-            for j, bj in enumerate(mw.narrow_basis):
+        kernel = integral_dual_basis(mw.mw_free)
+        restricted = GramLattice(
+            tuple(tuple(mw.mw_free.inner(a, b) for b in kernel) for a in kernel)
+        )
+        cols = find_sublattice_embedding(restricted, mw.narrow_gram.gram)
+        assert cols is not None, r.row_no
+        rank = mw.mw_free.rank
+        basis = [tuple(sum(cj * kj[i] for cj, kj in zip(c, kernel)) for i in range(rank))
+                 for c in cols]
+        for i, bi in enumerate(basis):
+            for j, bj in enumerate(basis):
                 assert mw.mw_free.inner(bi, bj) == mw.narrow_gram.gram[i][j]
