@@ -38,6 +38,7 @@ from .report import (
 )
 from .surface import (
     InternalInconsistencyError,
+    WeierstrassCurve,
     add,
     double,
     halve,
@@ -136,7 +137,7 @@ def _cmd_symbol(args) -> int:
         rep.add(
             "splitting_certificate",
             {"a1": cert.a1, "a2": cert.a2, "a3": cert.a3},
-            ("splitting_certificate", "verify_splitting_certificate"),
+            ("qr_symbol", "verify_splitting_certificate"),
         )
     return _emit(rep, args.format)
 
@@ -159,7 +160,7 @@ def _cmd_zariski(args) -> int:
             "line_class": verdict.type1.line_class,
             "contact": list(verdict.type1.contact_multiset),
         },
-        ("combinatorial_type",),
+        ("zariski_verdict",),
     )
     return _emit(rep, args.format)
 
@@ -177,13 +178,7 @@ def _cmd_feasibility(args) -> int:
 
 
 def _curve_and_points(args, n_points: int):
-    from .poly import UNIPOLY_ONE
-    from .surface import WeierstrassCurve
-
-    f = parse_curve_rhs(args.curve)
-    if f.degree_u != 3 or f.coeff_u(3) != UNIPOLY_ONE:
-        raise InputFormatError("curve must be monic cubic in u")
-    curve = WeierstrassCurve(f.coeff_u(2), f.coeff_u(1), f.coeff_u(0))
+    curve = WeierstrassCurve.from_cubic(parse_curve_rhs(args.curve))
     pts = []
     for i in range(n_points):
         text = getattr(args, f"p{i + 1}")
@@ -199,7 +194,7 @@ def _cmd_curve(args) -> int:
         ctx = height_context(_curve_and_points(args, 0)[0])
         for pd in ctx.places:
             rep.add(
-                f"fiber[{pd.label.replace(' ', '')}]",
+                f"fiber[{pd.label}]",
                 {"type": pd.kodaira, "components": pd.m_v, "degree": pd.degree,
                  "euler": pd.euler},
                 ("height_context", "kodaira_type_at"),
@@ -232,12 +227,10 @@ def _cmd_curve(args) -> int:
         require_on_curve(curve, p, q)
         rep.add("result", add(curve, p, q), ("add",))
         return _emit(rep, args.format)
-    if args.op == "height":
-        curve, (p, q) = _curve_and_points(args, 2)
-        rep.inputs.update({"p1": args.p1, "p2": args.p2})
-        rep.add("height", height_pairing(height_context(curve), p, q), ("height_pairing",))
-        return _emit(rep, args.format)
-    raise InputFormatError(f"unknown curve operation {args.op!r}")
+    curve, (p, q) = _curve_and_points(args, 2)  # height
+    rep.inputs.update({"p1": args.p1, "p2": args.p2})
+    rep.add("height", height_pairing(height_context(curve), p, q), ("height_pairing",))
+    return _emit(rep, args.format)
 
 
 def _cmd_lattice(args) -> int:
@@ -260,12 +253,10 @@ def _cmd_lattice(args) -> int:
         vecs = enumerate_by_norm(lat, Fraction(2)) if lat.rank else []
         rep.add("count", len(vecs), ("enumerate_by_norm",))
         rep.add("vectors", [list(v) for v in vecs], ("enumerate_by_norm",))
-    elif args.op == "dual":
+    else:  # dual
         dual = dual_gram(lat)
         rep.add("gram", [[x for x in row] for row in dual.gram], ("dual_gram",))
         rep.add("det", dual.det(), ("dual_gram",))
-    else:
-        raise InputFormatError(f"unknown lattice operation {args.op!r}")
     return _emit(rep, args.format)
 
 

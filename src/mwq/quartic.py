@@ -11,6 +11,7 @@ reduction of an arbitrary (quartic, point) pair to it is out of scope.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Union
 
 from . import mwtable
@@ -36,40 +37,33 @@ from .surface import (
 )
 
 
+@dataclass(frozen=True)
 class PreparedQuartic:
     """Irreducible quartic u^3 + c1(t)u^2 + c2(t)u + c3(t) = 0 in prepared form.
 
     Irreducibility is certified at the level this package needs: the cubic has
     no root in Q[t] of degree <= 2, which also rules out 2-torsion on the
-    associated surface.  `curve` is the rational elliptic surface y^2 = f(t, u).
+    associated surface; construction refuses any other f.  A frozen value:
+    `curve`, the rational elliptic surface y^2 = f(t, u), and `configuration`
+    are each built on first use and kept.
     """
 
-    __slots__ = ("f", "curve", "_configuration")
+    f: BiPoly
 
-    def __init__(self, f: BiPoly, check_irreducible: bool = True):
-        if f.degree_u != 3 or f.coeff_u(3) != UNIPOLY_ONE:
-            raise ValueError("prepared quartic must be monic of degree 3 in u")
-        c1, c2, c3 = f.coeff_u(2), f.coeff_u(1), f.coeff_u(0)
-        curve = WeierstrassCurve(c1, c2, c3)  # enforces deg c_k <= 2k, disc != 0
-        if check_irreducible and not two_torsion_free(curve):
+    def __post_init__(self):
+        if not two_torsion_free(self.curve):  # the curve checks monic, deg c_k <= 2k, disc != 0
             raise ValueError("the cubic factors over Q(t): the quartic is not irreducible")
-        object.__setattr__(self, "f", f)
-        object.__setattr__(self, "curve", curve)
 
-    def __setattr__(self, *a):
-        raise AttributeError("PreparedQuartic is immutable")
+    @cached_property
+    def curve(self) -> WeierstrassCurve:
+        return WeierstrassCurve.from_cubic(self.f)
 
-    @property
+    @cached_property
     def configuration(self) -> SingularConfiguration:
         """The quartic's singular configuration (fibers, singularity type, table
-        row, height context), computed on first use and kept: every symbol,
-        type and verdict on this quartic reads this one copy."""
-        try:
-            return self._configuration
-        except AttributeError:
-            config = singular_configuration(self)
-            object.__setattr__(self, "_configuration", config)
-            return config
+        row, height context): every symbol, type and verdict on this quartic
+        reads this one copy."""
+        return singular_configuration(self)
 
     def __repr__(self):
         from .parsing import bipoly_text
@@ -115,9 +109,7 @@ def even_tangency(quartic: PreparedQuartic, conic: Conic) -> TangencyReport:
     deg-8 Bezout budget.  Even tangency over the ground field amounts to g
     being a square in Q[t] with every contact at a smooth point of the quartic.
     """
-    g = quartic.f.eval_u(conic.q)
-    if g.is_zero:
-        raise ValueError("the conic is a component of the quartic; impossible for irreducible input")
+    g = quartic.f.eval_u(conic.q)  # nonzero: construction refuses a root q of the cubic
     contact_raw: list[tuple[ContactPlace, int]] = sorted(
         irreducible_factors(g), key=lambda fm: (fm[1], fm[0].degree, fm[0].coeffs)
     )
@@ -169,7 +161,6 @@ class SingularConfiguration:
     line_class: str
     row: mwtable.TableRow
     context: HeightContext
-    notes: tuple[str, ...] = ()
 
 
 def singular_configuration(quartic: PreparedQuartic) -> SingularConfiguration:
@@ -179,48 +170,41 @@ def singular_configuration(quartic: PreparedQuartic) -> SingularConfiguration:
     inf_pd = next((pd for pd in ctx.places if pd.place == INFINITY_PLACE), None)
     if inf_pd is None:
         raise ValueError("no singular fiber at infinity: input is not in prepared form")
-    fam, n = inf_pd.fiber_type_index()
     sing: list[str] = []
     if inf_pd.kodaira in ("I2", "III"):
         line_class = "s"
     elif inf_pd.kodaira in ("I3", "IV"):
         line_class = "b"
-    elif fam == "I" and n >= 4:
+    elif inf_pd.family == "I" and inf_pd.n >= 4:
         line_class = "sb"
-        sing.append(f"A{n - 3}")  # the double point the tangent line runs through
+        sing.append(f"A{inf_pd.n - 3}")  # the double point the tangent line runs through
     else:
         raise ValueError(
             f"fiber {inf_pd.kodaira} at infinity matches no tabulated configuration"
         )
     roots = [inf_pd.root_label()]
     for pd in ctx.places:
-        if pd.place == INFINITY_PLACE or pd.m_v == 1:
-            continue
         label = pd.root_label()
-        if label is None:
+        if pd.place == INFINITY_PLACE or label is None:
             continue
         sing.extend([label] * pd.degree)
         roots.extend([label] * pd.degree)
     sing_key = tuple(sorted(sing))
     candidates = mwtable.rows_matching(sing_key, tuple(sorted(roots)))
     exact = [r for r in candidates if r.line_class == line_class]
-    notes: tuple[str, ...] = ()
     if exact:
         row = exact[0]
     else:
+        # a row whose recorded class discrepancy covers this line class
         flagged = [r for r in candidates if r.has_class_flag]
         if flagged:
             row = flagged[0]
-            notes = (
-                f"line class {line_class!r} matched row {row.row_no} via its "
-                "recorded class discrepancy",
-            )
         else:
             raise ValueError(
                 f"configuration (sing={sing_key}, class={line_class}, roots={tuple(sorted(roots))}) "
                 "matches no row of the table"
             )
-    return SingularConfiguration(sing_key, line_class, row, ctx, notes)
+    return SingularConfiguration(sing_key, line_class, row, ctx)
 
 
 _DELTA = {"E6": 3, "E7": 4}

@@ -43,8 +43,6 @@ EXAMPLES: dict[str, dict] = {
             "s_t2": Fraction(1),
             "cross": Fraction(0),
         },
-        "sing_type": "2A1",
-        "row": 50,
     },
     "5.2": {
         "quartic": "u^3 + (25*t + 9)*u^2 + (144*t^2 + t^3)*u + 16*t^4",
@@ -60,18 +58,15 @@ EXAMPLES: dict[str, dict] = {
             "s_t2": Fraction(3, 4),
             "cross": Fraction(1, 4),
         },
-        "sing_type": "A3",
-        "row": 40,
     },
 }
 
 
-def run_example(which: str, data: dict | None = None) -> RunReport:
+def run_example(which: str) -> RunReport:
     """Replay one scenario; any failed identity flips the status to mismatch."""
-    if data is None:
-        if which not in EXAMPLES:
-            raise ValueError(f"unknown example {which!r}; choose one of {sorted(EXAMPLES)}")
-        data = EXAMPLES[which]
+    if which not in EXAMPLES:
+        raise ValueError(f"unknown example {which!r}; choose one of {sorted(EXAMPLES)}")
+    data = EXAMPLES[which]
     rep = RunReport(command=f"example {which}", inputs={"quartic": data["quartic"]})
 
     quartic = PreparedQuartic(parse_curve_rhs(data["quartic"]))
@@ -91,7 +86,7 @@ def run_example(which: str, data: dict | None = None) -> RunReport:
         return rep  # everything downstream needs sections on the surface
 
     ctx = quartic.configuration.context
-    fiber_map = {pd.label.replace(" ", ""): pd.kodaira for pd in ctx.places}
+    fiber_map = {pd.label: pd.kodaira for pd in ctx.places}
     for label, expected in data["fibers"].items():
         got = fiber_map.get(label)
         rep.add(f"fiber[{label}]", got, ("height_context", "kodaira_type_at"), ok=got == expected)
@@ -139,7 +134,7 @@ def run_example(which: str, data: dict | None = None) -> RunReport:
     rep.add(
         "symbol[conic1]",
         {"value": sym1.value, "route": sym1.route, "witness": sym1.witness_section},
-        ("qr_symbol", "halve", "splitting_certificate"),
+        ("qr_symbol", "halve", "verify_splitting_certificate"),
         ok=ok1,
     )
     rep.add(
@@ -153,7 +148,7 @@ def run_example(which: str, data: dict | None = None) -> RunReport:
     rep.add(
         "zariski_verdict",
         verdict.verdict,
-        ("zariski_pair_check", "combinatorial_type", "qr_symbol"),
+        ("zariski_verdict", "qr_symbol"),
         ok=verdict.verdict == VERDICT_ZARISKI,
     )
     return rep

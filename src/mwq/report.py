@@ -17,7 +17,6 @@ SCHEMA = "mwq.report.v1"
 
 STATUS_OK = "ok"
 STATUS_MISMATCH = "mismatch"
-STATUS_ERROR = "error"
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -74,7 +73,7 @@ class RunReport:
             self.status = STATUS_MISMATCH
 
     def exit_code(self) -> int:
-        return {STATUS_OK: EXIT_OK, STATUS_MISMATCH: EXIT_MISMATCH}.get(self.status, EXIT_INTERNAL)
+        return EXIT_MISMATCH if self.status == STATUS_MISMATCH else EXIT_OK
 
     def to_records(self) -> list[dict]:
         head = {

@@ -16,6 +16,7 @@ at v (Silverman 1988); cross pairings follow by bilinearity.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
@@ -69,44 +70,41 @@ class SectionPoint:
         return f"SectionPoint({section_text(self)})"
 
 
+@dataclass(frozen=True)
 class WeierstrassCurve:
-    """y^2 = u^3 + c1 u^2 + c2 u + c3 with deg c_k <= 2k and nonzero discriminant."""
+    """y^2 = u^3 + c1 u^2 + c2 u + c3 with deg c_k <= 2k and nonzero discriminant.
 
-    __slots__ = ("c1", "c2", "c3", "_disc", "_inf")
+    A frozen value: the discriminant, the chart at infinity and the cubic are
+    each built on first use and kept on the instance."""
 
-    def __init__(self, c1: UniPoly, c2: UniPoly, c3: UniPoly):
-        for k, c in enumerate((c1, c2, c3), start=1):
+    c1: UniPoly
+    c2: UniPoly
+    c3: UniPoly
+
+    def __post_init__(self):
+        for k, c in enumerate((self.c1, self.c2, self.c3), start=1):
             if c.degree > 2 * k:
                 raise ValueError(f"deg c{k} = {c.degree} exceeds the bound {2 * k}")
-        disc = cubic_discriminant(c1, c2, c3)
-        if disc.is_zero:
+        if self.discriminant.is_zero:
             raise ValueError("discriminant vanishes identically")
-        object.__setattr__(self, "c1", c1)
-        object.__setattr__(self, "c2", c2)
-        object.__setattr__(self, "c3", c3)
-        object.__setattr__(self, "_disc", disc)
-        object.__setattr__(self, "_inf", None)
 
-    def __setattr__(self, *a):
-        raise AttributeError("WeierstrassCurve is immutable")
+    @classmethod
+    def from_cubic(cls, f: BiPoly) -> "WeierstrassCurve":
+        """The curve y^2 = f(t, u); f must be monic cubic in u."""
+        if f.degree_u != 3 or f.coeff_u(3) != UNIPOLY_ONE:
+            raise ValueError("curve must be monic cubic in u")
+        return cls(f.coeff_u(2), f.coeff_u(1), f.coeff_u(0))
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, WeierstrassCurve)
-            and (self.c1, self.c2, self.c3) == (other.c1, other.c2, other.c3)
-        )
-
-    def __hash__(self):
-        return hash((self.c1, self.c2, self.c3))
-
+    @cached_property
     def cubic(self) -> BiPoly:
         return BiPoly([self.c3, self.c2, self.c1, UNIPOLY_ONE])
 
     def rhs(self, x: RatFn) -> RatFn:
         return ((x + self.c1) * x + self.c2) * x + self.c3
 
+    @cached_property
     def discriminant(self) -> UniPoly:
-        return self._disc
+        return cubic_discriminant(self.c1, self.c2, self.c3)
 
     def c4_quantity(self) -> UniPoly:
         # c4 up to the constant 16; only valuations are ever used
@@ -116,20 +114,17 @@ class WeierstrassCurve:
         # c6 up to the constant -32
         return 2 * self.c1 ** 3 - 9 * self.c1 * self.c2 + 27 * self.c3
 
+    @cached_property
     def infinity_model(self) -> "WeierstrassCurve":
-        """The same surface in the chart s = 1/t, via c_k -> s^(2k) c_k(1/s).
-        Built on first use and kept, so each curve has one such chart."""
-        if self._inf is None:
-            chart = WeierstrassCurve(
-                self.c1.reversed_at(2), self.c2.reversed_at(4), self.c3.reversed_at(6)
-            )
-            object.__setattr__(self, "_inf", chart)
-        return self._inf
+        """The same surface in the chart s = 1/t, via c_k -> s^(2k) c_k(1/s)."""
+        return WeierstrassCurve(
+            self.c1.reversed_at(2), self.c2.reversed_at(4), self.c3.reversed_at(6)
+        )
 
     def __repr__(self):
         from .parsing import bipoly_text
 
-        return f"WeierstrassCurve(y^2 = {bipoly_text(self.cubic())})"
+        return f"WeierstrassCurve(y^2 = {bipoly_text(self.cubic)})"
 
 
 def cubic_discriminant(c1: UniPoly, c2: UniPoly, c3: UniPoly) -> UniPoly:
@@ -227,18 +222,34 @@ def _ratfn_infinity(r: RatFn, weight: int) -> RatFn:
 # ---------------------------------------------------------------------------
 
 
+# Kodaira's table: family -> (m_v, Euler number, root system) at n = 0; the
+# I_n and I_n* rows add n to both numbers, and the other families have n = 0.
+# The non-identity components span a root lattice of rank m_v - 1, and in
+# residue characteristic zero the Euler number is v(disc) (Ogg's formula).
+_KODAIRA = {
+    "I": (0, 0, "A"),
+    "I*": (5, 6, "D"),
+    "II": (1, 2, None),
+    "III": (2, 3, "A"),
+    "IV": (3, 4, "A"),
+    "IV*": (7, 8, "E"),
+    "III*": (8, 9, "E"),
+    "II*": (9, 10, "E"),
+}
+
+
 @dataclass(frozen=True, eq=False)
 class PlaceData:
-    """A place of bad reduction together with its fiber data; `chart_curve` is
-    the model in which `chart_place` is the place (the s = 1/t chart at
-    infinity)."""
+    """A place of bad reduction together with its fiber type: `family` is
+    'I', 'I*' or an additive type, and `n` the index of I_n and I_n* (0 for
+    the others).  `kodaira`, `m_v`, `euler` and `root_label()` are read off
+    the one Kodaira table.  `chart_curve` is the model in which
+    `chart_place` is the place (the s = 1/t chart at infinity)."""
 
     place: Place
-    kodaira: str
-    m_v: int
+    family: str
+    n: int
     degree: int
-    euler: int
-    v_disc: int
     chart_curve: WeierstrassCurve
     chart_place: UniPoly
 
@@ -246,64 +257,42 @@ class PlaceData:
     def label(self) -> str:
         from .parsing import poly_text
 
-        return INFINITY_PLACE if self.place == INFINITY_PLACE else poly_text(self.place)
+        if self.place == INFINITY_PLACE:
+            return INFINITY_PLACE
+        return poly_text(self.place).replace(" ", "")
 
-    def fiber_type_index(self) -> tuple[str, int]:
-        """('I', n), ('I*', n) or ('II'|'III'|'IV'|'IV*'|'III*'|'II*', 0)."""
-        k = self.kodaira
-        if k.startswith("I") and k[1:].isdigit():
-            return "I", int(k[1:])
-        if k.startswith("I") and k.endswith("*") and k[1:-1].isdigit():
-            return "I*", int(k[1:-1])
-        return k, 0
+    @property
+    def kodaira(self) -> str:
+        return f"I{self.n}{self.family[1:]}" if self.family in ("I", "I*") else self.family
+
+    @property
+    def m_v(self) -> int:
+        return _KODAIRA[self.family][0] + self.n
+
+    @property
+    def euler(self) -> int:
+        return _KODAIRA[self.family][1] + self.n
 
     def root_label(self) -> Optional[str]:
         """ADE label of the fiber's non-identity component lattice, if any."""
-        fam, n = self.fiber_type_index()
-        if fam == "I":
-            return f"A{n - 1}" if n >= 2 else None
-        if fam == "I*":
-            return f"D{n + 4}"
-        return {"II": None, "III": "A1", "IV": "A2", "IV*": "E6", "III*": "E7", "II*": "E8"}[fam]
+        rank = self.m_v - 1
+        return f"{_KODAIRA[self.family][2]}{rank}" if rank >= 1 else None
 
 
-def _classify(v_c4: int, v_c6: int, v_disc: int) -> str:
+def _classify(v_c4: int, v_c6: int, v_disc: int) -> tuple[str, int]:
+    """(family, n) from the valuations of (c4, c6, disc) at the place."""
     if v_c4 == 0:
-        return f"I{v_disc}"
-    if v_disc == 2:
-        return "II"
-    if v_disc == 3:
-        return "III"
-    if v_disc == 4:
-        return "IV"
-    if v_disc == 6:
-        return "I0*"
+        return "I", v_disc
     if v_c4 == 2 and v_c6 == 3 and v_disc >= 7:
-        return f"I{v_disc - 6}*"
-    if v_disc == 8:
-        return "IV*"
-    if v_disc == 9:
-        return "III*"
-    if v_disc == 10:
-        return "II*"
+        return "I*", v_disc - 6
+    for family, (_m_v, euler, _root) in _KODAIRA.items():
+        if family != "I" and euler == v_disc:
+            return family, 0  # v(disc) = 6 is I0*
     shown = ["inf" if v >= 10 ** 9 else v for v in (v_c4, v_c6)]  # ord_at of zero
     raise ValueError(
         f"unrecognized fiber data v(c4)={shown[0]}, v(c6)={shown[1]}, v(disc)={v_disc}; "
         "the model is not minimal at this place"
     )
-
-
-def _fiber_shape(kodaira: str) -> tuple[int, int]:
-    """(m_v, euler)."""
-    if kodaira.startswith("I") and kodaira[1:].isdigit():
-        n = int(kodaira[1:])
-        return n, n
-    if kodaira.startswith("I") and kodaira.endswith("*") and kodaira[1:-1].isdigit():
-        n = int(kodaira[1:-1])
-        return 5 + n, 6 + n
-    return {
-        "II": (1, 2), "III": (2, 3), "IV": (3, 4), "IV*": (7, 8), "III*": (8, 9), "II*": (9, 10),
-    }[kodaira]
 
 
 def kodaira_type_at(curve: WeierstrassCurve, place: Place) -> PlaceData:
@@ -313,7 +302,7 @@ def kodaira_type_at(curve: WeierstrassCurve, place: Place) -> PlaceData:
     the exact twisted substitution, valid because deg c_k <= 2k).
     """
     if place == INFINITY_PLACE:
-        chart = curve.infinity_model()
+        chart = curve.infinity_model
         p = T
         degree = 1
     else:
@@ -322,20 +311,15 @@ def kodaira_type_at(curve: WeierstrassCurve, place: Place) -> PlaceData:
         chart = curve
         p = place.monic()
         degree = p.degree
-    v_disc = ord_at(chart.discriminant(), p)
+    v_disc = ord_at(chart.discriminant, p)
     if v_disc == 0:
         raise ValueError("nonsingular place: the fiber there is smooth")
-    v_c4 = ord_at(chart.c4_quantity(), p)
-    v_c6 = ord_at(chart.c6_quantity(), p)
-    kod = _classify(v_c4, v_c6, v_disc)
-    m_v, euler = _fiber_shape(kod)
+    family, n = _classify(ord_at(chart.c4_quantity(), p), ord_at(chart.c6_quantity(), p), v_disc)
     return PlaceData(
         place=place if place == INFINITY_PLACE else p,
-        kodaira=kod,
-        m_v=m_v,
+        family=family,
+        n=n,
         degree=degree,
-        euler=euler,
-        v_disc=v_disc,
         chart_curve=chart,
         chart_place=p,
     )
@@ -372,8 +356,8 @@ def local_correction(pd: PlaceData, point: SectionPoint) -> Fraction:
         return Fraction(0)  # P meets the zero point, or misses the singular point
     if ord_at(3 * num * num + 2 * c1 * num * den + c2 * den * den, place) <= 0:
         return Fraction(0)
-    family, n = pd.fiber_type_index()
-    if family == "I":
+    if pd.family == "I":
+        n = pd.n
         m = min(Fraction(v_y), Fraction(n, 2))
         return m * (n - m) / n
     n2, nd, d2 = num * num, num * den, den * den
@@ -408,20 +392,17 @@ def section_O_intersection(point: SectionPoint) -> int:
 @dataclass(frozen=True)
 class HeightContext:
     """A curve together with all of its bad places; Euler numbers must sum to
-    12*chi (and chi = 1 here: the surface is rational)."""
+    12 chi = 12 (the surface is rational)."""
 
     curve: WeierstrassCurve
-    chi: Fraction
     places: tuple[PlaceData, ...]
 
 
 def height_context(curve: WeierstrassCurve) -> HeightContext:
     """Classify every bad fiber of the curve.  The context is immutable, so one
     context serves every height pairing on the curve."""
-    disc = curve.discriminant()
-    places = [kodaira_type_at(curve, irr) for irr, _mult in irreducible_factors(disc)]
-    inf_model = curve.infinity_model()
-    if ord_at(inf_model.discriminant(), T) > 0:
+    places = [kodaira_type_at(curve, irr) for irr, _mult in irreducible_factors(curve.discriminant)]
+    if ord_at(curve.infinity_model.discriminant, T) > 0:
         places.append(kodaira_type_at(curve, INFINITY_PLACE))
     total = sum(pd.degree * pd.euler for pd in places)
     if total != 12:
@@ -429,12 +410,13 @@ def height_context(curve: WeierstrassCurve) -> HeightContext:
             f"Euler numbers of the fibers sum to {total}, not 12"
         )
     places.sort(key=lambda pd: (pd.place == INFINITY_PLACE, pd.chart_place.coeffs))
-    return HeightContext(curve, Fraction(1), tuple(places))
+    return HeightContext(curve, tuple(places))
 
 
 def _self_height(ctx: HeightContext, p: SectionPoint) -> Fraction:
+    chi = Fraction(1)  # chi(O_S) = 1: the surface is rational
     corr = sum(pd.degree * local_correction(pd, p) for pd in ctx.places)
-    return 2 * ctx.chi + 2 * section_O_intersection(p) - corr
+    return 2 * chi + 2 * section_O_intersection(p) - corr
 
 
 def height_pairing(ctx: HeightContext, p: SectionPoint, q: SectionPoint) -> Fraction:
@@ -482,7 +464,7 @@ def _lift_root(coeffs: Sequence[UniPoly], root: Fraction, prec: int) -> UniPoly:
 def _good_fiber(curve: WeierstrassCurve, avoid: UniPoly = UNIPOLY_ONE) -> Fraction:
     """The least integer t0 >= 0 with a smooth fiber (disc(t0) != 0) at which
     `avoid`, a nonzero polynomial, does not vanish either."""
-    disc = curve.discriminant()
+    disc = curve.discriminant
     k = 0
     while disc(Fraction(k)) == 0 or avoid(Fraction(k)) == 0:
         k += 1
@@ -521,7 +503,7 @@ def halve(curve: WeierstrassCurve, point: SectionPoint) -> Optional[SectionPoint
         raise ValueError("halving needs polynomial coordinates (s.O = 0)")
     if point.x.num.degree > 2 or point.y.num.degree > 3:
         raise ValueError("halving needs deg x <= 2 and deg y <= 3 (s.O = 0)")
-    f = curve.cubic()
+    f = curve.cubic
     fp = f.deriv_u()
     x_p = point.x.num
     if point.y.is_zero:
@@ -548,5 +530,5 @@ def two_torsion_free(curve: WeierstrassCurve) -> bool:
     """True iff the cubic has no root in Q[t] of degree <= 2.  At a smooth
     fiber the cubic's roots are simple, so such a root is the lift of a
     rational root there, and the lifts are checked exactly."""
-    cubic = curve.cubic()
+    cubic = curve.cubic
     return not any(cubic.eval_u(x).is_zero for x in _lifted_roots(cubic, _good_fiber(curve)))

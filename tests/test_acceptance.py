@@ -239,7 +239,7 @@ def test_criterion_7_property_suites():
     rng = random.Random(20250810)
     for key in ("5.1", "5.2"):
         curve, pts = _curve_and_sections(key)
-        disc = curve.discriminant()
+        disc = curve.discriminant
         names = list(pts)
         done = 0
         while done < 50:

@@ -151,10 +151,11 @@ def test_example_commands(capsys):
     capsys.readouterr()
 
 
-def test_example_with_perturbed_fixture_mismatches():
+def test_example_with_perturbed_fixture_mismatches(monkeypatch):
     data = dict(EXAMPLES["5.1"])
     data["s_t1"] = "(-32*t, 2*t^2 - 6930*t + 1)"
-    report = run_example("5.1", data=data)
+    monkeypatch.setitem(EXAMPLES, "5.1", data)
+    report = run_example("5.1")
     assert report.status == "mismatch"
     bad = [item for item in report.results if item.ok is False]
     assert bad and bad[0].name == "on_curve[s_t1]"
@@ -471,6 +472,36 @@ def test_golden_records(capsys, name):
     assert main(GOLDEN_RECORDS[name] + ["--format", "records"]) == EXIT_OK
     expected = (RECORDS_DIR / f"{name}.jsonl").read_text(encoding="utf-8")
     assert capsys.readouterr().out == expected
+
+
+def _public_functions() -> set[str]:
+    """Names of the public functions defined in the mwq modules."""
+    import importlib
+    import inspect
+    import pkgutil
+
+    import mwq
+
+    names = set()
+    for info in pkgutil.iter_modules(mwq.__path__):
+        if info.name.startswith("_"):
+            continue  # __main__ runs the command line on import
+        module = importlib.import_module(f"mwq.{info.name}")
+        names.update(
+            name for name, obj in vars(module).items()
+            if not name.startswith("_") and inspect.isfunction(obj)
+            and obj.__module__ == module.__name__
+        )
+    return names
+
+
+def test_golden_provenance_names_public_functions():
+    public = _public_functions()
+    for path in sorted(RECORDS_DIR.glob("*.jsonl")):
+        for line in path.read_text(encoding="utf-8").splitlines():
+            rec = json.loads(line)
+            unknown = sorted(set(rec.get("provenance", ())) - public)
+            assert not unknown, (path.name, rec.get("name"), unknown)
 
 
 # ---------------------------------------------------------------------------

@@ -433,7 +433,7 @@ def test_specialization_points_skip_exactly_the_bad_fibers(quartic):
 
     f = parse_curve_rhs(quartic)
     curve = WeierstrassCurve(f.coeff_u(2), f.coeff_u(1), f.coeff_u(0))
-    bad = set(rational_roots_by_divisors(curve.discriminant()))
+    bad = set(rational_roots_by_divisors(curve.discriminant))
     good = [Fraction(k) for k in range(len(bad) + 3) if Fraction(k) not in bad]
     avoids = [
         UNIPOLY_ONE,

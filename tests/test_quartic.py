@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from mwq.cli import main
 from mwq.parsing import parse_curve_rhs, parse_section
 from mwq.poly import BiPoly, T, UNIPOLY_ONE, UNIPOLY_ZERO, UniPoly
 from mwq.quartic import (
@@ -30,6 +31,7 @@ from mwq.quartic import (
     verify_splitting_certificate,
     zariski_pair_check,
 )
+from mwq.report import EXIT_INPUT_ERROR
 from mwq.surface import INFINITY_PLACE, InternalInconsistencyError, halve, negate, on_curve
 
 Q51_TEXT = "u^3 + (271350 - 98*t)*u^2 + t*(t-5825)*(t-2025)*u + 36*t^2*(t-2025)^2"
@@ -143,7 +145,7 @@ def test_configuration_rejects_unprepared_input():
     # a surface whose fiber at infinity is smooth cannot come from a quartic
     # in prepared coordinates (here deg c2 = 4 breaks the profile)
     f = BiPoly([UniPoly.of(1, 0, 1), UniPoly.of(1, 0, 0, 0, 3), UNIPOLY_ZERO, UNIPOLY_ONE])
-    quartic = PreparedQuartic(f, check_irreducible=False)
+    quartic = PreparedQuartic(f)
     with pytest.raises(ValueError):
         singular_configuration(quartic)
 
@@ -194,13 +196,15 @@ def test_conic_through_singular_point_rejected(q51):
     assert not rep.is_even_tangential
 
 
-def test_component_conic_rejected():
-    # against a reducible "quartic" the conic branch itself must be refused
-    q = UniPoly.of(0, 0, 1)
-    f = BiPoly([-q, UNIPOLY_ONE]) * BiPoly([UNIPOLY_ONE, UNIPOLY_ZERO, UNIPOLY_ONE])
-    quartic = PreparedQuartic(f, check_irreducible=False)
-    with pytest.raises(ValueError):
-        even_tangency(quartic, Conic(q))
+def test_component_conic_rejected(capsys):
+    # a conic that is a component of the "quartic" (u - t^2)(u^2 + 1) never
+    # reaches the tangency test: the reducible quartic is refused on entry
+    f = BiPoly([-T ** 2, UNIPOLY_ONE]) * BiPoly([UNIPOLY_ONE, UNIPOLY_ZERO, UNIPOLY_ONE])
+    assert f == parse_curve_rhs("u^3 - t^2*u^2 + u - t^2")
+    with pytest.raises(ValueError, match="not irreducible"):
+        PreparedQuartic(f)
+    assert main(["tangency", "u^3 - t^2*u^2 + u - t^2", "t^2"]) == EXIT_INPUT_ERROR
+    assert "internal error" not in capsys.readouterr().err
 
 
 def test_degenerate_conic_rejected():

@@ -14,7 +14,7 @@ import pytest
 from mwq.cli import main
 from mwq.lattice import ade_gram, dual_gram
 from mwq.parsing import parse_curve_rhs, parse_section
-from mwq.report import EXIT_OK
+from mwq.report import EXIT_INPUT_ERROR, EXIT_OK
 from mwq.poly import T, UNIPOLY_ONE, UNIPOLY_ZERO, RatFn, UniPoly, is_perfect_square, rational_roots
 from mwq.surface import (
     INFINITY_PLACE,
@@ -176,7 +176,7 @@ def test_group_law_under_100_random_specializations(e51):
     commutative/associative with O neutral."""
     rng = random.Random(2024)
     pts = secs(SECTIONS_51)
-    disc = e51.discriminant()
+    disc = e51.discriminant
     names = list(pts)
     done = 0
     while done < 100:
@@ -213,7 +213,7 @@ def test_group_law_under_100_random_specializations(e51):
 
 def test_constant_discriminant():
     c = WeierstrassCurve(UNIPOLY_ZERO, UNIPOLY_ZERO, UNIPOLY_ONE)
-    assert c.discriminant() == UniPoly.const(-27)
+    assert c.discriminant == UniPoly.const(-27)
 
 
 def test_cubic_discriminant_against_sympy():
@@ -236,11 +236,11 @@ def test_cubic_discriminant_against_sympy():
 
 
 def test_example_discriminant_roots(e51, e52):
-    d = e51.discriminant()
+    d = e51.discriminant
     assert d(Fraction(0)) == 0 and d(Fraction(2025)) == 0
     from mwq.poly import ord_at
 
-    assert ord_at(e52.discriminant(), T) == 4
+    assert ord_at(e52.discriminant, T) == 4
 
 
 def test_kodaira_types_example_51(e51):
@@ -261,27 +261,34 @@ def test_kodaira_rejects_nonsingular_place(e51):
         kodaira_type_at(e51, UniPoly.of(-1, 1))  # t = 1 is a good fiber
 
 
-def test_kodaira_synthetic_additive_menagerie():
+def test_kodaira_synthetic_additive_menagerie(capsys):
     cases = [
-        (WeierstrassCurve(UNIPOLY_ZERO, UNIPOLY_ZERO, T), "II", 1, 2),
-        (WeierstrassCurve(UNIPOLY_ZERO, T, UNIPOLY_ZERO), "III", 2, 3),
-        (WeierstrassCurve(UNIPOLY_ZERO, UNIPOLY_ZERO, T ** 2), "IV", 3, 4),
-        (WeierstrassCurve(UNIPOLY_ZERO, T ** 2, UNIPOLY_ZERO), "I0*", 5, 6),
-        (WeierstrassCurve(T, UNIPOLY_ZERO, T ** 4), "I1*", 6, 7),
-        (WeierstrassCurve(UNIPOLY_ZERO, UNIPOLY_ZERO, T ** 4), "IV*", 7, 8),
-        (WeierstrassCurve(UNIPOLY_ZERO, T ** 3, UNIPOLY_ZERO), "III*", 8, 9),
-        (WeierstrassCurve(UNIPOLY_ZERO, UNIPOLY_ZERO, T ** 5), "II*", 9, 10),
+        (WeierstrassCurve(UNIPOLY_ZERO, UNIPOLY_ZERO, T), "II", 1, 2, None),
+        (WeierstrassCurve(UNIPOLY_ZERO, T, UNIPOLY_ZERO), "III", 2, 3, "A1"),
+        (WeierstrassCurve(UNIPOLY_ZERO, UNIPOLY_ZERO, T ** 2), "IV", 3, 4, "A2"),
+        (WeierstrassCurve(UNIPOLY_ZERO, T ** 2, UNIPOLY_ZERO), "I0*", 5, 6, "D4"),
+        (_curve("u^3 + t^3"), "I0*", 5, 6, "D4"),  # c4 = 0
+        (WeierstrassCurve(T, UNIPOLY_ZERO, T ** 4), "I1*", 6, 7, "D5"),
+        (_curve("u^3 + t*u^2 + t^5"), "I2*", 7, 8, "D6"),
+        (_curve("u^3 + t*u^2 + t^6"), "I3*", 8, 9, "D7"),
+        (WeierstrassCurve(UNIPOLY_ZERO, UNIPOLY_ZERO, T ** 4), "IV*", 7, 8, "E6"),
+        (WeierstrassCurve(UNIPOLY_ZERO, T ** 3, UNIPOLY_ZERO), "III*", 8, 9, "E7"),
+        (WeierstrassCurve(UNIPOLY_ZERO, UNIPOLY_ZERO, T ** 5), "II*", 9, 10, "E8"),
     ]
-    for curve, expected, m_v, euler in cases:
+    for curve, expected, m_v, euler, root in cases:
         pd = kodaira_type_at(curve, T)
-        assert (pd.kodaira, pd.m_v, pd.euler) == (expected, m_v, euler)
+        assert (pd.kodaira, pd.m_v, pd.euler, pd.root_label()) == (expected, m_v, euler, root)
+    # v(c4) = 4, v(c6) = 6, v(disc) = 12: no Kodaira type, the model is not minimal
+    with pytest.raises(ValueError, match="not minimal"):
+        kodaira_type_at(_curve("u^3 + t^4*u + t^6"), T)
+    assert main(["curve", "fibers", "u^3 + t^4*u + t^6"]) == EXIT_INPUT_ERROR
+    assert "not minimal" in capsys.readouterr().err
 
 
 def test_euler_sum_is_twelve(e51, e52):
     for curve in (e51, e52):
         ctx = height_context(curve)
         assert sum(pd.degree * pd.euler for pd in ctx.places) == 12
-        assert ctx.chi == 1
 
 
 # ---------------------------------------------------------------------------
@@ -611,7 +618,7 @@ def _interpolate(points, max_degree):
 
 
 def _first_good_fibers(curve, count):
-    disc = curve.discriminant()
+    disc = curve.discriminant
     return [Fraction(k) for k in range(count + disc.degree + 1) if disc(Fraction(k)) != 0][:count]
 
 
@@ -637,7 +644,7 @@ def halve_by_interpolation(curve, point):
         seen.add(cand)
         if any(quartics[k](cand(pts[k])) != 0 for k in (3, 4)):
             continue
-        g = is_perfect_square(curve.cubic().eval_u(cand))
+        g = is_perfect_square(curve.cubic.eval_u(cand))
         if g is None:
             continue
         for y_half in (g, -g):
@@ -654,7 +661,7 @@ def two_torsion_free_by_interpolation(curve):
     ]
     for combo in itertools.product(*root_sets):
         cand = _interpolate(list(zip(pts, combo)), 2)
-        if cand is not None and curve.cubic().eval_u(cand).is_zero:
+        if cand is not None and curve.cubic.eval_u(cand).is_zero:
             return False
     return True
 
@@ -668,8 +675,7 @@ def _halvable_input(point):
 
 
 def _curve(rhs):
-    f = parse_curve_rhs(rhs)
-    return WeierstrassCurve(f.coeff_u(2), f.coeff_u(1), f.coeff_u(0))
+    return WeierstrassCurve.from_cubic(parse_curve_rhs(rhs))
 
 
 # curves with a rational 2-torsion section, and that section
