@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import operator
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
@@ -53,7 +54,8 @@ class GramLattice:
     """Symmetric positive-definite Gram matrix; rank 0 is the trivial lattice.
 
     `den` is the least common denominator of the entries and `igram` the
-    integer matrix den * gram, so that pairings are integer sums.  `ldl` is
+    integer matrix den * gram, so that pairings, kernels and complements are
+    integer work.  `ldl` is
     the one LDL^T factorization of the Gram, read by `det` and
     `enumerate_by_norm`."""
 
@@ -99,18 +101,6 @@ class GramLattice:
 
     def norm(self, v: Vector) -> Fraction:
         return self.inner(v, v)
-
-    def direct_sum(self, other: "GramLattice") -> "GramLattice":
-        n, m = self.rank, other.rank
-        rows = []
-        for i in range(n):
-            rows.append(list(self.gram[i]) + [Fraction(0)] * m)
-        for i in range(m):
-            rows.append([Fraction(0)] * n + list(other.gram[i]))
-        return GramLattice(tuple(map(tuple, rows)))
-
-    def scale(self, c: Fraction) -> "GramLattice":
-        return GramLattice(tuple(tuple(c * x for x in row) for row in self.gram))
 
 
 TRIVIAL_LATTICE = GramLattice(())
@@ -267,11 +257,8 @@ def orthogonal_complement_basis(
 ) -> list[Vector]:
     """Integral basis of {v : <v, e> = 0 for all embedded e}; rejects dependent input."""
     n = ambient.rank
-    rows = []
-    for e in embedded:
-        row = [ambient.inner(e, tuple(int(i == j) for j in range(n))) for i in range(n)]
-        lcm = math.lcm(*[x.denominator for x in row]) if row else 1
-        rows.append([int(x * lcm) for x in row])
+    # row i of igram is den * <b_i, .>; the positive factor den leaves the kernel alone
+    rows = [[sum(map(operator.mul, e, row)) for row in ambient.igram] for e in embedded]
     kernel = integer_kernel(rows, n)
     if len(kernel) != n - len(embedded):
         raise ValueError("embedded vectors are linearly dependent")
@@ -286,17 +273,16 @@ def orthogonal_complement_gram(ambient: GramLattice, embedded: Sequence[Vector])
 
 
 def find_sublattice_embeddings(
-    big: GramLattice, small_gram: Matrix
+    big: GramLattice, small: GramLattice
 ) -> Iterator[tuple[Vector, ...]]:
-    """Yield column tuples B with B^T G B = small_gram, by exhaustive search."""
-    small = _to_matrix(small_gram)
-    k = len(small)
+    """Yield column tuples B with B^T G B = small.gram, by exhaustive search."""
+    g, k = small.gram, small.rank
     if k == 0:
         yield ()
         return
     by_norm: dict[Fraction, list[Vector]] = {}
     for j in range(k):
-        q = small[j][j]
+        q = g[j][j]
         if q not in by_norm:
             by_norm[q] = enumerate_by_norm(big, q)
     cols: list[Vector] = []
@@ -305,8 +291,8 @@ def find_sublattice_embeddings(
         if j == k:
             yield tuple(cols)
             return
-        for v in by_norm[small[j][j]]:
-            if all(big.inner(cols[i], v) == small[i][j] for i in range(j)):
+        for v in by_norm[g[j][j]]:
+            if all(big.inner(cols[i], v) == g[i][j] for i in range(j)):
                 cols.append(v)
                 yield from extend(j + 1)
                 cols.pop()
@@ -315,14 +301,13 @@ def find_sublattice_embeddings(
 
 
 def find_sublattice_embedding(
-    big: GramLattice, small_gram: Matrix
+    big: GramLattice, small: GramLattice
 ) -> Optional[tuple[Vector, ...]]:
     """First embedding in canonical order, or None (absence is a valid answer)."""
-    for cols in find_sublattice_embeddings(big, small_gram):
-        small = _to_matrix(small_gram)
+    for cols in find_sublattice_embeddings(big, small):
         for i in range(len(cols)):
             for j in range(len(cols)):
-                if big.inner(cols[i], cols[j]) != small[i][j]:
+                if big.inner(cols[i], cols[j]) != small.gram[i][j]:
                     raise InternalInconsistencyError(
                         f"embedding misses the Gram entry ({i}, {j})"
                     )
@@ -339,7 +324,7 @@ def isometric(a: GramLattice, b: GramLattice) -> bool:
     if a.det() != b.det():
         return False
     # equal determinants force any Gram-preserving column matrix to be unimodular
-    return find_sublattice_embedding(a, b.gram) is not None
+    return find_sublattice_embedding(a, b) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -369,10 +354,9 @@ def integral_dual_basis(lat: GramLattice) -> list[Vector]:
     r = lat.rank
     if r == 0:
         return []
-    n = math.lcm(*[x.denominator for row in lat.gram for x in row])
-    a = [[int(x * n) for x in row] for row in lat.gram]
-    # solutions of A v = -n w: kernel of [A | n I] in Z^(2r), projected to v
-    block = [a[i] + [n if j == i else 0 for j in range(r)] for i in range(r)]
+    n = lat.den
+    # solutions of A v = -n w, A = igram: kernel of [A | n I] in Z^(2r), projected to v
+    block = [row + tuple(n * (i == j) for j in range(r)) for i, row in enumerate(lat.igram)]
     kernel = integer_kernel(block, 2 * r)
     if len(kernel) != r:
         raise InternalInconsistencyError(
@@ -444,7 +428,8 @@ def count_qretc(mw: MWStructure) -> int:
 
 def lattice_from_text(text: str) -> tuple[GramLattice, tuple[int, ...]]:
     """Parse a direct sum of ADE lattices, duals, rank-1 scalars, Gram matrices
-    and cyclic torsion factors.  Returns (lattice, torsion orders)."""
+    and cyclic torsion factors.  Returns (lattice, torsion orders); the lattice
+    is one GramLattice on the block-diagonal Gram of the summands."""
     text = text.replace(" ", "")
     if text in ("0", "{0}"):
         return TRIVIAL_LATTICE, ()
@@ -460,49 +445,54 @@ def lattice_from_text(text: str) -> tuple[GramLattice, tuple[int, ...]]:
             parts.append(text[start:i])
             start = i + 1
     parts.append(text[start:])
-    lat = TRIVIAL_LATTICE
+    blocks: list[Matrix] = []
     torsion: list[int] = []
     for part in parts:
         if not part:
             raise ValueError(f"empty summand in lattice expression {text!r}")
         piece, power = part, 1
-        if "^" in piece and not piece.startswith("<"):
-            piece, pw = piece.rsplit("^", 1)
-            power = int(pw)
-        elif piece.startswith("<") and "^" in piece[piece.index(">") :]:
+        if "^" in piece[piece.find(">") + 1 :]:  # a power of "<q>" follows its ">"
             piece, pw = piece.rsplit("^", 1)
             power = int(pw)
         if power < 1:
             raise ValueError(f"power {power} of {piece!r} must be at least 1")
-        for _ in range(power):
-            try:
-                got = _lattice_atom(piece)
-            except ZeroDivisionError as exc:
-                raise ValueError(f"zero denominator in {piece!r}") from exc
-            if isinstance(got, int):
-                torsion.append(got)
-            else:
-                lat = lat.direct_sum(got)
-    return lat, tuple(torsion)
+        try:
+            got = _lattice_atom(piece)
+        except ZeroDivisionError as exc:
+            raise ValueError(f"zero denominator in {piece!r}") from exc
+        if isinstance(got, int):
+            torsion.extend([got] * power)
+        else:
+            blocks.extend([got] * power)
+    rows, size = [], sum(map(len, blocks))
+    for block in blocks:
+        pad = len(rows)  # a ragged block makes rows of the wrong length: not square
+        rows.extend((0,) * pad + tuple(row) + (0,) * (size - pad - len(block)) for row in block)
+    return GramLattice(tuple(rows)), tuple(torsion)
 
 
-def _lattice_atom(piece: str):
-    if piece.startswith("Z/") and piece.endswith("Z"):
-        return int(piece[2:-1])
+_NAMED_ATOM = re.compile(r"Z/(\d+)Z|([A-Za-z])(\d+)(\*?)")
+
+
+def _lattice_atom(piece: str) -> int | Matrix:
+    """A torsion order "Z/nZ", or the Gram of "<q>", "[[...]]", "(c)[[...]]",
+    an ADE name or its dual "A3*"."""
     if piece.startswith("<") and piece.endswith(">"):
-        return GramLattice(((Fraction(piece[1:-1]),),))
+        return ((Fraction(piece[1:-1]),),)
     if piece.startswith("[["):
-        return GramLattice(_matrix_literal(piece))
+        return _matrix_literal(piece)
     if piece.startswith("(") and ")[[" in piece:
         close = piece.index(")")
-        scale = Fraction(piece[1:close])
-        return GramLattice(_matrix_literal(piece[close + 1 :])).scale(scale)
-    dual = piece.endswith("*")
-    if dual:
-        piece = piece[:-1]
-    fam, num = piece[0], int(piece[1:])
-    lat = ade_gram(fam, num)
-    return dual_gram(lat) if dual else lat
+        c = Fraction(piece[1:close])
+        return tuple(tuple(c * x for x in row) for row in _matrix_literal(piece[close + 1 :]))
+    m = _NAMED_ATOM.fullmatch(piece)
+    if m is None:
+        raise ValueError(f"bad lattice atom {piece!r}")
+    order, fam, num, dual = m.groups()
+    if order is not None:
+        return int(order)
+    g = ade_gram(fam, int(num)).gram
+    return _invert(g) if dual else g
 
 
 def _matrix_literal(text: str) -> Matrix:

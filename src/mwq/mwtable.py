@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .lattice import (
     MWStructure,
@@ -142,7 +142,8 @@ class TableRow:
     sing_text: str
     line_class: str
     fiber_roots: tuple[str, ...]
-    mw: MWStructure
+    mw_text: str
+    narrow_text: str
     etc_expected: int
     qretc_expected: int
     notes: tuple[str, ...]
@@ -151,38 +152,42 @@ class TableRow:
     def has_class_flag(self) -> bool:
         return any("discrepancy" in n for n in self.notes)
 
+    @cached_property
+    def mw(self) -> MWStructure:
+        """The row's Mordell-Weil structure, parsed and checked on first read.
+
+        Fails loudly if the narrow Gram is not the integral-pairing sublattice
+        of the free part: that would signal a transcription bug in the data."""
+        mw_free, torsion = lattice_from_text(self.mw_text)
+        narrow, narrow_torsion = lattice_from_text(self.narrow_text)
+        if narrow_torsion:
+            raise ValueError(f"row {self.row_no}: narrow part cannot carry torsion")
+        try:
+            return make_mw_structure(mw_free, torsion, narrow)
+        except ValueError as exc:
+            raise ValueError(f"row {self.row_no}: {exc}") from exc
+
 
 @lru_cache(maxsize=1)
 def builtin_table() -> tuple[TableRow, ...]:
-    """All sixty rows with the narrow-part embeddings computed and verified.
-
-    Construction fails loudly if any narrow Gram cannot be embedded into its
-    free part: that would signal a transcription bug in the data above.
-    """
-    rows = []
-    for no, xi, cls, r, mw_text, mw0_text, etc, qretc, notes in _ROWS:
-        mw_free, torsion = lattice_from_text(mw_text)
-        mw0, torsion0 = lattice_from_text(mw0_text)
-        if torsion0:
-            raise ValueError(f"row {no}: narrow part cannot carry torsion")
-        try:
-            mw = make_mw_structure(mw_free, torsion, mw0)
-        except ValueError as exc:
-            raise ValueError(f"row {no}: {exc}") from exc
-        rows.append(
-            TableRow(
-                row_no=no,
-                sing_type=parse_ade_multiset(xi),
-                sing_text=xi,
-                line_class=cls,
-                fiber_roots=parse_ade_multiset(r),
-                mw=mw,
-                etc_expected=etc,
-                qretc_expected=qretc,
-                notes=tuple(notes),
-            )
+    """All sixty rows.  Only the identity columns are parsed here; each row
+    builds and checks its Mordell-Weil structure on the first read of `mw`,
+    which fails loudly on a transcription bug in the data above."""
+    return tuple(
+        TableRow(
+            row_no=no,
+            sing_type=parse_ade_multiset(xi),
+            sing_text=xi,
+            line_class=cls,
+            fiber_roots=parse_ade_multiset(r),
+            mw_text=mw_text,
+            narrow_text=narrow_text,
+            etc_expected=etc,
+            qretc_expected=qretc,
+            notes=tuple(notes),
         )
-    return tuple(rows)
+        for no, xi, cls, r, mw_text, narrow_text, etc, qretc, notes in _ROWS
+    )
 
 
 def rows_matching(sing_type: tuple[str, ...], fiber_roots: tuple[str, ...]) -> list[TableRow]:

@@ -264,10 +264,10 @@ def frac_text(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
-def _term_text(c: Fraction, var: str, k: int) -> str:
+def _term_text(c: Fraction, k: int) -> str:
     if k == 0:
         return frac_text(c)
-    v = var if k == 1 else f"{var}^{k}"
+    v = "t" if k == 1 else f"t^{k}"
     if c == 1:
         return v
     if c == -1:
@@ -275,7 +275,7 @@ def _term_text(c: Fraction, var: str, k: int) -> str:
     return f"{frac_text(c)}*{v}"
 
 
-def poly_text(p: UniPoly, var: str = "t") -> str:
+def poly_text(p: UniPoly) -> str:
     if p.is_zero:
         return "0"
     parts = []
@@ -283,7 +283,7 @@ def poly_text(p: UniPoly, var: str = "t") -> str:
         c = p.coeff(k)
         if c == 0:
             continue
-        txt = _term_text(c, var, k)
+        txt = _term_text(c, k)
         if not parts:
             parts.append(txt)
         elif txt.startswith("-"):

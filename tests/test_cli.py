@@ -287,6 +287,25 @@ def test_lattice_grammar_rejects_zero_denominators(capsys, text):
     assert "internal error" not in capsys.readouterr().err
 
 
+# a bad summand is reported as it is alone, also inside one block-diagonal sum
+@pytest.mark.parametrize("text, message", [
+    ("[[1,2],[3]]", "must be square"),
+    ("A1+[[1,2],[3]]", "must be square"),
+    ("[[2,1],[0,2]]", "must be symmetric"),
+    ("A1+[[2,1],[0,2]]", "must be symmetric"),
+    ("[[1,2],[2,1]]", "must be positive definite"),
+    ("A1+[[1,2],[2,1]]", "must be positive definite"),
+    ("<1/2", "bad lattice atom '<1/2'"),
+    ("A1+<1/2", "bad lattice atom '<1/2'"),
+    ("A", "bad lattice atom 'A'"),
+    ("Z/Z", "bad lattice atom 'Z/Z'"),
+])
+def test_lattice_grammar_names_the_bad_summand(capsys, text, message):
+    assert main(["lattice", "enumerate", text, "2"]) == EXIT_INPUT_ERROR
+    err = capsys.readouterr().err
+    assert message in err and "internal error" not in err
+
+
 @pytest.mark.parametrize("rows", ["70", "5..3", "0..2", "1..100"])
 def test_table_rejects_row_ranges_outside_the_table(capsys, rows):
     assert main(["table", "--verify", "--rows", rows]) == EXIT_INPUT_ERROR
@@ -587,6 +606,34 @@ def test_cli_runs_with_sympy_blocked(name):
         recs = [json.loads(line) for line in proc.stdout.splitlines()]
         results = {r["name"]: r["value"] for r in recs if r["kind"] == "result"}
         assert results["verdict"] == "ZariskiPair"
+
+
+# The table's Mordell-Weil structures are built only where a count reads them:
+# a fresh interpreter counts the `make_mw_structure` calls of one command.
+COUNT_MW = ("import sys, mwq.mwtable as t\n"
+            "calls, real = [], t.make_mw_structure\n"
+            "t.make_mw_structure = lambda *a: calls.append(1) or real(*a)\n"
+            "from mwq.cli import main\n"
+            "rc = main(sys.argv[1:])\n"
+            "print(len(calls), file=sys.stderr)\n"
+            "sys.exit(rc)")
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["symbol", Q51, C51_1], 0),
+    (["zariski", Q51, C51_1, C51_2], 0),
+    (["example", "5.1"], 0),
+    (["table", "--verify"], 60),
+], ids=["symbol_5.1_conic1", "zariski_5.1", "example_5.1", "table_verify"])
+def test_mw_structures_built_only_where_counted(argv, expected):
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-c", COUNT_MW, *argv, "--format", "records"],
+        cwd=root, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert int(proc.stderr.splitlines()[-1]) == expected
 
 
 def test_python_dash_m_runs_the_command_line():

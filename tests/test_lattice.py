@@ -314,14 +314,14 @@ def test_integer_kernel_is_saturated():
 
 def test_embedding_scalar_forced():
     big = GramLattice(((Fraction(1, 14),),))
-    cols = find_sublattice_embedding(big, ((14,),))
+    cols = find_sublattice_embedding(big, GramLattice(((14,),)))
     assert cols in (((14,),), ((-14,),))
 
 
 def test_embedding_an_into_its_dual():
     for n in (1, 2, 3):
         lat = ade_gram("A", n)
-        cols = find_sublattice_embedding(dual_gram(lat), lat.gram)
+        cols = find_sublattice_embedding(dual_gram(lat), lat)
         assert cols is not None
         dual = dual_gram(lat)
         for i in range(n):
@@ -332,7 +332,7 @@ def test_embedding_an_into_its_dual():
 def test_embedding_row14_shape():
     big = lattice_from_text("(1/10)[[2,1],[1,3]]")[0]
     small = ((6, -2), (-2, 4))
-    cols = find_sublattice_embedding(big, small)
+    cols = find_sublattice_embedding(big, GramLattice(small))
     assert cols is not None
     for i in range(2):
         for j in range(2):
@@ -342,7 +342,7 @@ def test_embedding_row14_shape():
 def test_embedding_absence_is_none():
     # A1 (norm 2) cannot embed into <4>Z: no vector of norm 2 exists
     big = GramLattice(((4,),))
-    assert find_sublattice_embedding(big, ((2,),)) is None
+    assert find_sublattice_embedding(big, GramLattice(((2,),))) is None
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +381,7 @@ def test_failed_rechecks_are_internal_inconsistencies(monkeypatch):
     wrong = ((1, 0),)
     monkeypatch.setattr(lattice, "find_sublattice_embeddings", lambda big, small: iter([wrong]))
     with pytest.raises(InternalInconsistencyError, match="Gram entry"):
-        lattice.find_sublattice_embedding(ade_gram("A", 2), ((4,),))
+        lattice.find_sublattice_embedding(ade_gram("A", 2), GramLattice(((4,),)))
     monkeypatch.setattr(lattice, "integer_kernel", lambda rows, n_cols: [])
     with pytest.raises(InternalInconsistencyError, match="kernel has rank 0"):
         lattice.integral_dual_basis(dual_gram(ade_gram("A", 1)))
