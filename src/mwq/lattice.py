@@ -453,7 +453,10 @@ def lattice_from_text(text: str) -> tuple[GramLattice, tuple[int, ...]]:
         piece, power = part, 1
         if "^" in piece[piece.find(">") + 1 :]:  # a power of "<q>" follows its ">"
             piece, pw = piece.rsplit("^", 1)
-            power = int(pw)
+            try:
+                power = int(pw)
+            except ValueError:
+                raise ValueError(f"bad power {pw!r} in {part!r}") from None
         if power < 1:
             raise ValueError(f"power {power} of {piece!r} must be at least 1")
         try:

@@ -230,26 +230,18 @@ class UniPoly:
             raise ValueError("inexact polynomial division")
         return q
 
-    def __call__(self, x):
-        """Horner evaluation; works for Fraction, UniPoly and RatFn inputs.  At a
-        rational n/d the sum runs in integers over powers of d."""
+    def __call__(self, x: Scalar) -> Fraction:
+        """Horner evaluation at a rational n/d, in integers over powers of d."""
         p = self._p
-        if isinstance(x, (int, Fraction)):
-            if not p:
-                return Fraction(0)
-            n, d = x.numerator, x.denominator
-            acc = p[-1]
-            dk = 1
-            for a in p[-2::-1]:
-                dk *= d
-                acc = acc * n + a * dk
-            return Fraction(self._c.numerator * acc, self._c.denominator * dk)
         if not p:
-            return x * 0
-        acc = x * 0 + p[-1]
+            return Fraction(0)
+        n, d = x.numerator, x.denominator
+        acc = p[-1]
+        dk = 1
         for a in p[-2::-1]:
-            acc = acc * x + a
-        return acc * self._c
+            dk *= d
+            acc = acc * n + a * dk
+        return Fraction(self._c.numerator * acc, self._c.denominator * dk)
 
     # -- structure -----------------------------------------------------
 
@@ -263,8 +255,22 @@ class UniPoly:
         return _make(Fraction(1, self._p[-1]), self._p)
 
     def shift(self, a: Scalar) -> "UniPoly":
-        """Return p(t + a)."""
-        return self(UniPoly.of(a, 1))
+        """Return p(t + a), by repeated synthetic division on integers.  With
+        a = n/d and P the primitive part, Q(x) = d^deg P(x/d) has integer
+        coefficients and P(a + t) = d^-deg Q(n + d t): shift Q by n, then
+        scale the coefficient of t^i by d^i."""
+        p = self._p
+        if not a or not p:
+            return self
+        n, d = a.numerator, a.denominator
+        deg = len(p) - 1
+        q = [x * d ** (deg - i) for i, x in enumerate(p)]
+        for i in range(deg):
+            for j in range(deg - 1, i - 1, -1):
+                q[j] += n * q[j + 1]
+        q = [x * d ** i for i, x in enumerate(q)]
+        c = self._c
+        return _canonical(q, c.numerator, c.denominator * d ** deg)
 
     def reversed_at(self, k: int) -> "UniPoly":
         """Return t^k * p(1/t); requires k >= deg p."""

@@ -32,7 +32,6 @@ from .surface import (
     WeierstrassCurve,
     halve,
     height_context,
-    on_curve,
     two_torsion_free,
 )
 
@@ -142,12 +141,10 @@ def even_tangency(quartic: PreparedQuartic, conic: Conic) -> TangencyReport:
 
 def _lift(quartic: PreparedQuartic, conic: Conic, report: TangencyReport) -> SectionPoint:
     """The section (q, +h) over an even tangential conic, h the square root of
-    f(t, q) in the report; its negative (q, -h) is the other lift.  Checking the
-    plus lift checks both, since y -> -y leaves y^2 unchanged."""
-    plus = SectionPoint(RatFn(conic.q), RatFn(report.sqrt_witness))
-    if not on_curve(quartic.curve, plus):
-        raise InternalInconsistencyError("lifted section is off the surface")
-    return plus
+    f(t, q) in the report; its negative (q, -h) is the other lift.  It lies on
+    the surface because `is_perfect_square` checked h^2 = f(t, q) exactly, and
+    `halve` checks it again where it enters."""
+    return SectionPoint(RatFn(conic.q), RatFn(report.sqrt_witness))
 
 
 # ---------------------------------------------------------------------------
@@ -291,11 +288,9 @@ def _certificate_of_half(
     """The certificate from s_o with 2 s_o = s_conic^+ (the caller's guarantee)."""
     f_o = s_o.x.as_unipoly()
     g_o = s_o.y.as_unipoly()
-    curve = quartic.curve
-    slope = (3 * s_o.x * s_o.x + 2 * curve.c1 * s_o.x + curve.c2) / (2 * s_o.y)
-    if not slope.is_polynomial():
+    a1, rem = divmod(quartic.curve.cubic.deriv_u().eval_u(f_o), 2 * g_o)  # the tangent slope
+    if not rem.is_zero:
         raise InternalInconsistencyError("tangent slope at the halving is not polynomial")
-    a1 = slope.as_unipoly()
     a2 = conic.q - f_o
     a3 = g_o + a1 * a2
     cert = SplittingCertificate(a1, a2, a3)

@@ -15,7 +15,7 @@ at v (Silverman 1988); cross pairings follow by bilinearity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, InitVar, dataclass
 from functools import cached_property
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -74,17 +74,23 @@ class SectionPoint:
 class WeierstrassCurve:
     """y^2 = u^3 + c1 u^2 + c2 u + c3 with deg c_k <= 2k and nonzero discriminant.
 
-    A frozen value: the discriminant, the chart at infinity and the cubic are
-    each built on first use and kept on the instance."""
+    A frozen value: the discriminant, c4, c6, the chart at infinity and the
+    cubic are each built on first use and kept on the instance.  The chart at
+    infinity receives its discriminant from this curve through `_discriminant`
+    rather than recomputing it."""
 
     c1: UniPoly
     c2: UniPoly
     c3: UniPoly
+    _: KW_ONLY
+    _discriminant: InitVar[Optional[UniPoly]] = None
 
-    def __post_init__(self):
+    def __post_init__(self, _discriminant: Optional[UniPoly]):
         for k, c in enumerate((self.c1, self.c2, self.c3), start=1):
             if c.degree > 2 * k:
                 raise ValueError(f"deg c{k} = {c.degree} exceeds the bound {2 * k}")
+        if _discriminant is not None:
+            self.__dict__["discriminant"] = _discriminant  # the cached_property's slot
         if self.discriminant.is_zero:
             raise ValueError("discriminant vanishes identically")
 
@@ -106,19 +112,23 @@ class WeierstrassCurve:
     def discriminant(self) -> UniPoly:
         return cubic_discriminant(self.c1, self.c2, self.c3)
 
+    @cached_property
     def c4_quantity(self) -> UniPoly:
         # c4 up to the constant 16; only valuations are ever used
         return self.c1 * self.c1 - 3 * self.c2
 
+    @cached_property
     def c6_quantity(self) -> UniPoly:
         # c6 up to the constant -32
         return 2 * self.c1 ** 3 - 9 * self.c1 * self.c2 + 27 * self.c3
 
     @cached_property
     def infinity_model(self) -> "WeierstrassCurve":
-        """The same surface in the chart s = 1/t, via c_k -> s^(2k) c_k(1/s)."""
+        """The same surface in the chart s = 1/t, via c_k -> s^(2k) c_k(1/s).
+        The discriminant has weight 12, so the chart's is s^12 disc(1/s)."""
         return WeierstrassCurve(
-            self.c1.reversed_at(2), self.c2.reversed_at(4), self.c3.reversed_at(6)
+            self.c1.reversed_at(2), self.c2.reversed_at(4), self.c3.reversed_at(6),
+            _discriminant=self.discriminant.reversed_at(12),
         )
 
     def __repr__(self):
@@ -187,15 +197,6 @@ def double(curve: WeierstrassCurve, p: SectionPoint) -> SectionPoint:
     x3 = lam * lam - curve.c1 - 2 * p.x
     y3 = lam * (p.x - x3) - p.y
     return SectionPoint(x3, y3)
-
-
-def multiple(curve: WeierstrassCurve, n: int, p: SectionPoint) -> SectionPoint:
-    if n < 0:
-        return multiple(curve, -n, negate(curve, p))
-    acc = SectionPoint.zero()
-    for _ in range(n):
-        acc = add(curve, acc, p)
-    return acc
 
 
 def section_at_infinity(point: SectionPoint) -> SectionPoint:
@@ -314,7 +315,7 @@ def kodaira_type_at(curve: WeierstrassCurve, place: Place) -> PlaceData:
     v_disc = ord_at(chart.discriminant, p)
     if v_disc == 0:
         raise ValueError("nonsingular place: the fiber there is smooth")
-    family, n = _classify(ord_at(chart.c4_quantity(), p), ord_at(chart.c6_quantity(), p), v_disc)
+    family, n = _classify(ord_at(chart.c4_quantity, p), ord_at(chart.c6_quantity, p), v_disc)
     return PlaceData(
         place=place if place == INFINITY_PLACE else p,
         family=family,
@@ -475,9 +476,10 @@ def _lifted_roots(poly: BiPoly, t0: Fraction) -> list[UniPoly]:
     """The Newton lifts mod (t - t0)^3 of the rational roots of poly(t0, u),
     in ascending order of those roots, shifted back to t; `poly` is a
     polynomial in u over Q[t] whose roots at t0 are simple.  Every root of
-    `poly` in Q[t] of degree <= 2 is among them."""
-    spec = UniPoly([c(t0) for c in poly.coeffs])
+    `poly` in Q[t] of degree <= 2 is among them.  The fiber poly(t0, u) is
+    read off the constant terms of the shifted coefficients."""
     series = [c.shift(t0).truncate(3) for c in poly.coeffs]
+    spec = UniPoly([c.coeff(0) for c in series])
     return [_lift_root(series, r, 3).shift(-t0) for r in rational_roots(spec)]
 
 
@@ -491,9 +493,13 @@ def halve(curve: WeierstrassCurve, point: SectionPoint) -> Optional[SectionPoint
     t0 with y_P(t0) != 0 the four roots of H(t0, X) are distinct (two halves
     sharing an x would make P(t0) 2-torsion), so each rational root lifts to a
     unique series root, and a half has the lift mod (t - t0)^3 as its x.  Each
-    candidate is decided by the exact checks alone: f(x) a square, then the
-    doubling.  A 2-torsion point (y_P = 0) has H = ((X - x_P)^2 - f'(x_P))^2,
-    so its candidates are x_P +- sqrt(f'(x_P)), tried in ascending order at a
+    candidate X is decided by exact checks alone: f(X) = Y^2 a nonzero square,
+    then the tangent law (Silverman, AEC III.2.3) as two polynomial
+    identities.  With slope f'(X) / 2Y, the double of (X, Y) has
+    x = x_P iff f'(X)^2 = 4 f(X) (x_P + c1 + 2X), and then y = y_P iff
+    f'(X) (X - x_P) - 2 f(X) = 2 Y y_P; Y = +sqrt f(X) is tried first.  A
+    2-torsion point (y_P = 0) has H = ((X - x_P)^2 - f'(x_P))^2, so its
+    candidates are x_P +- sqrt(f'(x_P)), tried in ascending order at a
     smooth fiber that separates them, as the lifts are at t0.
     """
     require_on_curve(curve, point)
@@ -505,8 +511,8 @@ def halve(curve: WeierstrassCurve, point: SectionPoint) -> Optional[SectionPoint
         raise ValueError("halving needs deg x <= 2 and deg y <= 3 (s.O = 0)")
     f = curve.cubic
     fp = f.deriv_u()
-    x_p = point.x.num
-    if point.y.is_zero:
+    x_p, y_p = point.x.num, point.y.num
+    if y_p.is_zero:
         g = is_perfect_square(fp.eval_u(x_p))
         if g is None:
             return None
@@ -514,15 +520,19 @@ def halve(curve: WeierstrassCurve, point: SectionPoint) -> Optional[SectionPoint
         candidates = sorted((x_p - g, x_p + g), key=lambda c: c(t0))
     else:
         quartic = fp * fp - BiPoly([4 * (curve.c1 + x_p), 8]) * f
-        candidates = _lifted_roots(quartic, _good_fiber(curve, point.y.num))
+        candidates = _lifted_roots(quartic, _good_fiber(curve, y_p))
     for cand in candidates:
-        g = is_perfect_square(f.eval_u(cand))
-        if g is None:
+        f_x = f.eval_u(cand)
+        g = is_perfect_square(f_x)
+        if g is None or g.is_zero:  # a zero Y doubles to O, never to point
             continue
+        fp_x = fp.eval_u(cand)
+        if fp_x * fp_x != 4 * f_x * (x_p + curve.c1 + 2 * cand):
+            continue
+        lhs = fp_x * (cand - x_p) - 2 * f_x
         for y_half in (g, -g):
-            s_o = SectionPoint(RatFn(cand), RatFn(y_half))
-            if double(curve, s_o) == point:
-                return s_o
+            if lhs == 2 * y_half * y_p:
+                return SectionPoint(RatFn(cand), RatFn(y_half))
     return None
 
 

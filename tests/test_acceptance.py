@@ -32,8 +32,8 @@ from mwq.surface import (
     halve,
     height_context,
     height_pairing,
-    multiple,
 )
+from test_surface import multiple
 
 
 def announce(criterion: str, ok: bool, detail: str = ""):

@@ -298,6 +298,8 @@ def test_lattice_grammar_rejects_zero_denominators(capsys, text):
     ("<1/2", "bad lattice atom '<1/2'"),
     ("A1+<1/2", "bad lattice atom '<1/2'"),
     ("A", "bad lattice atom 'A'"),
+    ("A1^x", "bad power 'x' in 'A1^x'"),
+    ("D4+A1^x", "bad power 'x' in 'A1^x'"),
     ("Z/Z", "bad lattice atom 'Z/Z'"),
 ])
 def test_lattice_grammar_names_the_bad_summand(capsys, text, message):
@@ -563,16 +565,17 @@ def call_counts(monkeypatch):
 @pytest.mark.parametrize("argv, expected", [
     # four bad places: t, t-2025, a quintic and infinity; each point is checked
     # on the curve once where it enters: three sections, five height inputs, and
-    # per conic its lift and the halving input
+    # per conic the halving input (its lift is a checked square root); the chart
+    # at infinity reads its discriminant off the curve's
     (["example", "5.1"],
      {"height_context": 1, "even_tangency": 2, "halve": 2, "singular_configuration": 1,
-      "kodaira_type_at": 4, "cubic_discriminant": 2, "on_curve": 12}),
+      "kodaira_type_at": 4, "cubic_discriminant": 1, "on_curve": 10}),
     # three bad places: t (I4), a quintic (I1) and infinity (III)
     (["example", "5.2"],
-     {"height_context": 1, "kodaira_type_at": 3, "cubic_discriminant": 2, "on_curve": 12}),
+     {"height_context": 1, "kodaira_type_at": 3, "cubic_discriminant": 1, "on_curve": 10}),
     (["zariski", Q51, C51_1, C51_2],
-     {"height_context": 1, "even_tangency": 2, "halve": 2, "on_curve": 4}),
-    (["symbol", Q51, C51_1], {"even_tangency": 1, "on_curve": 2}),
+     {"height_context": 1, "even_tangency": 2, "halve": 2, "on_curve": 2}),
+    (["symbol", Q51, C51_1], {"even_tangency": 1, "on_curve": 1}),
 ], ids=["example_5.1", "example_5.2", "zariski_5.1", "symbol_5.1_conic1"])
 def test_each_fact_computed_once(capsys, call_counts, argv, expected):
     assert main(argv + ["--format", "records"]) == EXIT_OK

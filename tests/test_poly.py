@@ -339,6 +339,14 @@ def test_rational_roots_match_divisor_oracle(lin, higher, t_power, scale, specia
         assert got.count(Fraction(num, den)) >= mult
 
 
+def horner(p, x):
+    """p(x) for a polynomial x, by Horner's rule."""
+    acc = UNIPOLY_ZERO
+    for c in reversed(p.coeffs):
+        acc = acc * x + c
+    return acc
+
+
 # The rootless degree-5 block, of fiber type I1, of the discriminant of each
 # worked example, and its images under the coordinate changes t -> lam*t + mu
 # of the conics benchmark strata (perfbench/workloads.py) and under t -> N*t
@@ -374,7 +382,7 @@ ROOTLESS = {
     # so a factorizer that admitted 2 would split there, where
     # Cantor-Zassenhaus does not work
     "(t^2-t-4)(t^2-t+3)": UniPoly.of(-4, -1, 1) * UniPoly.of(3, -1, 1),
-    **{f"I1 {base} t->{lam}*t+{mu}": I1_BLOCKS[base](UniPoly.of(mu, lam))
+    **{f"I1 {base} t->{lam}*t+{mu}": horner(I1_BLOCKS[base], UniPoly.of(mu, lam))
        for base, lam, mu in I1_IMAGES},
 }
 
@@ -502,6 +510,7 @@ _coeff_lists = st.lists(st.one_of(st.just(0), _scalars), max_size=7)
 
 @settings(max_examples=150, deadline=None)
 @given(a=_coeff_lists, b=_coeff_lists, s=_scalars, x=_scalars, n=st.integers(0, 3))
+@example(a=[], b=[1], s=2, x=Fraction(-7, 4), n=1)  # the zero polynomial
 def test_unipoly_matches_fraction_lists(a, b, s, x, n):
     ra, rb, s, x = ref_trim(a), ref_trim(b), Fraction(s), Fraction(x)
     pa, pb = UniPoly(a), UniPoly(b)
@@ -533,11 +542,12 @@ def test_unipoly_matches_fraction_lists(a, b, s, x, n):
     assert pa.derivative().coeffs == tuple(ref_trim([i * c for i, c in enumerate(ra)][1:]))
     assert pa(x) == ref_eval(ra, x)
     assert type(pa(x)) is Fraction
-    shifted, x_power = [], [Fraction(1)]
-    for c in ra:
-        shifted = ref_add(shifted, [c * y for y in x_power])
-        x_power = ref_mul(x_power, [x, Fraction(1)])
-    assert pa.shift(x).coeffs == tuple(shifted)
+    for by in (x, 0, -3, Fraction(-7, 4), Fraction(5, 6)):
+        shifted, by_power = [], [Fraction(1)]
+        for c in ra:
+            shifted = ref_add(shifted, [c * y for y in by_power])
+            by_power = ref_mul(by_power, [by, Fraction(1)])
+        assert pa.shift(by).coeffs == tuple(shifted)
     k = len(ra) + n
     assert pa.reversed_at(k).coeffs == tuple(ref_trim([0] * (k + 1 - len(ra)) + ra[::-1]))
     assert pa.truncate(n).coeffs == tuple(ref_trim(ra[:n]))
