@@ -9,8 +9,10 @@ in `BiPoly`, where every divisor must be a nonzero constant; section
 coordinates in `RatFn`, where a divisor may be any nonzero polynomial in t
 and `u` is rejected.  The first fault in reading order is reported.
 
-Syntax errors carry the offending position.  Degree-bound and shape errors
-are raised separately by the constructors of the target types.
+Syntax errors carry the offending position.  A power is checked before it
+is expanded: its exponent, and its degree in t and in u, are at most
+POWER_CAP.  Degree-bound and shape errors are raised separately by the
+constructors of the target types.
 """
 
 from __future__ import annotations
@@ -18,6 +20,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .poly import T, UNIPOLY_ONE, UNIPOLY_ZERO, BiPoly, RatFn, UniPoly
+
+
+POWER_CAP = 100
 
 
 class ParseError(ValueError):
@@ -136,8 +141,13 @@ class _Parser:
                 nkind, nval, npos = self.take()
             if nkind != "num":
                 raise ParseError("exponent must be an integer", npos)
+            exponent = int(nval)
+            if exponent > POWER_CAP or exponent * _degree(base) > POWER_CAP:
+                raise ParseError(
+                    f"power exceeds the cap: exponent and degree at most {POWER_CAP}", npos
+                )
             power = self.const(1)
-            for _ in range(int(nval)):
+            for _ in range(exponent):
                 power = power * base
             if neg:
                 if power.is_zero:
@@ -163,6 +173,13 @@ class _Parser:
                 raise ParseError("expected ')'", pos)
             return inner
         raise ParseError(f"unexpected token {val!r}", pos)
+
+
+def _degree(value) -> int:
+    """The largest degree in t or u of a parsed value, a BiPoly or a RatFn."""
+    if isinstance(value, RatFn):
+        return max(value.num.degree, value.den.degree)
+    return max((value.degree_u, *(c.degree for c in value.coeffs)))
 
 
 def _evaluate(text: str, const, names, divide):

@@ -272,13 +272,6 @@ class UniPoly:
         c = self._c
         return _canonical(q, c.numerator, c.denominator * d ** deg)
 
-    def reversed_at(self, k: int) -> "UniPoly":
-        """Return t^k * p(1/t); requires k >= deg p."""
-        if k < self.degree:
-            raise ValueError("reversal order below degree")
-        p, c = self._p, self._c
-        return _canonical([0] * (k + 1 - len(p)) + list(p[::-1]), c.numerator, c.denominator)
-
     def truncate(self, n: int) -> "UniPoly":
         c = self._c
         return _canonical(list(self._p[:n]), c.numerator, c.denominator)

@@ -139,14 +139,6 @@ def even_tangency(quartic: PreparedQuartic, conic: Conic) -> TangencyReport:
     return TangencyReport(True, contact, witness)
 
 
-def _lift(quartic: PreparedQuartic, conic: Conic, report: TangencyReport) -> SectionPoint:
-    """The section (q, +h) over an even tangential conic, h the square root of
-    f(t, q) in the report; its negative (q, -h) is the other lift.  It lies on
-    the surface because `is_perfect_square` checked h^2 = f(t, q) exactly, and
-    `halve` checks it again where it enters."""
-    return SectionPoint(RatFn(conic.q), RatFn(report.sqrt_witness))
-
-
 # ---------------------------------------------------------------------------
 # singular configuration and genus
 # ---------------------------------------------------------------------------
@@ -275,7 +267,9 @@ def qr_symbol(quartic: PreparedQuartic, conic: Conic) -> SymbolResult:
         return SymbolResult(1, ROUTE_GENUS0, report)
     if genus >= 2:
         return SymbolResult(-1, ROUTE_GENUS_GE2, report)
-    s_o = halve(quartic.curve, _lift(quartic, conic, report))
+    # the lift (q, +h), h the square root of f(t, q) in the report; `halve`
+    # checks it on the curve where it enters
+    s_o = halve(quartic.curve, SectionPoint(RatFn(conic.q), RatFn(report.sqrt_witness)))
     if s_o is None:
         return SymbolResult(-1, ROUTE_HALVING_ABSENCE, report)
     cert = _certificate_of_half(quartic, conic, s_o)

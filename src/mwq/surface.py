@@ -1,10 +1,12 @@
 """Elliptic curves y^2 = u^3 + c1(t) u^2 + c2(t) u + c3(t) over Q(t), viewed as
 rational elliptic surfaces.
 
-The degree bounds deg c_k <= 2k make the surface rational with chi = 1 and the
-substitution t -> 1/s, (u, y) -> (u/s^2, y/s^3) an exact model at infinity.
-Singular fibers are classified by the valuations of (c4, c6, disc) -- the
-residue fields have characteristic zero, so the short form of Tate's algorithm
+The degree bounds deg c_k <= 2k make the surface rational with chi = 1.  At
+infinity every valuation is read off a weighted degree: in the chart s = 1/t a
+quantity of weight w (c_k has weight 2k, x weight 2, y weight 3) is
+s^w a(1/s), so v_inf(a) = w - deg a, and no second model is built.  Singular
+fibers are classified by the valuations of (c4, c6, disc) -- the residue
+fields have characteristic zero, so the short form of Tate's algorithm
 applies.  Heights follow Shioda's formula
 
     <P, P> = 2 chi + 2 P.O - sum_v deg v * contr_v(P)
@@ -15,14 +17,13 @@ at v (Silverman 1988); cross pairings follow by bilinearity.
 
 from __future__ import annotations
 
-from dataclasses import KW_ONLY, InitVar, dataclass
+from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .lattice import InternalInconsistencyError
 from .poly import (
-    T,
     UNIPOLY_ONE,
     UNIPOLY_ZERO,
     BiPoly,
@@ -74,23 +75,17 @@ class SectionPoint:
 class WeierstrassCurve:
     """y^2 = u^3 + c1 u^2 + c2 u + c3 with deg c_k <= 2k and nonzero discriminant.
 
-    A frozen value: the discriminant, c4, c6, the chart at infinity and the
-    cubic are each built on first use and kept on the instance.  The chart at
-    infinity receives its discriminant from this curve through `_discriminant`
-    rather than recomputing it."""
+    A frozen value: the discriminant, c4, c6 and the cubic are each built on
+    first use and kept on the instance."""
 
     c1: UniPoly
     c2: UniPoly
     c3: UniPoly
-    _: KW_ONLY
-    _discriminant: InitVar[Optional[UniPoly]] = None
 
-    def __post_init__(self, _discriminant: Optional[UniPoly]):
+    def __post_init__(self):
         for k, c in enumerate((self.c1, self.c2, self.c3), start=1):
             if c.degree > 2 * k:
                 raise ValueError(f"deg c{k} = {c.degree} exceeds the bound {2 * k}")
-        if _discriminant is not None:
-            self.__dict__["discriminant"] = _discriminant  # the cached_property's slot
         if self.discriminant.is_zero:
             raise ValueError("discriminant vanishes identically")
 
@@ -121,15 +116,6 @@ class WeierstrassCurve:
     def c6_quantity(self) -> UniPoly:
         # c6 up to the constant -32
         return 2 * self.c1 ** 3 - 9 * self.c1 * self.c2 + 27 * self.c3
-
-    @cached_property
-    def infinity_model(self) -> "WeierstrassCurve":
-        """The same surface in the chart s = 1/t, via c_k -> s^(2k) c_k(1/s).
-        The discriminant has weight 12, so the chart's is s^12 disc(1/s)."""
-        return WeierstrassCurve(
-            self.c1.reversed_at(2), self.c2.reversed_at(4), self.c3.reversed_at(6),
-            _discriminant=self.discriminant.reversed_at(12),
-        )
 
     def __repr__(self):
         from .parsing import bipoly_text
@@ -199,28 +185,23 @@ def double(curve: WeierstrassCurve, p: SectionPoint) -> SectionPoint:
     return SectionPoint(x3, y3)
 
 
-def section_at_infinity(point: SectionPoint) -> SectionPoint:
-    """Coordinates of the section in the s = 1/t chart: (s^2 x(1/s), s^3 y(1/s))."""
-    if point.is_zero:
-        return point
-    return SectionPoint(_ratfn_infinity(point.x, 2), _ratfn_infinity(point.y, 3))
-
-
-def _ratfn_infinity(r: RatFn, weight: int) -> RatFn:
-    if r.is_zero:
-        return r
-    dn, dd = r.num.degree, r.den.degree
-    num = r.num.reversed_at(dn)
-    den = r.den.reversed_at(dd)
-    k = weight + dd - dn
-    if k >= 0:
-        return RatFn(num * T ** k, den)
-    return RatFn(num, den * T ** (-k))
-
-
 # ---------------------------------------------------------------------------
-# fiber classification (Tate over residue characteristic zero)
+# valuations and fiber classification (Tate over residue characteristic zero)
 # ---------------------------------------------------------------------------
+
+
+def _valuation(a: Union[UniPoly, RatFn], place: Place, weight: int) -> int:
+    """v(a) at a place.  At a finite place this is `ord_at`.  At infinity a
+    quantity of weight w reads s^w a(1/s) in the chart s = 1/t, so
+    v(a) = w - deg a: Tate's algorithm in the twisted model, which is
+    polynomial because deg c_k <= 2k, without building that model.  Zero gets
+    `ord_at`'s sentinel; a rational function is v(num) - v(den), den of
+    weight 0."""
+    if isinstance(a, RatFn):
+        return _valuation(a.num, place, weight) - _valuation(a.den, place, 0)
+    if place != INFINITY_PLACE:
+        return ord_at(a, place)
+    return 10 ** 9 if a.is_zero else weight - a.degree
 
 
 # Kodaira's table: family -> (m_v, Euler number, root system) at n = 0; the
@@ -244,15 +225,13 @@ class PlaceData:
     """A place of bad reduction together with its fiber type: `family` is
     'I', 'I*' or an additive type, and `n` the index of I_n and I_n* (0 for
     the others).  `kodaira`, `m_v`, `euler` and `root_label()` are read off
-    the one Kodaira table.  `chart_curve` is the model in which
-    `chart_place` is the place (the s = 1/t chart at infinity)."""
+    the one Kodaira table.  `curve` is the curve whose fiber it is."""
 
     place: Place
     family: str
     n: int
     degree: int
-    chart_curve: WeierstrassCurve
-    chart_place: UniPoly
+    curve: WeierstrassCurve
 
     @property
     def label(self) -> str:
@@ -299,31 +278,23 @@ def _classify(v_c4: int, v_c6: int, v_disc: int) -> tuple[str, int]:
 def kodaira_type_at(curve: WeierstrassCurve, place: Place) -> PlaceData:
     """Fiber type, component count and Euler number at a bad place.
 
-    The place is a monic irreducible polynomial, or INFINITY_PLACE (handled by
-    the exact twisted substitution, valid because deg c_k <= 2k).
+    The place is a monic irreducible polynomial, or INFINITY_PLACE.  The
+    discriminant, c4 and c6 have weights 12, 4 and 6.
     """
     if place == INFINITY_PLACE:
-        chart = curve.infinity_model
-        p = T
         degree = 1
     else:
         if not isinstance(place, UniPoly) or place.degree < 1:
             raise ValueError("place must be a monic irreducible polynomial or 'inf'")
-        chart = curve
-        p = place.monic()
-        degree = p.degree
-    v_disc = ord_at(chart.discriminant, p)
+        place = place.monic()
+        degree = place.degree
+    v_disc = _valuation(curve.discriminant, place, 12)
     if v_disc == 0:
         raise ValueError("nonsingular place: the fiber there is smooth")
-    family, n = _classify(ord_at(chart.c4_quantity, p), ord_at(chart.c6_quantity, p), v_disc)
-    return PlaceData(
-        place=place if place == INFINITY_PLACE else p,
-        family=family,
-        n=n,
-        degree=degree,
-        chart_curve=chart,
-        chart_place=p,
+    family, n = _classify(
+        _valuation(curve.c4_quantity, place, 4), _valuation(curve.c6_quantity, place, 6), v_disc
     )
+    return PlaceData(place=place, family=family, n=n, degree=degree, curve=curve)
 
 
 # ---------------------------------------------------------------------------
@@ -331,31 +302,29 @@ def kodaira_type_at(curve: WeierstrassCurve, place: Place) -> PlaceData:
 # ---------------------------------------------------------------------------
 
 
-def _chart_coords(pd: PlaceData, point: SectionPoint) -> SectionPoint:
-    return section_at_infinity(point) if pd.place == INFINITY_PLACE else point
-
-
 def local_correction(pd: PlaceData, point: SectionPoint) -> Fraction:
     """contr_v(P), the correction of <P, P> at one bad place, from valuations
     alone (J. Silverman, Computing heights on elliptic curves, Math. Comp. 51
-    (1988), Thm 5.2).  It needs a minimal model at the place, which the chart
-    is wherever `_classify` succeeds.  The value is the diagonal entry of the
-    inverse Cartan matrix of the fiber at the component that P meets, and 0
-    on the identity component.
+    (1988), Thm 5.2).  It needs a minimal model at the place, which the curve
+    (or, at infinity, its twisted model) is wherever `_classify` succeeds.  The
+    value is the diagonal entry of the inverse Cartan matrix of the fiber at
+    the component that P meets, and 0 on the identity component.
 
-    The polynomials in x are evaluated homogeneously on x = num/den: they are
-    reached only when v(den) = 0, so they have the valuations of their values.
+    x has weight 2 and y weight 3.  The polynomials in x are evaluated
+    homogeneously on x = num/den, as den^k F(x) of weight w_F + k deg den:
+    they are reached only when v(x) >= 0, so they have the valuations of
+    their values.
     """
     if point.is_zero:
         return Fraction(0)
-    cp = _chart_coords(pd, point)
-    chart, place = pd.chart_curve, pd.chart_place
-    c1, c2, c3 = chart.c1, chart.c2, chart.c3
-    num, den = cp.x.num, cp.x.den
-    v_y = cp.y.ord_at(place)
-    if ord_at(den, place) > 0 or v_y <= 0:
+    curve, place = pd.curve, pd.place
+    c1, c2, c3 = curve.c1, curve.c2, curve.c3
+    num, den = point.x.num, point.x.den
+    v_y = _valuation(point.y, place, 3)
+    if _valuation(point.x, place, 2) < 0 or v_y <= 0:
         return Fraction(0)  # P meets the zero point, or misses the singular point
-    if ord_at(3 * num * num + 2 * c1 * num * den + c2 * den * den, place) <= 0:
+    fp = 3 * num * num + 2 * c1 * num * den + c2 * den * den  # den^2 f'(x)
+    if _valuation(fp, place, 4 + 2 * den.degree) <= 0:
         return Fraction(0)
     if pd.family == "I":
         n = pd.n
@@ -363,8 +332,8 @@ def local_correction(pd: PlaceData, point: SectionPoint) -> Fraction:
         return m * (n - m) / n
     n2, nd, d2 = num * num, num * den, den * den
     psi3 = (3 * n2 * n2 + 4 * c1 * n2 * nd + 6 * c2 * n2 * d2 + 12 * c3 * nd * d2
-            + (4 * c1 * c3 - c2 * c2) * d2 * d2)
-    v_psi3 = ord_at(psi3, place)
+            + (4 * c1 * c3 - c2 * c2) * d2 * d2)  # den^4 psi3(x)
+    v_psi3 = _valuation(psi3, place, 8 + 4 * den.degree)
     return Fraction(2 * v_y, 3) if v_psi3 >= 3 * v_y else Fraction(v_psi3, 4)
 
 
@@ -379,7 +348,7 @@ def section_O_intersection(point: SectionPoint) -> int:
     if point.is_zero:
         raise ValueError("O.O is not defined here; self-pairings go through the height")
     total = sum(f.degree * ((mult + 1) // 2) for f, mult in squarefree_decompose(point.x.den))
-    inf_pole = point.x.num.degree - point.x.den.degree - 2
+    inf_pole = -_valuation(point.x, INFINITY_PLACE, 2)
     if inf_pole > 0:
         total += (inf_pole + 1) // 2
     return total
@@ -402,15 +371,17 @@ class HeightContext:
 def height_context(curve: WeierstrassCurve) -> HeightContext:
     """Classify every bad fiber of the curve.  The context is immutable, so one
     context serves every height pairing on the curve."""
-    places = [kodaira_type_at(curve, irr) for irr, _mult in irreducible_factors(curve.discriminant)]
-    if ord_at(curve.infinity_model.discriminant, T) > 0:
+    places = sorted(
+        (kodaira_type_at(curve, irr) for irr, _mult in irreducible_factors(curve.discriminant)),
+        key=lambda pd: pd.place.coeffs,
+    )
+    if curve.discriminant.degree < 12:  # the discriminant has weight 12
         places.append(kodaira_type_at(curve, INFINITY_PLACE))
     total = sum(pd.degree * pd.euler for pd in places)
     if total != 12:
         raise InternalInconsistencyError(
             f"Euler numbers of the fibers sum to {total}, not 12"
         )
-    places.sort(key=lambda pd: (pd.place == INFINITY_PLACE, pd.chart_place.coeffs))
     return HeightContext(curve, tuple(places))
 
 

@@ -14,6 +14,7 @@ import pytest
 import mwq.mwtable as mwtable
 from mwq.cli import main
 from mwq.parsing import (
+    POWER_CAP,
     InputFormatError,
     ParseError,
     bipoly_text,
@@ -327,6 +328,16 @@ def test_input_errors_exit_2(capsys):
     assert "--component" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["curve", "fibers", "u^3 + t^1000000*u + 1"],
+    ["curve", "check", Q51, "((t^1000)^1000, 1)"],
+], ids=["exponent", "degree"])
+def test_powers_over_the_cap_exit_2_before_expansion(capsys, argv):
+    # expanded, either power would run for hours before a degree bound fails
+    assert main(argv) == EXIT_INPUT_ERROR
+    assert f"at most {POWER_CAP}" in capsys.readouterr().err
+
+
 def test_untabulated_fiber_at_infinity_exits_2(capsys):
     # an even tangential conic on a quartic with a smooth fiber at infinity:
     # tangency never reads the fiber types, the symbol commands reject them
@@ -525,10 +536,39 @@ def test_golden_provenance_names_public_functions():
             assert not unknown, (path.name, rec.get("name"), unknown)
 
 
+# public names that neither src/ nor README.md uses, each with its reason
+TEST_ONLY_API = {"orthogonal_complement_gram": "acceptance criterion 3"}
+
+
+def test_public_api_is_used_in_src_or_named_in_readme():
+    """Every public module-level function or class of mwq is referenced by
+    another top-level statement of src/ or named in README.md: no test-only API."""
+    import ast
+    import re
+
+    root = Path(__file__).resolve().parent.parent
+    defined, used = {}, set()
+    for path in sorted((root / "src" / "mwq").glob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            names = {n.id for n in ast.walk(stmt) if isinstance(n, ast.Name)}
+            names |= {n.attr for n in ast.walk(stmt) if isinstance(n, ast.Attribute)}
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and not stmt.name.startswith("_"):
+                defined[stmt.name] = path.name
+                names.discard(stmt.name)  # a recursive call is no use from elsewhere
+            used |= names
+    readme = root.joinpath("README.md").read_text(encoding="utf-8")
+    unused = sorted(
+        name for name in set(defined) - used - set(TEST_ONLY_API)
+        if not re.search(rf"\b{name}\b", readme)
+    )
+    assert not unused, [(name, defined[name]) for name in unused]
+    assert all(name in defined and name not in used for name in TEST_ONLY_API)
+
+
 # ---------------------------------------------------------------------------
 # each fact once: one analysis per quartic, one classification per bad fiber,
-# one tangency and halving per conic, one infinity chart per curve (every
-# WeierstrassCurve computes one cubic discriminant)
+# one tangency and halving per conic, one cubic discriminant per curve (the
+# fiber at infinity is read off its degree: the discriminant has weight 12)
 # ---------------------------------------------------------------------------
 
 COUNTED = ("height_context", "singular_configuration", "even_tangency", "halve",
@@ -565,8 +605,8 @@ def call_counts(monkeypatch):
 @pytest.mark.parametrize("argv, expected", [
     # four bad places: t, t-2025, a quintic and infinity; each point is checked
     # on the curve once where it enters: three sections, five height inputs, and
-    # per conic the halving input (its lift is a checked square root); the chart
-    # at infinity reads its discriminant off the curve's
+    # per conic the halving input (its lift is a checked square root); the fiber
+    # at infinity reads the valuations of the curve's own discriminant, c4, c6
     (["example", "5.1"],
      {"height_context": 1, "even_tangency": 2, "halve": 2, "singular_configuration": 1,
       "kodaira_type_at": 4, "cubic_discriminant": 1, "on_curve": 10}),

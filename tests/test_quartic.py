@@ -6,7 +6,7 @@ import pytest
 
 from mwq.cli import main
 from mwq.parsing import parse_curve_rhs, parse_section
-from mwq.poly import BiPoly, T, UNIPOLY_ONE, UNIPOLY_ZERO, UniPoly
+from mwq.poly import BiPoly, T, UNIPOLY_ONE, UNIPOLY_ZERO, RatFn, UniPoly
 from mwq.quartic import (
     Conic,
     FEASIBLE_ALL_N,
@@ -22,7 +22,6 @@ from mwq.quartic import (
     VERDICT_NOT_COMPARABLE,
     VERDICT_ZARISKI,
     _certificate_of_half,
-    _lift,
     dihedral_feasibility,
     even_tangency,
     genus_from_sing,
@@ -32,7 +31,9 @@ from mwq.quartic import (
     zariski_pair_check,
 )
 from mwq.report import EXIT_INPUT_ERROR
-from mwq.surface import INFINITY_PLACE, InternalInconsistencyError, halve, negate, on_curve
+from mwq.surface import (
+    INFINITY_PLACE, InternalInconsistencyError, SectionPoint, halve, negate, on_curve,
+)
 
 Q51_TEXT = "u^3 + (271350 - 98*t)*u^2 + t*(t-5825)*(t-2025)*u + 36*t^2*(t-2025)^2"
 Q52_TEXT = "u^3 + (25*t + 9)*u^2 + (144*t^2 + t^3)*u + 16*t^4"
@@ -218,7 +219,9 @@ def test_degenerate_conic_rejected():
 
 
 def lifts(quartic, conic):
-    plus = _lift(quartic, conic, even_tangency(quartic, conic))
+    """The two lifts (q, +-h) of an even tangential conic, h^2 = f(t, q) the
+    square root in its tangency report."""
+    plus = SectionPoint(RatFn(conic.q), RatFn(even_tangency(quartic, conic).sqrt_witness))
     return plus, negate(quartic.curve, plus)
 
 

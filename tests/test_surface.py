@@ -10,10 +10,13 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mwq.cli import main
 from mwq.lattice import ade_gram, dual_gram
-from mwq.parsing import parse_curve_rhs, parse_section
+from mwq.parsing import parse_curve_rhs, parse_section, poly_text
+from mwq.replay import EXAMPLES
 from mwq.report import EXIT_INPUT_ERROR, EXIT_OK
 from mwq.poly import T, UNIPOLY_ONE, UNIPOLY_ZERO, RatFn, UniPoly, is_perfect_square, rational_roots
 from mwq.surface import (
@@ -541,6 +544,96 @@ def test_height_nonnegative_on_sections(e51):
             if combo.is_zero:
                 continue
             assert height_pairing(ctx, combo, combo) > 0
+
+
+# ---------------------------------------------------------------------------
+# the chart at infinity, built with sympy: an independent oracle for the
+# valuations at infinity that `surface` reads off weighted degrees
+# ---------------------------------------------------------------------------
+
+
+def _chart(r, weight):
+    """t^weight r(1/t) for a RatFn r, through sympy: c_k has weight 2k, x
+    weight 2 and y weight 3, so (c_k, x, y) map to the same surface over
+    Q(t) with t -> 1/t."""
+    import sympy as sp
+
+    t = sp.Symbol("t")
+
+    def to_sympy(p):
+        return sp.Add(*(sp.Rational(c.numerator, c.denominator) * t ** i
+                        for i, c in enumerate(p.coeffs)))
+
+    def from_sympy(expr):
+        coeffs = reversed(sp.Poly(expr, t).all_coeffs())
+        return UniPoly([Fraction(int(c.p), int(c.q)) for c in coeffs])
+
+    image = t ** weight * to_sympy(r.num).subs(t, 1 / t) / to_sympy(r.den).subs(t, 1 / t)
+    num, den = sp.fraction(sp.expand(image) if r.is_polynomial() else sp.cancel(image))
+    return RatFn(from_sympy(num), from_sympy(den))
+
+
+def _chart_curve(curve):
+    cs = (curve.c1, curve.c2, curve.c3)
+    return WeierstrassCurve(*(_chart(RatFn(c), 2 * k).num for k, c in enumerate(cs, start=1)))
+
+
+def _chart_point(p):
+    return p if p.is_zero else SectionPoint(_chart(p.x, 2), _chart(p.y, 3))
+
+
+def _fiber(curve, place):
+    """The Kodaira symbol at the place, or the input error it raises."""
+    try:
+        return kodaira_type_at(curve, place).kodaira
+    except ValueError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _vanishing_at_zero(weight):
+    """Coefficients of degree <= weight, small integers, vanishing at t = 0 to
+    a drawn order (so fibers at t = 0 are often bad, and often additive)."""
+    coeffs = st.lists(st.sampled_from([0, 0, 1, -1, 2, -3]),
+                      min_size=weight + 1, max_size=weight + 1)
+    return st.tuples(st.integers(0, weight + 1), coeffs).map(
+        lambda oc: UniPoly([0] * oc[0] + oc[1][oc[0]:])
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(_vanishing_at_zero(2), _vanishing_at_zero(4), _vanishing_at_zero(6))
+def test_fibers_at_t_and_infinity_match_the_sympy_chart(c1, c2, c3):
+    try:
+        curve = WeierstrassCurve(c1, c2, c3)
+    except ValueError:
+        return  # the discriminant vanishes: no surface
+    chart = _chart_curve(curve)
+    assert _fiber(curve, INFINITY_PLACE) == _fiber(chart, T)
+    assert _fiber(curve, T) == _fiber(chart, INFINITY_PLACE)
+
+
+def _place_under_inversion(pd):
+    """The label of the image of the place under t -> 1/t."""
+    if pd.place == INFINITY_PLACE:
+        return "t"
+    if pd.place == T:
+        return INFINITY_PLACE
+    return poly_text(_chart(RatFn(pd.place), pd.place.degree).num.monic()).replace(" ", "")
+
+
+@pytest.mark.parametrize("name", ["5.1", "5.2"])
+def test_heights_agree_under_t_to_one_over_t(name):
+    data = EXAMPLES[name]
+    curve = _curve(data["quartic"])
+    chart = _chart_curve(curve)
+    ctx, chart_ctx = height_context(curve), height_context(chart)
+    assert ({_place_under_inversion(pd): pd.kodaira for pd in ctx.places}
+            == {pd.label: pd.kodaira for pd in chart_ctx.places})
+    pts = [parse_section(data[k]) for k in ("s_o", "s_t1", "s_t2", "s1", "s2")]
+    pts.append(add(curve, pts[1], negate(curve, pts[2])))
+    for p, q in itertools.combinations_with_replacement(pts, 2):
+        assert (height_pairing(ctx, p, q)
+                == height_pairing(chart_ctx, _chart_point(p), _chart_point(q))), (p, q)
 
 
 # ---------------------------------------------------------------------------
