@@ -28,7 +28,7 @@ from .quartic import (
     dihedral_feasibility,
     even_tangency,
     qr_symbol,
-    zariski_pair_check,
+    zariski_verdict,
 )
 from .replay import EXAMPLES, run_example
 from .report import (
@@ -114,7 +114,7 @@ def _cmd_tangency(args) -> int:
     rep.add(
         "contact",
         [{"place": p, "multiplicity": m} for p, m in tang.contact],
-        ("even_tangency", "squarefree_decompose"),
+        ("even_tangency", "irreducible_factors"),
     )
     if tang.sqrt_witness is not None:
         rep.add("sqrt_witness", tang.sqrt_witness, ("is_perfect_square",))
@@ -149,8 +149,9 @@ def _cmd_zariski(args) -> int:
         command="zariski",
         inputs={"quartic": args.quartic, "conic1": args.conic1, "conic2": args.conic2},
     )
-    verdict = zariski_pair_check((quartic, c1), (quartic, c2))
-    rep.add("verdict", verdict.verdict, ("zariski_pair_check",))
+    sym1, sym2 = qr_symbol(quartic, c1), qr_symbol(quartic, c2)
+    verdict = zariski_verdict((quartic, sym1), (quartic, sym2))
+    rep.add("verdict", verdict.verdict, ("zariski_verdict",))
     rep.add("symbol1", verdict.symbol1, ("qr_symbol",))
     rep.add("symbol2", verdict.symbol2, ("qr_symbol",))
     rep.add(
@@ -177,21 +178,29 @@ def _cmd_feasibility(args) -> int:
     return _emit(rep, args.format)
 
 
-def _curve_and_points(args, n_points: int):
-    curve = WeierstrassCurve.from_cubic(parse_curve_rhs(args.curve))
-    pts = []
-    for i in range(n_points):
-        text = getattr(args, f"p{i + 1}")
-        if text is None:
-            raise InputFormatError(f"missing point argument p{i + 1}")
-        pts.append(parse_section(text))
-    return curve, pts
+# the number of points each `curve` op reads
+_CURVE_POINTS = {"check": 1, "add": 2, "double": 1, "negate": 1, "halve": 1, "fibers": 0,
+                 "height": 2}
 
 
 def _cmd_curve(args) -> int:
+    """Parse the curve and the op's points, then check the points on the curve
+    once, here where they enter; `check` reports that check instead."""
     rep = RunReport(command=f"curve {args.op}", inputs={"curve": args.curve})
+    curve = WeierstrassCurve.from_cubic(parse_curve_rhs(args.curve))
+    pts = []
+    for name in ("p1", "p2")[: _CURVE_POINTS[args.op]]:
+        text = getattr(args, name)
+        if text is None:
+            raise InputFormatError(f"missing point argument {name}")
+        pts.append(parse_section(text))
+        rep.inputs[name] = text
+    if args.op == "check":
+        rep.add("on_curve", on_curve(curve, pts[0]), ("on_curve",))
+        return _emit(rep, args.format)
+    require_on_curve(curve, *pts)
     if args.op == "fibers":
-        ctx = height_context(_curve_and_points(args, 0)[0])
+        ctx = height_context(curve)
         for pd in ctx.places:
             rep.add(
                 f"fiber[{pd.label}]",
@@ -200,36 +209,19 @@ def _cmd_curve(args) -> int:
                 ("height_context", "kodaira_type_at"),
             )
         rep.add("euler_sum", sum(pd.degree * pd.euler for pd in ctx.places), ("height_context",))
-        return _emit(rep, args.format)
-    if args.op == "check":
-        curve, (p,) = _curve_and_points(args, 1)
-        rep.inputs["p1"] = args.p1
-        rep.add("on_curve", on_curve(curve, p), ("on_curve",))
-        return _emit(rep, args.format)
-    if args.op in ("double", "negate", "halve"):
-        curve, (p,) = _curve_and_points(args, 1)
-        rep.inputs["p1"] = args.p1
-        if args.op == "double":
-            require_on_curve(curve, p)
-            rep.add("result", double(curve, p), ("double",))
-        elif args.op == "negate":
-            require_on_curve(curve, p)
-            rep.add("result", negate(curve, p), ("negate",))
-        else:
-            half = halve(curve, p)
-            rep.add("divisible_by_2", half is not None, ("halve",))
-            if half is not None:
-                rep.add("result", half, ("halve",))
-        return _emit(rep, args.format)
-    if args.op == "add":
-        curve, (p, q) = _curve_and_points(args, 2)
-        rep.inputs.update({"p1": args.p1, "p2": args.p2})
-        require_on_curve(curve, p, q)
-        rep.add("result", add(curve, p, q), ("add",))
-        return _emit(rep, args.format)
-    curve, (p, q) = _curve_and_points(args, 2)  # height
-    rep.inputs.update({"p1": args.p1, "p2": args.p2})
-    rep.add("height", height_pairing(height_context(curve), p, q), ("height_pairing",))
+    elif args.op == "double":
+        rep.add("result", double(curve, *pts), ("double",))
+    elif args.op == "negate":
+        rep.add("result", negate(curve, *pts), ("negate",))
+    elif args.op == "halve":
+        half = halve(curve, *pts)
+        rep.add("divisible_by_2", half is not None, ("halve",))
+        if half is not None:
+            rep.add("result", half, ("halve",))
+    elif args.op == "add":
+        rep.add("result", add(curve, *pts), ("add",))
+    else:  # height
+        rep.add("height", height_pairing(height_context(curve), *pts), ("height_pairing",))
     return _emit(rep, args.format)
 
 
@@ -301,7 +293,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
 
     p = with_format(sub.add_parser("curve", help="group law, fibers and heights"))
-    p.add_argument("op", choices=("check", "add", "double", "negate", "halve", "fibers", "height"))
+    p.add_argument("op", choices=tuple(_CURVE_POINTS))
     p.add_argument("curve")
     p.add_argument("p1", nargs="?")
     p.add_argument("p2", nargs="?")

@@ -141,7 +141,7 @@ class _Parser:
                 nkind, nval, npos = self.take()
             if nkind != "num":
                 raise ParseError("exponent must be an integer", npos)
-            exponent = int(nval)
+            exponent = _literal(nval, npos)
             if exponent > POWER_CAP or exponent * _degree(base) > POWER_CAP:
                 raise ParseError(
                     f"power exceeds the cap: exponent and degree at most {POWER_CAP}", npos
@@ -159,7 +159,7 @@ class _Parser:
     def atom(self):
         kind, val, pos = self.take()
         if kind == "num":
-            return self.const(int(val))
+            return self.const(_literal(val, pos))
         if kind == "name":
             if val in self.names:
                 return self.names[val]
@@ -173,6 +173,16 @@ class _Parser:
                 raise ParseError("expected ')'", pos)
             return inner
         raise ParseError(f"unexpected token {val!r}", pos)
+
+
+def _literal(digits: str, pos: int) -> int:
+    """The integer literal at `pos`.  Python refuses to convert a string of
+    more than `sys.get_int_max_str_digits()` digits; that is a fault of the
+    input, reported at the literal."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError(f"integer literal of {len(digits)} digits is too long", pos) from None
 
 
 def _degree(value) -> int:

@@ -160,7 +160,7 @@ class UniPoly:
             return _make(c, b)
         if len(b) == 1:
             return _make(c, a)
-        return _make(c, tuple(_convolve(a, b, len(a) + len(b) - 1)))
+        return _make(c, tuple(_convolve(a, b)))
 
     __rmul__ = __mul__
 
@@ -272,28 +272,6 @@ class UniPoly:
         c = self._c
         return _canonical(q, c.numerator, c.denominator * d ** deg)
 
-    def truncate(self, n: int) -> "UniPoly":
-        c = self._c
-        return _canonical(list(self._p[:n]), c.numerator, c.denominator)
-
-    def mul_trunc(self, other: "UniPoly", n: int) -> "UniPoly":
-        a, b = self._p[:n], other._p[:n]
-        if not a or not b or n <= 0:
-            return UNIPOLY_ZERO
-        c = self._c * other._c
-        return _canonical(_convolve(a, b, n), c.numerator, c.denominator)
-
-    def inverse_series(self, n: int) -> "UniPoly":
-        """Inverse modulo t^n by Newton iteration; constant term must be nonzero."""
-        if self.is_zero or self._p[0] == 0:
-            raise ZeroDivisionError("series inverse needs a unit constant term")
-        inv = UniPoly.const(1 / self.coeff(0))
-        prec = 1
-        while prec < n:
-            prec = min(2 * prec, n)
-            inv = inv.mul_trunc(UniPoly.const(2) - self.mul_trunc(inv, prec), prec)
-        return inv
-
     def __repr__(self):
         from .parsing import poly_text
 
@@ -334,12 +312,12 @@ def _canonical(ints: list[int], num: int, den: int) -> UniPoly:
     return poly
 
 
-def _convolve(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
-    """The first n coefficients of the product of two integer polynomials."""
-    out = [0] * n
-    for i, x in enumerate(a[:n]):
+def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """The coefficients of the product of two integer polynomials."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
         if x:
-            for j, y in enumerate(b[: n - i]):
+            for j, y in enumerate(b):
                 out[i + j] += x * y
     return out
 
@@ -531,7 +509,7 @@ def _sub_mod(a: Sequence[int], b: Sequence[int], m: int) -> list[int]:
 def _mul_mod(a: Sequence[int], b: Sequence[int], m: int) -> list[int]:
     if not a or not b:
         return []
-    return _trim([x % m for x in _convolve(a, b, len(a) + len(b) - 1)])
+    return _trim([x % m for x in _convolve(a, b)])
 
 
 def _divmod_mod(a: Sequence[int], b: Sequence[int], m: int) -> tuple[list[int], list[int]]:
@@ -858,12 +836,6 @@ class RatFn:
         if d == 0:
             raise ZeroDivisionError(f"pole at t = {x}")
         return self.num(frac(x)) / d
-
-    def ord_at(self, place: UniPoly) -> int:
-        """Valuation at an irreducible place (negative at poles)."""
-        if self.is_zero:
-            return 10 ** 9
-        return ord_at(self.num, place) - ord_at(self.den, place)
 
     def __repr__(self):
         from .parsing import ratfn_text

@@ -267,8 +267,8 @@ def qr_symbol(quartic: PreparedQuartic, conic: Conic) -> SymbolResult:
         return SymbolResult(1, ROUTE_GENUS0, report)
     if genus >= 2:
         return SymbolResult(-1, ROUTE_GENUS_GE2, report)
-    # the lift (q, +h), h the square root of f(t, q) in the report; `halve`
-    # checks it on the curve where it enters
+    # the lift (q, +h), h the square root of f(t, q) in the report: h^2 = f(t, q)
+    # was verified by `is_perfect_square`, so the lift lies on the curve
     s_o = halve(quartic.curve, SectionPoint(RatFn(conic.q), RatFn(report.sqrt_witness)))
     if s_o is None:
         return SymbolResult(-1, ROUTE_HALVING_ABSENCE, report)
@@ -342,18 +342,12 @@ class ZariskiVerdict:
     symbol2: int
 
 
-def zariski_pair_check(
-    pair1: tuple[PreparedQuartic, Conic], pair2: tuple[PreparedQuartic, Conic]
-) -> ZariskiVerdict:
-    """Equal combinatorial types with opposite symbols make a Zariski pair."""
-    return zariski_verdict((pair1[0], qr_symbol(*pair1)), (pair2[0], qr_symbol(*pair2)))
-
-
 def zariski_verdict(
     pair1: tuple[PreparedQuartic, SymbolResult], pair2: tuple[PreparedQuartic, SymbolResult]
 ) -> ZariskiVerdict:
-    """The verdict on two (quartic, symbol) pairs whose symbols are already
-    known; each combinatorial type comes from its symbol's tangency report."""
+    """The verdict on two (quartic, symbol) pairs: equal combinatorial types
+    with opposite symbols make a Zariski pair.  Each combinatorial type comes
+    from its symbol's tangency report."""
     t1 = _combinatorial_type(pair1[0], pair1[1].tangency)
     t2 = _combinatorial_type(pair2[0], pair2[1].tangency)
     s1, s2 = pair1[1].value, pair2[1].value

@@ -20,12 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 from .lattice import InternalInconsistencyError
 from .poly import (
     UNIPOLY_ONE,
-    UNIPOLY_ZERO,
     BiPoly,
     RatFn,
     UniPoly,
@@ -145,8 +144,9 @@ def on_curve(curve: WeierstrassCurve, point: SectionPoint) -> bool:
 
 
 def require_on_curve(curve: WeierstrassCurve, *points: SectionPoint):
-    """The check made once, where points enter: the group law below and
-    `section_O_intersection` assume points on the curve and do not repeat it."""
+    """The check made once, where points enter (the command line): every
+    function of this module assumes its points lie on the curve and does not
+    repeat it."""
     for p in points:
         if not on_curve(curve, p):
             raise ValueError(f"point {p!r} is not on the curve")
@@ -394,10 +394,7 @@ def _self_height(ctx: HeightContext, p: SectionPoint) -> Fraction:
 def height_pairing(ctx: HeightContext, p: SectionPoint, q: SectionPoint) -> Fraction:
     """Shioda's pairing: <P, P> = 2 chi + 2 P.O - sum_v deg v * contr_v(P), and
     <P, Q> = (<P, P> + <Q, Q> - <P - Q, P - Q>) / 2 by bilinearity.  Pairing
-    anything with the zero section is 0."""
-    require_on_curve(ctx.curve, p)
-    if q != p:
-        require_on_curve(ctx.curve, q)
+    anything with the zero section is 0.  P and Q must lie on the curve."""
     if p.is_zero or q.is_zero:
         return Fraction(0)
     if p == q:
@@ -411,28 +408,6 @@ def height_pairing(ctx: HeightContext, p: SectionPoint, q: SectionPoint) -> Frac
 # ---------------------------------------------------------------------------
 
 
-def _lift_root(coeffs: Sequence[UniPoly], root: Fraction, prec: int) -> UniPoly:
-    """The series X(s) = root + O(s) with sum_k coeffs[k] X^k = 0 mod s^prec,
-    where the coefficients are series in s and `root` is a simple root of
-    their constant terms: Newton iteration, doubling the precision each step."""
-    def value_and_derivative(x: UniPoly, n: int) -> tuple[UniPoly, UniPoly]:
-        val = der = UNIPOLY_ZERO
-        for c in reversed(coeffs):
-            der = der.mul_trunc(x, n) + val
-            val = val.mul_trunc(x, n) + c.truncate(n)
-        return val, der
-
-    x = UniPoly.const(root)
-    n = 1
-    while n < prec:
-        n = min(2 * n, prec)
-        val, der = value_and_derivative(x, n)
-        x = (x - val.mul_trunc(der.inverse_series(n), n)).truncate(n)
-    if not value_and_derivative(x, prec)[0].is_zero:
-        raise InternalInconsistencyError("Newton lift is not a root")
-    return x
-
-
 def _good_fiber(curve: WeierstrassCurve, avoid: UniPoly = UNIPOLY_ONE) -> Fraction:
     """The least integer t0 >= 0 with a smooth fiber (disc(t0) != 0) at which
     `avoid`, a nonzero polynomial, does not vanish either."""
@@ -444,36 +419,52 @@ def _good_fiber(curve: WeierstrassCurve, avoid: UniPoly = UNIPOLY_ONE) -> Fracti
 
 
 def _lifted_roots(poly: BiPoly, t0: Fraction) -> list[UniPoly]:
-    """The Newton lifts mod (t - t0)^3 of the rational roots of poly(t0, u),
-    in ascending order of those roots, shifted back to t; `poly` is a
-    polynomial in u over Q[t] whose roots at t0 are simple.  Every root of
-    `poly` in Q[t] of degree <= 2 is among them.  The fiber poly(t0, u) is
-    read off the constant terms of the shifted coefficients."""
-    series = [c.shift(t0).truncate(3) for c in poly.coeffs]
-    spec = UniPoly([c.coeff(0) for c in series])
-    return [_lift_root(series, r, 3).shift(-t0) for r in rational_roots(spec)]
+    """The lifts mod (t - t0)^3 of the rational roots of poly(t0, u), in
+    ascending order of those roots, shifted back to t; `poly` is a polynomial
+    in u over Q[t] whose roots at t0 are simple.  Every root of `poly` in Q[t]
+    of degree <= 2 is among them.  With s = t - t0 and p_k(u) the coefficient
+    of s^k in poly(t0 + s, u), a root r of p_0 lifts to r + a s + b s^2, read
+    off the coefficients of s and s^2 in poly(t0 + s, r + a s + b s^2):
+
+        p_0'(r) a = -p_1(r),
+        p_0'(r) b = -(p_2(r) + p_1'(r) a + p_0''(r) a^2 / 2).
+    """
+    shifted = [c.shift(t0) for c in poly.coeffs]
+    p0, p1, p2 = (UniPoly([c.coeff(k) for c in shifted]) for k in range(3))
+    d0, d1 = p0.derivative(), p1.derivative()
+    dd0 = d0.derivative()
+    cube = UniPoly.of(-t0, 1) ** 3
+    lifts = []
+    for r in rational_roots(p0):
+        a = -p1(r) / d0(r)
+        b = -(p2(r) + d1(r) * a + dd0(r) * a * a / 2) / d0(r)
+        lift = UniPoly.of(r, a, b).shift(-t0)
+        if not (poly.eval_u(lift) % cube).is_zero:
+            raise InternalInconsistencyError(f"lift of the root {r} is not a root mod (t - t0)^3")
+        lifts.append(lift)
+    return lifts
 
 
 def halve(curve: WeierstrassCurve, point: SectionPoint) -> Optional[SectionPoint]:
-    """A section s_o with 2 s_o = point, or None if no such section exists.
+    """A section s_o with 2 s_o = point, or None if no such section exists;
+    the point must lie on the curve.
 
     Requires polynomial coordinates with deg x <= 2, deg y <= 3 (equivalently
     s.O = 0); any half of such a section again has polynomial coordinates
     within the same bounds.  Its x is a root of the halving quartic
     H(t, X) = f'(X)^2 - 4 (c1 + 2X + x_P) f(X), f the cubic.  At a smooth fiber
     t0 with y_P(t0) != 0 the four roots of H(t0, X) are distinct (two halves
-    sharing an x would make P(t0) 2-torsion), so each rational root lifts to a
-    unique series root, and a half has the lift mod (t - t0)^3 as its x.  Each
-    candidate X is decided by exact checks alone: f(X) = Y^2 a nonzero square,
-    then the tangent law (Silverman, AEC III.2.3) as two polynomial
-    identities.  With slope f'(X) / 2Y, the double of (X, Y) has
-    x = x_P iff f'(X)^2 = 4 f(X) (x_P + c1 + 2X), and then y = y_P iff
-    f'(X) (X - x_P) - 2 f(X) = 2 Y y_P; Y = +sqrt f(X) is tried first.  A
-    2-torsion point (y_P = 0) has H = ((X - x_P)^2 - f'(x_P))^2, so its
-    candidates are x_P +- sqrt(f'(x_P)), tried in ascending order at a
+    sharing an x would make P(t0) 2-torsion), so each rational root has one
+    lift mod (t - t0)^3, read off in closed form by `_lifted_roots`, and a
+    half has that lift as its x.  Each candidate X is decided by exact checks
+    alone: f(X) = Y^2 a nonzero square, then the tangent law (Silverman, AEC
+    III.2.3) as two polynomial identities.  With slope f'(X) / 2Y, the double
+    of (X, Y) has x = x_P iff f'(X)^2 = 4 f(X) (x_P + c1 + 2X), and then
+    y = y_P iff f'(X) (X - x_P) - 2 f(X) = 2 Y y_P; Y = +sqrt f(X) is tried
+    first.  A 2-torsion point (y_P = 0) has H = ((X - x_P)^2 - f'(x_P))^2, so
+    its candidates are x_P +- sqrt(f'(x_P)), tried in ascending order at a
     smooth fiber that separates them, as the lifts are at t0.
     """
-    require_on_curve(curve, point)
     if point.is_zero:
         raise ValueError("halving the zero section")
     if not (point.x.is_polynomial() and point.y.is_polynomial()):

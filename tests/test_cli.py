@@ -542,12 +542,16 @@ TEST_ONLY_API = {"orthogonal_complement_gram": "acceptance criterion 3"}
 
 def test_public_api_is_used_in_src_or_named_in_readme():
     """Every public module-level function or class of mwq is referenced by
-    another top-level statement of src/ or named in README.md: no test-only API."""
+    another top-level statement of src/ or named in README.md, and every public
+    non-dunder method is read as an attribute of that name outside its own body
+    or named in README.md: no test-only API."""
     import ast
     import re
 
     root = Path(__file__).resolve().parent.parent
     defined, used = {}, set()
+    methods = {}  # "Class.method" -> (method name, file)
+    attrs = []  # (the "Class.method" whose body it is, or None; attribute names read)
     for path in sorted((root / "src" / "mwq").glob("*.py")):
         for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
             names = {n.id for n in ast.walk(stmt) if isinstance(n, ast.Name)}
@@ -556,12 +560,24 @@ def test_public_api_is_used_in_src_or_named_in_readme():
                 defined[stmt.name] = path.name
                 names.discard(stmt.name)  # a recursive call is no use from elsewhere
             used |= names
+            is_class = isinstance(stmt, ast.ClassDef)
+            for part in stmt.body if is_class else [stmt]:
+                owner = None
+                if is_class and isinstance(part, ast.FunctionDef) and not part.name.startswith("_"):
+                    owner = f"{stmt.name}.{part.name}"
+                    methods[owner] = (part.name, path.name)
+                attrs.append((owner, {n.attr for n in ast.walk(part) if isinstance(n, ast.Attribute)}))
     readme = root.joinpath("README.md").read_text(encoding="utf-8")
     unused = sorted(
         name for name in set(defined) - used - set(TEST_ONLY_API)
         if not re.search(rf"\b{name}\b", readme)
     )
-    assert not unused, [(name, defined[name]) for name in unused]
+    unused += sorted(
+        key for key, (name, _file) in methods.items()
+        if not any(name in names for owner, names in attrs if owner != key)
+        and not re.search(rf"\b{name}\b", readme)
+    )
+    assert not unused, [(name, defined.get(name) or methods[name][1]) for name in unused]
     assert all(name in defined and name not in used for name in TEST_ONLY_API)
 
 
@@ -603,19 +619,19 @@ def call_counts(monkeypatch):
 
 
 @pytest.mark.parametrize("argv, expected", [
-    # four bad places: t, t-2025, a quintic and infinity; each point is checked
-    # on the curve once where it enters: three sections, five height inputs, and
-    # per conic the halving input (its lift is a checked square root); the fiber
-    # at infinity reads the valuations of the curve's own discriminant, c4, c6
+    # four bad places: t, t-2025, a quintic and infinity; the three sections
+    # are checked on the curve once, as reported records, and nothing else is
+    # (a conic's lift is a checked square root); the fiber at infinity reads
+    # the valuations of the curve's own discriminant, c4, c6
     (["example", "5.1"],
      {"height_context": 1, "even_tangency": 2, "halve": 2, "singular_configuration": 1,
-      "kodaira_type_at": 4, "cubic_discriminant": 1, "on_curve": 10}),
+      "kodaira_type_at": 4, "cubic_discriminant": 1, "on_curve": 3}),
     # three bad places: t (I4), a quintic (I1) and infinity (III)
     (["example", "5.2"],
-     {"height_context": 1, "kodaira_type_at": 3, "cubic_discriminant": 1, "on_curve": 10}),
+     {"height_context": 1, "kodaira_type_at": 3, "cubic_discriminant": 1, "on_curve": 3}),
     (["zariski", Q51, C51_1, C51_2],
-     {"height_context": 1, "even_tangency": 2, "halve": 2, "on_curve": 2}),
-    (["symbol", Q51, C51_1], {"even_tangency": 1, "on_curve": 1}),
+     {"height_context": 1, "even_tangency": 2, "halve": 2, "on_curve": 0}),
+    (["symbol", Q51, C51_1], {"even_tangency": 1, "on_curve": 0}),
 ], ids=["example_5.1", "example_5.2", "zariski_5.1", "symbol_5.1_conic1"])
 def test_each_fact_computed_once(capsys, call_counts, argv, expected):
     assert main(argv + ["--format", "records"]) == EXIT_OK

@@ -55,13 +55,21 @@ SINGLE_FAULTS = [
     (parse_section, "(u, t)", InputFormatError, NOT_IN_T, None),
     (parse_section, "(t, 1/t + u)", InputFormatError, NOT_IN_T, None),
     (parse_ratfn, "u/u", InputFormatError, NOT_IN_T, None),
+    # longer than Python converts by default (4300 digits): reported at the literal
+    (parse_bipoly, "u + " + "7" * 5000, ParseError, "integer literal of 5000 digits is too long", 4),
+    (parse_bipoly, "t^" + "9" * 5000, ParseError, "integer literal of 5000 digits is too long", 2),
 ]
+
+
+def _case_id(case) -> str:
+    text = case[1] if len(case[1]) <= 40 else f"{case[1][:8]}...({len(case[1])} chars)"
+    return f"{case[0].__name__}:{text}"
 
 
 @pytest.mark.parametrize(
     "parse, text, error, message, pos",
     SINGLE_FAULTS,
-    ids=[f"{case[0].__name__}:{case[1]}" for case in SINGLE_FAULTS],
+    ids=[_case_id(case) for case in SINGLE_FAULTS],
 )
 def test_single_fault_is_reported_with_its_message_and_position(parse, text, error, message, pos):
     with pytest.raises(error) as err:

@@ -28,7 +28,7 @@ from mwq.quartic import (
     qr_symbol,
     singular_configuration,
     verify_splitting_certificate,
-    zariski_pair_check,
+    zariski_verdict,
 )
 from mwq.report import EXIT_INPUT_ERROR
 from mwq.surface import (
@@ -325,36 +325,41 @@ def test_certificate_rejects_wrong_section(q51):
 # ---------------------------------------------------------------------------
 
 
+def symbol_pair(quartic, conic):
+    """The (quartic, symbol) pair that `zariski_verdict` reads."""
+    return quartic, qr_symbol(quartic, conic)
+
+
 def test_combinatorial_types_equal_51(q51):
-    v = zariski_pair_check((q51, Conic(C51_1)), (q51, Conic(C51_2)))
+    v = zariski_verdict(symbol_pair(q51, Conic(C51_1)), symbol_pair(q51, Conic(C51_2)))
     assert v.type1 == v.type2
     assert v.type1.contact_multiset == (2, 2, 2, 2)
 
 
 def test_combinatorial_types_differ_on_contact(q21, q51):
-    v = zariski_pair_check((q21, conic_t2()), (q51, Conic(C51_1)))
+    v = zariski_verdict(symbol_pair(q21, conic_t2()), symbol_pair(q51, Conic(C51_1)))
     assert v.type1.contact_multiset == (4, 4)
     assert v.type1 != v.type2 and v.verdict == VERDICT_NOT_COMPARABLE
 
 
 def test_zariski_pair_51(q51):
-    v = zariski_pair_check((q51, Conic(C51_1)), (q51, Conic(C51_2)))
+    v = zariski_verdict(symbol_pair(q51, Conic(C51_1)), symbol_pair(q51, Conic(C51_2)))
     assert v.verdict == VERDICT_ZARISKI
     assert (v.symbol1, v.symbol2) == (1, -1)
 
 
 def test_zariski_pair_52(q52):
-    v = zariski_pair_check((q52, Conic(C52_1)), (q52, Conic(C52_2)))
+    v = zariski_verdict(symbol_pair(q52, Conic(C52_1)), symbol_pair(q52, Conic(C52_2)))
     assert v.verdict == VERDICT_ZARISKI
 
 
 def test_zariski_identical_inputs_inconclusive(q51):
-    v = zariski_pair_check((q51, Conic(C51_1)), (q51, Conic(C51_1)))
+    v = zariski_verdict(symbol_pair(q51, Conic(C51_1)), symbol_pair(q51, Conic(C51_1)))
     assert v.verdict == VERDICT_INCONCLUSIVE
 
 
 def test_zariski_not_comparable(q51, q52):
-    v = zariski_pair_check((q51, Conic(C51_1)), (q52, Conic(C52_1)))
+    v = zariski_verdict(symbol_pair(q51, Conic(C51_1)), symbol_pair(q52, Conic(C52_1)))
     assert v.verdict == VERDICT_NOT_COMPARABLE
 
 

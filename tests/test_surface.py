@@ -10,20 +10,24 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from mwq import surface
 from mwq.cli import main
 from mwq.lattice import ade_gram, dual_gram
 from mwq.parsing import parse_curve_rhs, parse_section, poly_text
 from mwq.replay import EXAMPLES
 from mwq.report import EXIT_INPUT_ERROR, EXIT_OK
-from mwq.poly import T, UNIPOLY_ONE, UNIPOLY_ZERO, RatFn, UniPoly, is_perfect_square, rational_roots
+from mwq.poly import (
+    T, UNIPOLY_ONE, UNIPOLY_ZERO, BiPoly, RatFn, UniPoly, is_perfect_square, rational_roots,
+)
 from mwq.surface import (
     INFINITY_PLACE,
     InternalInconsistencyError,
     SectionPoint,
     WeierstrassCurve,
+    _lifted_roots,
     add,
     cubic_discriminant,
     double,
@@ -169,18 +173,6 @@ def test_add_matches_printed_section(e51):
         "(1/36*t^2 + 435/2*t - 921375/4, "
         "-1/216*t^3 - 1181/24*t^2 - 41625/8*t + 373156875/8)"
     )
-
-
-def test_off_curve_rejected(e51):
-    # the public entry points check their points; the group law assumes it
-    off = SectionPoint.of(UNIPOLY_ONE, UNIPOLY_ONE)
-    on = secs(SECTIONS_51)["s_o"]
-    with pytest.raises(ValueError, match="not on the curve"):
-        halve(e51, off)
-    ctx = height_context(e51)
-    for p, q in ((off, on), (on, off), (off, off), (off, SectionPoint.zero())):
-        with pytest.raises(ValueError, match="not on the curve"):
-            height_pairing(ctx, p, q)
 
 
 def test_group_law_under_100_random_specializations(e51):
@@ -865,15 +857,28 @@ def test_halving_and_two_torsion_never_import_sympy():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_lift_root_is_the_series_root_or_raises():
-    from mwq.surface import _lift_root
+_quadratic = st.tuples(*[st.fractions(min_value=-20, max_value=20, max_denominator=6)] * 3)
 
-    # u^2 = 1 + s: the root 1 lifts to sqrt(1 + s) = 1 + s/2 - s^2/8 + s^3/16 - ...
-    coeffs = (-UniPoly.of(1, 1), UNIPOLY_ZERO, UNIPOLY_ONE)
-    assert _lift_root(coeffs, Fraction(1), 4) == UniPoly.of(1, Fraction(1, 2), Fraction(-1, 8),
-                                                            Fraction(1, 16))
-    assert _lift_root(coeffs, Fraction(-1), 3) == UniPoly.of(-1, Fraction(-1, 2), Fraction(1, 8))
-    # 1 is no root of u^2 - 2: two Newton steps do not reach one, and the
-    # check raises (it is not an assert, so this also holds under python -O)
+
+@settings(max_examples=60, deadline=None)
+@given(roots=st.lists(_quadratic, min_size=1, max_size=4), t0=st.integers(-3, 3))
+def test_lifted_roots_are_exactly_the_roots_of_degree_at_most_two(roots, t0):
+    # P = prod (u - r_i) with distinct r_i(t0): each r_i is its own lift
+    rs = [UniPoly.of(*r) for r in roots]
+    assume(len({r(t0) for r in rs}) == len(rs))
+    poly = BiPoly([UNIPOLY_ONE])
+    for r in rs:
+        poly = poly * BiPoly([-r, UNIPOLY_ONE])
+    assert _lifted_roots(poly, Fraction(t0)) == sorted(rs, key=lambda r: r(t0))
+
+
+def test_lifted_roots_of_a_square_root_and_the_exact_check(monkeypatch):
+    # u^2 = t is u^2 = 1 + s at t0 = 1 (s = t - 1): the roots -1, 1 lift to
+    # -+(1 + s/2 - s^2/8), i.e. -+(-t^2/8 + 3t/4 + 3/8)
+    lift = UniPoly.of(Fraction(3, 8), Fraction(3, 4), Fraction(-1, 8))
+    assert _lifted_roots(BiPoly([-T, UNIPOLY_ZERO, UNIPOLY_ONE]), Fraction(1)) == [-lift, lift]
+    # 1 is no root of u^2 - 2: its "lift" fails the exact check, which raises
+    # (it is not an assert, so this also holds under python -O)
+    monkeypatch.setattr(surface, "rational_roots", lambda p: [Fraction(1)])
     with pytest.raises(InternalInconsistencyError):
-        _lift_root((UniPoly.const(-2), UNIPOLY_ZERO, UNIPOLY_ONE), Fraction(1), 3)
+        _lifted_roots(BiPoly([UniPoly.const(-2), UNIPOLY_ZERO, UNIPOLY_ONE]), Fraction(0))
