@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 import traceback
 from fractions import Fraction
@@ -51,7 +52,16 @@ from .surface import (
 
 
 def _emit(report: RunReport, fmt: str) -> int:
-    print(report.render_records() if fmt == "records" else report.render_text())
+    """Print the report; a reader that closed the pipe early takes no more of
+    it, and the run still exits with the report's own code."""
+    try:
+        print(report.render_records() if fmt == "records" else report.render_text())
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the recipe of the Python docs (signal module, "Note on SIGPIPE"):
+        # point stdout at devnull, so the flush at exit writes nowhere
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
     return report.exit_code()
 
 
@@ -230,6 +240,12 @@ def _cmd_lattice(args) -> int:
     lat, torsion = lattice_from_text(args.lattice)
     if torsion:
         raise InputFormatError("torsion factors are not meaningful here")
+    if args.op == "dual":
+        dual = dual_gram(lat)
+        rep.add("gram", dual.gram, ("dual_gram",))
+        rep.add("det", dual.det(), ("dual_gram",))
+        return _emit(rep, args.format)
+    q = Fraction(2)  # `roots` is `enumerate` at norm 2
     if args.op == "enumerate":
         if args.norm is None:
             raise InputFormatError("`lattice enumerate` needs a target norm")
@@ -238,17 +254,9 @@ def _cmd_lattice(args) -> int:
         except (ValueError, ZeroDivisionError) as exc:
             raise InputFormatError(f"bad norm {args.norm!r}: {exc}") from exc
         rep.inputs["norm"] = args.norm
-        vecs = enumerate_by_norm(lat, q)
-        rep.add("count", len(vecs), ("enumerate_by_norm",))
-        rep.add("vectors", [list(v) for v in vecs], ("enumerate_by_norm",))
-    elif args.op == "roots":
-        vecs = enumerate_by_norm(lat, Fraction(2)) if lat.rank else []
-        rep.add("count", len(vecs), ("enumerate_by_norm",))
-        rep.add("vectors", [list(v) for v in vecs], ("enumerate_by_norm",))
-    else:  # dual
-        dual = dual_gram(lat)
-        rep.add("gram", [[x for x in row] for row in dual.gram], ("dual_gram",))
-        rep.add("det", dual.det(), ("dual_gram",))
+    vecs = enumerate_by_norm(lat, q)
+    rep.add("count", len(vecs), ("enumerate_by_norm",))
+    rep.add("vectors", vecs, ("enumerate_by_norm",))
     return _emit(rep, args.format)
 
 

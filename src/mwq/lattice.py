@@ -44,8 +44,11 @@ def _ldl(g: Matrix) -> tuple[list[Fraction], list[list[Fraction]]]:
         for j in range(i + 1, n):
             lm[i][j] = a[i][j] / d[i]
         for j in range(i + 1, n):
-            for k in range(j, n):
-                a[j][k] -= d[i] * lm[i][j] * lm[i][k]
+            f = a[i][j]  # d[i] * lm[i][j]; zero on most entries of a Cartan matrix
+            if f:
+                row = a[j]
+                for k in range(j, n):
+                    row[k] -= f * lm[i][k]
     return d, lm
 
 
@@ -132,7 +135,7 @@ _ADE_EDGES = {
 }
 
 
-def ade_gram(family: str, n: int) -> GramLattice:
+def _cartan(family: str, n: int) -> Matrix:
     """Root-lattice Gram matrix: 2 on the diagonal, -1 on Dynkin edges."""
     family = family.upper()
     if family == "A" and n >= 1:
@@ -146,7 +149,7 @@ def ade_gram(family: str, n: int) -> GramLattice:
     rows = [[Fraction(2) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
     for i, j in edges:
         rows[i][j] = rows[j][i] = Fraction(-1)
-    return GramLattice(tuple(map(tuple, rows)))
+    return tuple(map(tuple, rows))
 
 
 def dual_gram(lat: GramLattice) -> GramLattice:
@@ -169,6 +172,12 @@ def enumerate_by_norm(lat: GramLattice, q: Fraction) -> list[Vector]:
     common unit.  The walk carries the integer budget rem = unit*(q - partial
     norm), so each level's range is |y_i| <= isqrt(rem // k[i]), and the last
     coordinate must use the budget up: k[0]*y_0^2 == rem.
+
+    Each pair v, -v is walked once (Schnorr-Euchner): exactly one of the two
+    has its last nonzero coordinate positive.  While every coordinate above
+    level i is 0 the center C_i is 0, so the walk takes x_i > 0 there (or
+    x_i = 0 and goes on down); the vector found and its negation are both
+    emitted.  q > 0 rules out the zero vector.
     """
     q = Fraction(q)
     if q <= 0:
@@ -182,31 +191,54 @@ def enumerate_by_norm(lat: GramLattice, q: Fraction) -> list[Vector]:
     weights = [d[i] / (cd[i] * cd[i]) for i in range(n)]
     unit = math.lcm(q.denominator, *(w.denominator for w in weights))
     k = [int(w * unit) for w in weights]
+    cd0, k0, row0 = cd[0], k[0], num[0]
     out: list[Vector] = []
     x = [0] * n
 
-    def walk(i: int, rem: int):
-        ci, ki, row = cd[i], k[i], num[i]
-        c = sum(map(operator.mul, row, x))  # row[j] == 0 for j <= i
-        if i == 0:
-            t, r = divmod(rem, ki)
-            s = math.isqrt(t)
-            if r or s * s != t:
-                return
-            for y in {s, -s}:
-                if (y - c) % ci == 0:
-                    x[0] = (y - c) // ci
-                    out.append(tuple(x))
-            x[0] = 0
-            return
+    def walk(i: int, rem: int, start: Optional[int] = None):
+        """Levels i..1 below the coordinates set in x; level 0 is solved inline.
+        `start` replaces the lower end of level i's range."""
+        ci, ki = cd[i], k[i]
+        c = sum(map(operator.mul, num[i], x))  # num[i][j] == 0 for j <= i
         s = math.isqrt(rem // ki)
-        for xi in range(-((s + c) // ci), (s - c) // ci + 1):
-            x[i] = xi
-            y = ci * xi + c
-            walk(i - 1, rem - ki * y * y)
-        x[i] = 0
+        if start is None:
+            start = -((s + c) // ci)
+        stop = (s - c) // ci + 1
+        if i > 1:
+            for xi in range(start, stop):
+                x[i] = xi
+                y = ci * xi + c
+                walk(i - 1, rem - ki * y * y)
+            x[i] = 0
+            return
+        c0 = sum(map(operator.mul, row0, x))  # x[1] == 0: the part of C_0 above level 1
+        r01 = row0[1]
+        hi = tuple(x[2:])
+        neg = tuple(map(operator.neg, hi))
+        for x1 in range(start, stop):
+            y = ci * x1 + c
+            t, r = divmod(rem - ki * y * y, k0)
+            if r:
+                continue
+            s0 = math.isqrt(t)
+            if s0 * s0 != t:
+                continue
+            c01 = c0 + r01 * x1
+            for y0 in (s0, -s0) if s0 else (0,):
+                x0, r = divmod(y0 - c01, cd0)
+                if not r:
+                    out.append((x0, x1) + hi)
+                    out.append((-x0, -x1) + neg)
 
-    walk(n - 1, int(q * unit))
+    rem = int(q * unit)
+    for i in range(n - 1, 0, -1):  # x_j = 0 for every j > i
+        walk(i, rem, 1)
+    # the axis x = (x_0, 0, ..., 0), with x_0 > 0
+    t, r = divmod(rem, k0)
+    s0 = math.isqrt(t)
+    if not r and s0 * s0 == t and s0 % cd0 == 0:
+        zeros = (0,) * (n - 1)
+        out += [(s0 // cd0,) + zeros, (-(s0 // cd0),) + zeros]
     return sorted(out)
 
 
@@ -494,7 +526,7 @@ def _lattice_atom(piece: str) -> int | Matrix:
     order, fam, num, dual = m.groups()
     if order is not None:
         return int(order)
-    g = ade_gram(fam, int(num)).gram
+    g = _cartan(fam, int(num))
     return _invert(g) if dual else g
 
 

@@ -287,8 +287,27 @@ def parse_section(text: str):
 # ---------------------------------------------------------------------------
 
 
+# 1993 bits make fewer than 600 decimal digits, within the least limit (640)
+# that `sys.set_int_max_str_digits` accepts
+_STR_BITS = 1993
+
+
+def _int_text(n: int) -> str:
+    """The decimal digits of n at any size.  Python's str() refuses integers
+    of more than `sys.get_int_max_str_digits()` digits, so a long n is split
+    on a power of ten into two halves, each printed the same way."""
+    if n < 0:
+        return "-" + _int_text(-n)
+    if n.bit_length() <= _STR_BITS:
+        return str(n)
+    k = n.bit_length() * 3 // 20  # under half the digits of n (log10 2 > 3/10)
+    hi, lo = divmod(n, 10**k)
+    return _int_text(hi) + _int_text(lo).zfill(k)
+
+
 def frac_text(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    num = _int_text(q.numerator)
+    return num if q.denominator == 1 else f"{num}/{_int_text(q.denominator)}"
 
 
 def _term_text(c: Fraction, k: int) -> str:

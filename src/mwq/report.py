@@ -11,7 +11,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from typing import Any, Optional
+
+from .parsing import bipoly_text, frac_text, poly_text, ratfn_text, section_text
+from .poly import BiPoly, RatFn, UniPoly
+from .surface import SectionPoint
 
 SCHEMA = "mwq.report.v1"
 
@@ -24,17 +29,22 @@ EXIT_INPUT_ERROR = 2
 EXIT_INTERNAL = 3
 
 
+_INT = frozenset((int, bool))
+_VECTOR = frozenset((tuple,))
+
+
 def plain(value: Any) -> Any:
     """Coerce domain values to JSON-safe, deterministic primitives."""
-    # primitives and integer vectors first: they need none of the imports below
     if value is None or isinstance(value, (bool, int, str)):
         return value
-    if isinstance(value, (list, tuple)) and all(isinstance(v, int) for v in value):
-        return list(value)
-    from .parsing import bipoly_text, frac_text, poly_text, ratfn_text, section_text
-    from .poly import BiPoly, RatFn, UniPoly
-    from .surface import SectionPoint
-
+    if isinstance(value, (list, tuple)):
+        if _INT.issuperset(map(type, value)):  # an integer vector
+            return list(value)
+        if _VECTOR.issuperset(map(type, value)) and _INT.issuperset(
+            map(type, chain.from_iterable(value))
+        ):  # a list of integer vectors
+            return list(map(list, value))
+        return [plain(v) for v in value]
     if isinstance(value, Fraction):
         return frac_text(value)
     if isinstance(value, UniPoly):
@@ -45,8 +55,6 @@ def plain(value: Any) -> Any:
         return bipoly_text(value)
     if isinstance(value, SectionPoint):
         return section_text(value)
-    if isinstance(value, (list, tuple)):
-        return [plain(v) for v in value]
     if isinstance(value, dict):
         return {str(k): plain(v) for k, v in value.items()}
     return str(value)

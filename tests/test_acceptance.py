@@ -13,9 +13,9 @@ from fractions import Fraction
 
 from mwq.lattice import (
     GramLattice,
-    ade_gram,
     enumerate_by_norm,
     isometric,
+    lattice_from_text,
     orthogonal_complement_basis,
     orthogonal_complement_gram,
 )
@@ -67,11 +67,11 @@ def test_criterion_1_table_reproduction():
 def test_criterion_2_root_counts():
     ok = True
     for n in range(1, 8):
-        ok &= len(enumerate_by_norm(ade_gram("A", n), 2)) == n * (n + 1)
+        ok &= len(enumerate_by_norm(lattice_from_text(f"A{n}")[0], 2)) == n * (n + 1)
     for n in (4, 5, 6):
-        ok &= len(enumerate_by_norm(ade_gram("D", n), 2)) == 2 * n * (n - 1)
-    ok &= len(enumerate_by_norm(ade_gram("E", 6), 2)) == 72
-    ok &= len(enumerate_by_norm(ade_gram("E", 7), 2)) == 126
+        ok &= len(enumerate_by_norm(lattice_from_text(f"D{n}")[0], 2)) == 2 * n * (n - 1)
+    ok &= len(enumerate_by_norm(lattice_from_text("E6")[0], 2)) == 72
+    ok &= len(enumerate_by_norm(lattice_from_text("E7")[0], 2)) == 126
     announce("criterion 2 (root counts)", bool(ok))
 
 
@@ -81,10 +81,10 @@ def test_criterion_2_root_counts():
 
 
 def test_criterion_3_complement_grams():
-    comp_a4 = orthogonal_complement_gram(ade_gram("A", 4), [(1, 0, 0, 0)])
+    comp_a4 = orthogonal_complement_gram(lattice_from_text("A4")[0], [(1, 0, 0, 0)])
     ok = isometric(comp_a4, GramLattice(((4, -1, 1), (-1, 2, -1), (1, -1, 2))))
 
-    a5 = ade_gram("A", 5)
+    a5 = lattice_from_text("A5")[0]
     comp_a5 = orthogonal_complement_gram(a5, [(1, 0, 0, 0, 0)])
     ok &= isometric(
         comp_a5,
@@ -109,7 +109,9 @@ def test_criterion_3_complement_grams():
                 expected.add(tuple(e))
     ok &= seen == expected
 
-    comp_d5 = orthogonal_complement_gram(ade_gram("D", 5), [(1, 0, 0, 0, 0), (0, 1, 0, 0, 0)])
+    comp_d5 = orthogonal_complement_gram(
+        lattice_from_text("D5")[0], [(1, 0, 0, 0, 0), (0, 1, 0, 0, 0)]
+    )
     ok &= isometric(comp_d5, GramLattice(((2, 0, -1), (0, 2, -1), (-1, -1, 4))))
     announce("criterion 3 (complement Gram identities)", bool(ok))
 
@@ -283,7 +285,7 @@ def test_criterion_7_property_suites():
                     ok &= height_pairing(ctx, combo, combo) > 0
 
     # enumeration: exactness and negation symmetry
-    for lat in (ade_gram("A", 5), ade_gram("D", 4), ade_gram("E", 6)):
+    for lat in (lattice_from_text("A5")[0], lattice_from_text("D4")[0], lattice_from_text("E6")[0]):
         for norm in (Fraction(2), Fraction(4)):
             vecs = enumerate_by_norm(lat, norm)
             for v in vecs:

@@ -395,6 +395,45 @@ def test_keyboard_interrupt_propagates(monkeypatch):
         main(["symbol", Q51, C51_1])
 
 
+@pytest.mark.parametrize("argv", [
+    ["curve", "fibers", Q51],
+    ["lattice", "enumerate", "E8", "4"],
+], ids=["fibers_5.1", "E8_4"])
+def test_closed_pipe_exits_with_the_reports_code(argv):
+    """A reader that stops early (`mwq ... | head -1`) makes the write fail;
+    the run still exits with its report's code and writes nothing to stderr."""
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "mwq", *argv, "--format", "records"],
+        cwd=root, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+    )
+    proc.stdout.close()  # before the command writes its first byte
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == EXIT_OK
+    assert err == b""
+
+
+def test_result_past_the_int_to_str_limit_prints_exactly(capsys):
+    # doubling (0, N) on y^2 = u^3 + u + N^2 gives x = 1/(4 N^2), whose
+    # denominator has 5000 digits, more than str() prints by default
+    n = int("7" * 2500)
+    big = str(n)
+    argv = ["curve", "double", f"u^3 + u + {big}*{big}", f"(0, {big})", "--format", "records"]
+    assert main(argv) == EXIT_OK
+    out, err = capsys.readouterr()
+    assert err == ""
+    value = [json.loads(line) for line in out.splitlines()][-1]["value"]
+    x_text = value[1:-1].split(", ")[0]
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert Fraction(x_text) == Fraction(1, 4 * n * n)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 # ---------------------------------------------------------------------------
 # running time: no integer derived from the input is ever factored
 # ---------------------------------------------------------------------------

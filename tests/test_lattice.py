@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from mwq.lattice import (
     GramLattice,
     InternalInconsistencyError,
-    ade_gram,
     count_etc,
     count_qretc,
     dual_gram,
@@ -73,24 +72,24 @@ def rebased(lat, u):
 
 
 def test_ade_small_grams():
-    assert ade_gram("A", 1).gram == ((2,),)
-    assert ade_gram("A", 2).gram == ((2, -1), (-1, 2))
+    assert lattice_from_text("A1")[0].gram == ((2,),)
+    assert lattice_from_text("A2")[0].gram == ((2, -1), (-1, 2))
 
 
 def test_ade_determinants():
-    assert ade_gram("E", 7).det() == 2
-    assert ade_gram("E", 6).det() == 3
-    assert ade_gram("E", 8).det() == 1
+    assert lattice_from_text("E7")[0].det() == 2
+    assert lattice_from_text("E6")[0].det() == 3
+    assert lattice_from_text("E8")[0].det() == 1
     for n in range(1, 8):
-        assert ade_gram("A", n).det() == n + 1
+        assert lattice_from_text(f"A{n}")[0].det() == n + 1
     for n in (4, 5, 6):
-        assert ade_gram("D", n).det() == 4
+        assert lattice_from_text(f"D{n}")[0].det() == 4
 
 
 def test_ade_invalid():
     for fam, n in (("A", 0), ("D", 3), ("E", 5), ("E", 9), ("F", 4)):
         with pytest.raises(ValueError):
-            ade_gram(fam, n)
+            lattice_from_text(f"{fam}{n}")
 
 
 def _minimal_norm(lat):
@@ -101,28 +100,29 @@ def _minimal_norm(lat):
 
 
 def test_dual_of_a1():
-    d = dual_gram(ade_gram("A", 1))
+    d = dual_gram(lattice_from_text("A1")[0])
     assert d.gram == ((Fraction(1, 2),),)
     assert enumerate_by_norm(d, Fraction(1, 2)) == [(-1,), (1,)]
 
 
 def test_dual_minimal_norms():
     for n in range(1, 6):
-        assert _minimal_norm(dual_gram(ade_gram("A", n))) == Fraction(n, n + 1)
-    assert _minimal_norm(dual_gram(ade_gram("D", 4))) == 1
-    assert _minimal_norm(dual_gram(ade_gram("E", 6))) == Fraction(4, 3)
-    assert _minimal_norm(dual_gram(ade_gram("E", 7))) == Fraction(3, 2)
+        assert _minimal_norm(dual_gram(lattice_from_text(f"A{n}")[0])) == Fraction(n, n + 1)
+    assert _minimal_norm(dual_gram(lattice_from_text("D4")[0])) == 1
+    assert _minimal_norm(dual_gram(lattice_from_text("E6")[0])) == Fraction(4, 3)
+    assert _minimal_norm(dual_gram(lattice_from_text("E7")[0])) == Fraction(3, 2)
 
 
 def test_dual_is_involution():
-    for lat in (ade_gram("A", 3), ade_gram("D", 5), ade_gram("E", 6)):
+    for text in ("A3", "D5", "E6"):
+        lat = lattice_from_text(text)[0]
         assert dual_gram(dual_gram(lat)).gram == lat.gram
 
 
 def test_discriminant_group_orders():
     # |L*/L| = det L = 1 / det L*
     for fam, n, order in (("A", 4, 5), ("E", 7, 2), ("A", 1, 2), ("D", 6, 4)):
-        assert 1 / dual_gram(ade_gram(fam, n)).det() == order
+        assert 1 / dual_gram(lattice_from_text(f"{fam}{n}")[0]).det() == order
 
 
 # ---------------------------------------------------------------------------
@@ -131,22 +131,22 @@ def test_discriminant_group_orders():
 
 
 def test_enumerate_a1_norm2():
-    vecs = enumerate_by_norm(ade_gram("A", 1), 2)
+    vecs = enumerate_by_norm(lattice_from_text("A1")[0], 2)
     assert sorted(vecs) == [(-1,), (1,)]
 
 
 def test_root_counts():
     for n in range(1, 8):
-        assert len(enumerate_by_norm(ade_gram("A", n), 2)) == n * (n + 1)
+        assert len(enumerate_by_norm(lattice_from_text(f"A{n}")[0], 2)) == n * (n + 1)
     for n in (4, 5, 6):
-        assert len(enumerate_by_norm(ade_gram("D", n), 2)) == 2 * n * (n - 1)
-    assert len(enumerate_by_norm(ade_gram("E", 6), 2)) == 72
-    assert len(enumerate_by_norm(ade_gram("E", 7), 2)) == 126
+        assert len(enumerate_by_norm(lattice_from_text(f"D{n}")[0], 2)) == 2 * n * (n - 1)
+    assert len(enumerate_by_norm(lattice_from_text("E6")[0], 2)) == 72
+    assert len(enumerate_by_norm(lattice_from_text("E7")[0], 2)) == 126
 
 
 def test_enumeration_exact_and_negation_symmetric():
     rng = random.Random(11)
-    lattices = [ade_gram("A", 4), dual_gram(ade_gram("D", 4)),
+    lattices = [lattice_from_text("A4")[0], dual_gram(lattice_from_text("D4")[0]),
                 lattice_from_text("(1/10)[[3,1,-1],[1,7,3],[-1,3,7]]")[0]]
     for lat in lattices:
         for q in (Fraction(1, 2), Fraction(1), Fraction(2), Fraction(5, 2)):
@@ -157,9 +157,44 @@ def test_enumeration_exact_and_negation_symmetric():
                 assert tuple(-c for c in v) in vecs
 
 
+# Theta-series coefficients, independent of the walk: E8 has 240*sigma_3(n)
+# vectors of norm 2n; D8 and A8 at norm 4 count the vectors of Z^8 with even
+# coordinate sum and of Z^9 with zero sum; E7* and E6* hold no norm-4 vector
+# outside E7 and E6, so theirs are the E7 and E6 coefficients.
+THETA = [("E8", 2, 240), ("E8", 4, 2160), ("E8", 6, 6720), ("E8", 8, 17520),
+         ("D8", 4, 1136), ("A8", 4, 756), ("E7*", 4, 756), ("E6*", 4, 270)]
+
+
+@pytest.mark.parametrize("text, q, count", THETA, ids=[f"{t}_{q}" for t, q, _ in THETA])
+def test_theta_series_counts(text, q, count):
+    lat = lattice_from_text(text)[0]
+    vecs = enumerate_by_norm(lat, q)
+    assert len(vecs) == count
+    assert all(a < b for a, b in zip(vecs, vecs[1:]))  # sorted, no duplicates
+    assert {tuple(-c for c in v) for v in vecs} == set(vecs)
+    assert all(lat.norm(v) == q for v in vecs[::97])
+
+
+@pytest.mark.parametrize("text, q, expected", [
+    ("<1/6>", Fraction(1, 6), [(-1,), (1,)]),
+    ("<1/6>", Fraction(4, 6), [(-2,), (2,)]),
+    ("<1/6>", Fraction(1, 3), []),
+    ("A1+A1", 2, [(-1, 0), (0, -1), (0, 1), (1, 0)]),
+    ("A1+A1", 4, [(-1, -1), (-1, 1), (1, -1), (1, 1)]),
+    ("[[1,0,0],[0,2,0],[0,0,3]]", 3,
+     [(-1, -1, 0), (-1, 1, 0), (0, 0, -1), (0, 0, 1), (1, -1, 0), (1, 1, 0)]),
+    ("[[1,0,0],[0,2,0],[0,0,3]]", 4, [(-2, 0, 0), (-1, 0, -1), (-1, 0, 1), (1, 0, -1),
+                                       (1, 0, 1), (2, 0, 0)]),
+], ids=["rank1", "rank1_x2", "rank1_none", "A1+A1_axes", "A1+A1_off_axes",
+        "diagonal_3", "diagonal_4"])
+def test_enumeration_zero_prefix_cases(text, q, expected):
+    """Vectors whose top coordinates vanish: rank 1, and vectors on the axes."""
+    assert enumerate_by_norm(lattice_from_text(text)[0], q) == expected
+
+
 def test_enumerate_rejects_nonpositive_norm():
     with pytest.raises(ValueError):
-        enumerate_by_norm(ade_gram("A", 2), 0)
+        enumerate_by_norm(lattice_from_text("A2")[0], 0)
 
 
 def test_integer_gram_and_definiteness():
@@ -250,7 +285,7 @@ def test_enumeration_matches_brute_force_and_is_skew_invariant(case):
 
 
 def test_a1_complement_in_a5_has_twelve_roots_matching_the_listed_vectors():
-    a5 = ade_gram("A", 5)
+    a5 = lattice_from_text("A5")[0]
     emb = [(1, 0, 0, 0, 0)]  # the root e1 - e2 in simple-root coordinates
     comp = orthogonal_complement_gram(a5, emb)
     basis = orthogonal_complement_basis(a5, emb)
@@ -276,20 +311,21 @@ def test_a1_complement_in_a5_has_twelve_roots_matching_the_listed_vectors():
 
 
 def test_a1_complement_in_a4_gram():
-    comp = orthogonal_complement_gram(ade_gram("A", 4), [(1, 0, 0, 0)])
+    comp = orthogonal_complement_gram(lattice_from_text("A4")[0], [(1, 0, 0, 0)])
     target = GramLattice(((4, -1, 1), (-1, 2, -1), (1, -1, 2)))
     assert isometric(comp, target)
 
 
 def test_a2_complement_in_d5_gram():
-    comp = orthogonal_complement_gram(ade_gram("D", 5), [(1, 0, 0, 0, 0), (0, 1, 0, 0, 0)])
+    d5 = lattice_from_text("D5")[0]
+    comp = orthogonal_complement_gram(d5, [(1, 0, 0, 0, 0), (0, 1, 0, 0, 0)])
     target = GramLattice(((2, 0, -1), (0, 2, -1), (-1, -1, 4)))
     assert isometric(comp, target)
 
 
 def test_complement_rejects_dependent_vectors():
     with pytest.raises(ValueError):
-        orthogonal_complement_gram(ade_gram("A", 3), [(1, 0, 0), (2, 0, 0)])
+        orthogonal_complement_gram(lattice_from_text("A3")[0], [(1, 0, 0), (2, 0, 0)])
 
 
 def test_integer_kernel_is_saturated():
@@ -320,7 +356,7 @@ def test_embedding_scalar_forced():
 
 def test_embedding_an_into_its_dual():
     for n in (1, 2, 3):
-        lat = ade_gram("A", n)
+        lat = lattice_from_text(f"A{n}")[0]
         cols = find_sublattice_embedding(dual_gram(lat), lat)
         assert cols is not None
         dual = dual_gram(lat)
@@ -381,10 +417,10 @@ def test_failed_rechecks_are_internal_inconsistencies(monkeypatch):
     wrong = ((1, 0),)
     monkeypatch.setattr(lattice, "find_sublattice_embeddings", lambda big, small: iter([wrong]))
     with pytest.raises(InternalInconsistencyError, match="Gram entry"):
-        lattice.find_sublattice_embedding(ade_gram("A", 2), GramLattice(((4,),)))
+        lattice.find_sublattice_embedding(lattice_from_text("A2")[0], GramLattice(((4,),)))
     monkeypatch.setattr(lattice, "integer_kernel", lambda rows, n_cols: [])
     with pytest.raises(InternalInconsistencyError, match="kernel has rank 0"):
-        lattice.integral_dual_basis(dual_gram(ade_gram("A", 1)))
+        lattice.integral_dual_basis(dual_gram(lattice_from_text("A1")[0]))
 
 
 def test_no_check_in_src_is_stripped_by_python_optimize():
@@ -472,8 +508,8 @@ def test_gram_isometric_sublattice_need_not_be_narrow():
 
 
 def test_mw_structure_validation():
-    free = dual_gram(ade_gram("A", 1))
-    narrow = ade_gram("A", 1)
+    free = dual_gram(lattice_from_text("A1")[0])
+    narrow = lattice_from_text("A1")[0]
     mw = make_mw_structure(free, (), narrow)
     assert mw.narrow_gram.det() / mw.mw_free.det() == 4  # index 2
     with pytest.raises(ValueError):

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from mwq import surface
 from mwq.cli import main
-from mwq.lattice import ade_gram, dual_gram
+from mwq.lattice import dual_gram, lattice_from_text
 from mwq.parsing import parse_curve_rhs, parse_section, poly_text
 from mwq.replay import EXAMPLES
 from mwq.report import EXIT_INPUT_ERROR, EXIT_OK
@@ -349,7 +349,7 @@ def test_corr_in_closed_form_matches_matrix(e51, e52, combos):
             if corr == 0:
                 continue
             root = pd.root_label()
-            inverse = dual_gram(ade_gram(root[0], int(root[1:]))).gram
+            inverse = dual_gram(lattice_from_text(root)[0]).gram
             assert corr in {inverse[i][i] for i in range(len(inverse))}, (name, pd.kodaira, s)
             seen.add(pd.kodaira)
     assert seen == {"I2", "I4", "III", "IV", "I0*", "I2*", "I4*", "IV*", "III*"}

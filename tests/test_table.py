@@ -6,10 +6,10 @@ from fractions import Fraction
 
 from mwq.lattice import (
     GramLattice,
-    ade_gram,
     dual_gram,
     find_sublattice_embedding,
     integral_dual_basis,
+    lattice_from_text,
 )
 from mwq.mwtable import builtin_table, parse_ade_multiset, verify_table
 from mwq.quartic import genus_from_sing
@@ -39,7 +39,7 @@ def test_row_26_pure_torsion():
 def test_row_50_shapes():
     r = row(50)
     # D4* + A1* and D4 + A1 as explicit block-diagonal matrices
-    d4 = ade_gram("D", 4)
+    d4 = lattice_from_text("D4")[0]
     assert r.mw.mw_free.gram == (
         tuple(g + (0,) for g in dual_gram(d4).gram) + ((0, 0, 0, 0, Fraction(1, 2)),))
     assert r.mw.narrow_gram.gram == tuple(g + (0,) for g in d4.gram) + ((0, 0, 0, 0, 2),)
