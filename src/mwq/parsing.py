@@ -4,25 +4,35 @@ Grammar: integer literals, the variables `t` and `u`, operators + - * / ^,
 and parentheses.  Rationals are written a/b; `/` is ordinary division, so
 `1/144*t^2` means (1/144)*t^2.  Parsing is exact; nothing is ever rounded.
 
-One grammar, evaluated as it is read in the target type: curves and conics
-in `BiPoly`, where every divisor must be a nonzero constant; section
-coordinates in `RatFn`, where a divisor may be any nonzero polynomial in t
-and `u` is rejected.  The first fault in reading order is reported.
+One grammar, evaluated as it is read in the target type.  Curves and conics
+evaluate into a sparse map {(deg_u, deg_t): coefficient} of monomials, where
+every divisor must be a nonzero constant; a power of a single monomial is
+taken in closed form, any other power by repeated products, and the map
+becomes a `BiPoly` once, at the end, with one `UniPoly` per degree in u.
+Section coordinates evaluate in `RatFn`, where a divisor may be any nonzero
+polynomial in t and `u` is rejected.  The first fault in reading order is
+reported.
 
-Syntax errors carry the offending position.  A power is checked before it
-is expanded: its exponent, and its degree in t and in u, are at most
-POWER_CAP.  Degree-bound and shape errors are raised separately by the
-constructors of the target types.
+Syntax errors carry the offending position.  Degrees are bounded while
+reading, before anything is expanded: a power's exponent, and the degree in t
+and in u of every power and product (and, in `RatFn`, of every quotient, sum
+and difference) are at most POWER_CAP.  Parentheses and unary minus nest at
+most DEPTH_CAP deep, so the recursive descent never runs out of stack.
+Degree-bound and shape errors of the values themselves are raised separately
+by the constructors of the target types.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
-from .poly import T, UNIPOLY_ONE, UNIPOLY_ZERO, BiPoly, RatFn, UniPoly
+from .poly import T, UNIPOLY_ONE, BiPoly, RatFn, UniPoly
 
 
 POWER_CAP = 100
+DEPTH_CAP = 100  # parentheses and unary minus, nested; each level is a few stack frames
 
 
 class ParseError(ValueError):
@@ -75,15 +85,36 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return toks
 
 
-class _Parser:
-    """Recursive descent that evaluates as it reads, in the target type given
-    by `const` (integer literal -> value), `names` (variable -> value) and
-    `divide` (which may reject a divisor the target cannot take)."""
+class _Target(NamedTuple):
+    """The type the parser evaluates in: how to build its values and how to
+    combine them.  `ops["/"]` may reject a divisor the target cannot take;
+    `degree(a)` is the largest degree in t or u of a value, and for the
+    operators in `grows`, which may exceed the degrees of both operands,
+    `grown(a, op, b)` is the one `a op b` would have, read before it is
+    formed."""
 
-    def __init__(self, text: str, const, names, divide):
+    const: Callable  # integer literal -> value
+    names: dict  # variable -> value
+    ops: dict  # "+", "-", "*", "/" -> (a, b) -> a op b
+    neg: Callable
+    power: Callable  # (base, exponent >= 0) -> base^exponent
+    is_zero: Callable
+    degree: Callable
+    grows: str
+    grown: Callable
+
+
+_RESULT = {"+": "sum", "-": "difference", "*": "product", "/": "quotient"}
+
+
+class _Parser:
+    """Recursive descent that evaluates as it reads, in the given target."""
+
+    def __init__(self, text: str, target: _Target):
         self.toks = _tokenize(text)
         self.i = 0
-        self.const, self.names, self.divide = const, names, divide
+        self.depth = 0
+        self.target = target
 
     def peek(self):
         return self.toks[self.i]
@@ -93,19 +124,32 @@ class _Parser:
         self.i += 1
         return tok
 
+    def enter(self, pos: int):
+        self.depth += 1
+        if self.depth > DEPTH_CAP:
+            raise ParseError(f"nesting exceeds the cap: depth at most {DEPTH_CAP}", pos)
+
     def expect_end(self):
         kind, val, pos = self.peek()
         if kind != "end":
             raise ParseError(f"trailing input {val!r}", pos)
 
+    def combine(self, a, op: str, b, pos: int):
+        """a op b, refused at the operator if its degree would exceed the cap."""
+        tg = self.target
+        if op == "/" and tg.is_zero(b):
+            raise ParseError("division by zero", pos)
+        if op in tg.grows and tg.grown(a, op, b) > POWER_CAP:
+            raise ParseError(f"{_RESULT[op]} exceeds the cap: degree at most {POWER_CAP}", pos)
+        return tg.ops[op](a, b)
+
     def expr(self):
         acc = self.term()
         while True:
-            kind, val, _ = self.peek()
+            kind, val, pos = self.peek()
             if kind == "op" and val in "+-":
                 self.take()
-                rhs = self.term()
-                acc = acc + rhs if val == "+" else acc - rhs
+                acc = self.combine(acc, val, self.term(), pos)
             else:
                 return acc
 
@@ -115,21 +159,19 @@ class _Parser:
             kind, val, pos = self.peek()
             if kind == "op" and val in "*/":
                 self.take()
-                rhs = self.factor()
-                if val == "*":
-                    acc = acc * rhs
-                else:
-                    if rhs.is_zero:
-                        raise ParseError("division by zero", pos)
-                    acc = self.divide(acc, rhs)
+                acc = self.combine(acc, val, self.factor(), pos)
             else:
                 return acc
 
     def factor(self):
+        tg = self.target
         kind, val, pos = self.peek()
         if kind == "op" and val == "-":
             self.take()
-            return -self.factor()
+            self.enter(pos)
+            value = tg.neg(self.factor())
+            self.depth -= 1
+            return value
         base = self.atom()
         kind, val, pos = self.peek()
         if kind == "op" and val == "^":
@@ -142,37 +184,40 @@ class _Parser:
             if nkind != "num":
                 raise ParseError("exponent must be an integer", npos)
             exponent = _literal(nval, npos)
-            if exponent > POWER_CAP or exponent * _degree(base) > POWER_CAP:
+            if exponent > POWER_CAP or exponent * tg.degree(base) > POWER_CAP:
                 raise ParseError(
                     f"power exceeds the cap: exponent and degree at most {POWER_CAP}", npos
                 )
-            power = self.const(1)
-            for _ in range(exponent):
-                power = power * base
+            power = tg.power(base, exponent)
             if neg:
-                if power.is_zero:
+                if tg.is_zero(power):
                     raise ParseError("zero to a negative power", npos)
-                power = self.divide(self.const(1), power)
+                power = tg.ops["/"](tg.const(1), power)
             return power
         return base
 
     def atom(self):
         kind, val, pos = self.take()
         if kind == "num":
-            return self.const(_literal(val, pos))
+            return self.target.const(_literal(val, pos))
         if kind == "name":
-            if val in self.names:
-                return self.names[val]
+            if val in self.target.names:
+                return self.target.names[val]
             if val == "u":
-                raise InputFormatError("expression must not involve u")
+                raise InputFormatError(_NOT_IN_T)
             raise ParseError(f"unknown name {val!r}", pos)
         if kind == "op" and val == "(":
+            self.enter(pos)
             inner = self.expr()
+            self.depth -= 1
             kind, val, pos = self.take()
             if not (kind == "op" and val == ")"):
                 raise ParseError("expected ')'", pos)
             return inner
         raise ParseError(f"unexpected token {val!r}", pos)
+
+
+_NOT_IN_T = "expression must not involve u"
 
 
 def _literal(digits: str, pos: int) -> int:
@@ -185,68 +230,168 @@ def _literal(digits: str, pos: int) -> int:
         raise ParseError(f"integer literal of {len(digits)} digits is too long", pos) from None
 
 
-def _degree(value) -> int:
-    """The largest degree in t or u of a parsed value, a BiPoly or a RatFn."""
-    if isinstance(value, RatFn):
-        return max(value.num.degree, value.den.degree)
-    return max((value.degree_u, *(c.degree for c in value.coeffs)))
-
-
-def _evaluate(text: str, const, names, divide):
-    p = _Parser(text, const, names, divide)
+def _evaluate(text: str, target: _Target):
+    p = _Parser(text, target)
     value = p.expr()
     p.expect_end()
     return value
 
 
-def _bipoly_const(n: int) -> BiPoly:
-    return BiPoly([UniPoly.const(n)])
+def _repeated(one, mul, base, exponent: int):
+    power = one
+    for _ in range(exponent):
+        power = mul(power, base)
+    return power
 
 
-def _bipoly_divide(a: BiPoly, b: BiPoly) -> BiPoly:
-    if b.degree_u > 0 or b.coeffs[0].degree > 0:
+# -- curves and conics: sparse maps {(deg_u, deg_t): nonzero coefficient} ----
+
+
+def _monomials_add(a: dict, b: dict, sign: int = 1) -> dict:
+    out = dict(a)
+    for k, c in b.items():
+        s = out.get(k, 0) + sign * c
+        if s:
+            out[k] = s
+        else:
+            del out[k]  # s = 0 only where a holds the monomial
+    return out
+
+
+def _monomials_mul(a: dict, b: dict) -> dict:
+    if len(a) > len(b):
+        a, b = b, a
+    if len(a) == 1:
+        ((au, at), x), = a.items()
+        return {(au + bu, at + bt): x * y for (bu, bt), y in b.items()}
+    out: dict = {}
+    for (au, at), x in a.items():
+        for (bu, bt), y in b.items():
+            k = (au + bu, at + bt)
+            out[k] = out.get(k, 0) + x * y
+    return {k: c for k, c in out.items() if c}
+
+
+def _monomials_power(base: dict, exponent: int) -> dict:
+    """A single monomial c u^i t^j in closed form, c^e u^(ie) t^(je); any
+    other base by repeated products."""
+    if len(base) == 1:
+        ((du, dt), c), = base.items()
+        return {(du * exponent, dt * exponent): c ** exponent}
+    return _repeated({(0, 0): 1}, _monomials_mul, base, exponent)
+
+
+def _monomials_divide(a: dict, b: dict) -> dict:
+    if len(b) != 1 or (0, 0) not in b:
         raise InputFormatError("expression must be polynomial (no division by t or u)")
-    inv = 1 / b.coeffs[0].coeff(0)
-    return BiPoly([c * inv for c in a.coeffs])
+    inv = Fraction(1) / b[0, 0]
+    return {k: c * inv for k, c in a.items()}
 
 
-_BIPOLY_NAMES = {"t": BiPoly([T]), "u": BiPoly([UNIPOLY_ZERO, UNIPOLY_ONE])}
-_RATFN_NAMES = {"t": RatFn(T)}
+def _monomials_degree(a: dict) -> int:
+    return max(map(max, a), default=-1)
+
+
+_DEG_T = operator.itemgetter(1)
+
+
+def _monomials_grown(a: dict, _op: str, b: dict) -> int:
+    """The degree of the product a*b, the one operator that grows a map.  The
+    largest key of a map leads with its degree in u."""
+    if not (a and b):
+        return -1
+    return max(max(a)[0] + max(b)[0], max(map(_DEG_T, a)) + max(map(_DEG_T, b)))
+
+
+_MONOMIALS = _Target(
+    const=lambda n: {(0, 0): n} if n else {},
+    names={"t": {(0, 1): 1}, "u": {(1, 0): 1}},
+    ops={"+": _monomials_add, "-": lambda a, b: _monomials_add(a, b, -1),
+         "*": _monomials_mul, "/": _monomials_divide},
+    neg=lambda a: {k: -c for k, c in a.items()},
+    power=_monomials_power,
+    is_zero=operator.not_,
+    degree=_monomials_degree,
+    grows="*",  # a divisor must be a constant
+    grown=_monomials_grown,
+)
+
+
+def _to_bipoly(a: dict) -> BiPoly:
+    """The BiPoly of a sparse map: one UniPoly per degree in u."""
+    rows: list[list] = [[] for _ in range(1 + max((du for du, _dt in a), default=-1))]
+    for (du, dt), c in a.items():
+        row = rows[du]
+        if len(row) <= dt:
+            row.extend([0] * (dt + 1 - len(row)))
+        row[dt] = c
+    return BiPoly([UniPoly(row) for row in rows])
+
+
+# -- section coordinates: rational functions in t --------------------------
+
+
+def _ratfn_grown(a: RatFn, op: str, b: RatFn) -> int:
+    """A bound on the degrees of the numerator and denominator of `a op b`;
+    a sum or difference has the denominator a.den * b.den."""
+    an, ad, bn, bd = a.num.degree, a.den.degree, b.num.degree, b.den.degree
+    if op == "*":
+        return max(an + bn, ad + bd)
+    if op == "/":
+        return max(an + bd, ad + bn)
+    return max(an + bd, bn + ad, ad + bd)
+
+
+_RATFN = _Target(
+    const=RatFn,
+    names={"t": RatFn(T)},
+    ops={"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv},
+    neg=operator.neg,
+    power=lambda base, exponent: _repeated(RatFn(1), operator.mul, base, exponent),
+    is_zero=operator.attrgetter("is_zero"),
+    degree=lambda a: max(a.num.degree, a.den.degree),
+    grows="+-*/",
+    grown=_ratfn_grown,
+)
 
 
 def parse_bipoly(text: str) -> BiPoly:
-    return _evaluate(text, _bipoly_const, _BIPOLY_NAMES, _bipoly_divide)
+    return _to_bipoly(_evaluate(text, _MONOMIALS))
 
 
 def parse_unipoly(text: str) -> UniPoly:
-    b = parse_bipoly(text)
-    if b.degree_u > 0:
-        raise InputFormatError("expression must not involve u")
-    return b.coeff_u(0)
+    a = _evaluate(text, _MONOMIALS)
+    if any(du for du, _dt in a):
+        raise InputFormatError(_NOT_IN_T)
+    return _to_bipoly(a).coeff_u(0)
 
 
 def parse_ratfn(text: str) -> RatFn:
-    return _evaluate(text, RatFn, _RATFN_NAMES, RatFn.__truediv__)
+    return _evaluate(text, _RATFN)
+
+
+def _parse_at(parse, text: str, start: int, end: int):
+    """parse(text[start:end]), with a ParseError's position within `text`."""
+    try:
+        return parse(text[start:end])
+    except ParseError as exc:
+        raise ParseError(exc.message, start + exc.pos) from None
 
 
 def parse_conic_rhs(text: str) -> UniPoly:
     """Accept `u = q(t)` or a bare polynomial in t."""
-    if "=" in text:
-        lhs, rhs = text.split("=", 1)
-        if lhs.strip() != "u":
-            raise InputFormatError("conic must have the form `u = q(t)`")
-        text = rhs
-    return parse_unipoly(text)
+    lhs, eq, _rhs = text.partition("=")
+    if eq and lhs.strip() != "u":
+        raise InputFormatError("conic must have the form `u = q(t)`")
+    return _parse_at(parse_unipoly, text, len(lhs) + 1 if eq else 0, len(text))
 
 
 def parse_curve_rhs(text: str) -> BiPoly:
     """Accept `y^2 = f(t, u)` or a bare polynomial in t, u."""
-    if "=" in text:
-        lhs, rhs = text.split("=", 1)
-        if lhs.replace(" ", "") not in ("y^2", "y**2"):
-            raise InputFormatError("curve must have the form `y^2 = f(t, u)`")
-        text = rhs
-    return parse_bipoly(text)
+    lhs, eq, _rhs = text.partition("=")
+    if eq and lhs.replace(" ", "") not in ("y^2", "y**2"):
+        raise InputFormatError("curve must have the form `y^2 = f(t, u)`")
+    return _parse_at(parse_bipoly, text, len(lhs) + 1 if eq else 0, len(text))
 
 
 def parse_section(text: str):
@@ -271,15 +416,10 @@ def parse_section(text: str):
             break
     if split_at is None:
         raise InputFormatError("section must have two coordinates")
-    # positions are reported within `text`: inner starts after the "("
-    lead = len(text) - len(text.lstrip()) + 1
-    coords = []
-    for start, end in ((0, split_at), (split_at + 1, len(inner))):
-        try:
-            coords.append(parse_ratfn(inner[start:end]))
-        except ParseError as exc:
-            raise ParseError(exc.message, lead + start + exc.pos) from None
-    return SectionPoint(*coords)
+    lead = len(text) - len(text.lstrip()) + 1  # inner starts after the "("
+    split_at += lead
+    return SectionPoint(_parse_at(parse_ratfn, text, lead, split_at),
+                        _parse_at(parse_ratfn, text, split_at + 1, lead + len(inner)))
 
 
 # ---------------------------------------------------------------------------

@@ -337,7 +337,8 @@ def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
 
 
 def ord_at(p: UniPoly, place: UniPoly) -> int:
-    """Multiplicity of the irreducible `place` in p; large sentinel for p = 0."""
+    """The largest k with place^k dividing p, for a squarefree `place` (its
+    multiplicity when irreducible); large sentinel for p = 0."""
     if p.is_zero:
         return 10 ** 9
     n = 0

@@ -222,10 +222,11 @@ _KODAIRA = {
 
 @dataclass(frozen=True, eq=False)
 class PlaceData:
-    """A place of bad reduction together with its fiber type: `family` is
-    'I', 'I*' or an additive type, and `n` the index of I_n and I_n* (0 for
-    the others).  `kodaira`, `m_v`, `euler` and `root_label()` are read off
-    the one Kodaira table.  `curve` is the curve whose fiber it is."""
+    """A place of bad reduction, or the block of all I1 places (see
+    `height_context`), together with its fiber type: `family` is 'I', 'I*' or
+    an additive type, and `n` the index of I_n and I_n* (0 for the others).
+    `kodaira`, `m_v`, `euler` and `root_label()` are read off the one Kodaira
+    table.  `curve` is the curve whose fiber it is."""
 
     place: Place
     family: str
@@ -278,14 +279,16 @@ def _classify(v_c4: int, v_c6: int, v_disc: int) -> tuple[str, int]:
 def kodaira_type_at(curve: WeierstrassCurve, place: Place) -> PlaceData:
     """Fiber type, component count and Euler number at a bad place.
 
-    The place is a monic irreducible polynomial, or INFINITY_PLACE.  The
-    discriminant, c4 and c6 have weights 12, 4 and 6.
+    The place is INFINITY_PLACE, or a squarefree polynomial all of whose roots
+    carry one fiber type: an irreducible factor of the discriminant, or its
+    simple part (every fiber I1).  The discriminant, c4 and c6 have weights
+    12, 4 and 6.
     """
     if place == INFINITY_PLACE:
         degree = 1
     else:
         if not isinstance(place, UniPoly) or place.degree < 1:
-            raise ValueError("place must be a monic irreducible polynomial or 'inf'")
+            raise ValueError("place must be a squarefree polynomial or 'inf'")
         place = place.monic()
         degree = place.degree
     v_disc = _valuation(curve.discriminant, place, 12)
@@ -370,11 +373,21 @@ class HeightContext:
 
 def height_context(curve: WeierstrassCurve) -> HeightContext:
     """Classify every bad fiber of the curve.  The context is immutable, so one
-    context serves every height pairing on the curve."""
-    places = sorted(
-        (kodaira_type_at(curve, irr) for irr, _mult in irreducible_factors(curve.discriminant)),
-        key=lambda pd: pd.place.coeffs,
-    )
+    context serves every height pairing on the curve.
+
+    Only the repeated part of the discriminant is factored.  Its simple part
+    is one place: v(disc) = 1 forces v(c4) = 0, as 1728 disc = c4^3 - c6^2, so
+    each of its roots carries an I1 fiber, of Euler number 1 and with no root
+    lattice.  A section meets an I1 fiber at a smooth point, so its local
+    correction there is 0 root by root; `kodaira_type_at` still checks the
+    block's type."""
+    places = []
+    for block, mult in squarefree_decompose(curve.discriminant):
+        if mult == 1:
+            places.append(kodaira_type_at(curve, block))
+        else:
+            places.extend(kodaira_type_at(curve, irr) for irr, _ in irreducible_factors(block))
+    places.sort(key=lambda pd: pd.place.coeffs)
     if curve.discriminant.degree < 12:  # the discriminant has weight 12
         places.append(kodaira_type_at(curve, INFINITY_PLACE))
     total = sum(pd.degree * pd.euler for pd in places)

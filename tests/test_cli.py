@@ -38,6 +38,11 @@ C51_2 = "u = 1/36*t^2 + 435/2*t - 921375/4"
 Q52 = "u^3 + (25*t + 9)*u^2 + (144*t^2 + t^3)*u + 16*t^4"
 C52_1 = "u = 1/64*t^2 - 41/2*t + 315"
 C52_2 = "u = t^2 + 192*t + 8640"
+# 5.1 under t -> 2t - 2, then u -> u + 2t^2 - t + 1/2, and its first conic
+Q51_IMAGE = ("u^3 + 6*u^2*t^2 - 199*u^2*t + 543095/2*u^2 + 12*u*t^4 - 788*u*t^3 "
+             "+ 1055161*u*t^2 + 23110783*u*t - 93404445/4*u + 8*t^6 - 780*t^5 + 1024700*t^4 "
+             "+ 45084093*t^3 + 523892391*t^2 - 4597213619/4*t + 4639308269/8")
+C51_IMAGE_1 = "u = -71/36*t^2 + 1265/36*t - 5148767/144"
 S51_T1 = EXAMPLES["5.1"]["s_t1"]
 S51_T2 = EXAMPLES["5.1"]["s_t2"]
 
@@ -331,11 +336,20 @@ def test_input_errors_exit_2(capsys):
 @pytest.mark.parametrize("argv", [
     ["curve", "fibers", "u^3 + t^1000000*u + 1"],
     ["curve", "check", Q51, "((t^1000)^1000, 1)"],
-], ids=["exponent", "degree"])
+    ["curve", "fibers", "u^3 + " + "*".join(["(t + 1)^100"] * 1000) + "*u + 1"],
+    ["curve", "check", Q51, "(" + "/".join(["(t + 1)^-100"] * 1000) + ", 1)"],
+], ids=["exponent", "degree", "product", "quotient"])
 def test_powers_over_the_cap_exit_2_before_expansion(capsys, argv):
-    # expanded, either power would run for hours before a degree bound fails
+    # expanded, each input would run for hours before a degree bound fails
     assert main(argv) == EXIT_INPUT_ERROR
     assert f"at most {POWER_CAP}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["(" * 5000 + "t" + ")" * 5000, "-" * 5000 + "t"],
+                         ids=["parentheses", "unary_minus"])
+def test_deep_nesting_exits_2(capsys, text):
+    assert main(["curve", "fibers", f"u^3 + {text}*u + 1"]) == EXIT_INPUT_ERROR
+    assert "nesting exceeds the cap" in capsys.readouterr().err
 
 
 def test_untabulated_fiber_at_infinity_exits_2(capsys):
@@ -522,7 +536,12 @@ GOLDEN_RECORDS = {
     "feasibility_5.1_conic2": ["feasibility", Q51, C51_2],
     "tangency_5.2_conic1": ["tangency", Q52, C52_1],
     "tangency_5.2_conic2": ["tangency", Q52, C52_2],
+    "symbol_5.1_image_conic1": ["symbol", Q51_IMAGE, C51_IMAGE_1],
+    # 2021 = 43 * 47
+    "zariski_5.2_rescaled_N2021": ["zariski", *(_rescaled(x, 2021) for x in (Q52, C52_1, C52_2))],
     "curve_fibers_5.1": ["curve", "fibers", Q51],
+    # disc = 108 - 27 t^2: the I1 places t -+ 2 are one block, II* at infinity
+    "curve_fibers_reducible_I1": ["curve", "fibers", "u^3 - 3*u + t"],
     "curve_height_5.1": ["curve", "height", Q51, S51_T1, S51_T2],
     # a 2-torsion section through the I2 fiber over the degree-2 place t^2 - 2
     "curve_height_torsion_I2_degree2": ["curve", "height", "u^3 + u^2 + (t^2 - 2)*u",

@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mwq.parsing import (
+    DEPTH_CAP,
+    POWER_CAP,
     InputFormatError,
     ParseError,
     bipoly_text,
@@ -20,10 +22,15 @@ from mwq.parsing import (
     poly_text,
     ratfn_text,
 )
-from mwq.poly import BiPoly, RatFn, UniPoly
+from mwq.poly import T, UNIPOLY_ZERO, BiPoly, RatFn, UniPoly
 
 NOT_POLYNOMIAL = "expression must be polynomial (no division by t or u)"
 NOT_IN_T = "expression must not involve u"
+PRODUCT_CAP = f"product exceeds the cap: degree at most {POWER_CAP}"
+QUOTIENT_CAP = f"quotient exceeds the cap: degree at most {POWER_CAP}"
+SUM_CAP = f"sum exceeds the cap: degree at most {POWER_CAP}"
+DIFFERENCE_CAP = f"difference exceeds the cap: degree at most {POWER_CAP}"
+DEPTH = f"nesting exceeds the cap: depth at most {DEPTH_CAP}"
 
 # (parser, input, error class, message, ParseError position or None)
 SINGLE_FAULTS = [
@@ -52,12 +59,32 @@ SINGLE_FAULTS = [
     (parse_section, "(t, t + x)", ParseError, "unknown name 'x'", 8),
     (parse_section, "(t + x, t)", ParseError, "unknown name 'x'", 5),
     (parse_section, "  (t + x, t)", ParseError, "unknown name 'x'", 7),
+    # positions are within the whole text, also after `u =` and `y^2 =`
+    (parse_conic_rhs, "u = t + x", ParseError, "unknown name 'x'", 8),
+    (parse_curve_rhs, "y^2 = u^3 + x", ParseError, "unknown name 'x'", 12),
     (parse_section, "(u, t)", InputFormatError, NOT_IN_T, None),
     (parse_section, "(t, 1/t + u)", InputFormatError, NOT_IN_T, None),
     (parse_ratfn, "u/u", InputFormatError, NOT_IN_T, None),
     # longer than Python converts by default (4300 digits): reported at the literal
     (parse_bipoly, "u + " + "7" * 5000, ParseError, "integer literal of 5000 digits is too long", 4),
     (parse_bipoly, "t^" + "9" * 5000, ParseError, "integer literal of 5000 digits is too long", 2),
+    # the degree in t and in u of every product, and in a section coordinate of
+    # every quotient, is bounded at its operator, before it is expanded
+    (parse_bipoly, "(t^60)*(t^60)", ParseError, PRODUCT_CAP, 6),
+    (parse_curve_rhs, "u^50*u^51", ParseError, PRODUCT_CAP, 4),
+    (parse_bipoly, "(t^60*t^60)/t", ParseError, PRODUCT_CAP, 5),
+    (parse_ratfn, "t^60*t^41", ParseError, PRODUCT_CAP, 4),
+    (parse_ratfn, "1/t^60/t^41", ParseError, QUOTIENT_CAP, 6),
+    (parse_section, "(t, (t^60)/(t^-60))", ParseError, QUOTIENT_CAP, 10),
+    # a sum of rational functions multiplies their denominators
+    (parse_ratfn, "1/t^60 - 1/(t + 1)^41", ParseError, DIFFERENCE_CAP, 7),
+    (parse_section, "(t, 1/t^60 + 1/(t + 1)^41)", ParseError, SUM_CAP, 11),
+    # a curve rejects a non-constant divisor before any degree is read
+    (parse_bipoly, "t^60/t^60", InputFormatError, NOT_POLYNOMIAL, None),
+    # parentheses and unary minus nest at most DEPTH_CAP deep
+    (parse_bipoly, "(" * 101 + "t" + ")" * 101, ParseError, DEPTH, 100),
+    (parse_ratfn, "-" * 101 + "t", ParseError, DEPTH, 100),
+    (parse_conic_rhs, "u = " + "-(" * 51 + "t" + ")" * 51, ParseError, DEPTH, 104),
 ]
 
 
@@ -92,6 +119,96 @@ def test_division_rule():
     assert parse_ratfn("1/t + 1") == RatFn(UniPoly.of(1, 1), UniPoly.of(0, 1))
     assert parse_ratfn("(t^2 - 1)/(t - 1)^2") == RatFn(UniPoly.of(1, 1), UniPoly.of(-1, 1))
     assert parse_ratfn("(2*t)^-2") == RatFn(UniPoly.const(1), UniPoly.of(0, 0, 4))
+
+
+def test_degree_budget_is_per_variable_and_read_on_the_operands():
+    # degree 60 in t and 60 in u: each within the cap
+    assert parse_bipoly("u^60*t^60") == BiPoly([UNIPOLY_ZERO] * 60 + [UniPoly.of(*[0] * 60, 1)])
+    # t^60 / t^40 is t^20: neither t^60 nor t^40 exceeds the cap
+    assert parse_ratfn("t^60/t^40") == RatFn(UniPoly.of(*[0] * 20, 1))
+    assert parse_ratfn("(t^50/(t + 1)^50)*((t + 1)^50/t^50)") == RatFn(UniPoly.const(1))
+    # the bound of a sum is the degree of t^60 * t^40, just within the cap
+    assert parse_ratfn("1/t^60 + 1/t^40") == RatFn(T ** 20 + 1, T ** 60)
+
+
+def test_nesting_up_to_the_cap_is_read():
+    assert parse_bipoly("(" * DEPTH_CAP + "t" + ")" * DEPTH_CAP) == BiPoly([T])
+    assert parse_ratfn("-" * DEPTH_CAP + "t") == RatFn(T)
+
+
+# ---------------------------------------------------------------------------
+# the sparse evaluator against sympy, and hostile input
+# ---------------------------------------------------------------------------
+
+_LEAVES = st.one_of(st.sampled_from(["t", "u"]), st.integers(0, 30).map(str))
+
+
+@st.composite
+def _expressions(draw, depth: int = 4) -> str:
+    """An expression tree in the grammar.  Each level at most triples the
+    degree, so a depth-4 tree stays within the cap (3^4 <= 100)."""
+    if depth == 0 or draw(st.integers(0, 3)) == 0:
+        return draw(_LEAVES)
+    op = draw(st.sampled_from(["+", "-", "*", "neg", "^", "/"]))
+    a = draw(_expressions(depth - 1))
+    if op == "neg":
+        return f"-({a})"
+    if op == "^":
+        return f"({a})^{draw(st.integers(0, 3))}"
+    if op == "/":
+        return f"({a})/{draw(st.sampled_from([1, 2, 3, 7, -1, -4, 12]))}"
+    return f"({a}) {op} ({draw(_expressions(depth - 1))})"
+
+
+@settings(max_examples=120, deadline=None)
+@given(text=_expressions())
+def test_parse_bipoly_matches_sympy_expand(text):
+    import sympy
+
+    t, u = sympy.symbols("t u")
+    expected = sympy.Poly(
+        sympy.expand(sympy.sympify(text.replace("^", "**"), locals={"t": t, "u": u})), u, t
+    )
+    want = {
+        (du, dt): Fraction(int(c.p), int(c.q))
+        for (du, dt), c in zip(expected.monoms(), expected.coeffs()) if c != 0
+    }
+    f = parse_bipoly(text)
+    got = {
+        (du, dt): c
+        for du, row in enumerate(f.coeffs) for dt, c in enumerate(row.coeffs) if c != 0
+    }
+    assert got == want
+
+
+# the characters of the grammar, and `=` and space
+_ALPHABET = "0123456789tu+-*/^()= "
+
+
+@st.composite
+def _hostile(draw) -> str:
+    """Text over the alphabet: at random, or a valid expression with up to
+    three random splices, so that faults also come late in the input."""
+    if draw(st.booleans()):
+        return draw(st.text(alphabet=_ALPHABET, max_size=30))
+    text = draw(_expressions(depth=3))
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(text)))
+        cut = draw(st.integers(0, 2))
+        text = text[:i] + draw(st.text(alphabet=_ALPHABET, max_size=3)) + text[i + cut:]
+    return text
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=_hostile())
+def test_any_text_over_the_alphabet_is_parsed_or_refused_as_input(text):
+    cases = [(parse_curve_rhs, text), (parse_conic_rhs, text), (parse_section, text),
+             (parse_section, f"({text}, {text})")]
+    for parse, arg in cases:
+        try:
+            parse(arg)
+        except (ParseError, InputFormatError):
+            pass
 
 
 # ---------------------------------------------------------------------------

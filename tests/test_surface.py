@@ -20,7 +20,8 @@ from mwq.parsing import parse_curve_rhs, parse_section, poly_text
 from mwq.replay import EXAMPLES
 from mwq.report import EXIT_INPUT_ERROR, EXIT_OK
 from mwq.poly import (
-    T, UNIPOLY_ONE, UNIPOLY_ZERO, BiPoly, RatFn, UniPoly, is_perfect_square, rational_roots,
+    T, UNIPOLY_ONE, UNIPOLY_ZERO, BiPoly, RatFn, UniPoly, irreducible_factors, is_perfect_square,
+    poly_gcd, rational_roots, squarefree_decompose,
 )
 from mwq.surface import (
     INFINITY_PLACE,
@@ -293,6 +294,64 @@ def test_euler_sum_is_twelve(e51, e52):
     for curve in (e51, e52):
         ctx = height_context(curve)
         assert sum(pd.degree * pd.euler for pd in ctx.places) == 12
+
+
+# ---------------------------------------------------------------------------
+# the simple part of the discriminant: one place, never factored
+# ---------------------------------------------------------------------------
+
+
+def _per_place_context(curve):
+    """The oracle: each irreducible factor of the discriminant classified as a
+    place of its own."""
+    places = [kodaira_type_at(curve, irr) for irr, _ in irreducible_factors(curve.discriminant)]
+    if curve.discriminant.degree < 12:
+        places.append(kodaira_type_at(curve, INFINITY_PLACE))
+    return surface.HeightContext(curve, tuple(places))
+
+
+# disc = 27 (2 - t^2)(2 + t^2): an I1 block of two irreducible places, and IV*
+# at infinity
+SPLIT_I1 = "u^3 - 3*u + t^2"
+
+
+def test_a_reducible_simple_part_is_one_I1_place():
+    curve = _curve(SPLIT_I1)
+    ctx = height_context(curve)
+    assert [(pd.label, pd.kodaira, pd.degree) for pd in ctx.places] == [
+        ("t^4-4", "I1", 4), (INFINITY_PLACE, "IV*", 1)]
+    assert len(_per_place_context(curve).places) == 3
+
+
+@pytest.mark.parametrize("rhs, table", [
+    (EXAMPLES["5.1"]["quartic"], SECTIONS_51),
+    (EXAMPLES["5.2"]["quartic"], SECTIONS_52),
+    (SPLIT_I1, {"p": "(0, t)"}),
+], ids=["5.1", "5.2", "split_I1"])
+def test_height_pairing_matches_the_per_place_context(rhs, table):
+    curve = _curve(rhs)
+    ctx, oracle = height_context(curve), _per_place_context(curve)
+    gens = list(secs(table).values())
+    pts = gens + [double(curve, g) for g in gens] + [add(curve, gens[0], g) for g in gens[1:]]
+    for p, q in itertools.combinations_with_replacement(pts, 2):
+        assert height_pairing(ctx, p, q) == height_pairing(oracle, p, q)
+
+
+@pytest.mark.parametrize("name", ["5.1", "5.2"])
+def test_the_I1_quintic_is_never_factored(capsys, monkeypatch, name):
+    import mwq.surface
+
+    curve = _curve(EXAMPLES[name]["quartic"])
+    simple = [f for f, mult in squarefree_decompose(curve.discriminant) if mult == 1]
+    assert [f.degree for f in simple] == [5]
+    factored = []
+    real = mwq.surface.irreducible_factors
+    monkeypatch.setattr(mwq.surface, "irreducible_factors",
+                        lambda p: factored.append(p) or real(p))
+    assert main(["example", name]) == EXIT_OK
+    capsys.readouterr()
+    assert factored  # the repeated part is factored
+    assert all(poly_gcd(p, simple[0]).degree == 0 for p in factored)
 
 
 # ---------------------------------------------------------------------------
