@@ -297,13 +297,6 @@ def orthogonal_complement_basis(
     return kernel
 
 
-def orthogonal_complement_gram(ambient: GramLattice, embedded: Sequence[Vector]) -> GramLattice:
-    basis = orthogonal_complement_basis(ambient, embedded)
-    return GramLattice(
-        tuple(tuple(ambient.inner(b1, b2) for b2 in basis) for b1 in basis)
-    )
-
-
 def find_sublattice_embeddings(
     big: GramLattice, small: GramLattice
 ) -> Iterator[tuple[Vector, ...]]:

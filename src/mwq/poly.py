@@ -1,9 +1,10 @@
 """Exact polynomial and rational-function arithmetic over Q.
 
-Coefficients are rationals, held exactly: a UniPoly is a `fractions.Fraction`
-content times a primitive integer coefficient list, so its arithmetic runs on
-Python ints.  No floating point enters any computation in this package.  Three
-value types live here:
+Coefficients are rationals, held exactly: a UniPoly is a rational content,
+kept as a reduced pair of ints, times a primitive integer coefficient list, so
+its arithmetic runs on Python ints alone; a `fractions.Fraction` is built only
+where the API hands out a coefficient, a value or a root.  No floating point
+enters any computation in this package.  Three value types live here:
 
   * UniPoly -- dense univariate polynomials (the variable is called t),
   * RatFn   -- reduced rational functions num/den with monic denominator,
@@ -23,33 +24,19 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 Scalar = Union[int, Fraction]
 
 
-def frac(x: Scalar) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
-def frac_sqrt(q: Fraction) -> Optional[Fraction]:
-    """Exact square root of a rational, or None if q is not a square in Q."""
-    if q < 0:
-        return None
-    n, d = q.numerator, q.denominator
-    rn, rd = math.isqrt(n), math.isqrt(d)
-    if rn * rn != n or rd * rd != d:
-        return None
-    return Fraction(rn, rd)
-
-
 class UniPoly:
     """Dense polynomial in t over Q; the zero polynomial has degree -1.
 
-    A polynomial is stored as a rational content `_c` times a primitive integer
-    coefficient tuple `_p`, listed low degree first, whose gcd is 1 and whose
-    leading entry is positive; the zero polynomial is `_c = 0`, `_p = ()`.  The
-    form is canonical, so equality and hashing compare (`_c`, `_p`), and all
-    coefficient arithmetic runs on Python ints: the content is the only
-    `Fraction` an operation touches.
+    A polynomial is stored as a rational content `_n / _d` times a primitive
+    integer coefficient tuple `_p`, listed low degree first, whose gcd is 1 and
+    whose leading entry is positive.  The content is a reduced pair of ints
+    with `_d > 0`; the zero polynomial is `_n, _d, _p = 0, 1, ()`.  The form is
+    canonical, so equality and hashing compare (`_n`, `_d`, `_p`), and all
+    arithmetic runs on Python ints: a `Fraction` is built only by `coeffs`,
+    `coeff` and evaluation, which return one, and for a rational root.
     """
 
-    __slots__ = ("_c", "_p")
+    __slots__ = ("_n", "_d", "_p")
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
         cs = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
@@ -62,8 +49,9 @@ class UniPoly:
 
     @staticmethod
     def const(c: Scalar) -> "UniPoly":
-        c = frac(c)
-        return _make(c, (1,)) if c else UNIPOLY_ZERO
+        if not isinstance(c, (int, Fraction)):
+            c = Fraction(c)
+        return _make(c.numerator, c.denominator, (1,)) if c else UNIPOLY_ZERO
 
     @staticmethod
     def of(*coeffs: Scalar) -> "UniPoly":
@@ -75,7 +63,7 @@ class UniPoly:
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         """The coefficients as Fractions, low degree first (built on demand)."""
-        n, d = self._c.numerator, self._c.denominator
+        n, d = self._n, self._d
         return tuple(Fraction(n * a, d) for a in self._p)
 
     @property
@@ -86,43 +74,40 @@ class UniPoly:
     def is_zero(self) -> bool:
         return not self._p
 
-    @property
-    def leading(self) -> Fraction:
-        if not self._p:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self._c * self._p[-1]
-
     def coeff(self, i: int) -> Fraction:
-        return self._c * self._p[i] if 0 <= i < len(self._p) else Fraction(0)
+        return Fraction(self._n * self._p[i], self._d) if 0 <= i < len(self._p) else Fraction(0)
 
     def is_constant(self) -> bool:
         return len(self._p) <= 1
 
     # -- arithmetic ----------------------------------------------------
+    # Each operation tests for a UniPoly operand first: a test against
+    # Fraction, an ABC-registered Rational, costs a Python-level call.
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, UniPoly):
+            if not isinstance(other, (int, Fraction)):
+                return False
             other = UniPoly.const(other)
-        return isinstance(other, UniPoly) and self._c == other._c and self._p == other._p
+        return self._n == other._n and self._d == other._d and self._p == other._p
 
     def __hash__(self):
-        return hash((self._c, self._p))
+        return hash((self._n, self._d, self._p))
 
     def __neg__(self) -> "UniPoly":
-        return _make(-self._c, self._p)
+        return _make(-self._n, self._d, self._p)
 
     def __add__(self, other) -> "UniPoly":
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, UniPoly):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = UniPoly.const(other)
-        elif not isinstance(other, UniPoly):
-            return NotImplemented
         if not other._p:
             return self
         if not self._p:
             return other
         # common denominator of the two contents, then one integer sum
-        n1, d1 = self._c.numerator, self._c.denominator
-        n2, d2 = other._c.numerator, other._c.denominator
+        n1, d1, n2, d2 = self._n, self._d, other._n, other._d
         g = math.gcd(d1, d2)
         f1, f2 = n1 * (d2 // g), n2 * (d1 // g)
         h = math.gcd(f1, f2)
@@ -138,29 +123,29 @@ class UniPoly:
     __radd__ = __add__
 
     def __sub__(self, other) -> "UniPoly":
-        return self + (-other if isinstance(other, UniPoly) else UniPoly.const(-frac(other)))
+        return self + (-other if isinstance(other, UniPoly) else UniPoly.const(-other))
 
     def __rsub__(self, other) -> "UniPoly":
         return (-self) + other
 
     def __mul__(self, other) -> "UniPoly":
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, UniPoly):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             if not other or not self._p:
                 return UNIPOLY_ZERO
-            return _make(self._c * other, self._p)
-        if not isinstance(other, UniPoly):
-            return NotImplemented
+            return _scaled(self, other.numerator, other.denominator)
         a, b = self._p, other._p
         if not a or not b:
             return UNIPOLY_ZERO
-        c = self._c * other._c
+        n, d = _product(self._n, self._d, other._n, other._d)
         # a constant's primitive part is (1,); otherwise convolve.  By Gauss's
         # lemma the product of primitive polynomials is primitive.
         if len(a) == 1:
-            return _make(c, b)
+            return _make(n, d, b)
         if len(b) == 1:
-            return _make(c, a)
-        return _make(c, tuple(_convolve(a, b)))
+            return _make(n, d, a)
+        return _make(n, d, tuple(_convolve(a, b)))
 
     __rmul__ = __mul__
 
@@ -178,7 +163,7 @@ class UniPoly:
         return result
 
     def __divmod__(self, other: "UniPoly"):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, UniPoly):
             other = UniPoly.const(other)
         b = other._p
         if not b:
@@ -189,7 +174,7 @@ class UniPoly:
         if dq < 0:
             return UNIPOLY_ZERO, self
         if db == 0:
-            return _make(self._c / other._c, a), UNIPOLY_ZERO
+            return _scaled(self, other._d, other._n), UNIPOLY_ZERO
         # integer pseudo-division: scale * a = quo * b + rem, where scale is a
         # product of divisors of lead(b), taken only where a step needs it
         rem = list(a)
@@ -212,10 +197,10 @@ class UniPoly:
             quo[k] = q
             for j in range(db):
                 rem[k + j] -= q * b[j]
-        ca, cb = self._c, other._c
+        n, d = self._n, self._d
         return (
-            _canonical(quo, ca.numerator * cb.denominator, ca.denominator * cb.numerator * scale),
-            _canonical(rem[:db], ca.numerator, ca.denominator * scale),
+            _canonical(quo, n * other._d, d * other._n * scale),
+            _canonical(rem[:db], n, d * scale),
         )
 
     def __floordiv__(self, other) -> "UniPoly":
@@ -241,18 +226,17 @@ class UniPoly:
         for a in p[-2::-1]:
             dk *= d
             acc = acc * n + a * dk
-        return Fraction(self._c.numerator * acc, self._c.denominator * dk)
+        return Fraction(self._n * acc, self._d * dk)
 
     # -- structure -----------------------------------------------------
 
     def derivative(self) -> "UniPoly":
-        c = self._c
-        return _canonical([i * a for i, a in enumerate(self._p)][1:], c.numerator, c.denominator)
+        return _canonical([i * a for i, a in enumerate(self._p)][1:], self._n, self._d)
 
     def monic(self) -> "UniPoly":
         if not self._p:
             return self
-        return _make(Fraction(1, self._p[-1]), self._p)
+        return _make(1, self._p[-1], self._p)
 
     def shift(self, a: Scalar) -> "UniPoly":
         """Return p(t + a), by repeated synthetic division on integers.  With
@@ -269,8 +253,7 @@ class UniPoly:
             for j in range(deg - 1, i - 1, -1):
                 q[j] += n * q[j + 1]
         q = [x * d ** i for i, x in enumerate(q)]
-        c = self._c
-        return _canonical(q, c.numerator, c.denominator * d ** deg)
+        return _canonical(q, self._n, self._d * d ** deg)
 
     def __repr__(self):
         from .parsing import poly_text
@@ -278,31 +261,40 @@ class UniPoly:
         return f"UniPoly({poly_text(self)})"
 
 
-_set_content = UniPoly._c.__set__
+_set_num = UniPoly._n.__set__
+_set_den = UniPoly._d.__set__
 _set_primitive = UniPoly._p.__set__
 
 
-def _make(c: Fraction, p: tuple[int, ...]) -> UniPoly:
-    """A UniPoly from a canonical (content, primitive part) pair."""
+def _make(n: int, d: int, p: tuple[int, ...]) -> UniPoly:
+    """A UniPoly from a canonical content n/d and primitive part p."""
     poly = object.__new__(UniPoly)
-    _set_content(poly, c)
+    _set_num(poly, n)
+    _set_den(poly, d)
     _set_primitive(poly, p)
     return poly
 
 
 def _init_canonical(poly: UniPoly, ints: list[int], num: int, den: int) -> None:
     """Set `poly` to (num/den) * sum ints[i] t^i, where `ints` (consumed) may
-    carry trailing zeros, a common factor and a negative leading entry."""
+    carry trailing zeros, a common factor and a negative leading entry, and
+    num/den (den != 0) need be neither reduced nor of positive denominator."""
     while ints and not ints[-1]:
         ints.pop()
     if not ints:
-        _set_content(poly, Fraction(0))
+        _set_num(poly, 0)
+        _set_den(poly, 1)
         _set_primitive(poly, ())
         return
     g = math.gcd(*ints)
     if ints[-1] < 0:
         g = -g
-    _set_content(poly, Fraction(num * g, den))
+    if den < 0:
+        num, den = -num, -den
+    num *= g
+    h = math.gcd(num, den)
+    _set_num(poly, num // h)
+    _set_den(poly, den // h)
     _set_primitive(poly, tuple(ints) if g == 1 else tuple(x // g for x in ints))
 
 
@@ -310,6 +302,20 @@ def _canonical(ints: list[int], num: int, den: int) -> UniPoly:
     poly = object.__new__(UniPoly)
     _init_canonical(poly, ints, num, den)
     return poly
+
+
+def _product(n1: int, d1: int, n2: int, d2: int) -> tuple[int, int]:
+    """The reduced n/d = (n1/d1) (n2/d2), d > 0, of two reduced ratios with
+    d1 > 0 and d2 != 0, cross-cancelled as `Fraction` multiplies."""
+    if d2 < 0:
+        n2, d2 = -n2, -d2
+    g1, g2 = math.gcd(n1, d2), math.gcd(n2, d1)
+    return (n1 // g1) * (n2 // g2), (d1 // g2) * (d2 // g1)
+
+
+def _scaled(p: UniPoly, n: int, d: int) -> UniPoly:
+    """(n/d) p for a nonzero p and a reduced nonzero n/d, d != 0."""
+    return _make(*_product(p._n, p._d, n, d), p._p)
 
 
 def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
@@ -379,10 +385,12 @@ def is_perfect_square(p: UniPoly) -> Optional[UniPoly]:
         return UNIPOLY_ZERO
     if p.degree % 2:
         return None
-    # p = c * P is a square iff the content c is a square in Q and the
+    # p = (n/d) P is a square iff n and d are squares (n/d is reduced) and the
     # primitive part P is the square of a primitive integer polynomial
-    content = frac_sqrt(p._c)
-    if content is None:
+    if p._n < 0:
+        return None
+    rn, rd = math.isqrt(p._n), math.isqrt(p._d)
+    if rn * rn != p._n or rd * rd != p._d:
         return None
     prim = p._p
     lead = math.isqrt(prim[-1])
@@ -402,7 +410,7 @@ def is_perfect_square(p: UniPoly) -> Optional[UniPoly]:
         if r:
             return None
         h[m - k] = q
-    cand = _canonical(h, content.numerator, content.denominator)
+    cand = _canonical(h, rn, rd)
     if cand * cand == p:
         return cand
     return None
@@ -710,27 +718,34 @@ def _factor_squarefree(p: tuple[int, ...]) -> list[tuple[int, ...]]:
     big = q
     while big * big <= bound2:
         big *= big
-    return _recombine(_make(Fraction(1), p), _hensel_lift(p, facs, q, big), big, degrees)
+    return _recombine(_make(1, 1, p), _hensel_lift(p, facs, q, big), big, degrees)
+
+
+def split_squarefree(f: UniPoly) -> list[UniPoly]:
+    """The monic irreducible factors over Q, unsorted, of a monic squarefree f
+    of positive degree.  f loses the linear factors of its rational roots; a
+    rootless cofactor of degree 2 or 3 is irreducible, and one of degree >= 4
+    is factored over Z by `_factor_squarefree`."""
+    out = []
+    for r in _squarefree_rational_roots(f._p):
+        linear = UniPoly.of(-r, 1)
+        out.append(linear)
+        f = f.exact_div(linear)
+    if 2 <= f.degree <= 3:
+        out.append(f)
+    elif f.degree >= 4:
+        out.extend(_make(1, g[-1], g) for g in _factor_squarefree(f._p))
+    return out
 
 
 def irreducible_factors(p: UniPoly) -> list[tuple[UniPoly, int]]:
     """Monic irreducible factors over Q with multiplicity, ordered by degree,
-    then coefficients.  Each squarefree factor loses the linear factors of its
-    rational roots; a rootless cofactor of degree 2 or 3 is irreducible, and
-    one of degree >= 4 is factored over Z by `_factor_squarefree`.  No integer
-    derived from `p` is ever factored, and sympy is not used."""
+    then coefficients: `split_squarefree` of each block of the squarefree
+    decomposition.  No integer derived from `p` is ever factored, and sympy is
+    not used."""
     if p.is_zero:
         raise ValueError("factoring the zero polynomial")
-    out = []
-    for f, mult in squarefree_decompose(p):
-        for r in _squarefree_rational_roots(f._p):
-            linear = UniPoly.of(-r, 1)
-            out.append((linear, mult))
-            f = f.exact_div(linear)
-        if 2 <= f.degree <= 3:
-            out.append((f, mult))
-        elif f.degree >= 4:
-            out.extend((_make(Fraction(1, g[-1]), g), mult) for g in _factor_squarefree(f._p))
+    out = [(g, mult) for f, mult in squarefree_decompose(p) for g in split_squarefree(f)]
     out.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
     return out
 
@@ -741,9 +756,9 @@ class RatFn:
     __slots__ = ("num", "den")
 
     def __init__(self, num: UniPoly, den: UniPoly = UNIPOLY_ONE):
-        if isinstance(num, (int, Fraction)):
+        if not isinstance(num, UniPoly):
             num = UniPoly.const(num)
-        if isinstance(den, (int, Fraction)):
+        if not isinstance(den, UniPoly):
             den = UniPoly.const(den)
         if den.is_zero:
             raise ZeroDivisionError("rational function with zero denominator")
@@ -751,14 +766,15 @@ class RatFn:
             den = UNIPOLY_ONE
         elif den.is_constant():
             if den != UNIPOLY_ONE:
-                num, den = num * (1 / den.leading), UNIPOLY_ONE
+                num, den = _scaled(num, den._d, den._n), UNIPOLY_ONE
         else:
             g = poly_gcd(num, den)
             if g.degree > 0:
                 num, den = num.exact_div(g), den.exact_div(g)
-            lc = den.leading
-            if lc != 1:
-                num, den = num * (1 / lc), den * (1 / lc)
+            lead, d = den._n * den._p[-1], den._d
+            if lead != d:  # divide both by the leading coefficient lead/d
+                h = math.gcd(lead, d)
+                num, den = _scaled(num, d // h, lead // h), den.monic()
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -833,10 +849,10 @@ class RatFn:
         return RatFn(self.num ** n, self.den ** n)
 
     def __call__(self, x: Scalar) -> Fraction:
-        d = self.den(frac(x))
+        d = self.den(x)
         if d == 0:
             raise ZeroDivisionError(f"pole at t = {x}")
-        return self.num(frac(x)) / d
+        return self.num(x) / d
 
     def __repr__(self):
         from .parsing import ratfn_text
@@ -871,6 +887,13 @@ class BiPoly:
 
     def coeff_u(self, k: int) -> UniPoly:
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else UNIPOLY_ZERO
+
+    def coeff_t(self, k: int) -> UniPoly:
+        """The coefficient of t^k, a polynomial in u, read off the ints of
+        each coefficient's content and primitive part."""
+        ratios = [(c._n * c._p[k], c._d) if k < len(c._p) else (0, 1) for c in self.coeffs]
+        den = math.lcm(*(d for _, d in ratios))
+        return _canonical([n * (den // d) for n, d in ratios], 1, den)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, BiPoly) and self.coeffs == other.coeffs

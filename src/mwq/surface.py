@@ -28,10 +28,10 @@ from .poly import (
     BiPoly,
     RatFn,
     UniPoly,
-    irreducible_factors,
     is_perfect_square,
     ord_at,
     rational_roots,
+    split_squarefree,
     squarefree_decompose,
 )
 
@@ -375,18 +375,19 @@ def height_context(curve: WeierstrassCurve) -> HeightContext:
     """Classify every bad fiber of the curve.  The context is immutable, so one
     context serves every height pairing on the curve.
 
-    Only the repeated part of the discriminant is factored.  Its simple part
-    is one place: v(disc) = 1 forces v(c4) = 0, as 1728 disc = c4^3 - c6^2, so
-    each of its roots carries an I1 fiber, of Euler number 1 and with no root
-    lattice.  A section meets an I1 fiber at a smooth point, so its local
-    correction there is 0 root by root; `kodaira_type_at` still checks the
-    block's type."""
+    Only the repeated part of the discriminant is factored: Yun's blocks are
+    squarefree, so each goes to `split_squarefree` as it stands.  The simple
+    part is one place: v(disc) = 1 forces v(c4) = 0, as 1728 disc =
+    c4^3 - c6^2, so each of its roots carries an I1 fiber, of Euler number 1
+    and with no root lattice.  A section meets an I1 fiber at a smooth point,
+    so its local correction there is 0 root by root; `kodaira_type_at` still
+    checks the block's type."""
     places = []
     for block, mult in squarefree_decompose(curve.discriminant):
         if mult == 1:
             places.append(kodaira_type_at(curve, block))
         else:
-            places.extend(kodaira_type_at(curve, irr) for irr, _ in irreducible_factors(block))
+            places.extend(kodaira_type_at(curve, irr) for irr in split_squarefree(block))
     places.sort(key=lambda pd: pd.place.coeffs)
     if curve.discriminant.degree < 12:  # the discriminant has weight 12
         places.append(kodaira_type_at(curve, INFINITY_PLACE))
@@ -442,8 +443,8 @@ def _lifted_roots(poly: BiPoly, t0: Fraction) -> list[UniPoly]:
         p_0'(r) a = -p_1(r),
         p_0'(r) b = -(p_2(r) + p_1'(r) a + p_0''(r) a^2 / 2).
     """
-    shifted = [c.shift(t0) for c in poly.coeffs]
-    p0, p1, p2 = (UniPoly([c.coeff(k) for c in shifted]) for k in range(3))
+    shifted = BiPoly([c.shift(t0) for c in poly.coeffs])
+    p0, p1, p2 = (shifted.coeff_t(k) for k in range(3))
     d0, d1 = p0.derivative(), p1.derivative()
     dd0 = d0.derivative()
     cube = UniPoly.of(-t0, 1) ** 3

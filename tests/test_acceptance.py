@@ -17,7 +17,6 @@ from mwq.lattice import (
     isometric,
     lattice_from_text,
     orthogonal_complement_basis,
-    orthogonal_complement_gram,
 )
 from mwq.mwtable import builtin_table, verify_table
 from mwq.parsing import parse_curve_rhs, parse_section
@@ -33,6 +32,7 @@ from mwq.surface import (
     height_context,
     height_pairing,
 )
+from test_lattice import orthogonal_complement_gram
 from test_surface import multiple
 
 

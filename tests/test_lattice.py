@@ -26,13 +26,19 @@ from mwq.lattice import (
     lattice_from_text,
     make_mw_structure,
     orthogonal_complement_basis,
-    orthogonal_complement_gram,
 )
 from mwq.mwtable import builtin_table
 
 
 def row(n):
     return builtin_table()[n - 1]
+
+
+def orthogonal_complement_gram(ambient, embedded):
+    """The Gram lattice of the orthogonal complement of `embedded` in
+    `ambient`, in the basis that `orthogonal_complement_basis` returns."""
+    basis = orthogonal_complement_basis(ambient, embedded)
+    return GramLattice(tuple(tuple(ambient.inner(b1, b2) for b2 in basis) for b1 in basis))
 
 
 def integer_coordinates(columns, target):
@@ -434,6 +440,29 @@ def test_no_check_in_src_is_stripped_by_python_optimize():
             if (isinstance(node, ast.Assert)
                     or isinstance(node, ast.Name) and node.id == "__debug__"
                     or isinstance(node, ast.Attribute) and node.attr == "optimize"):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+# math functions that return or take a float
+_FLOAT_MATH = {"sqrt", "log", "log2", "log10", "log1p", "exp", "expm1", "pow", "floor", "ceil",
+               "fsum"}
+
+
+def test_no_float_enters_src():
+    # every computation is exact: no float or complex literal, no float() or
+    # complex() call and none of the math functions above, by name or imported
+    src = Path(__file__).resolve().parent.parent / "src" / "mwq"
+    found = []
+    for path in sorted(src.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if (isinstance(node, ast.Constant) and type(node.value) in (float, complex)
+                    or isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id in ("float", "complex")
+                    or isinstance(node, ast.Attribute) and node.attr in _FLOAT_MATH
+                    and isinstance(node.value, ast.Name) and node.value.id == "math"
+                    or isinstance(node, ast.ImportFrom) and node.module == "math"
+                    and any(alias.name in _FLOAT_MATH for alias in node.names)):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
 

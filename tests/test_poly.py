@@ -27,6 +27,19 @@ from mwq.poly import (
 )
 
 
+def assert_canonical(p: UniPoly):
+    """The content of p is a reduced pair of ints _n/_d with _d > 0, and its
+    primitive part _p a tuple of ints with gcd 1 and a positive leading
+    entry; the zero polynomial is 0/1 times ()."""
+    assert type(p._n) is int and type(p._d) is int
+    assert p._d > 0 and math.gcd(p._n, p._d) == 1
+    assert type(p._p) is tuple and all(type(a) is int for a in p._p)
+    if p._p:
+        assert p._n != 0 and p._p[-1] > 0 and math.gcd(*p._p) == 1
+    else:
+        assert (p._n, p._d) == (0, 1)
+
+
 def rand_poly(rng, deg, lo=-9, hi=9):
     while True:
         p = UniPoly([Fraction(rng.randint(lo, hi), rng.randint(1, 4)) for _ in range(deg + 1)])
@@ -71,7 +84,7 @@ def test_gcd_divides_both_exactly_and_is_monic():
         if g.is_zero:
             assert a.is_zero and b.is_zero
             continue
-        assert g.leading == 1
+        assert g.coeff(g.degree) == 1
         assert (a % g).is_zero and (b % g).is_zero
 
 
@@ -100,7 +113,7 @@ def test_squarefree_round_trip():
             factors.append((f, mult))
             prod = prod * f ** mult
         got = squarefree_decompose(prod)
-        rebuilt = UniPoly.const(prod.leading)
+        rebuilt = UniPoly.const(prod.coeff(prod.degree))
         for f, m in got:
             rebuilt = rebuilt * f ** m
         assert rebuilt == prod
@@ -143,7 +156,7 @@ def test_square_root_500_random():
         got = is_perfect_square(h * h)
         assert got is not None
         assert got == h or got == -h
-        assert got.is_zero or got.leading > 0
+        assert got.is_zero or got.coeff(got.degree) > 0
 
 
 def test_square_root_example_restriction():
@@ -197,9 +210,9 @@ def test_irreducible_factors_round_trip():
     rng = random.Random(909)
     for _ in range(10):
         p = rand_poly(rng, rng.randint(1, 5))
-        rebuilt = UniPoly.const(p.leading)
+        rebuilt = UniPoly.const(p.coeff(p.degree))
         for f, m in irreducible_factors(p):
-            assert f.leading == 1
+            assert f.coeff(f.degree) == 1
             rebuilt = rebuilt * f ** m
         assert rebuilt == p
 
@@ -330,6 +343,7 @@ def test_rational_roots_match_divisor_oracle(lin, higher, t_power, scale, specia
         p = p * UniPoly.of(-num, den) ** mult  # root num/den, multiplicity mult
     for cs in higher:
         p = p * UniPoly(cs)
+    assert_canonical(p)
     got = rational_roots(p)
     assert got == sorted(got)
     assert got == rational_roots_by_sympy(p)
@@ -415,7 +429,10 @@ def test_irreducible_factors_match_sympy(lin, higher, rootless, rootless_mult):
     for cs, mult in higher:
         p = p * UniPoly(cs) ** mult
     p = p * ROOTLESS[rootless] ** rootless_mult
-    assert irreducible_factors(p) == factors_by_sympy(p)
+    got = irreducible_factors(p)
+    assert got == factors_by_sympy(p)
+    for f in [p] + [f for f, _ in got]:
+        assert_canonical(f)
 
 
 def test_primes_match_sympy():
@@ -521,11 +538,8 @@ def test_unipoly_matches_fraction_lists(a, b, s, x, n):
     assert pa.is_zero == (not ra)
     assert [pa.coeff(i) for i in range(-1, len(ra) + 2)] == [Fraction(0)] + ra + [0, 0]
     if ra:
-        assert pa.leading == ra[-1]
         assert pa.monic().coeffs == tuple(c / ra[-1] for c in ra)
     else:
-        with pytest.raises(ValueError):
-            pa.leading
         assert pa.monic() == pa
 
     assert (pa + pb).coeffs == tuple(ref_add(ra, rb))
@@ -577,6 +591,7 @@ def test_unipoly_equality_and_hash_ignore_how_it_was_built(a, k):
         UniPoly([c * 2 for c in ra]) - UniPoly(ra),
     ]
     for p in built:
+        assert_canonical(p)
         assert p == built[0] and hash(p) == hash(built[0])
         assert p.coeffs == tuple(ra)
     if len(ra) <= 1:
@@ -584,6 +599,39 @@ def test_unipoly_equality_and_hash_ignore_how_it_was_built(a, k):
         assert built[0] == c and built[0] == UniPoly.const(c)
         assert hash(built[0]) == hash(UniPoly.const(c))
     assert (built[0] == UniPoly(ra + [1])) is False
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=_coeff_lists, b=_coeff_lists, s=_scalars.filter(bool), x=_scalars, n=st.integers(0, 3))
+def test_unipoly_content_is_a_reduced_pair_of_ints(a, b, s, x, n):
+    """Every value the arithmetic builds is canonical, on every path where a
+    sign must move from a denominator or a leading entry into the content."""
+    pa, pb = UniPoly(a), UniPoly(b)
+    neg = -abs(Fraction(s))  # a negative scalar
+    values = [
+        pa, pb, -pa, pa + pb, pa - pb, pa + s, s - pa, pa * pb, pa * s, pa * neg, neg * pa,
+        pa ** n, pa.derivative(), pa.monic(), (-pa).monic(), (pa * neg).monic(),
+        pa.shift(x), pa.shift(-abs(Fraction(x))), pa.shift(Fraction(-7, 4)),
+        UniPoly.const(s), UniPoly.const(neg), pa // neg, pa % neg,
+        *divmod(pa, UniPoly.const(neg)), (pa * neg).exact_div(UniPoly.const(neg)),
+        (pa * s).exact_div(UniPoly.const(-s)),
+    ]
+    if not pb.is_zero:
+        values += [*divmod(pa, pb), *divmod(pa, -pb), *divmod(pa * neg, pb)]
+        f = RatFn(pa, pb)
+        values += [f.num, f.den]
+    for den in (UniPoly.const(neg), UniPoly.const(-1), UniPoly.of(1, neg), UniPoly.of(neg, 0, neg)):
+        f = RatFn(pa, den)
+        assert f.den.coeffs[-1] == 1
+        values += [f.num, f.den]
+    values.append(is_perfect_square(pa * pa * Fraction(4, 9)))
+    by_u = BiPoly([pa, pb * neg, UNIPOLY_ZERO, -pa])
+    for k in range(8):
+        column = by_u.coeff_t(k)
+        assert column == UniPoly([c.coeff(k) for c in by_u.coeffs])
+        values.append(column)
+    for v in values:
+        assert_canonical(v)
 
 
 def test_unipoly_errors_and_immutability():

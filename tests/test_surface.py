@@ -345,8 +345,8 @@ def test_the_I1_quintic_is_never_factored(capsys, monkeypatch, name):
     simple = [f for f, mult in squarefree_decompose(curve.discriminant) if mult == 1]
     assert [f.degree for f in simple] == [5]
     factored = []
-    real = mwq.surface.irreducible_factors
-    monkeypatch.setattr(mwq.surface, "irreducible_factors",
+    real = mwq.surface.split_squarefree
+    monkeypatch.setattr(mwq.surface, "split_squarefree",
                         lambda p: factored.append(p) or real(p))
     assert main(["example", name]) == EXIT_OK
     capsys.readouterr()
