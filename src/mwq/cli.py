@@ -21,6 +21,7 @@ from .parsing import (
     InputFormatError,
     parse_conic_rhs,
     parse_curve_rhs,
+    parse_rational,
     parse_section,
 )
 from .quartic import (
@@ -249,10 +250,7 @@ def _cmd_lattice(args) -> int:
     if args.op == "enumerate":
         if args.norm is None:
             raise InputFormatError("`lattice enumerate` needs a target norm")
-        try:
-            q = Fraction(args.norm)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputFormatError(f"bad norm {args.norm!r}: {exc}") from exc
+        q = parse_rational(args.norm)
         rep.inputs["norm"] = args.norm
     vecs = enumerate_by_norm(lat, q)
     rep.add("count", len(vecs), ("enumerate_by_norm",))

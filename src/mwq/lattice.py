@@ -1,10 +1,11 @@
 """Positive-definite rational Gram lattices.
 
 ADE root lattices and their duals, exact short-vector enumeration in the
-Fincke-Pohst style (one LDL^T over the rationals, then a walk in integers
-only -- no floating point), orthogonal complements over Z, sublattice
-embeddings found by exhaustive enumeration, and the Mordell-Weil structures
-whose norm-2 / norm-1/2 vector counts this package reports.
+Fincke-Pohst style (one LDL^T per lattice, found by an elimination in
+integers, then a walk in integers: no Fraction per call and no floating
+point), orthogonal complements over Z, sublattice embeddings found by
+exhaustive enumeration, and the Mordell-Weil structures whose norm-2 /
+norm-1/2 vector counts this package reports.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
+
+from .parsing import RANK_CAP, parse_rational
 
 Vector = tuple[int, ...]
 Matrix = tuple[tuple[Fraction, ...], ...]
@@ -28,28 +31,59 @@ def _to_matrix(rows: Sequence[Sequence]) -> Matrix:
     return tuple(tuple(Fraction(x) for x in row) for row in rows)
 
 
-def _ldl(g: Matrix) -> tuple[list[Fraction], list[list[Fraction]]]:
-    """g = L^T D L with L unit upper triangular: q(x) = sum_i d[i]*(x_i + sum_{j>i} L[i][j] x_j)^2.
+def _eliminate(
+    igram: Sequence[Sequence[int]], den: int
+) -> tuple[tuple[int, ...], tuple[Vector, ...], tuple[tuple[int, int], ...], tuple[int, int]]:
+    """The LDL^T form of the Gram igram / den, by one elimination in integers.
 
-    Raises ValueError at the first pivot d[i] <= 0, i.e. unless g is
-    positive definite."""
-    n = len(g)
-    a = [list(row) for row in g]
-    d = [Fraction(0)] * n
-    lm = [[Fraction(0)] * n for _ in range(n)]
+    With L unit upper triangular, q(x) = sum_i d[i]*(x_i + sum_{j>i} L[i][j] x_j)^2.
+    Level i is returned as integers: cd[i], the least common denominator of
+    row i of L; num[i][j] = cd[i] * L[i][j] (zero for j <= i); and the weight
+    d[i] / cd[i]^2 as a reduced pair (numerator, denominator).  The last item
+    is det = prod d[i], also a reduced pair.
+
+    Row j of the remaining block is kept as integers over a positive row
+    scale.  A step updates only the rows whose multiplier is nonzero and then
+    divides out their content, so the blocks of a direct sum never touch.
+    Raises ValueError at the first pivot <= 0 (Sylvester: unless the Gram is
+    positive definite)."""
+    n = len(igram)
+    rows = [list(row[j:]) for j, row in enumerate(igram)]  # columns j.. of row j
+    scale = [1] * n
+    cd, num, weights = [], [], []
+    det_num = det_den = 1
     for i in range(n):
-        d[i] = a[i][i]
-        if d[i] <= 0:
+        piv, si = rows[i], scale[i]
+        p = piv[0]  # d[i] = p / (si * den)
+        if p <= 0:
             raise ValueError("gram matrix must be positive definite")
+        g = math.gcd(p, *piv[1:])
+        ci = p // g
+        cd.append(ci)
+        num.append((0,) * (i + 1) + tuple(a // g for a in piv[1:]))
+        wd = si * den * ci * ci
+        h = math.gcd(p, wd)
+        weights.append((p // h, wd // h))
+        det_num *= p
+        det_den *= si * den
+        ps = p * si
         for j in range(i + 1, n):
-            lm[i][j] = a[i][j] / d[i]
-        for j in range(i + 1, n):
-            f = a[i][j]  # d[i] * lm[i][j]; zero on most entries of a Cartan matrix
-            if f:
-                row = a[j]
-                for k in range(j, n):
-                    row[k] -= f * lm[i][k]
-    return d, lm
+            a = piv[j - i]
+            if not a:
+                continue
+            # row_j/sj - (a/si) * piv/p == (row_j*u - v*piv) / (sj*u)
+            sj = scale[j]
+            h = math.gcd(ps, a * sj)
+            u, v = ps // h, a * sj // h
+            row = [x * u - v * y for x, y in zip(rows[j], piv[j - i :])]
+            s = sj * u
+            c = math.gcd(s, *row)
+            if c > 1:
+                row = [x // c for x in row]
+                s //= c
+            rows[j], scale[j] = row, s
+    h = math.gcd(det_num, det_den)
+    return tuple(cd), tuple(num), tuple(weights), (det_num // h, det_den // h)
 
 
 @dataclass(frozen=True)
@@ -58,16 +92,19 @@ class GramLattice:
 
     `den` is the least common denominator of the entries and `igram` the
     integer matrix den * gram, so that pairings, kernels and complements are
-    integer work.  `ldl` is
-    the one LDL^T factorization of the Gram, read by `det` and
-    `enumerate_by_norm`."""
+    integer work.  One integer elimination on `igram` (`_eliminate`) gives,
+    per level of the LDL^T form, the integers `cd` and `num` and the reduced
+    pair `weights` that every `enumerate_by_norm` walk reads, and the
+    determinant that `det` returns.  `gram` stays a matrix of Fractions: the
+    records print it."""
 
     gram: Matrix
     den: int = field(init=False, repr=False, compare=False)
     igram: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
-    ldl: tuple[list[Fraction], list[list[Fraction]]] = field(
-        init=False, repr=False, compare=False
-    )
+    cd: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    num: tuple[Vector, ...] = field(init=False, repr=False, compare=False)
+    weights: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
+    det_pair: tuple[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         g = _to_matrix(self.gram)
@@ -76,24 +113,26 @@ class GramLattice:
         for row in g:
             if len(row) != n:
                 raise ValueError("gram matrix must be square")
+        den = math.lcm(*(x.denominator for row in g for x in row))
+        ig = tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in g)
         for i in range(n):
             for j in range(i):
-                if g[i][j] != g[j][i]:
+                if ig[i][j] != ig[j][i]:
                     raise ValueError("gram matrix must be symmetric")
-        # Sylvester: positive definite iff every LDL^T pivot is positive
-        object.__setattr__(self, "ldl", _ldl(g))
-        den = math.lcm(*(x.denominator for row in g for x in row))
         object.__setattr__(self, "den", den)
-        object.__setattr__(
-            self, "igram", tuple(tuple(int(x * den) for x in row) for row in g)
-        )
+        object.__setattr__(self, "igram", ig)
+        cd, num, weights, det = _eliminate(ig, den)
+        object.__setattr__(self, "cd", cd)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "det_pair", det)
 
     @property
     def rank(self) -> int:
         return len(self.gram)
 
     def det(self) -> Fraction:
-        return math.prod(self.ldl[0], start=Fraction(1))
+        return Fraction(*self.det_pair)
 
     def inner(self, v: Vector, w: Vector) -> Fraction:
         s = 0
@@ -169,7 +208,9 @@ def enumerate_by_norm(lat: GramLattice, q: Fraction) -> list[Vector]:
 
     With y_i = cd[i]*x_i + C_i, C_i = sum_{j>i} num[i][j]*x_j, the LDL^T form
     reads unit*v^T G v = sum_i k[i]*y_i^2 with integers cd, num, k and one
-    common unit.  The walk carries the integer budget rem = unit*(q - partial
+    common unit.  `cd` and `num` come from the lattice's one integer
+    elimination; a call computes only unit, k[i] = unit * weights[i] and the
+    budget rem = unit*q.  The walk carries the integer budget unit*(q - partial
     norm), so each level's range is |y_i| <= isqrt(rem // k[i]), and the last
     coordinate must use the budget up: k[0]*y_0^2 == rem.
 
@@ -180,17 +221,14 @@ def enumerate_by_norm(lat: GramLattice, q: Fraction) -> list[Vector]:
     emitted.  q > 0 rules out the zero vector.
     """
     q = Fraction(q)
-    if q <= 0:
+    if q.numerator <= 0:
         raise ValueError("norm must be positive")
     n = lat.rank
     if n == 0:
         return []
-    d, lm = lat.ldl
-    cd = [math.lcm(*(lm[i][j].denominator for j in range(i + 1, n))) for i in range(n)]
-    num = [[int(lm[i][j] * cd[i]) for j in range(n)] for i in range(n)]
-    weights = [d[i] / (cd[i] * cd[i]) for i in range(n)]
-    unit = math.lcm(q.denominator, *(w.denominator for w in weights))
-    k = [int(w * unit) for w in weights]
+    cd, num = lat.cd, lat.num
+    unit = math.lcm(q.denominator, *(wd for _, wd in lat.weights))
+    k = [wn * (unit // wd) for wn, wd in lat.weights]
     cd0, k0, row0 = cd[0], k[0], num[0]
     out: list[Vector] = []
     x = [0] * n
@@ -230,7 +268,7 @@ def enumerate_by_norm(lat: GramLattice, q: Fraction) -> list[Vector]:
                     out.append((x0, x1) + hi)
                     out.append((-x0, -x1) + neg)
 
-    rem = int(q * unit)
+    rem = q.numerator * (unit // q.denominator)
     for i in range(n - 1, 0, -1):  # x_j = 0 for every j > i
         walk(i, rem, 1)
     # the axis x = (x_0, 0, ..., 0), with x_0 > 0
@@ -472,46 +510,58 @@ def lattice_from_text(text: str) -> tuple[GramLattice, tuple[int, ...]]:
     parts.append(text[start:])
     blocks: list[Matrix] = []
     torsion: list[int] = []
+    size = 0  # rank plus torsion factors so far, counted before the atom is built
     for part in parts:
         if not part:
             raise ValueError(f"empty summand in lattice expression {text!r}")
         piece, power = part, 1
         if "^" in piece[piece.find(">") + 1 :]:  # a power of "<q>" follows its ">"
             piece, pw = piece.rsplit("^", 1)
-            try:
-                power = int(pw)
-            except ValueError:
-                raise ValueError(f"bad power {pw!r} in {part!r}") from None
+            if not (pw.isascii() and pw.isdigit()):
+                raise ValueError(f"bad power {pw!r} in {part!r}")
+            power = int(pw)
         if power < 1:
             raise ValueError(f"power {power} of {piece!r} must be at least 1")
-        try:
-            got = _lattice_atom(piece)
-        except ZeroDivisionError as exc:
-            raise ValueError(f"zero denominator in {piece!r}") from exc
+        size += power * _atom_size(piece)
+        if size > RANK_CAP:
+            raise ValueError(
+                f"lattice expression exceeds the cap: rank plus torsion factors at most {RANK_CAP}"
+            )
+        got = _lattice_atom(piece)
         if isinstance(got, int):
             torsion.extend([got] * power)
         else:
             blocks.extend([got] * power)
-    rows, size = [], sum(map(len, blocks))
+    rows, rank = [], sum(map(len, blocks))
     for block in blocks:
         pad = len(rows)  # a ragged block makes rows of the wrong length: not square
-        rows.extend((0,) * pad + tuple(row) + (0,) * (size - pad - len(block)) for row in block)
+        rows.extend((0,) * pad + tuple(row) + (0,) * (rank - pad - len(block)) for row in block)
     return GramLattice(tuple(rows)), tuple(torsion)
 
 
-_NAMED_ATOM = re.compile(r"Z/(\d+)Z|([A-Za-z])(\d+)(\*?)")
+_NAMED_ATOM = re.compile(r"Z/([0-9]+)Z|([A-Za-z])([0-9]+)(\*?)")
+
+
+def _atom_size(piece: str) -> int:
+    """The rank of the atom `_lattice_atom` builds from `piece`, read off the
+    text: a named atom's index or a literal's row count.  A torsion order,
+    "<q>" and a bad atom (which `_lattice_atom` rejects) count 1."""
+    if piece.startswith("[[") or piece.startswith("(") and ")[[" in piece:
+        return piece.count("],[") + 1
+    m = _NAMED_ATOM.fullmatch(piece)
+    return int(m[3]) if m and m[2] else 1
 
 
 def _lattice_atom(piece: str) -> int | Matrix:
     """A torsion order "Z/nZ", or the Gram of "<q>", "[[...]]", "(c)[[...]]",
     an ADE name or its dual "A3*"."""
     if piece.startswith("<") and piece.endswith(">"):
-        return ((Fraction(piece[1:-1]),),)
+        return ((parse_rational(piece[1:-1]),),)
     if piece.startswith("[["):
         return _matrix_literal(piece)
     if piece.startswith("(") and ")[[" in piece:
         close = piece.index(")")
-        c = Fraction(piece[1:close])
+        c = parse_rational(piece[1:close])
         return tuple(tuple(c * x for x in row) for row in _matrix_literal(piece[close + 1 :]))
     m = _NAMED_ATOM.fullmatch(piece)
     if m is None:
@@ -527,4 +577,4 @@ def _matrix_literal(text: str) -> Matrix:
     if not (text.startswith("[[") and text.endswith("]]")):
         raise ValueError(f"bad matrix literal {text!r}")
     rows = text[2:-2].split("],[")
-    return tuple(tuple(Fraction(x) for x in row.split(",")) for row in rows)
+    return tuple(tuple(map(parse_rational, row.split(","))) for row in rows)

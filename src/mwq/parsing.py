@@ -20,11 +20,18 @@ and difference) are at most POWER_CAP.  Parentheses and unary minus nest at
 most DEPTH_CAP deep, so the recursive descent never runs out of stack.
 Degree-bound and shape errors of the values themselves are raised separately
 by the constructors of the target types.
+
+Lattice expressions (`mwq.lattice.lattice_from_text`) and target norms read
+their numerals with `parse_rational`: an optional sign, digits and an
+optional `/digits`, nothing else.  An expression's rank, plus its number of
+torsion factors, is at most RANK_CAP; it is read off the text before any Gram
+is built.
 """
 
 from __future__ import annotations
 
 import operator
+import re
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
@@ -33,6 +40,7 @@ from .poly import T, UNIPOLY_ONE, BiPoly, RatFn, UniPoly
 
 POWER_CAP = 100
 DEPTH_CAP = 100  # parentheses and unary minus, nested; each level is a few stack frames
+RANK_CAP = 100  # a lattice expression's rank plus torsion factors
 
 
 class ParseError(ValueError):
@@ -228,6 +236,25 @@ def _literal(digits: str, pos: int) -> int:
         return int(digits)
     except ValueError:
         raise ParseError(f"integer literal of {len(digits)} digits is too long", pos) from None
+
+
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
+def parse_rational(text: str) -> Fraction:
+    """An optional sign, digits and an optional `/digits`, as in `-3` or
+    `1/6`.  Anything else, a zero denominator included, is a ValueError that
+    names the text (or, past the digits `int()` converts, its length)."""
+    m = _RATIONAL.fullmatch(text)
+    if m is None:
+        raise ValueError(f"bad number {text!r}: expected an integer or a/b")
+    try:
+        num, den = int(m[1]), int(m[2] or 1)
+    except ValueError:  # more digits than int() converts
+        raise ValueError(f"number of {len(text)} characters is too long") from None
+    if not den:
+        raise ValueError(f"zero denominator in {text!r}")
+    return Fraction(num, den)
 
 
 def _evaluate(text: str, target: _Target):

@@ -15,6 +15,7 @@ import mwq.mwtable as mwtable
 from mwq.cli import main
 from mwq.parsing import (
     POWER_CAP,
+    RANK_CAP,
     InputFormatError,
     ParseError,
     bipoly_text,
@@ -314,6 +315,47 @@ def test_lattice_grammar_names_the_bad_summand(capsys, text, message):
     assert message in err and "internal error" not in err
 
 
+# the rank is read off the text, so a sum over the cap is refused before its
+# Gram is built; torsion factors count one each
+@pytest.mark.parametrize("text", ["A1^100000", "A100000", "A100000*", f"A1^{RANK_CAP + 1}",
+                                  f"A1^{RANK_CAP}+A1", "(1/3)[[2,1],[1,2]]^51",
+                                  "Z/3Z^1000000000"])
+def test_lattice_rank_cap_is_an_input_error(capsys, text):
+    assert main(["lattice", "enumerate", text, "2"]) == EXIT_INPUT_ERROR
+    err = capsys.readouterr().err
+    assert f"at most {RANK_CAP}" in err and "internal error" not in err
+
+
+# numerals are an optional sign, digits and an optional /digits: Python's
+# Fraction(str) forms (underscores, decimals, exponents, spaces, non-ASCII
+# digits) are input errors that name the text
+@pytest.mark.parametrize("lattice, norm, message", [
+    ("A1", "2_0", "'2_0'"),
+    ("A1", "2.0", "'2.0'"),
+    ("A1", "1e0", "'1e0'"),
+    ("A1", " 2", "' 2'"),
+    ("A1", "\u0662", "'\u0662'"),
+    ("A1", "1/0", "zero denominator in '1/0'"),
+    ("A1", "1/" + "1" * 5000, "number of 5002 characters is too long"),
+    ("<2.0>", "2", "'2.0'"),
+    ("[[2_0]]", "2", "'2_0'"),
+    ("(1e0)[[2]]", "2", "'1e0'"),
+    ("[[2,0x1],[0x1,2]]", "2", "'0x1'"),
+    ("A1^1_0", "2", "bad power '1_0'"),
+])
+def test_lattice_numerals_follow_the_documented_grammar(capsys, lattice, norm, message):
+    assert main(["lattice", "enumerate", lattice, norm]) == EXIT_INPUT_ERROR
+    err = capsys.readouterr().err
+    assert message in err and "internal error" not in err
+
+
+def test_lattice_numerals_take_a_sign_and_a_fraction(capsys):
+    assert main(["lattice", "enumerate", "(+2/2)[[+2,-1],[-1,2]]", "+4/2"]) == EXIT_OK
+    assert "count = 6" in capsys.readouterr().out
+    assert main(["lattice", "enumerate", "<-1>", "2"]) == EXIT_INPUT_ERROR
+    assert "positive definite" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("rows", ["70", "5..3", "0..2", "1..100"])
 def test_table_rejects_row_ranges_outside_the_table(capsys, rows):
     assert main(["table", "--verify", "--rows", rows]) == EXIT_INPUT_ERROR
@@ -554,6 +596,8 @@ GOLDEN_RECORDS = {
         "[-21,6,66,78,33,-18],[-7,1,28,33,16,-6],[6,-3,-15,-18,-6,6]]", "4"],
     "lattice_enumerate_D4dual_A1dual_half": ["lattice", "enumerate", "D4*+A1*", "1/2"],
     "table_verify": ["table", "--verify"],
+    # the dual of table row 37's free part; its det is read off the elimination
+    "lattice_dual_row37": ["lattice", "dual", "(1/10)[[3,1,-1],[1,7,3],[-1,3,7]]"],
 }
 
 

@@ -141,6 +141,15 @@ def test_enumerate_a1_norm2():
     assert sorted(vecs) == [(-1,), (1,)]
 
 
+def test_a1_power_100_through_the_block_sum():
+    # the largest sum the grammar takes; each block is eliminated on its own
+    lat = lattice_from_text("A1^100")[0]
+    assert lat.rank == 100 and lat.det() == 2**100
+    units = {tuple(s * (i == j) for j in range(100)) for i in range(100) for s in (1, -1)}
+    vecs = enumerate_by_norm(lat, 2)
+    assert len(vecs) == 200 and set(vecs) == units
+
+
 def test_root_counts():
     for n in range(1, 8):
         assert len(enumerate_by_norm(lattice_from_text(f"A{n}")[0], 2)) == n * (n + 1)
@@ -209,9 +218,17 @@ def test_integer_gram_and_definiteness():
     assert lat.inner((1, 0), (0, 1)) == Fraction(1, 10)
     assert lat.norm((1, -1)) == Fraction(3, 10)
     assert GramLattice(()).inner((), ()) == 0
-    for bad in (((0,),), ((1, 2), (2, 1)), ((2, 1, 0), (1, 2, 0), (0, 0, -1))):
+    # a zero pivot after a positive one: semidefinite, not definite
+    semidefinite = ((1, 1, 0), (1, 1, 0), (0, 0, 1))
+    for bad in (((0,),), ((1, 2), (2, 1)), ((2, 1, 0), (1, 2, 0), (0, 0, -1)), semidefinite):
         with pytest.raises(ValueError, match="positive definite"):
             GramLattice(bad)
+    # den 3, leading minors 2/3, 1/3 and -1/9: only the last one fails
+    third = ((2, 1, 1), (1, 2, 2), (1, 2, 1))
+    rational = tuple(tuple(Fraction(x, 3) for x in row) for row in third)
+    assert GramLattice(tuple(row[:2] for row in rational[:2])).det() == Fraction(1, 3)
+    with pytest.raises(ValueError, match="positive definite"):
+        GramLattice(rational)
 
 
 # An independent completeness oracle: every integer vector in a box that must
@@ -283,6 +300,16 @@ def test_enumeration_matches_brute_force_and_is_skew_invariant(case):
     assert image == exact
     # the zero vector is the one vector of norm 0
     assert sum(len(enumerate_by_norm(skewed, q)) for q in norms) == len(expected) - 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(gram_cases())
+def test_det_matches_sympy(case):
+    gram = case[0]
+    expected = sp.Matrix(len(gram), len(gram),
+                         lambda i, j: sp.Rational(gram[i][j].numerator, gram[i][j].denominator)).det()
+    det = GramLattice(gram).det()
+    assert (det.numerator, det.denominator) == (expected.p, expected.q)
 
 
 # ---------------------------------------------------------------------------
@@ -464,6 +491,29 @@ def test_no_float_enters_src():
                     or isinstance(node, ast.ImportFrom) and node.module == "math"
                     and any(alias.name in _FLOAT_MATH for alias in node.names)):
                 found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+def test_no_fraction_in_the_elimination_or_the_walk():
+    # the elimination and every enumerate_by_norm call work in integers: in
+    # their bodies the one Fraction is the coercion `q = Fraction(q)`, only
+    # q's numerator and denominator are read, nothing reads the Fraction Gram
+    # or a pairing, and nothing divides with `/`
+    path = Path(__file__).resolve().parent.parent / "src" / "mwq" / "lattice.py"
+    coercion = ast.dump(ast.parse("q = Fraction(q)").body[0])
+    checked, found = set(), []
+    for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not (isinstance(fn, ast.FunctionDef) and fn.name in ("_eliminate", "enumerate_by_norm")):
+            continue
+        checked.add(fn.name)
+        for node in (n for stmt in fn.body if ast.dump(stmt) != coercion for n in ast.walk(stmt)):
+            if (isinstance(node, ast.Name) and node.id == "Fraction"
+                    or isinstance(node, ast.Attribute) and node.attr in ("numerator", "denominator")
+                    and not (isinstance(node.value, ast.Name) and node.value.id == "q")
+                    or isinstance(node, ast.Attribute) and node.attr in ("gram", "inner", "norm", "det")
+                    or isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)):
+                found.append(f"{fn.name}:{node.lineno}")
+    assert checked == {"_eliminate", "enumerate_by_norm"}
     assert found == []
 
 
