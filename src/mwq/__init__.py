@@ -5,6 +5,6 @@ quartic, conic counts from lattice enumeration, and Zariski-pair verdicts.
 The API lives in the submodules (`mwq.poly`, `mwq.surface`, `mwq.lattice`,
 `mwq.mwtable`, `mwq.quartic`, `mwq.parsing`, `mwq.replay`, `mwq.cli`)."""
 
-from .lattice import InternalInconsistencyError
+from .poly import InternalInconsistencyError
 
 __version__ = "0.1.0"

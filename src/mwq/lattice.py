@@ -18,13 +18,11 @@ from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
 from .parsing import RANK_CAP, parse_rational
+from .poly import InternalInconsistencyError
 
 Vector = tuple[int, ...]
 Matrix = tuple[tuple[Fraction, ...], ...]
-
-
-class InternalInconsistencyError(RuntimeError):
-    """An exact identity that must hold failed; signals a bug, never bad input."""
+Band = tuple[int, int, Vector]  # (lo, hi, the entries lo..hi-1 of a row)
 
 
 def _to_matrix(rows: Sequence[Sequence]) -> Matrix:
@@ -33,14 +31,15 @@ def _to_matrix(rows: Sequence[Sequence]) -> Matrix:
 
 def _eliminate(
     igram: Sequence[Sequence[int]], den: int
-) -> tuple[tuple[int, ...], tuple[Vector, ...], tuple[tuple[int, int], ...], tuple[int, int]]:
+) -> tuple[tuple[int, ...], tuple[Band, ...], tuple[tuple[int, int], ...], tuple[int, int]]:
     """The LDL^T form of the Gram igram / den, by one elimination in integers.
 
     With L unit upper triangular, q(x) = sum_i d[i]*(x_i + sum_{j>i} L[i][j] x_j)^2.
     Level i is returned as integers: cd[i], the least common denominator of
-    row i of L; num[i][j] = cd[i] * L[i][j] (zero for j <= i); and the weight
-    d[i] / cd[i]^2 as a reduced pair (numerator, denominator).  The last item
-    is det = prod d[i], also a reduced pair.
+    row i of L; the band (lo, hi, num[i][lo:hi]) of num[i][j] = cd[i] * L[i][j],
+    zero for j outside [lo, hi) (lo = hi if the row is 0 past i); and the
+    weight d[i] / cd[i]^2 as a reduced pair (numerator, denominator).  The
+    last item is det = prod d[i], also a reduced pair.
 
     Row j of the remaining block is kept as integers over a positive row
     scale.  A step updates only the rows whose multiplier is nonzero and then
@@ -50,7 +49,7 @@ def _eliminate(
     n = len(igram)
     rows = [list(row[j:]) for j, row in enumerate(igram)]  # columns j.. of row j
     scale = [1] * n
-    cd, num, weights = [], [], []
+    cd, bands, weights = [], [], []
     det_num = det_den = 1
     for i in range(n):
         piv, si = rows[i], scale[i]
@@ -60,7 +59,9 @@ def _eliminate(
         g = math.gcd(p, *piv[1:])
         ci = p // g
         cd.append(ci)
-        num.append((0,) * (i + 1) + tuple(a // g for a in piv[1:]))
+        nz = [k for k, a in enumerate(piv) if a and k]
+        lo, hi = (nz[0], nz[-1] + 1) if nz else (1, 1)
+        bands.append((i + lo, i + hi, tuple(a // g for a in piv[lo:hi])))
         wd = si * den * ci * ci
         h = math.gcd(p, wd)
         weights.append((p // h, wd // h))
@@ -83,7 +84,7 @@ def _eliminate(
                 s //= c
             rows[j], scale[j] = row, s
     h = math.gcd(det_num, det_den)
-    return tuple(cd), tuple(num), tuple(weights), (det_num // h, det_den // h)
+    return tuple(cd), tuple(bands), tuple(weights), (det_num // h, det_den // h)
 
 
 @dataclass(frozen=True)
@@ -93,16 +94,16 @@ class GramLattice:
     `den` is the least common denominator of the entries and `igram` the
     integer matrix den * gram, so that pairings, kernels and complements are
     integer work.  One integer elimination on `igram` (`_eliminate`) gives,
-    per level of the LDL^T form, the integers `cd` and `num` and the reduced
-    pair `weights` that every `enumerate_by_norm` walk reads, and the
-    determinant that `det` returns.  `gram` stays a matrix of Fractions: the
-    records print it."""
+    per level of the LDL^T form, the integers `cd`, the `bands` of nonzero
+    `num` and the reduced pair `weights` that every `enumerate_by_norm` walk
+    reads, and the determinant that `det` returns.  `gram` stays a matrix of
+    Fractions: the records print it."""
 
     gram: Matrix
     den: int = field(init=False, repr=False, compare=False)
     igram: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
     cd: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    num: tuple[Vector, ...] = field(init=False, repr=False, compare=False)
+    bands: tuple[Band, ...] = field(init=False, repr=False, compare=False)
     weights: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
     det_pair: tuple[int, int] = field(init=False, repr=False, compare=False)
 
@@ -121,9 +122,9 @@ class GramLattice:
                     raise ValueError("gram matrix must be symmetric")
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "igram", ig)
-        cd, num, weights, det = _eliminate(ig, den)
+        cd, bands, weights, det = _eliminate(ig, den)
         object.__setattr__(self, "cd", cd)
-        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "bands", bands)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "det_pair", det)
 
@@ -149,18 +150,26 @@ TRIVIAL_LATTICE = GramLattice(())
 
 
 def _invert(rows: Matrix) -> Matrix:
+    """G^-1 for a positive-definite Gram G, by Gauss-Jordan elimination on
+    the integer rows of [den G | I], each kept up to a positive factor with its
+    content divided out, as in `_eliminate`.  The pivots are positive
+    (Sylvester), so no row is swapped, and at [D | B] G^-1 = den D^-1 B."""
     n = len(rows)
-    m = [list(r) + [Fraction(int(i == j)) for j in range(n)] for i, r in enumerate(rows)]
-    for k in range(n):
-        piv = next(r for r in range(k, n) if m[r][k] != 0)
-        m[k], m[piv] = m[piv], m[k]
-        inv = 1 / m[k][k]
-        m[k] = [x * inv for x in m[k]]
-        for r in range(n):
-            if r != k and m[r][k]:
-                f = m[r][k]
-                m[r] = [a - f * b for a, b in zip(m[r], m[k])]
-    return tuple(tuple(row[n:]) for row in m)
+    den = math.lcm(*(x.denominator for row in rows for x in row))
+    m = [[x.numerator * (den // x.denominator) for x in row] + [int(i == j) for j in range(n)]
+         for i, row in enumerate(rows)]
+    for k, piv in enumerate(m):
+        p = piv[k]
+        for r, row in enumerate(m):
+            a = row[k]
+            if r == k or not a:
+                continue
+            h = math.gcd(p, a)
+            u, v = p // h, a // h
+            row = [x * u - v * y for x, y in zip(row, piv)]
+            c = math.gcd(*row)
+            m[r] = [x // c for x in row] if c > 1 else row
+    return tuple(tuple(Fraction(den * x, row[k]) for x in row[n:]) for k, row in enumerate(m))
 
 
 # ---------------------------------------------------------------------------
@@ -208,11 +217,12 @@ def enumerate_by_norm(lat: GramLattice, q: Fraction) -> list[Vector]:
 
     With y_i = cd[i]*x_i + C_i, C_i = sum_{j>i} num[i][j]*x_j, the LDL^T form
     reads unit*v^T G v = sum_i k[i]*y_i^2 with integers cd, num, k and one
-    common unit.  `cd` and `num` come from the lattice's one integer
-    elimination; a call computes only unit, k[i] = unit * weights[i] and the
-    budget rem = unit*q.  The walk carries the integer budget unit*(q - partial
-    norm), so each level's range is |y_i| <= isqrt(rem // k[i]), and the last
-    coordinate must use the budget up: k[0]*y_0^2 == rem.
+    common unit.  `cd` and the bands of nonzero num[i][j] that C_i sums over
+    come from the lattice's one integer elimination; a call computes only
+    unit, k[i] = unit * weights[i] and the budget rem = unit*q.  The walk
+    carries the integer budget unit*(q - partial norm), so each level's range
+    is |y_i| <= isqrt(rem // k[i]), and the last coordinate must use the
+    budget up: k[0]*y_0^2 == rem.
 
     Each pair v, -v is walked once (Schnorr-Euchner): exactly one of the two
     has its last nonzero coordinate positive.  While every coordinate above
@@ -226,10 +236,11 @@ def enumerate_by_norm(lat: GramLattice, q: Fraction) -> list[Vector]:
     n = lat.rank
     if n == 0:
         return []
-    cd, num = lat.cd, lat.num
+    cd, bands = lat.cd, lat.bands
     unit = math.lcm(q.denominator, *(wd for _, wd in lat.weights))
     k = [wn * (unit // wd) for wn, wd in lat.weights]
-    cd0, k0, row0 = cd[0], k[0], num[0]
+    cd0, k0 = cd[0], k[0]
+    lo0, hi0, row0 = bands[0]
     out: list[Vector] = []
     x = [0] * n
 
@@ -237,7 +248,8 @@ def enumerate_by_norm(lat: GramLattice, q: Fraction) -> list[Vector]:
         """Levels i..1 below the coordinates set in x; level 0 is solved inline.
         `start` replaces the lower end of level i's range."""
         ci, ki = cd[i], k[i]
-        c = sum(map(operator.mul, num[i], x))  # num[i][j] == 0 for j <= i
+        lo, hi, row = bands[i]
+        c = sum(map(operator.mul, row, x[lo:hi]))
         s = math.isqrt(rem // ki)
         if start is None:
             start = -((s + c) // ci)
@@ -249,8 +261,8 @@ def enumerate_by_norm(lat: GramLattice, q: Fraction) -> list[Vector]:
                 walk(i - 1, rem - ki * y * y)
             x[i] = 0
             return
-        c0 = sum(map(operator.mul, row0, x))  # x[1] == 0: the part of C_0 above level 1
-        r01 = row0[1]
+        c0 = sum(map(operator.mul, row0, x[lo0:hi0]))  # x[1] == 0: C_0 above level 1
+        r01 = row0[0] if row0 and lo0 == 1 else 0  # num[0][1]
         hi = tuple(x[2:])
         neg = tuple(map(operator.neg, hi))
         for x1 in range(start, stop):

@@ -24,6 +24,10 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 Scalar = Union[int, Fraction]
 
 
+class InternalInconsistencyError(RuntimeError):
+    """An exact identity that must hold failed; signals a bug, never bad input."""
+
+
 class UniPoly:
     """Dense polynomial in t over Q; the zero polynomial has degree -1.
 
@@ -238,21 +242,22 @@ class UniPoly:
             return self
         return _make(1, self._p[-1], self._p)
 
-    def shift(self, a: Scalar) -> "UniPoly":
-        """Return p(t + a), by repeated synthetic division on integers.  With
-        a = n/d and P the primitive part, Q(x) = d^deg P(x/d) has integer
-        coefficients and P(a + t) = d^-deg Q(n + d t): shift Q by n, then
-        scale the coefficient of t^i by d^i."""
+    def shift(self, a: Scalar, order: Optional[int] = None) -> "UniPoly":
+        """Return p(t + a), or its part mod t^order, by repeated synthetic
+        division on integers.  With a = n/d and P the primitive part,
+        Q(x) = d^deg P(x/d) has integer coefficients and
+        P(a + t) = d^-deg Q(n + d t): shift Q by n, then scale the coefficient
+        of t^i by d^i."""
         p = self._p
-        if not a or not p:
+        if not p or not a and order is None:
             return self
         n, d = a.numerator, a.denominator
         deg = len(p) - 1
         q = [x * d ** (deg - i) for i, x in enumerate(p)]
-        for i in range(deg):
+        for i in range(deg if n else 0):
             for j in range(deg - 1, i - 1, -1):
                 q[j] += n * q[j + 1]
-        q = [x * d ** i for i, x in enumerate(q)]
+        q = [x * d ** i for i, x in enumerate(q[:order])]
         return _canonical(q, self._n, self._d * d ** deg)
 
     def __repr__(self):
@@ -443,9 +448,15 @@ def _squarefree_rational_roots(p: tuple[int, ...]) -> list[Fraction]:
     m exceeds 2 |a_0 a_n|, the symmetric residue of a_n * z mod m is the
     integer a_n * num / den, so each lift gives one candidate, kept only if it
     is a root; a lift of an irrational root fails that check.  No integer is
-    factored, and the primes tried are bounded by the bit size of a_n * disc."""
+    factored.  Each prime skipped divides a_n * disc(p), below 2^B for
+    B = bits(a_n) + n bits(n) + (n - 1) bits(||p||^2) (Mahler), so skipping B
+    of them, as a repeated rational root makes the search do, raises
+    InternalInconsistencyError, as does a double root 0.  A repeated factor
+    without rational roots may pass; the roots returned are still exact."""
     roots = []
     if p[0] == 0:
+        if p[1] == 0:
+            raise InternalInconsistencyError("rational roots of a polynomial with a double root 0")
         roots.append(Fraction(0))
         p = p[1:]
     n = len(p) - 1
@@ -453,12 +464,15 @@ def _squarefree_rational_roots(p: tuple[int, ...]) -> list[Fraction]:
         return roots
     lead = p[-1]
     dp = [i * a for i, a in enumerate(p)][1:]
+    skips = lead.bit_length() + n * n.bit_length() + (n - 1) * sum(a * a for a in p).bit_length()
     for q in _primes():
-        if lead % q == 0:
-            continue
-        zs = [z for z in range(q) if _horner_mod(p, z, q) == 0]
-        if all(_horner_mod(dp, z, q) for z in zs):
-            break
+        if lead % q:
+            zs = [z for z in range(q) if _horner_mod(p, z, q) == 0]
+            if all(_horner_mod(dp, z, q) for z in zs):
+                break
+        skips -= 1
+        if skips < 0:
+            raise InternalInconsistencyError("rational roots of a non-squarefree polynomial")
     bound = 2 * abs(p[0] * lead)
     for z in zs:
         m = q
@@ -473,19 +487,6 @@ def _squarefree_rational_roots(p: tuple[int, ...]) -> list[Fraction]:
         if sum(a * num ** i * den ** (n - i) for i, a in enumerate(p)) == 0:
             roots.append(r)
     return roots
-
-
-def rational_roots(p: UniPoly) -> list[Fraction]:
-    """All rational roots with multiplicity, sorted: the roots of each
-    squarefree factor, found by p-adic lifting.  No integer derived from `p`
-    is ever factored, and sympy is not used."""
-    if p.is_zero:
-        raise ValueError("rational roots of the zero polynomial")
-    roots: list[Fraction] = []
-    for f, mult in squarefree_decompose(p):
-        for r in _squarefree_rational_roots(f._p):
-            roots.extend([r] * mult)
-    return sorted(roots)
 
 
 # -- factoring over Z (Zassenhaus) --------------------------------------------
@@ -750,6 +751,24 @@ def irreducible_factors(p: UniPoly) -> list[tuple[UniPoly, int]]:
     return out
 
 
+def cubic_discriminant(c1: UniPoly, c2: UniPoly, c3: UniPoly) -> UniPoly:
+    """The discriminant 18 c1 c2 c3 - 4 c1^3 c3 + c1^2 c2^2 - 4 c2^3 - 27 c3^2
+    of u^3 + c1 u^2 + c2 u + c3 in integers: each term has weight 6 (c_k has
+    weight k), so it is the same form in A_k = D^k c_k over D^6, D the lcm of
+    the contents' denominators."""
+    den = math.lcm(c1._d, c2._d, c3._d)
+    a1, a2, a3 = ([c._n * (den ** k // c._d) * x for x in c._p]
+                  for k, c in enumerate((c1, c2, c3), start=1))
+    a11, a22 = _convolve(a1, a1), _convolve(a2, a2)
+    terms = ((18, _convolve(_convolve(a1, a2), a3)), (-4, _convolve(_convolve(a11, a1), a3)),
+             (1, _convolve(a11, a22)), (-4, _convolve(a22, a2)), (-27, _convolve(a3, a3)))
+    acc = [0] * max(len(t) for _, t in terms)
+    for k, t in terms:
+        for i, x in enumerate(t):
+            acc[i] += k * x
+    return _canonical(acc, 1, den ** 6)
+
+
 class RatFn:
     """Rational function num/den with monic denominator and gcd(num, den) = 1."""
 
@@ -825,9 +844,6 @@ class RatFn:
     def __sub__(self, other):
         return self + (-RatFn._coerce(other))
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         other = RatFn._coerce(other)
         return RatFn(self.num * other.num, self.den * other.den)
@@ -840,14 +856,6 @@ class RatFn:
             raise ZeroDivisionError("division by the zero rational function")
         return RatFn(self.num * other.den, self.den * other.num)
 
-    def __rtruediv__(self, other):
-        return RatFn._coerce(other) / self
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return RatFn(self.den, self.num) ** (-n)
-        return RatFn(self.num ** n, self.den ** n)
-
     def __call__(self, x: Scalar) -> Fraction:
         d = self.den(x)
         if d == 0:
@@ -858,9 +866,6 @@ class RatFn:
         from .parsing import ratfn_text
 
         return f"RatFn({ratfn_text(self)})"
-
-
-RATFN_ZERO = RatFn(UNIPOLY_ZERO)
 
 
 class BiPoly:
@@ -901,9 +906,6 @@ class BiPoly:
     def __hash__(self):
         return hash(self.coeffs)
 
-    def __neg__(self):
-        return BiPoly([-c for c in self.coeffs])
-
     def __add__(self, other: "BiPoly") -> "BiPoly":
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
@@ -912,9 +914,6 @@ class BiPoly:
         for i, c in enumerate(b):
             out[i] = out[i] + c
         return BiPoly(out)
-
-    def __sub__(self, other: "BiPoly") -> "BiPoly":
-        return self + (-other)
 
     def __mul__(self, other: "BiPoly") -> "BiPoly":
         if self.is_zero or other.is_zero:
@@ -925,16 +924,23 @@ class BiPoly:
                 out[i + j] = out[i + j] + a * b
         return BiPoly(out)
 
-    def eval_u(self, x):
-        """Substitute u = x; x may be a Fraction, UniPoly or RatFn."""
-        if isinstance(x, (int, Fraction)):
-            x = UniPoly.const(x)
-        acc = None
-        for c in reversed(self.coeffs):
-            acc = c if acc is None else acc * x + c
-        if acc is None:
-            return UNIPOLY_ZERO if isinstance(x, UniPoly) else RATFN_ZERO
-        return acc
+    def eval_u(self, x: UniPoly) -> UniPoly:
+        """Substitute u = x by one Horner pass in integers: with x = (n/d) X, X
+        primitive, and the coefficients c_k = C_k / D over their common
+        denominator, D d^m f(x) = sum_k C_k (n X)^k d^(m-k), m = deg_u."""
+        den = math.lcm(*(c._d for c in self.coeffs))
+        y = [x._n * a for a in x._p]
+        acc: list[int] = []
+        dk = 1
+        for i, c in enumerate(reversed(self.coeffs)):
+            if i:
+                acc = _convolve(acc, y) if acc and y else []
+                dk *= x._d
+            acc += [0] * (len(c._p) - len(acc))
+            f = c._n * (den // c._d) * dk
+            for j, a in enumerate(c._p):
+                acc[j] += f * a
+        return _canonical(acc, 1, den * dk)
 
     def deriv_u(self) -> "BiPoly":
         return BiPoly([c * k for k, c in enumerate(self.coeffs)][1:])

@@ -43,8 +43,8 @@ class PreparedQuartic:
     Irreducibility is certified at the level this package needs: the cubic has
     no root in Q[t] of degree <= 2, which also rules out 2-torsion on the
     associated surface; construction refuses any other f.  A frozen value:
-    `curve`, the rational elliptic surface y^2 = f(t, u), and `configuration`
-    are each built on first use and kept.
+    `curve`, the rational elliptic surface y^2 = f(t, u), `configuration` and
+    the partial derivatives `f_u`, `f_t` are each built on first use and kept.
     """
 
     f: BiPoly
@@ -56,6 +56,14 @@ class PreparedQuartic:
     @cached_property
     def curve(self) -> WeierstrassCurve:
         return WeierstrassCurve.from_cubic(self.f)
+
+    @cached_property
+    def f_u(self) -> BiPoly:
+        return self.f.deriv_u()
+
+    @cached_property
+    def f_t(self) -> BiPoly:
+        return self.f.deriv_t()
 
     @cached_property
     def configuration(self) -> SingularConfiguration:
@@ -107,10 +115,15 @@ def even_tangency(quartic: PreparedQuartic, conic: Conic) -> TangencyReport:
     root multiplicities, and the marked point absorbs the remaining
     deg-8 Bezout budget.  Even tangency over the ground field amounts to g
     being a square in Q[t] with every contact at a smooth point of the quartic.
+    Its square root h, of degree <= 4, is factored with the multiplicities
+    doubled; g itself is factored only when it is not a square.
     """
     g = quartic.f.eval_u(conic.q)  # nonzero: construction refuses a root q of the cubic
+    witness = is_perfect_square(g)
+    factors = (irreducible_factors(g) if witness is None
+               else [(p, 2 * mult) for p, mult in irreducible_factors(witness)])
     contact_raw: list[tuple[ContactPlace, int]] = sorted(
-        irreducible_factors(g), key=lambda fm: (fm[1], fm[0].degree, fm[0].coeffs)
+        factors, key=lambda fm: (fm[1], fm[0].degree, fm[0].coeffs)
     )
     inf_mult = 8 - g.degree
     if inf_mult > 0:
@@ -118,7 +131,6 @@ def even_tangency(quartic: PreparedQuartic, conic: Conic) -> TangencyReport:
     contact = tuple(contact_raw)
     if any(mult % 2 for _p, mult in contact):
         return TangencyReport(False, contact, None, "odd local intersection multiplicity")
-    witness = is_perfect_square(g)
     if witness is None:
         return TangencyReport(
             False, contact, None,
@@ -126,8 +138,8 @@ def even_tangency(quartic: PreparedQuartic, conic: Conic) -> TangencyReport:
             "(leading coefficient is not a rational square)",
         )
     # contacts must avoid the singular points of the quartic
-    f_u = quartic.f.deriv_u().eval_u(conic.q)
-    f_t = quartic.f.deriv_t().eval_u(conic.q)
+    f_u = quartic.f_u.eval_u(conic.q)
+    f_t = quartic.f_t.eval_u(conic.q)
     for place, _mult in contact:
         if place == INFINITY_PLACE:
             continue  # the marked point is smooth by assumption
@@ -282,7 +294,7 @@ def _certificate_of_half(
     """The certificate from s_o with 2 s_o = s_conic^+ (the caller's guarantee)."""
     f_o = s_o.x.as_unipoly()
     g_o = s_o.y.as_unipoly()
-    a1, rem = divmod(quartic.curve.cubic.deriv_u().eval_u(f_o), 2 * g_o)  # the tangent slope
+    a1, rem = divmod(quartic.f_u.eval_u(f_o), 2 * g_o)  # the tangent slope
     if not rem.is_zero:
         raise InternalInconsistencyError("tangent slope at the halving is not polynomial")
     a2 = conic.q - f_o

@@ -20,17 +20,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
-from .lattice import InternalInconsistencyError
 from .poly import (
     UNIPOLY_ONE,
     BiPoly,
+    InternalInconsistencyError,
     RatFn,
     UniPoly,
+    _squarefree_rational_roots,
+    cubic_discriminant,
     is_perfect_square,
     ord_at,
-    rational_roots,
     split_squarefree,
     squarefree_decompose,
 )
@@ -120,16 +121,6 @@ class WeierstrassCurve:
         from .parsing import bipoly_text
 
         return f"WeierstrassCurve(y^2 = {bipoly_text(self.cubic)})"
-
-
-def cubic_discriminant(c1: UniPoly, c2: UniPoly, c3: UniPoly) -> UniPoly:
-    return (
-        18 * c1 * c2 * c3
-        - 4 * c1 ** 3 * c3
-        + c1 ** 2 * c2 ** 2
-        - 4 * c2 ** 3
-        - 27 * c3 ** 2
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -432,30 +423,32 @@ def _good_fiber(curve: WeierstrassCurve, avoid: UniPoly = UNIPOLY_ONE) -> Fracti
     return Fraction(k)
 
 
-def _lifted_roots(poly: BiPoly, t0: Fraction) -> list[UniPoly]:
+def _lifted_roots(local: BiPoly, t0: Fraction,
+                  residual: Callable[[UniPoly], UniPoly]) -> list[UniPoly]:
     """The lifts mod (t - t0)^3 of the rational roots of poly(t0, u), in
-    ascending order of those roots, shifted back to t; `poly` is a polynomial
-    in u over Q[t] whose roots at t0 are simple.  Every root of `poly` in Q[t]
-    of degree <= 2 is among them.  With s = t - t0 and p_k(u) the coefficient
-    of s^k in poly(t0 + s, u), a root r of p_0 lifts to r + a s + b s^2, read
-    off the coefficients of s and s^2 in poly(t0 + s, r + a s + b s^2):
+    ascending order of those roots, shifted back to t; every root of poly in
+    Q[t] of degree <= 2 is among them.  `local` is poly(t0 + s, u), read only
+    mod s^3, whose fiber p_0 = poly(t0, u) has simple roots, so its primitive
+    part goes straight to the p-adic root finder.  With p_k(u) the
+    coefficient of s^k in `local`, a root r of p_0 lifts to r + a s + b s^2:
 
         p_0'(r) a = -p_1(r),
         p_0'(r) b = -(p_2(r) + p_1'(r) a + p_0''(r) a^2 / 2).
+
+    Each lift L is checked exactly: `residual(L)`, poly(t0 + s, L(s)) from
+    the caller's own expression for poly, not from the p_k, vanishes mod s^3.
     """
-    shifted = BiPoly([c.shift(t0) for c in poly.coeffs])
-    p0, p1, p2 = (shifted.coeff_t(k) for k in range(3))
+    p0, p1, p2 = (local.coeff_t(k) for k in range(3))
     d0, d1 = p0.derivative(), p1.derivative()
     dd0 = d0.derivative()
-    cube = UniPoly.of(-t0, 1) ** 3
     lifts = []
-    for r in rational_roots(p0):
+    for r in sorted(_squarefree_rational_roots(p0._p)):
         a = -p1(r) / d0(r)
         b = -(p2(r) + d1(r) * a + dd0(r) * a * a / 2) / d0(r)
-        lift = UniPoly.of(r, a, b).shift(-t0)
-        if not (poly.eval_u(lift) % cube).is_zero:
+        lift = UniPoly.of(r, a, b)
+        if any(residual(lift).coeff(k) for k in range(3)):
             raise InternalInconsistencyError(f"lift of the root {r} is not a root mod (t - t0)^3")
-        lifts.append(lift)
+        lifts.append(lift.shift(-t0))
     return lifts
 
 
@@ -466,11 +459,14 @@ def halve(curve: WeierstrassCurve, point: SectionPoint) -> Optional[SectionPoint
     Requires polynomial coordinates with deg x <= 2, deg y <= 3 (equivalently
     s.O = 0); any half of such a section again has polynomial coordinates
     within the same bounds.  Its x is a root of the halving quartic
-    H(t, X) = f'(X)^2 - 4 (c1 + 2X + x_P) f(X), f the cubic.  At a smooth fiber
-    t0 with y_P(t0) != 0 the four roots of H(t0, X) are distinct (two halves
-    sharing an x would make P(t0) 2-torsion), so each rational root has one
-    lift mod (t - t0)^3, read off in closed form by `_lifted_roots`, and a
-    half has that lift as its x.  Each candidate X is decided by exact checks
+    H(t, X) = f'(X)^2 - 4 (c1 + 2X + x_P) f(X), which for f = X^3 + aX^2 + bX + c
+    and x = x_P is X^4 - 4x X^3 - (2b + 4ax) X^2 - (8c + 4bx) X + b^2 - 4c(a + x).
+    At a smooth fiber t0 with y_P(t0) != 0 the four roots of H(t0, X) are
+    distinct (two halves sharing an x would make P(t0) 2-torsion), so each
+    rational root has one lift mod (t - t0)^3, read off in closed form by
+    `_lifted_roots`, and a half has that lift as its x.  H is read only mod
+    (t - t0)^3, from a, b, c and x shifted to t0, and each lift is checked on
+    f'^2 - 4 (a + 2X + x) f there.  Each candidate X is decided by exact checks
     alone: f(X) = Y^2 a nonzero square, then the tangent law (Silverman, AEC
     III.2.3) as two polynomial identities.  With slope f'(X) / 2Y, the double
     of (X, Y) has x = x_P iff f'(X)^2 = 4 f(X) (x_P + c1 + 2X), and then
@@ -495,8 +491,15 @@ def halve(curve: WeierstrassCurve, point: SectionPoint) -> Optional[SectionPoint
         t0 = _good_fiber(curve, g)
         candidates = sorted((x_p - g, x_p + g), key=lambda c: c(t0))
     else:
-        quartic = fp * fp - BiPoly([4 * (curve.c1 + x_p), 8]) * f
-        candidates = _lifted_roots(quartic, _good_fiber(curve, y_p))
+        t0 = _good_fiber(curve, y_p)
+        local = BiPoly([c.shift(t0, 3) for c in f.coeffs])
+        local_p = local.deriv_u()
+        c, b, a = local.coeffs[:3]
+        x = x_p.shift(t0, 3)
+        quartic = BiPoly([b * b - 4 * c * (a + x), -8 * c - 4 * b * x, -2 * b - 4 * a * x,
+                          -4 * x, UNIPOLY_ONE])
+        candidates = _lifted_roots(quartic, t0, lambda lift: (
+            local_p.eval_u(lift) ** 2 - 4 * (a + 2 * lift + x) * local.eval_u(lift)))
     for cand in candidates:
         f_x = f.eval_u(cand)
         g = is_perfect_square(f_x)
@@ -517,4 +520,6 @@ def two_torsion_free(curve: WeierstrassCurve) -> bool:
     fiber the cubic's roots are simple, so such a root is the lift of a
     rational root there, and the lifts are checked exactly."""
     cubic = curve.cubic
-    return not any(cubic.eval_u(x).is_zero for x in _lifted_roots(cubic, _good_fiber(curve)))
+    t0 = _good_fiber(curve)
+    local = BiPoly([c.shift(t0, 3) for c in cubic.coeffs])
+    return not any(cubic.eval_u(x).is_zero for x in _lifted_roots(local, t0, local.eval_u))

@@ -44,6 +44,10 @@ Q51_IMAGE = ("u^3 + 6*u^2*t^2 - 199*u^2*t + 543095/2*u^2 + 12*u*t^4 - 788*u*t^3 
              "+ 1055161*u*t^2 + 23110783*u*t - 93404445/4*u + 8*t^6 - 780*t^5 + 1024700*t^4 "
              "+ 45084093*t^3 + 523892391*t^2 - 4597213619/4*t + 4639308269/8")
 C51_IMAGE_1 = "u = -71/36*t^2 + 1265/36*t - 5148767/144"
+# 5.2 under t -> 3t - 5, then u -> u + t^2 - 3t + 1/2, and its second conic
+Q52_IMAGE = ("u^3 + (3*t^2 + 66*t - 229/2)*u^2 + (3*t^4 + 159*t^3 + 509*t^2 - 3333*t + 13439/4)*u "
+             "+ (t^6 + 93*t^5 + 3677/2*t^4 - 29589/2*t^3 + 146279/4*t^2 - 36108*t + 93669/8)")
+C52_IMAGE_2 = "u = 8*t^2 + 549*t + 15409/2"
 S51_T1 = EXAMPLES["5.1"]["s_t1"]
 S51_T2 = EXAMPLES["5.1"]["s_t2"]
 
@@ -579,6 +583,13 @@ GOLDEN_RECORDS = {
     "tangency_5.2_conic1": ["tangency", Q52, C52_1],
     "tangency_5.2_conic2": ["tangency", Q52, C52_2],
     "symbol_5.1_image_conic1": ["symbol", Q51_IMAGE, C51_IMAGE_1],
+    # symbol -1 on an image, by the halving-absence route
+    "symbol_5.2_image_conic2": ["symbol", Q52_IMAGE, C52_IMAGE_2],
+    # the first 5.1 conic moved by 1: a contact of odd multiplicity
+    "tangency_5.1_odd_contact": ["tangency", Q51, "u = 1/144*t^2 + 1231/72*t - 5143631/144"],
+    # f(t, t^2) = 2 (t^2 + 1)^2: even multiplicities, but not a square over Q
+    "tangency_even_nonsquare_lead": ["tangency", "(u - t^2)*(u - 2*t)*(u + t) + 2*(t^2 + 1)^2",
+                                     "u = t^2"],
     # 2021 = 43 * 47
     "zariski_5.2_rescaled_N2021": ["zariski", *(_rescaled(x, 2021) for x in (Q52, C52_1, C52_2))],
     "curve_fibers_5.1": ["curve", "fibers", Q51],

@@ -14,6 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mwq.lattice import (
+    _invert,
     GramLattice,
     InternalInconsistencyError,
     count_etc,
@@ -125,6 +126,37 @@ def test_dual_is_involution():
         assert dual_gram(dual_gram(lat)).gram == lat.gram
 
 
+def invert_by_fractions(rows):
+    """Oracle: Gauss-Jordan elimination in Fractions, with row pivoting."""
+    n = len(rows)
+    m = [list(r) + [Fraction(int(i == j)) for j in range(n)] for i, r in enumerate(rows)]
+    for k in range(n):
+        piv = next(r for r in range(k, n) if m[r][k] != 0)
+        m[k], m[piv] = m[piv], m[k]
+        inv = 1 / m[k][k]
+        m[k] = [x * inv for x in m[k]]
+        for r in range(n):
+            if r != k and m[r][k]:
+                f = m[r][k]
+                m[r] = [a - f * b for a, b in zip(m[r], m[k])]
+    return tuple(tuple(row[n:]) for row in m)
+
+
+ADE_ATOMS = ["A1", "A2", "A5", "A12", "D4", "D5", "D9", "E6", "E7", "E8"]
+ROW37_FREE = "(1/10)[[3,1,-1],[1,7,3],[-1,3,7]]"  # the free part of table row 37
+
+
+@pytest.mark.parametrize("text", ADE_ATOMS + [ROW37_FREE, "A2+D4*+(1/3)[[2,1],[1,5]]"])
+def test_integer_inverse_matches_fraction_gauss_jordan(text):
+    gram = lattice_from_text(text)[0].gram
+    inverse = invert_by_fractions(gram)
+    assert _invert(gram) == inverse
+    assert dual_gram(lattice_from_text(text)[0]).gram == inverse
+    if text in ADE_ATOMS:  # the dual atom "X*" is built by the same inverse
+        assert lattice_from_text(f"{text}*")[0].gram == inverse
+        assert _invert(inverse) == gram
+
+
 def test_discriminant_group_orders():
     # |L*/L| = det L = 1 / det L*
     for fam, n, order in (("A", 4, 5), ("E", 7, 2), ("A", 1, 2), ("D", 6, 4)):
@@ -210,6 +242,20 @@ def test_enumeration_zero_prefix_cases(text, q, expected):
 def test_enumerate_rejects_nonpositive_norm():
     with pytest.raises(ValueError):
         enumerate_by_norm(lattice_from_text("A2")[0], 0)
+
+
+def test_enumeration_of_a_direct_sum_ignores_block_order():
+    # each level's center sums over its band of nonzero entries, which stays
+    # inside its block; the same sum with the blocks reversed gives the same
+    # vectors, coordinates permuted
+    a = lattice_from_text("A2+D4*+A1")[0]
+    b = lattice_from_text("A1+D4*+A2")[0]
+    ends = (2, 2, 6, 6, 6, 6, 7)  # the end of the block of each level of a
+    assert all(i < lo <= hi <= ends[i] or lo == hi for i, (lo, hi, _) in enumerate(a.bands))
+    to_a = lambda v: v[5:7] + v[1:5] + v[:1]  # noqa: E731
+    for q in (1, 2, 3, 4):
+        assert enumerate_by_norm(a, q) == sorted(map(to_a, enumerate_by_norm(b, q)))
+        assert enumerate_by_norm(a, q)
 
 
 def test_integer_gram_and_definiteness():

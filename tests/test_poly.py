@@ -12,17 +12,19 @@ from hypothesis import strategies as st
 
 from mwq.poly import (
     _primes,
+    _squarefree_rational_roots,
     BiPoly,
+    InternalInconsistencyError,
     RatFn,
     T,
     UNIPOLY_ONE,
     UNIPOLY_ZERO,
     UniPoly,
+    cubic_discriminant,
     irreducible_factors,
     is_perfect_square,
     ord_at,
     poly_gcd,
-    rational_roots,
     squarefree_decompose,
 )
 
@@ -176,22 +178,52 @@ def test_square_root_example_restriction():
 
 
 # ---------------------------------------------------------------------------
-# rational roots
+# rational roots: the p-adic finder takes squarefree input; with Yun's blocks
+# it gives every root with its multiplicity
 # ---------------------------------------------------------------------------
+
+
+def squarefree_roots(p: UniPoly) -> list[Fraction]:
+    return sorted(_squarefree_rational_roots(p._p))
+
+
+def rational_roots(p: UniPoly) -> list[Fraction]:
+    """The roots of each squarefree block of p, repeated by its multiplicity."""
+    return sorted(r for f, mult in squarefree_decompose(p)
+                  for r in _squarefree_rational_roots(f._p) for _ in range(mult))
 
 
 def test_rational_roots_basic():
     p = UniPoly.of(-2, 1) * UniPoly.of(Fraction(1, 3), 1)
-    assert rational_roots(p) == [Fraction(-1, 3), Fraction(2)]
+    assert squarefree_roots(p) == [Fraction(-1, 3), Fraction(2)]
 
 
 def test_rational_roots_none():
-    assert rational_roots(UniPoly.of(1, 0, 1)) == []
+    assert squarefree_roots(UniPoly.of(1, 0, 1)) == []
 
 
 def test_rational_roots_multiplicity():
     p = UniPoly.of(-2, 1) ** 3 * UniPoly.of(5, 1)
     assert rational_roots(p) == [Fraction(-5), Fraction(2), Fraction(2), Fraction(2)]
+
+
+@pytest.mark.parametrize("p", [
+    UniPoly.of(-1, 1) ** 2 * UniPoly.of(-2, 1),  # (u - 1)^2 (u - 2)
+    T ** 2 * UniPoly.of(1, 0, 1),  # a zero root twice
+    UniPoly.of(-7, 3) ** 2 * UniPoly.of(-2, 0, 1),  # a double root 7/3 and sqrt(2)
+])
+def test_squarefree_root_finder_refuses_a_repeated_root(p):
+    # a double root is double modulo every prime, so the bounded prime search
+    # runs out and raises instead of looping
+    with pytest.raises(InternalInconsistencyError):
+        _squarefree_rational_roots(p._p)
+
+
+def test_squarefree_root_finder_past_a_repeated_irrational_pair():
+    # (3t^2 - 7)^2 has no root modulo half the primes, so the search stops
+    # at one of them, and the rational roots are still found exactly
+    p = UniPoly.of(-7, 0, 3) ** 2 * UniPoly.of(-1, 1) * UniPoly.of(5, 2)
+    assert squarefree_roots(p) == [Fraction(-5, 2), Fraction(1)]
 
 
 def test_rational_roots_of_example_discriminant():
@@ -345,12 +377,13 @@ def test_rational_roots_match_divisor_oracle(lin, higher, t_power, scale, specia
         p = p * UniPoly(cs)
     assert_canonical(p)
     got = rational_roots(p)
-    assert got == sorted(got)
     assert got == rational_roots_by_sympy(p)
     if special in ("none", "colliding roots"):
         assert got == rational_roots_by_divisors(p)
     for num, den, mult in lin:
         assert got.count(Fraction(num, den)) >= mult
+    simple = p.exact_div(poly_gcd(p, p.derivative()))  # the squarefree part
+    assert squarefree_roots(simple) == sorted(set(got))
 
 
 def horner(p, x):
@@ -439,11 +472,6 @@ def test_primes_match_sympy():
     import sympy
 
     assert list(islice(_primes(), 300)) == list(sympy.primerange(2, sympy.prime(300) + 1))
-
-
-def test_rational_roots_of_zero_polynomial_raises():
-    with pytest.raises(ValueError):
-        rational_roots(UNIPOLY_ZERO)
 
 
 @pytest.mark.parametrize("quartic", [
@@ -562,6 +590,7 @@ def test_unipoly_matches_fraction_lists(a, b, s, x, n):
             shifted = ref_add(shifted, [c * y for y in by_power])
             by_power = ref_mul(by_power, [by, Fraction(1)])
         assert pa.shift(by).coeffs == tuple(shifted)
+        assert pa.shift(by, 3).coeffs == tuple(ref_trim(shifted[:3]))
 
     if rb:
         q, r = divmod(pa, pb)
@@ -632,6 +661,32 @@ def test_unipoly_content_is_a_reduced_pair_of_ints(a, b, s, x, n):
         values.append(column)
     for v in values:
         assert_canonical(v)
+
+
+@settings(max_examples=150, deadline=None)
+@given(cs=st.lists(_coeff_lists, max_size=5), x=_coeff_lists)
+@example(cs=[], x=[1])  # the zero BiPoly
+@example(cs=[[3], [], [1, 2]], x=[])  # u = 0, and a zero coefficient
+def test_eval_u_matches_unipoly_horner(cs, x):
+    f, px = BiPoly([UniPoly(c) for c in cs]), UniPoly(x)
+    got = f.eval_u(px)
+    assert_canonical(got)
+    assert got == horner(f, px)
+
+
+def discriminant_by_unipoly(c1, c2, c3):
+    """Oracle: the discriminant of u^3 + c1 u^2 + c2 u + c3 in UniPoly arithmetic."""
+    return 18 * c1 * c2 * c3 - 4 * c1 ** 3 * c3 + c1 ** 2 * c2 ** 2 - 4 * c2 ** 3 - 27 * c3 ** 2
+
+
+@settings(max_examples=150, deadline=None)
+@given(c1=_coeff_lists, c2=_coeff_lists, c3=_coeff_lists)
+@example(c1=[], c2=[], c3=[])
+def test_integer_discriminant_matches_unipoly_formula(c1, c2, c3):
+    c1, c2, c3 = UniPoly(c1), UniPoly(c2), UniPoly(c3)
+    got = cubic_discriminant(c1, c2, c3)
+    assert_canonical(got)
+    assert got == discriminant_by_unipoly(c1, c2, c3)
 
 
 def test_unipoly_errors_and_immutability():

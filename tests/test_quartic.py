@@ -5,8 +5,9 @@ from fractions import Fraction
 import pytest
 
 from mwq.cli import main
-from mwq.parsing import parse_curve_rhs, parse_section
-from mwq.poly import BiPoly, T, UNIPOLY_ONE, UNIPOLY_ZERO, RatFn, UniPoly
+from mwq.parsing import parse_curve_rhs, parse_section, parse_unipoly
+from mwq.poly import BiPoly, T, UNIPOLY_ONE, UNIPOLY_ZERO, RatFn, UniPoly, irreducible_factors
+from mwq.replay import EXAMPLES
 from mwq.quartic import (
     Conic,
     FEASIBLE_ALL_N,
@@ -206,6 +207,43 @@ def test_component_conic_rejected(capsys):
         PreparedQuartic(f)
     assert main(["tangency", "u^3 - t^2*u^2 + u - t^2", "t^2"]) == EXIT_INPUT_ERROR
     assert "internal error" not in capsys.readouterr().err
+
+
+def contact_by_factoring_g(quartic, conic):
+    """Oracle: the contact read off the factors of g = f(t, q) itself."""
+    g = quartic.f.eval_u(conic.q)
+    contact = sorted(irreducible_factors(g), key=lambda fm: (fm[1], fm[0].degree, fm[0].coeffs))
+    return tuple(contact + ([(INFINITY_PLACE, 8 - g.degree)] if g.degree < 8 else []))
+
+
+def _images(which, sub, a):
+    """Example `which` and its two conics under t -> sub, u -> u + a(t)."""
+    ex = EXAMPLES[which]
+    move = lambda text: text.replace("t", "T").replace("T", f"({sub})")  # noqa: E731
+    rhs = ex["quartic"].replace("t", "T").replace("u", f"(u + {a})").replace("T", f"({sub})")
+    conics = [Conic(parse_unipoly(f"{move(ex[s][1:].split(', ')[0])} - ({a})"))
+              for s in ("s1", "s2")]
+    return PreparedQuartic(parse_curve_rhs(rhs)), conics
+
+
+def test_contact_from_the_square_root_matches_factoring_g(q51, q52, q21, q59):
+    """`even_tangency` factors sqrt(g) when g is a square, and g otherwise;
+    either way the contact equals the one read off the factors of g."""
+    even_nonsquare = PreparedQuartic(parse_curve_rhs("(u - t^2)*(u - 2*t)*(u + t) + 2*(t^2 + 1)^2"))
+    pairs = [(q51, Conic(C51_1)), (q51, Conic(C51_2)), (q51, Conic(C51_1 + 1)),
+             (q52, Conic(C52_1)), (q52, Conic(C52_2)), (q21, conic_t2()), (q59, conic_t2()),
+             (even_nonsquare, conic_t2())]
+    for which, sub, a in (("5.1", "2*t - 2", "2*t^2 - t + 1/2"), ("5.2", "3*t - 5", "t^2 - 3*t + 1/2"),
+                          ("5.2", "-t/4 + 7", "-5*t")):
+        quartic, conics = _images(which, sub, a)
+        pairs += [(quartic, c) for c in conics]
+    pairs += [(q52, Conic(UniPoly.of(k, -k, 2 + k % 3))) for k in range(-4, 5)]
+    notes = set()
+    for quartic, conic in pairs:
+        report = even_tangency(quartic, conic)
+        assert report.contact == contact_by_factoring_g(quartic, conic)
+        notes.add(report.note)
+    assert len(notes) == 3  # even tangential, an odd contact, and an even non-square
 
 
 def test_degenerate_conic_rejected():

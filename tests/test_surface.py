@@ -16,12 +16,12 @@ from hypothesis import strategies as st
 from mwq import surface
 from mwq.cli import main
 from mwq.lattice import dual_gram, lattice_from_text
-from mwq.parsing import parse_curve_rhs, parse_section, poly_text
+from mwq.parsing import parse_curve_rhs, parse_section, parse_unipoly, poly_text
 from mwq.replay import EXAMPLES
 from mwq.report import EXIT_INPUT_ERROR, EXIT_OK
 from mwq.poly import (
-    T, UNIPOLY_ONE, UNIPOLY_ZERO, BiPoly, RatFn, UniPoly, irreducible_factors, is_perfect_square,
-    poly_gcd, rational_roots, squarefree_decompose,
+    T, UNIPOLY_ONE, UNIPOLY_ZERO, BiPoly, RatFn, UniPoly, _squarefree_rational_roots,
+    irreducible_factors, is_perfect_square, poly_gcd, squarefree_decompose,
 )
 from mwq.surface import (
     INFINITY_PLACE,
@@ -776,7 +776,7 @@ def _first_good_fibers(curve, count):
 
 
 def _spec_roots(poly):
-    return sorted(set(rational_roots(poly)))
+    return sorted({r for f, _ in squarefree_decompose(poly) for r in _squarefree_rational_roots(f._p)})
 
 
 def halve_by_interpolation(curve, point):
@@ -882,8 +882,9 @@ def test_one_specialization_per_call(e51, monkeypatch):
     import mwq.surface
 
     calls = []
-    original = mwq.surface.rational_roots
-    monkeypatch.setattr(mwq.surface, "rational_roots", lambda p: calls.append(p) or original(p))
+    original = mwq.surface._squarefree_rational_roots
+    monkeypatch.setattr(mwq.surface, "_squarefree_rational_roots",
+                        lambda p: calls.append(p) or original(p))
     pts = secs(SECTIONS_51)
     for point in (double(e51, pts["s_o"]), add(e51, pts["s_t1"], pts["s_t2"])):
         calls.clear()
@@ -928,16 +929,73 @@ def test_lifted_roots_are_exactly_the_roots_of_degree_at_most_two(roots, t0):
     poly = BiPoly([UNIPOLY_ONE])
     for r in rs:
         poly = poly * BiPoly([-r, UNIPOLY_ONE])
-    assert _lifted_roots(poly, Fraction(t0)) == sorted(rs, key=lambda r: r(t0))
+    local = BiPoly([c.shift(Fraction(t0)) for c in poly.coeffs])
+    assert _lifted_roots(local, Fraction(t0), local.eval_u) == sorted(rs, key=lambda r: r(t0))
 
 
 def test_lifted_roots_of_a_square_root_and_the_exact_check(monkeypatch):
     # u^2 = t is u^2 = 1 + s at t0 = 1 (s = t - 1): the roots -1, 1 lift to
     # -+(1 + s/2 - s^2/8), i.e. -+(-t^2/8 + 3t/4 + 3/8)
     lift = UniPoly.of(Fraction(3, 8), Fraction(3, 4), Fraction(-1, 8))
-    assert _lifted_roots(BiPoly([-T, UNIPOLY_ZERO, UNIPOLY_ONE]), Fraction(1)) == [-lift, lift]
+    local = BiPoly([-T - 1, UNIPOLY_ZERO, UNIPOLY_ONE])
+    assert _lifted_roots(local, Fraction(1), local.eval_u) == [-lift, lift]
     # 1 is no root of u^2 - 2: its "lift" fails the exact check, which raises
     # (it is not an assert, so this also holds under python -O)
-    monkeypatch.setattr(surface, "rational_roots", lambda p: [Fraction(1)])
+    monkeypatch.setattr(surface, "_squarefree_rational_roots", lambda p: [Fraction(1)])
+    local = BiPoly([UniPoly.const(-2), UNIPOLY_ZERO, UNIPOLY_ONE])
     with pytest.raises(InternalInconsistencyError):
-        _lifted_roots(BiPoly([UniPoly.const(-2), UNIPOLY_ZERO, UNIPOLY_ONE]), Fraction(0))
+        _lifted_roots(local, Fraction(0), local.eval_u)
+
+
+def halving_quartic(curve, x_p):
+    """Oracle: the halving quartic H = f'(X)^2 - 4 (c1 + 2X + x_P) f(X) over Q[t]."""
+    f = curve.cubic
+    fp = f.deriv_u()
+    return fp * fp + BiPoly([-4 * (curve.c1 + x_p), -8]) * f
+
+
+# coordinate changes t -> sub, u -> u + a(t), which keep the prepared form
+IMAGE_MAPS = [("t", "0"), ("2*t - 2", "2*t^2 - t + 1/2"), ("3*t - 5", "t^2 - 3*t + 1/2"),
+              ("-t/4 + 7", "-5*t")]
+
+
+def _image_of_conic_lift(which, name, sub, a):
+    """The curve of example `which` and the lift of its conic `name` (the
+    section s1 or s2) under t -> sub, u -> u + a(t)."""
+    ex = EXAMPLES[which]
+    move = lambda text: text.replace("t", "T").replace("T", f"({sub})")  # noqa: E731
+    rhs = ex["quartic"].replace("t", "T").replace("u", f"(u + {a})").replace("T", f"({sub})")
+    x, y = ex[name][1:-1].split(", ")
+    point = SectionPoint.of(parse_unipoly(f"{move(x)} - ({a})"), parse_unipoly(move(y)))
+    return WeierstrassCurve.from_cubic(parse_curve_rhs(rhs)), point
+
+
+def test_halving_slices_match_the_global_quartic(monkeypatch):
+    """`halve` reads H only mod (t - t0)^3; its three slices equal those of
+    the global H shifted to t0, on sections of 5.1/5.2 and on conic lifts of
+    their images."""
+    seen = []
+    original = surface._lifted_roots
+    monkeypatch.setattr(surface, "_lifted_roots",
+                        lambda local, t0, residual: seen.append((local, t0)) or
+                        original(local, t0, residual))
+    cases = []
+    for curve_of, table in ((curve_51, SECTIONS_51), (curve_52, SECTIONS_52)):
+        curve, pts = curve_of(), secs(table)
+        for a, b in itertools.product(range(-1, 2), repeat=2):
+            p = add(curve, multiple(curve, a, pts["s_t1"]), multiple(curve, b, pts["s_t2"]))
+            for point in (p, add(curve, p, pts["s_o"]), double(curve, p)):
+                if _halvable_input(point) and not point.y.is_zero:
+                    cases.append((curve, point))
+    for which, name, (sub, a) in itertools.product(("5.1", "5.2"), ("s1", "s2"), IMAGE_MAPS):
+        cases.append(_image_of_conic_lift(which, name, sub, a))
+    halved = 0
+    for curve, point in cases:
+        assert on_curve(curve, point)
+        seen.clear()
+        half = halve(curve, point)
+        halved += half is not None
+        (local, t0), = seen
+        shifted = BiPoly([c.shift(t0) for c in halving_quartic(curve, point.x.num).coeffs])
+        assert [local.coeff_t(k) for k in range(3)] == [shifted.coeff_t(k) for k in range(3)]
+    assert len(cases) > 30 and 0 < halved < len(cases)
