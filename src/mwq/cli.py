@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import os
+import re
 import sys
 import traceback
 from fractions import Fraction
@@ -82,8 +83,10 @@ def _conic(text: str) -> Conic:
 def _cmd_table(args) -> int:
     rows = None
     if args.rows:
-        lo, _, hi = args.rows.partition("..")
-        a, b = int(lo), int(hi or lo)
+        m = re.fullmatch(r"([0-9]+)(?:\.\.([0-9]+))?", args.rows)
+        if m is None:
+            raise InputFormatError(f"bad row range {args.rows!r}: expected a or a..b in digits")
+        a, b = int(m[1]), int(m[2] or m[1])
         last = len(mwtable.builtin_table())
         if not 1 <= a <= b <= last:
             raise InputFormatError(f"row range {args.rows!r} needs 1 <= a <= b <= {last}")

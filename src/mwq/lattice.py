@@ -501,49 +501,50 @@ def count_qretc(mw: MWStructure) -> int:
 # ---------------------------------------------------------------------------
 
 
+# spaces next to a delimiter; any other lies inside a numeral or a name, which refuses it
+_DELIMITER_SPACE = re.compile(r" +(?=[+^*/,()\[\]<>{}])|(?<=[+^*/,()\[\]<>{}]) +")
+
+# one summand, read from its start: an atom, an optional power, then `+` or the end;
+# any text that is neither a scalar nor a Gram falls to `word`, which only a name matches
+_SUMMAND = re.compile(
+    r"(?P<part>(?P<atom><(?P<q>[^<>]*)>"
+    r"|(?:\((?P<c>[^()]*)\))?\[\[(?P<rows>[^\[\]]*(?:\],\[[^\[\]]*)*)\]\]"
+    r"|(?P<word>[^+^]*))"
+    r"(?:\^(?P<power>[^+]*))?)"
+    r"(?:(?P<more>\+)|\Z)"
+)
+_NAMED_ATOM = re.compile(r"Z/([0-9]+)Z|([A-Za-z])([0-9]+)(\*?)")
+
+
 def lattice_from_text(text: str) -> tuple[GramLattice, tuple[int, ...]]:
     """Parse a direct sum of ADE lattices, duals, rank-1 scalars, Gram matrices
     and cyclic torsion factors.  Returns (lattice, torsion orders); the lattice
-    is one GramLattice on the block-diagonal Gram of the summands."""
-    text = text.replace(" ", "")
+    is one GramLattice on the block-diagonal Gram of the summands.  Spaces are
+    dropped next to a delimiter only, so a numeral or a name with a space
+    inside is refused.  Each summand is read once, left to right, and its rank
+    is checked against RANK_CAP by that read, before its Gram or its copies
+    are built."""
+    text = _DELIMITER_SPACE.sub("", text).strip(" ")
     if text in ("0", "{0}"):
         return TRIVIAL_LATTICE, ()
-    parts = []
-    depth = 0
-    start = 0
-    for i, ch in enumerate(text):
-        if ch in "[(<":
-            depth += 1
-        elif ch in "])>":
-            depth -= 1
-        elif ch == "+" and depth == 0:
-            parts.append(text[start:i])
-            start = i + 1
-    parts.append(text[start:])
     blocks: list[Matrix] = []
     torsion: list[int] = []
-    size = 0  # rank plus torsion factors so far, counted before the atom is built
-    for part in parts:
-        if not part:
+    room = RANK_CAP  # rank plus torsion factors still allowed
+    for m in _SUMMAND.finditer(text):  # each match starts where the last one ended
+        if not m["part"]:
             raise ValueError(f"empty summand in lattice expression {text!r}")
-        piece, power = part, 1
-        if "^" in piece[piece.find(">") + 1 :]:  # a power of "<q>" follows its ">"
-            piece, pw = piece.rsplit("^", 1)
-            if not (pw.isascii() and pw.isdigit()):
-                raise ValueError(f"bad power {pw!r} in {part!r}")
-            power = int(pw)
+        pw = m["power"]
+        if pw is not None and not (pw.isascii() and pw.isdigit()):
+            raise ValueError(f"bad power {pw!r} in {m['part']!r}")
+        power = 1 if pw is None else int(pw)
         if power < 1:
-            raise ValueError(f"power {power} of {piece!r} must be at least 1")
-        size += power * _atom_size(piece)
-        if size > RANK_CAP:
-            raise ValueError(
-                f"lattice expression exceeds the cap: rank plus torsion factors at most {RANK_CAP}"
-            )
-        got = _lattice_atom(piece)
-        if isinstance(got, int):
-            torsion.extend([got] * power)
-        else:
-            blocks.extend([got] * power)
+            raise ValueError(f"power {power} of {m['atom']!r} must be at least 1")
+        got = _lattice_atom(m, room // power)
+        is_torsion = isinstance(got, int)
+        (torsion if is_torsion else blocks).extend([got] * power)
+        room -= power * (1 if is_torsion else len(got))
+        if not m["more"]:
+            break
     rows, rank = [], sum(map(len, blocks))
     for block in blocks:
         pad = len(rows)  # a ragged block makes rows of the wrong length: not square
@@ -551,42 +552,33 @@ def lattice_from_text(text: str) -> tuple[GramLattice, tuple[int, ...]]:
     return GramLattice(tuple(rows)), tuple(torsion)
 
 
-_NAMED_ATOM = re.compile(r"Z/([0-9]+)Z|([A-Za-z])([0-9]+)(\*?)")
-
-
-def _atom_size(piece: str) -> int:
-    """The rank of the atom `_lattice_atom` builds from `piece`, read off the
-    text: a named atom's index or a literal's row count.  A torsion order,
-    "<q>" and a bad atom (which `_lattice_atom` rejects) count 1."""
-    if piece.startswith("[[") or piece.startswith("(") and ")[[" in piece:
-        return piece.count("],[") + 1
-    m = _NAMED_ATOM.fullmatch(piece)
-    return int(m[3]) if m and m[2] else 1
-
-
-def _lattice_atom(piece: str) -> int | Matrix:
-    """A torsion order "Z/nZ", or the Gram of "<q>", "[[...]]", "(c)[[...]]",
-    an ADE name or its dual "A3*"."""
-    if piece.startswith("<") and piece.endswith(">"):
-        return ((parse_rational(piece[1:-1]),),)
-    if piece.startswith("[["):
-        return _matrix_literal(piece)
-    if piece.startswith("(") and ")[[" in piece:
-        close = piece.index(")")
-        c = parse_rational(piece[1:close])
-        return tuple(tuple(c * x for x in row) for row in _matrix_literal(piece[close + 1 :]))
-    m = _NAMED_ATOM.fullmatch(piece)
-    if m is None:
-        raise ValueError(f"bad lattice atom {piece!r}")
-    order, fam, num, dual = m.groups()
+def _lattice_atom(m: re.Match, room: int) -> int | Matrix:
+    """The torsion order of "Z/nZ", or the Gram of "<q>", "[[...]]",
+    "(c)[[...]]", an ADE name or its dual "A3*": the atom of a summand read by
+    `_SUMMAND`.  Its rank, 1 for a torsion order, is at most `room`; a Gram
+    literal's rows and a name's index are checked before anything is built."""
+    if m["q"] is not None:
+        _fits(1, room)
+        return ((parse_rational(m["q"]),),)
+    if m["rows"] is not None:
+        c = None if m["c"] is None else parse_rational(m["c"])
+        rows = m["rows"].split("],[")
+        _fits(len(rows), room)
+        gram = tuple(tuple(map(parse_rational, row.split(","))) for row in rows)
+        return gram if c is None else tuple(tuple(c * x for x in row) for row in gram)
+    named = _NAMED_ATOM.fullmatch(m["word"])
+    if named is None:
+        raise ValueError(f"bad lattice atom {m['atom']!r}")
+    order, fam, num, dual = named.groups()
+    _fits(1 if order is not None else int(num), room)
     if order is not None:
         return int(order)
     g = _cartan(fam, int(num))
     return _invert(g) if dual else g
 
 
-def _matrix_literal(text: str) -> Matrix:
-    if not (text.startswith("[[") and text.endswith("]]")):
-        raise ValueError(f"bad matrix literal {text!r}")
-    rows = text[2:-2].split("],[")
-    return tuple(tuple(map(parse_rational, row.split(","))) for row in rows)
+def _fits(rank: int, room: int) -> None:
+    if rank > room:
+        raise ValueError(
+            f"lattice expression exceeds the cap: rank plus torsion factors at most {RANK_CAP}"
+        )

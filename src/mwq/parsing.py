@@ -4,14 +4,17 @@ Grammar: integer literals, the variables `t` and `u`, operators + - * / ^,
 and parentheses.  Rationals are written a/b; `/` is ordinary division, so
 `1/144*t^2` means (1/144)*t^2.  Parsing is exact; nothing is ever rounded.
 
-One grammar, evaluated as it is read in the target type.  Curves and conics
-evaluate into a sparse map {(deg_u, deg_t): coefficient} of monomials, where
-every divisor must be a nonzero constant; a power of a single monomial is
-taken in closed form, any other power by repeated products, and the map
-becomes a `BiPoly` once, at the end, with one `UniPoly` per degree in u.
+One grammar, evaluated as it is read in the target type, in one left-to-right
+pass over the tokens of the whole argument, its frame (`y^2 =`, `u =`, `O`,
+`( , )`) included; a character outside the grammar is a token refused where
+the pass reaches it, so the first fault in reading order is reported.  Curves
+and conics evaluate into a sparse map {(deg_u, deg_t): coefficient} of
+monomials, where every divisor must be a nonzero constant; a power of a
+single monomial is taken in closed form, any other power by repeated
+products, and the map becomes a `BiPoly` or `UniPoly` once, at the end.
 Section coordinates evaluate in `RatFn`, where a divisor may be any nonzero
-polynomial in t and `u` is rejected.  The first fault in reading order is
-reported.
+polynomial in t.  Conics and sections know only the name `t`: a `u` is
+refused at its token.
 
 Syntax errors carry the offending position.  Degrees are bounded while
 reading, before anything is expanded: a power's exponent, and the degree in t
@@ -24,8 +27,8 @@ by the constructors of the target types.
 Lattice expressions (`mwq.lattice.lattice_from_text`) and target norms read
 their numerals with `parse_rational`: an optional sign, digits and an
 optional `/digits`, nothing else.  An expression's rank, plus its number of
-torsion factors, is at most RANK_CAP; it is read off the text before any Gram
-is built.
+torsion factors, is at most RANK_CAP; each summand is checked against it by
+the read that builds it, before its Gram or its copies are built.
 """
 
 from __future__ import annotations
@@ -87,8 +90,9 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
         elif ch in _OPS:
             toks.append(("op", ch, i))
             i += 1
-        else:
-            raise ParseError(f"unexpected character {ch!r}", i)
+        else:  # refused where the grammar reaches it, by `take` or `expect_end`
+            toks.append(("bad", ch, i))
+            i += 1
     toks.append(("end", "", len(text)))
     return toks
 
@@ -129,8 +133,15 @@ class _Parser:
 
     def take(self):
         tok = self.toks[self.i]
+        if tok[0] == "bad":
+            raise ParseError(f"unexpected character {tok[1]!r}", tok[2])
         self.i += 1
         return tok
+
+    def frame(self, want: str, shape: str):
+        """Take the frame token `want`, or refuse the argument's shape."""
+        if self.take()[1] != want:
+            raise InputFormatError(shape)
 
     def enter(self, pos: int):
         self.depth += 1
@@ -138,7 +149,7 @@ class _Parser:
             raise ParseError(f"nesting exceeds the cap: depth at most {DEPTH_CAP}", pos)
 
     def expect_end(self):
-        kind, val, pos = self.peek()
+        kind, val, pos = self.take()
         if kind != "end":
             raise ParseError(f"trailing input {val!r}", pos)
 
@@ -257,8 +268,13 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(num, den)
 
 
-def _evaluate(text: str, target: _Target):
+def _evaluate(text: str, target: _Target, frame: tuple = (), shape: str = ""):
+    """The value of `text` in `target`.  A text with an `=` token opens with
+    the tokens `frame`, and is refused with `shape` where one is missing."""
     p = _Parser(text, target)
+    if frame and any(val == "=" for _kind, val, _pos in p.toks):
+        for want in frame:
+            p.frame(want, shape)
     value = p.expr()
     p.expect_end()
     return value
@@ -344,15 +360,24 @@ _MONOMIALS = _Target(
 )
 
 
+def _to_unipoly(a: dict) -> UniPoly:
+    """The UniPoly of a sparse map without u."""
+    row = [0] * (1 + max((dt for _du, dt in a), default=-1))
+    for (_du, dt), c in a.items():
+        row[dt] = c
+    return UniPoly(row)
+
+
 def _to_bipoly(a: dict) -> BiPoly:
     """The BiPoly of a sparse map: one UniPoly per degree in u."""
-    rows: list[list] = [[] for _ in range(1 + max((du for du, _dt in a), default=-1))]
+    rows: list[dict] = [{} for _ in range(1 + max((du for du, _dt in a), default=-1))]
     for (du, dt), c in a.items():
-        row = rows[du]
-        if len(row) <= dt:
-            row.extend([0] * (dt + 1 - len(row)))
-        row[dt] = c
-    return BiPoly([UniPoly(row) for row in rows])
+        rows[du][0, dt] = c
+    return BiPoly(list(map(_to_unipoly, rows)))
+
+
+# a conic is a polynomial in t: its `u` is refused at that token, as a section's is
+_CONIC = _MONOMIALS._replace(names={"t": _MONOMIALS.names["t"]})
 
 
 # -- section coordinates: rational functions in t --------------------------
@@ -382,71 +407,48 @@ _RATFN = _Target(
 )
 
 
+_SECTION_SHAPE = "section must be `O` or `(x, y)`"
+
+
 def parse_bipoly(text: str) -> BiPoly:
     return _to_bipoly(_evaluate(text, _MONOMIALS))
 
 
 def parse_unipoly(text: str) -> UniPoly:
-    a = _evaluate(text, _MONOMIALS)
-    if any(du for du, _dt in a):
-        raise InputFormatError(_NOT_IN_T)
-    return _to_bipoly(a).coeff_u(0)
+    return _to_unipoly(_evaluate(text, _CONIC))
 
 
 def parse_ratfn(text: str) -> RatFn:
     return _evaluate(text, _RATFN)
 
 
-def _parse_at(parse, text: str, start: int, end: int):
-    """parse(text[start:end]), with a ParseError's position within `text`."""
-    try:
-        return parse(text[start:end])
-    except ParseError as exc:
-        raise ParseError(exc.message, start + exc.pos) from None
-
-
 def parse_conic_rhs(text: str) -> UniPoly:
     """Accept `u = q(t)` or a bare polynomial in t."""
-    lhs, eq, _rhs = text.partition("=")
-    if eq and lhs.strip() != "u":
-        raise InputFormatError("conic must have the form `u = q(t)`")
-    return _parse_at(parse_unipoly, text, len(lhs) + 1 if eq else 0, len(text))
+    return _to_unipoly(_evaluate(text, _CONIC, ("u", "="), "conic must have the form `u = q(t)`"))
 
 
 def parse_curve_rhs(text: str) -> BiPoly:
     """Accept `y^2 = f(t, u)` or a bare polynomial in t, u."""
-    lhs, eq, _rhs = text.partition("=")
-    if eq and lhs.replace(" ", "") not in ("y^2", "y**2"):
-        raise InputFormatError("curve must have the form `y^2 = f(t, u)`")
-    return _parse_at(parse_bipoly, text, len(lhs) + 1 if eq else 0, len(text))
+    return _to_bipoly(_evaluate(text, _MONOMIALS, ("y", "^", "2", "="),
+                                "curve must have the form `y^2 = f(t, u)`"))
 
 
 def parse_section(text: str):
     """Parse `O` (the zero section) or `(x(t), y(t))` into a SectionPoint."""
     from .surface import SectionPoint
 
-    stripped = text.strip()
-    if stripped.lower() in ("o", "zero"):
+    p = _Parser(text, _RATFN)
+    if p.peek()[1].lower() in ("o", "zero"):
+        p.take()
+        p.expect_end()
         return SectionPoint.zero()
-    if not (stripped.startswith("(") and stripped.endswith(")")):
-        raise InputFormatError("section must be `O` or `(x, y)`")
-    inner = stripped[1:-1]
-    depth = 0
-    split_at = None
-    for i, ch in enumerate(inner):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "," and depth == 0:
-            split_at = i
-            break
-    if split_at is None:
-        raise InputFormatError("section must have two coordinates")
-    lead = len(text) - len(text.lstrip()) + 1  # inner starts after the "("
-    split_at += lead
-    return SectionPoint(_parse_at(parse_ratfn, text, lead, split_at),
-                        _parse_at(parse_ratfn, text, split_at + 1, lead + len(inner)))
+    p.frame("(", _SECTION_SHAPE)
+    x = p.expr()
+    p.frame(",", "section must have two coordinates")
+    y = p.expr()
+    p.frame(")", _SECTION_SHAPE)
+    p.expect_end()
+    return SectionPoint(x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -488,22 +490,18 @@ def _term_text(c: Fraction, k: int) -> str:
     return f"{frac_text(c)}*{v}"
 
 
-def poly_text(p: UniPoly) -> str:
-    if p.is_zero:
+def _signed_sum(terms: list[str]) -> str:
+    """The terms joined by `+ ` and `- `, each sign read off the term's text;
+    the zero sum is "0"."""
+    if not terms:
         return "0"
-    parts = []
-    for k in range(p.degree, -1, -1):
-        c = p.coeff(k)
-        if c == 0:
-            continue
-        txt = _term_text(c, k)
-        if not parts:
-            parts.append(txt)
-        elif txt.startswith("-"):
-            parts.append(f"- {txt[1:]}")
-        else:
-            parts.append(f"+ {txt}")
-    return " ".join(parts)
+    return " ".join([terms[0]] + [f"- {txt[1:]}" if txt.startswith("-") else f"+ {txt}"
+                                  for txt in terms[1:]])
+
+
+def poly_text(p: UniPoly) -> str:
+    return _signed_sum([_term_text(c, k) for k in range(p.degree, -1, -1)
+                        if (c := p.coeff(k)) != 0])
 
 
 def ratfn_text(r: RatFn) -> str:
@@ -512,31 +510,20 @@ def ratfn_text(r: RatFn) -> str:
     return f"({poly_text(r.num)})/({poly_text(r.den)})"
 
 
+def _u_term_text(c: UniPoly, k: int) -> str:
+    if k == 0:
+        return poly_text(c) if c.is_constant() else f"({poly_text(c)})"
+    v = "u" if k == 1 else f"u^{k}"
+    if c == UNIPOLY_ONE:
+        return v
+    if c.is_constant():
+        return f"{frac_text(c.coeffs[0])}*{v}"
+    return f"({poly_text(c)})*{v}"
+
+
 def bipoly_text(f: BiPoly) -> str:
-    if f.is_zero:
-        return "0"
-    parts = []
-    for k in range(f.degree_u, -1, -1):
-        c = f.coeff_u(k)
-        if c.is_zero:
-            continue
-        if k == 0:
-            txt = poly_text(c) if c.is_constant() else f"({poly_text(c)})"
-        else:
-            v = "u" if k == 1 else f"u^{k}"
-            if c == UNIPOLY_ONE:
-                txt = v
-            elif c.is_constant():
-                txt = f"{frac_text(c.coeffs[0])}*{v}"
-            else:
-                txt = f"({poly_text(c)})*{v}"
-        if not parts:
-            parts.append(txt)
-        elif txt.startswith("-") and not txt.startswith("-("):
-            parts.append(f"- {txt[1:]}")
-        else:
-            parts.append(f"+ {txt}")
-    return " ".join(parts)
+    return _signed_sum([_u_term_text(c, k) for k in range(f.degree_u, -1, -1)
+                        if not (c := f.coeff_u(k)).is_zero])
 
 
 def section_text(p) -> str:

@@ -439,20 +439,22 @@ def _horner_mod(p: Sequence[int], x: int, m: int) -> int:
     return acc
 
 
-def _squarefree_rational_roots(p: tuple[int, ...]) -> list[Fraction]:
-    """The rational roots, unsorted, of a primitive squarefree integer
-    polynomial `p` (low degree first) by p-adic lifting (Loos 1983): at the
-    least prime q not dividing the leading coefficient a_n at which every root
-    of p mod q is simple, each such root lifts to a unique q-adic root, and a
-    rational root num/den (den | a_n) is one of those lifts.  Once the modulus
-    m exceeds 2 |a_0 a_n|, the symmetric residue of a_n * z mod m is the
-    integer a_n * num / den, so each lift gives one candidate, kept only if it
-    is a root; a lift of an irrational root fails that check.  No integer is
-    factored.  Each prime skipped divides a_n * disc(p), below 2^B for
-    B = bits(a_n) + n bits(n) + (n - 1) bits(||p||^2) (Mahler), so skipping B
-    of them, as a repeated rational root makes the search do, raises
-    InternalInconsistencyError, as does a double root 0.  A repeated factor
-    without rational roots may pass; the roots returned are still exact."""
+def rational_roots(f: UniPoly) -> list[Fraction]:
+    """The rational roots, unsorted, of a squarefree polynomial f, by p-adic
+    lifting (Loos 1983) on its primitive integer part p: at the least prime q
+    not dividing the leading coefficient a_n at which every root of p mod q is
+    simple, each such root lifts to a unique q-adic root, and a rational root
+    num/den (den | a_n) is one of those lifts.  Once the modulus m exceeds
+    2 |a_0 a_n|, the symmetric residue of a_n * z mod m is the integer
+    a_n * num / den, so each lift gives one candidate, kept only if it is a
+    root; a lift of an irrational root fails that check.  No integer is
+    factored.  Squarefreeness is assumed, not tested: each prime skipped
+    divides a_n * disc(p), below 2^B for B = bits(a_n) + n bits(n) +
+    (n - 1) bits(||p||^2) (Mahler), so skipping B of them, as a repeated
+    rational root makes the search do, raises InternalInconsistencyError, as
+    does a double root 0.  A repeated factor without rational roots may pass;
+    the roots returned are still exact."""
+    p = f._p
     roots = []
     if p[0] == 0:
         if p[1] == 0:
@@ -728,7 +730,7 @@ def split_squarefree(f: UniPoly) -> list[UniPoly]:
     rootless cofactor of degree 2 or 3 is irreducible, and one of degree >= 4
     is factored over Z by `_factor_squarefree`."""
     out = []
-    for r in _squarefree_rational_roots(f._p):
+    for r in rational_roots(f):
         linear = UniPoly.of(-r, 1)
         out.append(linear)
         f = f.exact_div(linear)

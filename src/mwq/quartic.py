@@ -44,7 +44,8 @@ class PreparedQuartic:
     no root in Q[t] of degree <= 2, which also rules out 2-torsion on the
     associated surface; construction refuses any other f.  A frozen value:
     `curve`, the rational elliptic surface y^2 = f(t, u), `configuration` and
-    the partial derivatives `f_u`, `f_t` are each built on first use and kept.
+    the partial derivative `f_t` are each built on first use and kept; f_u is
+    the curve's `cubic_u`.
     """
 
     f: BiPoly
@@ -56,10 +57,6 @@ class PreparedQuartic:
     @cached_property
     def curve(self) -> WeierstrassCurve:
         return WeierstrassCurve.from_cubic(self.f)
-
-    @cached_property
-    def f_u(self) -> BiPoly:
-        return self.f.deriv_u()
 
     @cached_property
     def f_t(self) -> BiPoly:
@@ -138,7 +135,7 @@ def even_tangency(quartic: PreparedQuartic, conic: Conic) -> TangencyReport:
             "(leading coefficient is not a rational square)",
         )
     # contacts must avoid the singular points of the quartic
-    f_u = quartic.f_u.eval_u(conic.q)
+    f_u = quartic.curve.cubic_u.eval_u(conic.q)
     f_t = quartic.f_t.eval_u(conic.q)
     for place, _mult in contact:
         if place == INFINITY_PLACE:
@@ -294,7 +291,7 @@ def _certificate_of_half(
     """The certificate from s_o with 2 s_o = s_conic^+ (the caller's guarantee)."""
     f_o = s_o.x.as_unipoly()
     g_o = s_o.y.as_unipoly()
-    a1, rem = divmod(quartic.f_u.eval_u(f_o), 2 * g_o)  # the tangent slope
+    a1, rem = divmod(quartic.curve.cubic_u.eval_u(f_o), 2 * g_o)  # the tangent slope
     if not rem.is_zero:
         raise InternalInconsistencyError("tangent slope at the halving is not polynomial")
     a2 = conic.q - f_o

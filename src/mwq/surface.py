@@ -28,10 +28,10 @@ from .poly import (
     InternalInconsistencyError,
     RatFn,
     UniPoly,
-    _squarefree_rational_roots,
     cubic_discriminant,
     is_perfect_square,
     ord_at,
+    rational_roots,
     split_squarefree,
     squarefree_decompose,
 )
@@ -75,8 +75,8 @@ class SectionPoint:
 class WeierstrassCurve:
     """y^2 = u^3 + c1 u^2 + c2 u + c3 with deg c_k <= 2k and nonzero discriminant.
 
-    A frozen value: the discriminant, c4, c6 and the cubic are each built on
-    first use and kept on the instance."""
+    A frozen value: the discriminant, c4, c6, the cubic and its derivative in
+    u are each built on first use and kept on the instance."""
 
     c1: UniPoly
     c2: UniPoly
@@ -99,6 +99,10 @@ class WeierstrassCurve:
     @cached_property
     def cubic(self) -> BiPoly:
         return BiPoly([self.c3, self.c2, self.c1, UNIPOLY_ONE])
+
+    @cached_property
+    def cubic_u(self) -> BiPoly:
+        return self.cubic.deriv_u()
 
     def rhs(self, x: RatFn) -> RatFn:
         return ((x + self.c1) * x + self.c2) * x + self.c3
@@ -428,8 +432,8 @@ def _lifted_roots(local: BiPoly, t0: Fraction,
     """The lifts mod (t - t0)^3 of the rational roots of poly(t0, u), in
     ascending order of those roots, shifted back to t; every root of poly in
     Q[t] of degree <= 2 is among them.  `local` is poly(t0 + s, u), read only
-    mod s^3, whose fiber p_0 = poly(t0, u) has simple roots, so its primitive
-    part goes straight to the p-adic root finder.  With p_k(u) the
+    mod s^3, whose fiber p_0 = poly(t0, u) has simple roots, so it goes
+    straight to the p-adic root finder.  With p_k(u) the
     coefficient of s^k in `local`, a root r of p_0 lifts to r + a s + b s^2:
 
         p_0'(r) a = -p_1(r),
@@ -442,7 +446,7 @@ def _lifted_roots(local: BiPoly, t0: Fraction,
     d0, d1 = p0.derivative(), p1.derivative()
     dd0 = d0.derivative()
     lifts = []
-    for r in sorted(_squarefree_rational_roots(p0._p)):
+    for r in sorted(rational_roots(p0)):
         a = -p1(r) / d0(r)
         b = -(p2(r) + d1(r) * a + dd0(r) * a * a / 2) / d0(r)
         lift = UniPoly.of(r, a, b)
@@ -481,8 +485,7 @@ def halve(curve: WeierstrassCurve, point: SectionPoint) -> Optional[SectionPoint
         raise ValueError("halving needs polynomial coordinates (s.O = 0)")
     if point.x.num.degree > 2 or point.y.num.degree > 3:
         raise ValueError("halving needs deg x <= 2 and deg y <= 3 (s.O = 0)")
-    f = curve.cubic
-    fp = f.deriv_u()
+    f, fp = curve.cubic, curve.cubic_u
     x_p, y_p = point.x.num, point.y.num
     if y_p.is_zero:
         g = is_perfect_square(fp.eval_u(x_p))

@@ -346,11 +346,30 @@ def test_lattice_rank_cap_is_an_input_error(capsys, text):
     ("(1e0)[[2]]", "2", "'1e0'"),
     ("[[2,0x1],[0x1,2]]", "2", "'0x1'"),
     ("A1^1_0", "2", "bad power '1_0'"),
+    # a space is dropped next to a delimiter only, never inside a numeral or a name
+    ("[[1 0]]", "2", "'1 0'"),
+    ("[[2,- 1]]", "2", "'- 1'"),
+    ("A1 0", "2", "bad lattice atom 'A1 0'"),
 ])
 def test_lattice_numerals_follow_the_documented_grammar(capsys, lattice, norm, message):
     assert main(["lattice", "enumerate", lattice, norm]) == EXIT_INPUT_ERROR
     err = capsys.readouterr().err
     assert message in err and "internal error" not in err
+
+
+@pytest.mark.parametrize("spaced, bare", [
+    ("D4* + A1*", "D4*+A1*"),
+    ("[[2, 1], [1, 3]]", "[[2,1],[1,3]]"),
+    (" (1/10) [[2,1],[1,3]] ", "(1/10)[[2,1],[1,3]]"),
+    ("<1/6> ^ 2", "<1/6>^2"),
+    ("E6* + A2 ^ 2", "E6*+A2^2"),
+])
+def test_lattice_spaces_next_to_delimiters_are_dropped(capsys, spaced, bare):
+    outputs = []
+    for text in (spaced, bare):
+        assert main(["lattice", "dual", text]) == EXIT_OK
+        outputs.append(capsys.readouterr().out.replace(text, ""))
+    assert outputs[0] == outputs[1]
 
 
 def test_lattice_numerals_take_a_sign_and_a_fraction(capsys):
@@ -360,11 +379,14 @@ def test_lattice_numerals_take_a_sign_and_a_fraction(capsys):
     assert "positive definite" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("rows", ["70", "5..3", "0..2", "1..100"])
+# a row or a range a..b in ASCII digits (not `int()`'s forms: `1_0`, `+5`,
+# ` 5`, non-ASCII digits); the message names the text
+@pytest.mark.parametrize("rows", ["70", "5..3", "0..2", "1..100", "1_0", "x", "+5", "5..", "\u0665"])
 def test_table_rejects_row_ranges_outside_the_table(capsys, rows):
     assert main(["table", "--verify", "--rows", rows]) == EXIT_INPUT_ERROR
     captured = capsys.readouterr()
     assert "rows_matched" not in captured.out and "internal error" not in captured.err
+    assert f"row range {rows!r}" in captured.err
 
 
 def test_input_errors_exit_2(capsys):

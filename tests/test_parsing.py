@@ -31,6 +31,9 @@ QUOTIENT_CAP = f"quotient exceeds the cap: degree at most {POWER_CAP}"
 SUM_CAP = f"sum exceeds the cap: degree at most {POWER_CAP}"
 DIFFERENCE_CAP = f"difference exceeds the cap: degree at most {POWER_CAP}"
 DEPTH = f"nesting exceeds the cap: depth at most {DEPTH_CAP}"
+CURVE_SHAPE = "curve must have the form `y^2 = f(t, u)`"
+CONIC_SHAPE = "conic must have the form `u = q(t)`"
+SECTION_SHAPE = "section must be `O` or `(x, y)`"
 
 # (parser, input, error class, message, ParseError position or None)
 SINGLE_FAULTS = [
@@ -85,6 +88,19 @@ SINGLE_FAULTS = [
     (parse_bipoly, "(" * 101 + "t" + ")" * 101, ParseError, DEPTH, 100),
     (parse_ratfn, "-" * 101 + "t", ParseError, DEPTH, 100),
     (parse_conic_rhs, "u = " + "-(" * 51 + "t" + ")" * 51, ParseError, DEPTH, 104),
+    # frames are tokens of the same pass: a missing one refuses the shape
+    (parse_curve_rhs, "2*y^2 = u^3", InputFormatError, CURVE_SHAPE, None),
+    (parse_conic_rhs, "t = u", InputFormatError, CONIC_SHAPE, None),
+    (parse_section, "(t, t, t)", InputFormatError, SECTION_SHAPE, None),
+    (parse_section, "(t)", InputFormatError, "section must have two coordinates", None),
+    # of two faults, the first in reading order is reported: a conic's `u`,
+    # a division by zero and a character outside the grammar alike
+    (parse_conic_rhs, "u = u + 1/(t-t)", InputFormatError, NOT_IN_T, None),
+    (parse_unipoly, "t + u^2 + $", InputFormatError, NOT_IN_T, None),
+    (parse_bipoly, "1/(t-t) + $", ParseError, "division by zero", 1),
+    (parse_curve_rhs, "y^2 = u^3 + 1/(t - t) + $", ParseError, "division by zero", 13),
+    (parse_section, "(1/(t-t), $)", ParseError, "division by zero", 2),
+    (parse_curve_rhs, "$^2 = u", ParseError, "unexpected character '$'", 0),
 ]
 
 

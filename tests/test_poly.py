@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from mwq.poly import (
     _primes,
-    _squarefree_rational_roots,
     BiPoly,
     InternalInconsistencyError,
     RatFn,
@@ -25,6 +24,7 @@ from mwq.poly import (
     is_perfect_square,
     ord_at,
     poly_gcd,
+    rational_roots,
     squarefree_decompose,
 )
 
@@ -184,13 +184,13 @@ def test_square_root_example_restriction():
 
 
 def squarefree_roots(p: UniPoly) -> list[Fraction]:
-    return sorted(_squarefree_rational_roots(p._p))
+    return sorted(rational_roots(p))
 
 
-def rational_roots(p: UniPoly) -> list[Fraction]:
+def roots_by_blocks(p: UniPoly) -> list[Fraction]:
     """The roots of each squarefree block of p, repeated by its multiplicity."""
     return sorted(r for f, mult in squarefree_decompose(p)
-                  for r in _squarefree_rational_roots(f._p) for _ in range(mult))
+                  for r in rational_roots(f) for _ in range(mult))
 
 
 def test_rational_roots_basic():
@@ -204,7 +204,7 @@ def test_rational_roots_none():
 
 def test_rational_roots_multiplicity():
     p = UniPoly.of(-2, 1) ** 3 * UniPoly.of(5, 1)
-    assert rational_roots(p) == [Fraction(-5), Fraction(2), Fraction(2), Fraction(2)]
+    assert roots_by_blocks(p) == [Fraction(-5), Fraction(2), Fraction(2), Fraction(2)]
 
 
 @pytest.mark.parametrize("p", [
@@ -216,7 +216,7 @@ def test_squarefree_root_finder_refuses_a_repeated_root(p):
     # a double root is double modulo every prime, so the bounded prime search
     # runs out and raises instead of looping
     with pytest.raises(InternalInconsistencyError):
-        _squarefree_rational_roots(p._p)
+        rational_roots(p)
 
 
 def test_squarefree_root_finder_past_a_repeated_irrational_pair():
@@ -234,7 +234,7 @@ def test_rational_roots_of_example_discriminant():
         18 * c1 * c2 * c3 - 4 * c1 ** 3 * c3 + c1 ** 2 * c2 ** 2
         - 4 * c2 ** 3 - 27 * c3 ** 2
     )
-    roots = rational_roots(disc)
+    roots = roots_by_blocks(disc)
     assert Fraction(0) in roots and Fraction(2025) in roots
 
 
@@ -376,7 +376,7 @@ def test_rational_roots_match_divisor_oracle(lin, higher, t_power, scale, specia
     for cs in higher:
         p = p * UniPoly(cs)
     assert_canonical(p)
-    got = rational_roots(p)
+    got = roots_by_blocks(p)
     assert got == rational_roots_by_sympy(p)
     if special in ("none", "colliding roots"):
         assert got == rational_roots_by_divisors(p)

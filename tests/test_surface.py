@@ -20,8 +20,8 @@ from mwq.parsing import parse_curve_rhs, parse_section, parse_unipoly, poly_text
 from mwq.replay import EXAMPLES
 from mwq.report import EXIT_INPUT_ERROR, EXIT_OK
 from mwq.poly import (
-    T, UNIPOLY_ONE, UNIPOLY_ZERO, BiPoly, RatFn, UniPoly, _squarefree_rational_roots,
-    irreducible_factors, is_perfect_square, poly_gcd, squarefree_decompose,
+    T, UNIPOLY_ONE, UNIPOLY_ZERO, BiPoly, RatFn, UniPoly, irreducible_factors,
+    is_perfect_square, poly_gcd, rational_roots, squarefree_decompose,
 )
 from mwq.surface import (
     INFINITY_PLACE,
@@ -776,7 +776,7 @@ def _first_good_fibers(curve, count):
 
 
 def _spec_roots(poly):
-    return sorted({r for f, _ in squarefree_decompose(poly) for r in _squarefree_rational_roots(f._p)})
+    return sorted({r for f, _ in squarefree_decompose(poly) for r in rational_roots(f)})
 
 
 def halve_by_interpolation(curve, point):
@@ -882,8 +882,8 @@ def test_one_specialization_per_call(e51, monkeypatch):
     import mwq.surface
 
     calls = []
-    original = mwq.surface._squarefree_rational_roots
-    monkeypatch.setattr(mwq.surface, "_squarefree_rational_roots",
+    original = mwq.surface.rational_roots
+    monkeypatch.setattr(mwq.surface, "rational_roots",
                         lambda p: calls.append(p) or original(p))
     pts = secs(SECTIONS_51)
     for point in (double(e51, pts["s_o"]), add(e51, pts["s_t1"], pts["s_t2"])):
@@ -941,7 +941,7 @@ def test_lifted_roots_of_a_square_root_and_the_exact_check(monkeypatch):
     assert _lifted_roots(local, Fraction(1), local.eval_u) == [-lift, lift]
     # 1 is no root of u^2 - 2: its "lift" fails the exact check, which raises
     # (it is not an assert, so this also holds under python -O)
-    monkeypatch.setattr(surface, "_squarefree_rational_roots", lambda p: [Fraction(1)])
+    monkeypatch.setattr(surface, "rational_roots", lambda p: [Fraction(1)])
     local = BiPoly([UniPoly.const(-2), UNIPOLY_ZERO, UNIPOLY_ONE])
     with pytest.raises(InternalInconsistencyError):
         _lifted_roots(local, Fraction(0), local.eval_u)
