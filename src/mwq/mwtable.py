@@ -89,12 +89,13 @@ _ROWS: tuple = (
     (47, "A2+A1", "b", "A2^2+A1", "A2*+<1/6>", "A2+<6>", 3, 0, ()),
     (48, "A2+A1", "sb", "A4+A1", "(1/10)[[3,1,-1],[1,7,3],[-1,3,7]]",
      "[[4,-1,1],[-1,2,-1],[1,-1,2]]", 3, 0,
-     ("tangent line through the A1 point: the fiber at infinity is I4",)),
-    (49, "A2+A1", "sb", "A4+A1", "(1/12)[[7,1,2],[1,7,2],[2,2,4]]",
+     ("tangent line through the A2 point: the fiber at infinity is I5",)),
+    (49, "A2+A1", "sb", "A3+A2", "(1/12)[[7,1,2],[1,7,2],[2,2,4]]",
      "[[2,0,-1],[0,2,-1],[-1,-1,4]]", 2, 0,
-     ("tangent line through the A2 point: the fiber at infinity is I5",
-      "printed fiber-root column duplicates row 48 (A4+A1), but the Gram data "
-      "matches an A3+A2 frame; transcribed as printed and flagged",)),
+     ("tangent line through the A1 point: the fiber at infinity is I4",
+      "deviates from the printed table, whose fiber-root column repeats row 48 "
+      "(A4+A1): the Gram data (det MW 1/12, narrow det 12, as in row 41) fits "
+      "an A3+A2 frame, and A3+A2 is kept",)),
     (50, "2A1", "s", "A1^3", "D4*+A1*", "D4+A1", 13, 1, ()),
     (51, "2A1", "b", "A2+A1^2",
      "(1/6)[[2,1,0,-1],[1,5,3,1],[0,3,6,3],[-1,1,3,5]]",
@@ -148,10 +149,6 @@ class TableRow:
     qretc_expected: int
     notes: tuple[str, ...]
 
-    @property
-    def has_class_flag(self) -> bool:
-        return any("discrepancy" in n for n in self.notes)
-
     @cached_property
     def mw(self) -> MWStructure:
         """The row's Mordell-Weil structure, parsed and checked on first read.
@@ -190,9 +187,11 @@ def builtin_table() -> tuple[TableRow, ...]:
     )
 
 
-def rows_matching(sing_type: tuple[str, ...], fiber_roots: tuple[str, ...]) -> list[TableRow]:
+def row_matching(sing_type: tuple[str, ...], fiber_roots: tuple[str, ...]) -> TableRow | None:
+    """The one row whose singularity type and fiber roots are these, or None:
+    the key implies the line class, and no two rows share a key."""
     key = (tuple(sorted(sing_type)), tuple(sorted(fiber_roots)))
-    return [r for r in builtin_table() if (r.sing_type, r.fiber_roots) == key]
+    return next((r for r in builtin_table() if (r.sing_type, r.fiber_roots) == key), None)
 
 
 def verify_table(rows: range | None = None) -> list[dict]:

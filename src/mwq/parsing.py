@@ -72,9 +72,9 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch in "0123456789":  # ASCII only: `str.isdigit` takes '²' and '٣' too
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j] in "0123456789":
                 j += 1
             toks.append(("num", text[i:j], i))
             i = j

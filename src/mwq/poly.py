@@ -455,6 +455,8 @@ def rational_roots(f: UniPoly) -> list[Fraction]:
     does a double root 0.  A repeated factor without rational roots may pass;
     the roots returned are still exact."""
     p = f._p
+    if not p:
+        raise ValueError("rational roots of the zero polynomial")
     roots = []
     if p[0] == 0:
         if p[1] == 0:

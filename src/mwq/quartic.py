@@ -188,20 +188,12 @@ def singular_configuration(quartic: PreparedQuartic) -> SingularConfiguration:
         sing.extend([label] * pd.degree)
         roots.extend([label] * pd.degree)
     sing_key = tuple(sorted(sing))
-    candidates = mwtable.rows_matching(sing_key, tuple(sorted(roots)))
-    exact = [r for r in candidates if r.line_class == line_class]
-    if exact:
-        row = exact[0]
-    else:
-        # a row whose recorded class discrepancy covers this line class
-        flagged = [r for r in candidates if r.has_class_flag]
-        if flagged:
-            row = flagged[0]
-        else:
-            raise ValueError(
-                f"configuration (sing={sing_key}, class={line_class}, roots={tuple(sorted(roots))}) "
-                "matches no row of the table"
-            )
+    row = mwtable.row_matching(sing_key, roots)
+    if row is None:
+        raise ValueError(
+            f"configuration (sing={sing_key}, class={line_class}, roots={tuple(sorted(roots))}) "
+            "matches no row of the table"
+        )
     return SingularConfiguration(sing_key, line_class, row, ctx)
 
 

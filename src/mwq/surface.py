@@ -341,15 +341,13 @@ def local_correction(pd: PlaceData, point: SectionPoint) -> Fraction:
 
 
 def section_O_intersection(point: SectionPoint) -> int:
-    """Intersection number with the zero section, from the pole structure of x;
-    the point must lie on the curve."""
+    """Intersection number with the zero section, from the pole degrees of x:
+    on the curve every pole of x has even order (y^2 has the order of x^3), at
+    the finite places and at infinity alike, and P meets O with half of it.
+    The point must lie on the curve."""
     if point.is_zero:
         raise ValueError("O.O is not defined here; self-pairings go through the height")
-    total = sum(f.degree * ((mult + 1) // 2) for f, mult in squarefree_decompose(point.x.den))
-    inf_pole = -_valuation(point.x, INFINITY_PLACE, 2)
-    if inf_pole > 0:
-        total += (inf_pole + 1) // 2
-    return total
+    return point.x.den.degree // 2 + max(0, -_valuation(point.x, INFINITY_PLACE, 2)) // 2
 
 
 # ---------------------------------------------------------------------------

@@ -101,6 +101,12 @@ SINGLE_FAULTS = [
     (parse_curve_rhs, "y^2 = u^3 + 1/(t - t) + $", ParseError, "division by zero", 13),
     (parse_section, "(1/(t-t), $)", ParseError, "division by zero", 2),
     (parse_curve_rhs, "$^2 = u", ParseError, "unexpected character '$'", 0),
+    # digits are ASCII: a superscript or a non-ASCII decimal digit is a
+    # character outside the grammar, refused where it stands
+    (parse_bipoly, "t^\u00b2", ParseError, "unexpected character '\u00b2'", 2),
+    (parse_bipoly, "t^\u0662", ParseError, "unexpected character '\u0662'", 2),
+    (parse_bipoly, "\u0663*t", ParseError, "unexpected character '\u0663'", 0),
+    (parse_curve_rhs, "y^2 = u^3 + t^\u00b2", ParseError, "unexpected character '\u00b2'", 14),
 ]
 
 

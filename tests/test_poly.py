@@ -193,6 +193,11 @@ def roots_by_blocks(p: UniPoly) -> list[Fraction]:
                   for r in rational_roots(f) for _ in range(mult))
 
 
+def test_rational_roots_of_zero_polynomial_raises():
+    with pytest.raises(ValueError, match="rational roots of the zero polynomial"):
+        rational_roots(UNIPOLY_ZERO)
+
+
 def test_rational_roots_basic():
     p = UniPoly.of(-2, 1) * UniPoly.of(Fraction(1, 3), 1)
     assert squarefree_roots(p) == [Fraction(-1, 3), Fraction(2)]

@@ -1,9 +1,11 @@
 """Prepared quartics, even tangency, symbols, certificates, Zariski verdicts."""
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
+import mwq.quartic
 from mwq.cli import main
 from mwq.parsing import parse_curve_rhs, parse_section, parse_unipoly
 from mwq.poly import BiPoly, T, UNIPOLY_ONE, UNIPOLY_ZERO, RatFn, UniPoly, irreducible_factors
@@ -33,7 +35,7 @@ from mwq.quartic import (
 )
 from mwq.report import EXIT_INPUT_ERROR
 from mwq.surface import (
-    INFINITY_PLACE, InternalInconsistencyError, SectionPoint, halve, negate, on_curve,
+    INFINITY_PLACE, InternalInconsistencyError, PlaceData, SectionPoint, halve, negate, on_curve,
 )
 
 Q51_TEXT = "u^3 + (271350 - 98*t)*u^2 + t*(t-5825)*(t-2025)*u + 36*t^2*(t-2025)^2"
@@ -141,6 +143,20 @@ def test_configuration_genus0_fixture(q21):
     cfg = singular_configuration(q21)
     assert cfg.sing_type == ("A1", "A3")
     assert cfg.row.row_no == 21
+
+
+@pytest.mark.parametrize("n_inf, n_finite, row_no", [(5, 2, 48), (4, 3, 49)])
+def test_configuration_a2_a1_sb_rows_split_on_the_fiber_at_infinity(
+        q51, monkeypatch, n_inf, n_finite, row_no):
+    # no quartic of type A2+A1 whose tangent line runs through a singular
+    # point is at hand, so the fibers are given: I5 at infinity (the line runs
+    # through the A2 point) and I2 at t = 0, or I4 at infinity (through the A1
+    # point) and I3
+    places = [PlaceData(INFINITY_PLACE, "I", n_inf, 1, q51.curve),
+              PlaceData(T, "I", n_finite, 1, q51.curve)]
+    monkeypatch.setattr(mwq.quartic, "height_context", lambda curve: SimpleNamespace(places=places))
+    cfg = singular_configuration(q51)
+    assert (cfg.sing_type, cfg.line_class, cfg.row.row_no) == (("A1", "A2"), "sb", row_no)
 
 
 def test_configuration_rejects_unprepared_input():

@@ -482,6 +482,27 @@ def test_sO_shifted_denominator():
     assert section_O_intersection(moved) == 1
 
 
+def test_sO_pole_at_infinity():
+    # t -> t + 3465 puts the pole of 2*s_t1 at t = 0, and t -> 1/t (weight w:
+    # a -> t^w a(1/t), with c_k of weight 2k, x of 2 and y of 3) moves it to
+    # infinity, where x has a pole of order 2 and P meets O once
+    def flip(p, w):
+        return UniPoly.of(*reversed(p.coeffs + (0,) * (w + 1 - len(p.coeffs))))
+
+    def flip_ratfn(r, w):
+        k = max(r.num.degree, r.den.degree)
+        return RatFn(flip(r.num.shift(3465), k) * T ** w, flip(r.den.shift(3465), k))
+
+    base = curve_51()
+    curve = WeierstrassCurve(*(flip(c.shift(3465), 2 * k)
+                               for k, c in enumerate((base.c1, base.c2, base.c3), 1)))
+    s = double(base, secs(SECTIONS_51)["s_t1"])
+    moved = SectionPoint(flip_ratfn(s.x, 2), flip_ratfn(s.y, 3))
+    assert on_curve(curve, moved)
+    assert moved.x.den.degree == 0 and moved.x.num.degree == 4
+    assert section_O_intersection(moved) == 1
+
+
 def pair_intersection(curve, p, q):
     """s1.s2 = (s1 - s2).O: translation by -s2 is an automorphism of the
     surface that carries s2 to O (Shioda 1990)."""

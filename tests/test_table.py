@@ -1,8 +1,11 @@
 """The sixty-row configuration table: transcription sanity, full count
 verification, and the genus dichotomies."""
 
+import ast
 import math
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 from mwq.lattice import (
     GramLattice,
@@ -11,7 +14,7 @@ from mwq.lattice import (
     integral_dual_basis,
     lattice_from_text,
 )
-from mwq.mwtable import builtin_table, parse_ade_multiset, verify_table
+from mwq.mwtable import builtin_table, parse_ade_multiset, row_matching, verify_table
 from mwq.quartic import genus_from_sing
 
 
@@ -82,11 +85,71 @@ def test_genus_dichotomies_across_all_rows():
 
 
 def test_flagged_rows_carry_notes():
-    assert row(35).has_class_flag
     assert any("row 48" in n for n in row(49).notes)
     # the sb rows that split on the fiber at infinity document their mapping
     for n in (16, 17, 19, 20, 48, 49):
         assert row(n).notes
+
+
+def _rank(label):
+    return int(label[1:])
+
+
+def _det(label):
+    return {"A": _rank(label) + 1, "D": 4, "E": 9 - _rank(label)}[label[0]]
+
+
+def _implied_class(sing, roots):
+    """The tangent-line class a (singularity type, fiber roots) key implies:
+    the fiber at infinity adds A1 (I2 or III: `s`) or A2 (I3 or IV: `b`) to
+    the singular points, or it is I_n, n >= 4, and replaces the A_{n-3} point
+    the tangent line runs through by A_{n-1} (`sb`)."""
+    added = Counter(roots) - Counter(sing)
+    removed = Counter(sing) - Counter(roots)
+    if not removed and list(added.elements()) in (["A1"], ["A2"]):
+        return {"A1": "s", "A2": "b"}[next(iter(added))]
+    (old,), (new,) = list(removed.elements()), list(added.elements())
+    assert old[0] == new[0] == "A" and _rank(new) == _rank(old) + 2, (sing, roots)
+    return "sb"
+
+
+def test_each_key_names_one_row_of_its_implied_class():
+    keys = [(r.sing_type, r.fiber_roots) for r in builtin_table()]
+    assert len(set(keys)) == 60
+    for r in builtin_table():
+        assert _implied_class(r.sing_type, r.fiber_roots) == r.line_class, r.row_no
+        assert row_matching(r.sing_type, r.fiber_roots) is r
+
+
+def test_rows_48_and_49_split_on_the_fiber_at_infinity():
+    # A2+A1 with the tangent line through the A2 point (I5 at infinity) or
+    # through the A1 point (I4); row 49's printed roots repeat row 48's
+    assert row_matching(("A2", "A1"), ("A4", "A1")).row_no == 48
+    assert row_matching(("A2", "A1"), ("A3", "A2")).row_no == 49
+    assert row_matching(("A2", "A1"), ("A5", "A1")) is None
+
+
+def test_shioda_tate_holds_on_every_row():
+    # T is the root lattice of the reducible fibers: rank MW + rank T = 8,
+    # det MW_free * det T = |tors|^2 and det narrow = det T / |tors|^2
+    for r in builtin_table():
+        rank_t = sum(_rank(label) for label in r.fiber_roots)
+        det_t = math.prod(_det(label) for label in r.fiber_roots)
+        tors = math.prod(r.mw.torsion)
+        assert r.mw.mw_free.rank + rank_t == 8, r.row_no
+        assert r.mw.mw_free.det() * det_t == tors ** 2, r.row_no
+        assert r.mw.narrow_gram.det() == Fraction(det_t, tors ** 2), r.row_no
+
+
+def test_no_code_in_src_reads_the_notes():
+    # the notes are prose for the reader: no lookup or check may read them
+    src = Path(__file__).resolve().parent.parent / "src" / "mwq"
+    found = []
+    for path in sorted(src.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Attribute) and node.attr == "notes":
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
 
 
 def test_parse_ade_multiset():
