@@ -69,8 +69,8 @@ _ROWS: tuple = (
     (34, "3A1", "s", "A1^4", "A1*^4", "A1^4", 4, 4, ()),
     (35, "3A1", "b", "A2+A1^3", "A1*+(1/6)[[2,1],[1,2]]", "A1+[[4,-2],[-2,4]]", 1, 1,
      ("line class discrepancy between the two source tables ('s' vs 'b'); "
-      "the count table's 'b' is kept, and the same lattice data also covers "
-      "the 's' configuration with a 3-fold tangent at the marked point",)),
+      "the count table's 'b' is kept, the class the key implies (R = S + A2); "
+      "an 's' configuration of 3A1 has the key of row 34",)),
     (36, "3A1", "sb", "A3+A1^2", "A1*^2+<1/4>", "A1^2+<4>", 2, 2, ()),
     (37, "A4", "s", "A4+A1", "(1/10)[[3,1,-1],[1,7,3],[-1,3,7]]",
      "[[4,-1,1],[-1,2,-1],[1,-1,2]]", 3, 0, ()),

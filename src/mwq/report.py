@@ -30,20 +30,19 @@ EXIT_INTERNAL = 3
 
 
 _INT = frozenset((int, bool))
-_VECTOR = frozenset((tuple,))
 
 
 def plain(value: Any) -> Any:
-    """Coerce domain values to JSON-safe, deterministic primitives."""
+    """Coerce domain values to JSON-safe, deterministic primitives; a list of
+    integer vectors keeps its tuples, which `json.dumps` writes as arrays."""
     if value is None or isinstance(value, (bool, int, str)):
         return value
     if isinstance(value, (list, tuple)):
-        if _INT.issuperset(map(type, value)):  # an integer vector
+        types = set(map(type, value))
+        if types <= _INT or (  # an integer vector, or a list of them
+            types == {tuple} and _INT.issuperset(map(type, chain.from_iterable(value)))
+        ):
             return list(value)
-        if _VECTOR.issuperset(map(type, value)) and _INT.issuperset(
-            map(type, chain.from_iterable(value))
-        ):  # a list of integer vectors
-            return list(map(list, value))
         return [plain(v) for v in value]
     if isinstance(value, Fraction):
         return frac_text(value)
@@ -121,7 +120,7 @@ class RunReport:
 
 
 def _fmt(value: Any) -> str:
-    if isinstance(value, list):
+    if isinstance(value, (list, tuple)):
         return "[" + ", ".join(_fmt(v) for v in value) + "]"
     if isinstance(value, dict):
         return "{" + ", ".join(f"{k}: {_fmt(v)}" for k, v in value.items()) + "}"

@@ -13,6 +13,7 @@ import pytest
 
 import mwq.mwtable as mwtable
 from mwq.cli import main
+from mwq.lattice import dual_gram, enumerate_by_norm, lattice_from_text
 from mwq.parsing import (
     POWER_CAP,
     RANK_CAP,
@@ -31,7 +32,7 @@ from mwq.parsing import (
 )
 from mwq.poly import RatFn, UniPoly
 from mwq.replay import EXAMPLES, run_example
-from mwq.report import EXIT_INPUT_ERROR, EXIT_INTERNAL, EXIT_MISMATCH, EXIT_OK
+from mwq.report import EXIT_INPUT_ERROR, EXIT_INTERNAL, EXIT_MISMATCH, EXIT_OK, RunReport, plain
 
 Q51 = "u^3 + (271350 - 98*t)*u^2 + t*(t-5825)*(t-2025)*u + 36*t^2*(t-2025)^2"
 C51_1 = "u = 1/144*t^2 + 1231/72*t - 5143775/144"
@@ -452,6 +453,61 @@ def test_records_carry_provenance(capsys):
     named = {r["name"]: r for r in recs if r["kind"] == "result"}
     assert "qr_symbol" in named["symbol"]["provenance"]
     assert "halve" in named["halving_witness"]["provenance"]
+
+
+def test_plain_keeps_the_walks_integer_vectors():
+    lat, _ = lattice_from_text("A2")
+    vecs = enumerate_by_norm(lat, Fraction(2))
+    out = plain(vecs)
+    assert type(out) is list and len(out) == len(vecs) == 6
+    assert all(o is v for o, v in zip(out, vecs))
+    assert plain([]) == []
+
+
+def test_plain_writes_fraction_rows_as_strings():
+    lat, _ = lattice_from_text("A2")
+    gram = dual_gram(lat).gram
+    assert type(gram) is tuple and type(gram[0][0]) is Fraction
+    assert plain(gram) == [["2/3", "1/3"], ["1/3", "2/3"]]
+
+
+def test_plain_converts_a_mixed_list_item_by_item():
+    out = plain([(1, 2), (Fraction(1, 2), 3)])
+    assert out == [[1, 2], ["1/2", 3]]
+    assert all(type(o) is list for o in out)
+
+
+def test_plain_keeps_a_bool_in_a_vector_a_json_bool():
+    rep = RunReport("check")
+    rep.add("vectors", [(1, True), (0, False)])
+    assert '"value": [[1, true], [0, false]]' in rep.render_records()
+
+
+# `--format text` of the lattice commands, byte for byte: `_fmt` on the walk's
+# tuples and on a Gram of Fractions
+LATTICE_TEXT = {
+    ("enumerate", "A2", "2"): (
+        "# lattice enumerate\n"
+        "  input lattice: A2\n"
+        "  input norm: 2\n"
+        "  count = 6\n"
+        "  vectors = [[-1, -1], [-1, 0], [0, -1], [0, 1], [1, 0], [1, 1]]\n"
+        "status: ok\n"
+    ),
+    ("dual", "A2"): (
+        "# lattice dual\n"
+        "  input lattice: A2\n"
+        "  gram = [[2/3, 1/3], [1/3, 2/3]]\n"
+        "  det = 1/3\n"
+        "status: ok\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("args", sorted(LATTICE_TEXT))
+def test_lattice_text_format_is_pinned(capsys, args):
+    assert main(["lattice", *args, "--format", "text"]) == EXIT_OK
+    assert capsys.readouterr().out == LATTICE_TEXT[args]
 
 
 def test_unexpected_exception_exits_3(capsys, monkeypatch):
