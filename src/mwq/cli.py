@@ -13,7 +13,6 @@ import functools
 import os
 import re
 import sys
-import traceback
 from fractions import Fraction
 
 from . import mwtable
@@ -330,6 +329,8 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:
         # A bug, not a mismatch: exit 3, never the interpreter's exit 1.
         # BaseException (KeyboardInterrupt, SystemExit) still propagates.
+        import traceback  # here only: it loads linecache, tokenize and textwrap
+
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         traceback.print_exc(file=sys.stderr)
         return EXIT_INTERNAL

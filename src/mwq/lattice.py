@@ -13,9 +13,8 @@ from __future__ import annotations
 import math
 import operator
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .parsing import RANK_CAP, parse_rational
 from .poly import InternalInconsistencyError
@@ -87,7 +86,6 @@ def _eliminate(
     return tuple(cd), tuple(bands), tuple(weights), (det_num // h, det_den // h)
 
 
-@dataclass(frozen=True)
 class GramLattice:
     """Symmetric positive-definite Gram matrix; rank 0 is the trivial lattice.
 
@@ -97,19 +95,11 @@ class GramLattice:
     per level of the LDL^T form, the integers `cd`, the `bands` of nonzero
     `num` and the reduced pair `weights` that every `enumerate_by_norm` walk
     reads, and the determinant that `det` returns.  `gram` stays a matrix of
-    Fractions: the records print it."""
+    Fractions: the records print it.  A frozen value; equality and hash read
+    `gram` alone, as every other attribute follows from it."""
 
-    gram: Matrix
-    den: int = field(init=False, repr=False, compare=False)
-    igram: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
-    cd: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    bands: tuple[Band, ...] = field(init=False, repr=False, compare=False)
-    weights: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
-    det_pair: tuple[int, int] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        g = _to_matrix(self.gram)
-        object.__setattr__(self, "gram", g)
+    def __init__(self, gram: Sequence[Sequence]):
+        g = _to_matrix(gram)
         n = len(g)
         for row in g:
             if len(row) != n:
@@ -120,13 +110,18 @@ class GramLattice:
             for j in range(i):
                 if ig[i][j] != ig[j][i]:
                     raise ValueError("gram matrix must be symmetric")
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "igram", ig)
         cd, bands, weights, det = _eliminate(ig, den)
-        object.__setattr__(self, "cd", cd)
-        object.__setattr__(self, "bands", bands)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "det_pair", det)
+        vars(self).update(gram=g, den=den, igram=ig, cd=cd, bands=bands, weights=weights,
+                          det_pair=det)
+
+    def __setattr__(self, *a):
+        raise AttributeError("GramLattice is immutable")
+
+    def __eq__(self, other) -> bool:
+        return self.gram == other.gram if type(other) is GramLattice else NotImplemented
+
+    def __hash__(self):
+        return hash(self.gram)
 
     @property
     def rank(self) -> int:
@@ -407,8 +402,7 @@ def isometric(a: GramLattice, b: GramLattice) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MWStructure:
+class MWStructure(NamedTuple):
     """Free part of a Mordell-Weil lattice, its odd torsion, and the Gram of
     the narrow part (sections meeting the identity component of every fiber).
     Build it with `make_mw_structure`, which checks how the three fit."""

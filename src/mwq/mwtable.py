@@ -11,7 +11,6 @@ recomputes both by exact lattice enumeration and diffs against them.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .lattice import (
@@ -136,18 +135,31 @@ def parse_ade_multiset(text: str) -> tuple[str, ...]:
     return tuple(sorted(out))
 
 
-@dataclass(frozen=True)
 class TableRow:
-    row_no: int
-    sing_type: tuple[str, ...]
-    sing_text: str
-    line_class: str
-    fiber_roots: tuple[str, ...]
-    mw_text: str
-    narrow_text: str
-    etc_expected: int
-    qretc_expected: int
-    notes: tuple[str, ...]
+    """One row of the table, a frozen value: the columns of `_ROWS`, with the
+    two ADE columns parsed, and the Mordell-Weil structure `mw` they name."""
+
+    def __init__(self, row_no: int, sing_type: tuple[str, ...], sing_text: str,
+                 line_class: str, fiber_roots: tuple[str, ...], mw_text: str,
+                 narrow_text: str, etc_expected: int, qretc_expected: int,
+                 notes: tuple[str, ...]):
+        vars(self).update(
+            row_no=row_no, sing_type=sing_type, sing_text=sing_text, line_class=line_class,
+            fiber_roots=fiber_roots, mw_text=mw_text, narrow_text=narrow_text,
+            etc_expected=etc_expected, qretc_expected=qretc_expected, notes=notes,
+        )
+
+    def __setattr__(self, *a):
+        raise AttributeError("TableRow is immutable")
+
+    def _key(self) -> tuple:
+        return tuple(v for k, v in vars(self).items() if k != "mw")  # the columns, not `mw`
+
+    def __eq__(self, other) -> bool:
+        return self._key() == other._key() if type(other) is TableRow else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
 
     @cached_property
     def mw(self) -> MWStructure:
@@ -171,18 +183,8 @@ def builtin_table() -> tuple[TableRow, ...]:
     builds and checks its Mordell-Weil structure on the first read of `mw`,
     which fails loudly on a transcription bug in the data above."""
     return tuple(
-        TableRow(
-            row_no=no,
-            sing_type=parse_ade_multiset(xi),
-            sing_text=xi,
-            line_class=cls,
-            fiber_roots=parse_ade_multiset(r),
-            mw_text=mw_text,
-            narrow_text=narrow_text,
-            etc_expected=etc,
-            qretc_expected=qretc,
-            notes=tuple(notes),
-        )
+        TableRow(no, parse_ade_multiset(xi), xi, cls, parse_ade_multiset(r), mw_text,
+                 narrow_text, etc, qretc, tuple(notes))
         for no, xi, cls, r, mw_text, narrow_text, etc, qretc, notes in _ROWS
     )
 

@@ -10,9 +10,8 @@ reduction of an arbitrary (quartic, point) pair to it is out of scope.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from . import mwtable
 from .poly import (
@@ -36,7 +35,6 @@ from .surface import (
 )
 
 
-@dataclass(frozen=True)
 class PreparedQuartic:
     """Irreducible quartic u^3 + c1(t)u^2 + c2(t)u + c3(t) = 0 in prepared form.
 
@@ -48,11 +46,19 @@ class PreparedQuartic:
     the curve's `cubic_u`.
     """
 
-    f: BiPoly
-
-    def __post_init__(self):
+    def __init__(self, f: BiPoly):
+        vars(self)["f"] = f
         if not two_torsion_free(self.curve):  # the curve checks monic, deg c_k <= 2k, disc != 0
             raise ValueError("the cubic factors over Q(t): the quartic is not irreducible")
+
+    def __setattr__(self, *a):
+        raise AttributeError("PreparedQuartic is immutable")
+
+    def __eq__(self, other) -> bool:
+        return self.f == other.f if type(other) is PreparedQuartic else NotImplemented
+
+    def __hash__(self):
+        return hash(self.f)
 
     @cached_property
     def curve(self) -> WeierstrassCurve:
@@ -75,15 +81,24 @@ class PreparedQuartic:
         return f"PreparedQuartic({bipoly_text(self.f)} = 0)"
 
 
-@dataclass(frozen=True)
 class Conic:
     """The conic u = q(t) (deg q = 2), tangent to V = 0 at the marked point."""
 
-    q: UniPoly
+    __slots__ = ("q",)
 
-    def __post_init__(self):
-        if self.q.degree != 2:
+    def __init__(self, q: UniPoly):
+        if q.degree != 2:
             raise ValueError("conic must have the form u = q(t) with deg q = 2")
+        object.__setattr__(self, "q", q)
+
+    def __setattr__(self, *a):
+        raise AttributeError("Conic is immutable")
+
+    def __eq__(self, other) -> bool:
+        return self.q == other.q if type(other) is Conic else NotImplemented
+
+    def __hash__(self):
+        return hash(self.q)
 
     def __repr__(self):
         from .parsing import poly_text
@@ -94,8 +109,7 @@ class Conic:
 ContactPlace = Union[UniPoly, str]
 
 
-@dataclass(frozen=True)
-class TangencyReport:
+class TangencyReport(NamedTuple):
     is_even_tangential: bool
     contact: tuple[tuple[ContactPlace, int], ...]  # (place or 'inf', multiplicity)
     sqrt_witness: Optional[UniPoly]
@@ -153,8 +167,7 @@ def even_tangency(quartic: PreparedQuartic, conic: Conic) -> TangencyReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SingularConfiguration:
+class SingularConfiguration(NamedTuple):
     sing_type: tuple[str, ...]
     line_class: str
     row: mwtable.TableRow
@@ -231,8 +244,7 @@ ROUTE_HALVING = "halving"
 ROUTE_HALVING_ABSENCE = "halving-absence"
 
 
-@dataclass(frozen=True)
-class SplittingCertificate:
+class SplittingCertificate(NamedTuple):
     """Witness that the quartic splits in the double cover branched along the
     conic: f(t,u) = (a1*(u-q) + a3)^2 + (u - q + a2)^2 * (u - q) with
     deg a_k <= k.  (Over Q the middle sign is forced to +; the variant with a
@@ -243,8 +255,7 @@ class SplittingCertificate:
     a3: UniPoly
 
 
-@dataclass(frozen=True)
-class SymbolResult:
+class SymbolResult(NamedTuple):
     value: int  # +1 or -1
     route: str
     tangency: TangencyReport
@@ -313,8 +324,7 @@ def verify_splitting_certificate(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CombinatorialType:
+class CombinatorialType(NamedTuple):
     sing_type: tuple[str, ...]
     line_class: str
     contact_multiset: tuple[int, ...]  # local intersection numbers, one per point
@@ -334,8 +344,7 @@ VERDICT_INCONCLUSIVE = "Inconclusive"
 VERDICT_NOT_COMPARABLE = "NotComparable"
 
 
-@dataclass(frozen=True)
-class ZariskiVerdict:
+class ZariskiVerdict(NamedTuple):
     verdict: str
     type1: CombinatorialType
     type2: CombinatorialType
@@ -366,8 +375,7 @@ FEASIBLE_UNDETERMINED = "undetermined"
 INFEASIBLE_ODD_PRIMES = "infeasible-odd-primes>=5"
 
 
-@dataclass(frozen=True)
-class FeasibilityReport:
+class FeasibilityReport(NamedTuple):
     symbol: SymbolResult
     sing_type: tuple[str, ...]
     verdict: str

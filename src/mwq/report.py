@@ -9,10 +9,9 @@ Serialization is deterministic (sorted keys, no timestamps).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
-from typing import Any, Optional
+from typing import Any, NamedTuple, Optional
 
 from .parsing import bipoly_text, frac_text, poly_text, ratfn_text, section_text
 from .poly import BiPoly, RatFn, UniPoly
@@ -59,20 +58,25 @@ def plain(value: Any) -> Any:
     return str(value)
 
 
-@dataclass(frozen=True)
-class ResultItem:
+class ResultItem(NamedTuple):
     name: str
     value: Any
     provenance: tuple[str, ...] = ()
     ok: Optional[bool] = None
 
 
-@dataclass
 class RunReport:
-    command: str
-    inputs: dict[str, str] = field(default_factory=dict)
-    results: list[ResultItem] = field(default_factory=list)
-    status: str = STATUS_OK
+    """One command's inputs and results; `add` appends, and a failed check
+    turns the status to mismatch."""
+
+    def __init__(self, command: str, inputs: Optional[dict[str, str]] = None):
+        self.command = command
+        self.inputs = {} if inputs is None else inputs
+        self.results: list[ResultItem] = []
+        self.status = STATUS_OK
+
+    def __eq__(self, other) -> bool:  # a mutable value: no hash
+        return vars(self) == vars(other) if type(other) is RunReport else NotImplemented
 
     def add(self, name: str, value: Any, provenance: tuple[str, ...] = (), ok: Optional[bool] = None):
         self.results.append(ResultItem(name, plain(value), provenance, ok))

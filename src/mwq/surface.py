@@ -17,10 +17,9 @@ at v (Silverman 1988); cross pairings follow by bilinearity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Callable, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 from .poly import (
     UNIPOLY_ONE,
@@ -45,12 +44,26 @@ Place = Union[UniPoly, str]
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class SectionPoint:
-    """A point of the Mordell-Weil group: the zero section O, or (x, y) in Q(t)."""
+    """A point of the Mordell-Weil group: the zero section O, or (x, y) in Q(t).
+    Not a tuple: `report.plain` prints a section as text, a tuple as an array."""
 
-    x: Optional[RatFn]
-    y: Optional[RatFn]
+    __slots__ = ("x", "y")
+
+    def __init__(self, x: Optional[RatFn], y: Optional[RatFn]):
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+
+    def __setattr__(self, *a):
+        raise AttributeError("SectionPoint is immutable")
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not SectionPoint:
+            return NotImplemented
+        return (self.x, self.y) == (other.x, other.y)
+
+    def __hash__(self):
+        return hash((self.x, self.y))
 
     @staticmethod
     def zero() -> "SectionPoint":
@@ -71,23 +84,30 @@ class SectionPoint:
         return f"SectionPoint({section_text(self)})"
 
 
-@dataclass(frozen=True)
 class WeierstrassCurve:
     """y^2 = u^3 + c1 u^2 + c2 u + c3 with deg c_k <= 2k and nonzero discriminant.
 
     A frozen value: the discriminant, c4, c6, the cubic and its derivative in
     u are each built on first use and kept on the instance."""
 
-    c1: UniPoly
-    c2: UniPoly
-    c3: UniPoly
-
-    def __post_init__(self):
-        for k, c in enumerate((self.c1, self.c2, self.c3), start=1):
+    def __init__(self, c1: UniPoly, c2: UniPoly, c3: UniPoly):
+        for k, c in enumerate((c1, c2, c3), start=1):
             if c.degree > 2 * k:
                 raise ValueError(f"deg c{k} = {c.degree} exceeds the bound {2 * k}")
+        vars(self).update(c1=c1, c2=c2, c3=c3)
         if self.discriminant.is_zero:
             raise ValueError("discriminant vanishes identically")
+
+    def __setattr__(self, *a):
+        raise AttributeError("WeierstrassCurve is immutable")
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not WeierstrassCurve:
+            return NotImplemented
+        return (self.c1, self.c2, self.c3) == (other.c1, other.c2, other.c3)
+
+    def __hash__(self):
+        return hash((self.c1, self.c2, self.c3))
 
     @classmethod
     def from_cubic(cls, f: BiPoly) -> "WeierstrassCurve":
@@ -215,19 +235,19 @@ _KODAIRA = {
 }
 
 
-@dataclass(frozen=True, eq=False)
 class PlaceData:
     """A place of bad reduction, or the block of all I1 places (see
     `height_context`), together with its fiber type: `family` is 'I', 'I*' or
     an additive type, and `n` the index of I_n and I_n* (0 for the others).
     `kodaira`, `m_v`, `euler` and `root_label()` are read off the one Kodaira
-    table.  `curve` is the curve whose fiber it is."""
+    table.  `curve` is the curve whose fiber it is.  A frozen value, equal
+    only to itself."""
 
-    place: Place
-    family: str
-    n: int
-    degree: int
-    curve: WeierstrassCurve
+    def __init__(self, place: Place, family: str, n: int, degree: int, curve: WeierstrassCurve):
+        vars(self).update(place=place, family=family, n=n, degree=degree, curve=curve)
+
+    def __setattr__(self, *a):
+        raise AttributeError("PlaceData is immutable")
 
     @property
     def label(self) -> str:
@@ -292,7 +312,7 @@ def kodaira_type_at(curve: WeierstrassCurve, place: Place) -> PlaceData:
     family, n = _classify(
         _valuation(curve.c4_quantity, place, 4), _valuation(curve.c6_quantity, place, 6), v_disc
     )
-    return PlaceData(place=place, family=family, n=n, degree=degree, curve=curve)
+    return PlaceData(place, family, n, degree, curve)
 
 
 # ---------------------------------------------------------------------------
@@ -355,8 +375,7 @@ def section_O_intersection(point: SectionPoint) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HeightContext:
+class HeightContext(NamedTuple):
     """A curve together with all of its bad places; Euler numbers must sum to
     12 chi = 12 (the surface is rational)."""
 

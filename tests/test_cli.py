@@ -1,6 +1,5 @@
 """Round-trip parsing, report determinism, and the command-line surface."""
 
-import dataclasses
 import json
 import os
 import random
@@ -150,7 +149,9 @@ def test_table_rows_range(capsys):
 
 def test_table_mismatch_detected_with_altered_fixture(capsys, monkeypatch):
     rows = list(mwtable.builtin_table())
-    rows[39] = dataclasses.replace(rows[39], etc_expected=99)
+    r = rows[39]
+    rows[39] = mwtable.TableRow(r.row_no, r.sing_type, r.sing_text, r.line_class, r.fiber_roots,
+                                r.mw_text, r.narrow_text, 99, r.qretc_expected, r.notes)
     monkeypatch.setattr(mwtable, "builtin_table", lambda: tuple(rows))
     assert main(["table", "--verify"]) == EXIT_MISMATCH
     out = capsys.readouterr().out
@@ -895,3 +896,105 @@ def test_python_dash_m_runs_the_command_line():
     )
     assert proc.returncode == EXIT_OK, proc.stderr
     assert proc.stdout == (RECORDS_DIR / "example_5.2.jsonl").read_text(encoding="utf-8")
+
+
+# The command line imports no class-generation machinery: `dataclasses` pulls in
+# `inspect`, and `traceback` loads only where an unexpected error is reported.
+NO_MACHINERY = ("import sys\n"
+                "from mwq.cli import main\n"
+                "rcs = [main(argv + ['--format', 'records'])\n"
+                "       for argv in (['lattice', 'enumerate', 'A2', '2'], ['example', '5.2'])]\n"
+                "loaded = sorted({'dataclasses', 'inspect', 'traceback'} & set(sys.modules))\n"
+                "print(rcs, loaded, file=sys.stderr)")
+
+
+def test_commands_load_no_class_generation_machinery():
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_MACHINERY], cwd=root, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines()[-1] == "[0, 0] []"
+
+
+# ---------------------------------------------------------------------------
+# value semantics of the records and classes: each factory builds a fresh
+# instance from the same inputs; `field` is one of its attributes
+# ---------------------------------------------------------------------------
+
+
+def _values():
+    from mwq import lattice, quartic, surface
+    from mwq.report import ResultItem
+
+    gram = ((2, -1), (-1, 2))
+    curve = surface.WeierstrassCurve.from_cubic(parse_curve_rhs(Q52))
+    ctx = surface.height_context(curve)
+    row = mwtable.builtin_table()[0]
+    tang_args = (True, ((UniPoly.of(1, 0, 1), 4),), UniPoly.of(1, 1), "")
+    ctype_args = (("A1", "A1"), "s", (2, 2, 2, 2))
+    tang, ctype = quartic.TangencyReport(*tang_args), quartic.CombinatorialType(*ctype_args)
+    return {  # name: (factory, field, semantics)
+        "SectionPoint": (lambda: parse_section("(t, t^2)"), "x", "value"),
+        "WeierstrassCurve": (lambda: surface.WeierstrassCurve.from_cubic(parse_curve_rhs(Q52)),
+                             "c1", "value"),
+        "PlaceData": (lambda: surface.kodaira_type_at(curve, UniPoly.of(0, 1)), "n", "identity"),
+        "HeightContext": (lambda: surface.HeightContext(curve, ctx.places), "places", "value"),
+        "GramLattice": (lambda: lattice.GramLattice(gram), "gram", "value"),
+        "MWStructure": (lambda: lattice.MWStructure(lattice.GramLattice(gram), (3,),
+                                                    lattice.GramLattice(gram)), "torsion", "value"),
+        "TableRow": (lambda: mwtable.TableRow(1, ("A6",), "A6", "s", ("A1", "A6"), "<1/14>",
+                                              "<14>", 0, 0, ()), "etc_expected", "value"),
+        "PreparedQuartic": (lambda: quartic.PreparedQuartic(parse_curve_rhs(Q52)), "f", "value"),
+        "Conic": (lambda: quartic.Conic(parse_conic_rhs(C52_1)), "q", "value"),
+        "TangencyReport": (lambda: quartic.TangencyReport(*tang_args), "note", "value"),
+        "SingularConfiguration": (lambda: quartic.SingularConfiguration(("A3",), "s", row, ctx),
+                                  "row", "value"),
+        "SplittingCertificate": (lambda: quartic.SplittingCertificate(
+            UniPoly.of(1), UniPoly.of(0, 1), UniPoly.of(2, 0, 1)), "a2", "value"),
+        "SymbolResult": (lambda: quartic.SymbolResult(1, quartic.ROUTE_GENUS0, tang), "value",
+                         "value"),
+        "CombinatorialType": (lambda: quartic.CombinatorialType(*ctype_args), "contact_multiset",
+                              "value"),
+        "ZariskiVerdict": (lambda: quartic.ZariskiVerdict(quartic.VERDICT_INCONCLUSIVE, ctype,
+                                                          ctype, 1, 1), "symbol2", "value"),
+        "FeasibilityReport": (lambda: quartic.FeasibilityReport(
+            quartic.SymbolResult(-1, quartic.ROUTE_GENUS_GE2, tang), ("A3",),
+            quartic.INFEASIBLE_ODD_PRIMES, "detail"), "verdict", "value"),
+        "ResultItem": (lambda: ResultItem("count", 6, ("enumerate_by_norm",), True), "ok", "value"),
+        "RunReport": (lambda: RunReport("lattice roots", {"lattice": "A2"}), "status", "mutable"),
+    }
+
+
+VALUES = _values()
+
+
+@pytest.mark.parametrize("name", sorted(VALUES))
+def test_values_are_frozen_and_compare_by_value(name):
+    make, field, semantics = VALUES[name]
+    a, b = make(), make()
+    assert a is not b
+    if semantics == "mutable":  # RunReport: assignable, equal by value, unhashable
+        setattr(a, field, getattr(b, field))
+        assert a == b and type(a).__hash__ is None
+        return
+    with pytest.raises(AttributeError):
+        setattr(a, field, getattr(b, field))
+    if semantics == "identity":  # PlaceData compares by identity
+        assert a == a and a != b and hash(a) == hash(a)
+    else:
+        assert a == b and hash(a) == hash(b)
+
+
+@pytest.mark.parametrize("name, touch", [
+    ("GramLattice", lambda lat: object.__setattr__(lat, "bands", ())),
+    ("TableRow", lambda row: row.mw),
+    ("WeierstrassCurve", lambda curve: curve.cubic_u),
+    ("PreparedQuartic", lambda q: q.configuration),
+])
+def test_equality_ignores_derived_and_cached_attributes(name, touch):
+    make = VALUES[name][0]
+    a, b = make(), make()
+    touch(b)
+    assert a == b and hash(a) == hash(b)

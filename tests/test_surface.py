@@ -1,6 +1,5 @@
 """Group law, fiber classification, local corrections, heights, halving."""
 
-import dataclasses
 import itertools
 import os
 import random
@@ -426,7 +425,7 @@ def test_corr_type_iii_and_iv():
 
 def test_place_data_is_immutable(e51):
     pd = kodaira_type_at(e51, T)
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         pd.kodaira = "I3"
 
 
