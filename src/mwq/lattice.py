@@ -284,7 +284,8 @@ def enumerate_by_norm(lat: GramLattice, q: Fraction) -> list[Vector]:
     if not r and s0 * s0 == t and s0 % cd0 == 0:
         zeros = (0,) * (n - 1)
         out += [(s0 // cd0,) + zeros, (-(s0 // cd0),) + zeros]
-    return sorted(out)
+    out.sort()
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -458,13 +459,18 @@ def make_mw_structure(
     return MWStructure(mw_free, tuple(torsion), narrow_gram)
 
 
+# the two norms the table counts at, built once
+_ROOT_NORM = Fraction(2)
+_HALVING_NORM = Fraction(1, 2)
+
+
 def count_etc(mw: MWStructure) -> int:
     """Half the number of norm-2 vectors of the narrow part.  Torsion never
     contributes: the narrow part sits in the free part and the pairing kills
     torsion classes."""
     if mw.narrow_gram.rank == 0:
         return 0
-    n = len(enumerate_by_norm(mw.narrow_gram, Fraction(2)))
+    n = len(enumerate_by_norm(mw.narrow_gram, _ROOT_NORM))
     if n % 2:
         raise InternalInconsistencyError(
             f"odd number {n} of norm-2 vectors; v and -v must pair up"
@@ -480,7 +486,7 @@ def count_qretc(mw: MWStructure) -> int:
     cannot enter: 2*tau = 0 forces tau = 0."""
     lat = mw.mw_free
     hits = 0
-    for v in enumerate_by_norm(lat, Fraction(1, 2)):
+    for v in enumerate_by_norm(lat, _HALVING_NORM):
         if all(2 * sum(map(operator.mul, row, v)) % lat.den == 0 for row in lat.igram):
             hits += 1
     if hits % 2:

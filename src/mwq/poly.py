@@ -369,9 +369,10 @@ def squarefree_decompose(p: UniPoly) -> list[tuple[UniPoly, int]]:
     if p.degree == 0:
         return []
     out: list[tuple[UniPoly, int]] = []
-    g = poly_gcd(p, p.derivative())
+    dp = p.derivative()
+    g = poly_gcd(p, dp)
     b = p.exact_div(g)
-    c = p.derivative().exact_div(g)
+    c = dp.exact_div(g)
     i = 1
     while b.degree > 0:
         d = c - b.derivative()

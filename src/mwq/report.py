@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from itertools import chain
 from typing import Any, NamedTuple, Optional
 
 from .parsing import bipoly_text, frac_text, poly_text, ratfn_text, section_text
@@ -28,34 +27,24 @@ EXIT_INPUT_ERROR = 2
 EXIT_INTERNAL = 3
 
 
-_INT = frozenset((int, bool))
+# the parser's text of each domain value, by exact type
+_TEXT = {Fraction: frac_text, UniPoly: poly_text, RatFn: ratfn_text, BiPoly: bipoly_text,
+         SectionPoint: section_text}
 
 
-def plain(value: Any) -> Any:
-    """Coerce domain values to JSON-safe, deterministic primitives; a list of
-    integer vectors keeps its tuples, which `json.dumps` writes as arrays."""
-    if value is None or isinstance(value, (bool, int, str)):
-        return value
-    if isinstance(value, (list, tuple)):
-        types = set(map(type, value))
-        if types <= _INT or (  # an integer vector, or a list of them
-            types == {tuple} and _INT.issuperset(map(type, chain.from_iterable(value)))
-        ):
-            return list(value)
-        return [plain(v) for v in value]
-    if isinstance(value, Fraction):
-        return frac_text(value)
-    if isinstance(value, UniPoly):
-        return poly_text(value)
-    if isinstance(value, RatFn):
-        return ratfn_text(value)
-    if isinstance(value, BiPoly):
-        return bipoly_text(value)
-    if isinstance(value, SectionPoint):
-        return section_text(value)
-    if isinstance(value, dict):
-        return {str(k): plain(v) for k, v in value.items()}
-    return str(value)
+def plain(value: Any) -> str:
+    """The text of one leaf value: a domain value (`Fraction`, polynomial,
+    section) as the parser reads it back, anything else as `str`.  Lists,
+    tuples and dicts are never passed here; each format walks them itself."""
+    return _TEXT.get(type(value), str)(value)
+
+
+# One encoder for every record.  Its C walk writes lists, tuples (integer
+# vectors included), dicts, strings, ints, bools and None itself and calls
+# `plain` only on a value JSON has no form for.  Every dict key in a result is
+# a str, so sorting the raw keys gives the order of their text; a result is a
+# tree built by one command, never a cycle, so no cycle check is kept.
+_ENCODER = json.JSONEncoder(sort_keys=True, default=plain, check_circular=False)
 
 
 class ResultItem(NamedTuple):
@@ -79,7 +68,7 @@ class RunReport:
         return vars(self) == vars(other) if type(other) is RunReport else NotImplemented
 
     def add(self, name: str, value: Any, provenance: tuple[str, ...] = (), ok: Optional[bool] = None):
-        self.results.append(ResultItem(name, plain(value), provenance, ok))
+        self.results.append(ResultItem(name, value, provenance, ok))
         if ok is False and self.status == STATUS_OK:
             self.status = STATUS_MISMATCH
 
@@ -110,7 +99,7 @@ class RunReport:
         return recs
 
     def render_records(self) -> str:
-        return "\n".join(json.dumps(rec, sort_keys=True) for rec in self.to_records())
+        return "\n".join(map(_ENCODER.encode, self.to_records()))
 
     def render_text(self) -> str:
         lines = [f"# {self.command}"]
@@ -128,4 +117,4 @@ def _fmt(value: Any) -> str:
         return "[" + ", ".join(_fmt(v) for v in value) + "]"
     if isinstance(value, dict):
         return "{" + ", ".join(f"{k}: {_fmt(v)}" for k, v in value.items()) + "}"
-    return str(value)
+    return plain(value)

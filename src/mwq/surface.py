@@ -46,7 +46,7 @@ Place = Union[UniPoly, str]
 
 class SectionPoint:
     """A point of the Mordell-Weil group: the zero section O, or (x, y) in Q(t).
-    Not a tuple: `report.plain` prints a section as text, a tuple as an array."""
+    Not a tuple: a report writes a section as text, a tuple as an array."""
 
     __slots__ = ("x", "y")
 

@@ -7,9 +7,11 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
+import mwq.cli as cli
 import mwq.mwtable as mwtable
 from mwq.cli import main
 from mwq.lattice import dual_gram, enumerate_by_norm, lattice_from_text
@@ -19,6 +21,7 @@ from mwq.parsing import (
     InputFormatError,
     ParseError,
     bipoly_text,
+    frac_text,
     parse_bipoly,
     parse_conic_rhs,
     parse_curve_rhs,
@@ -29,9 +32,10 @@ from mwq.parsing import (
     ratfn_text,
     section_text,
 )
-from mwq.poly import RatFn, UniPoly
+from mwq.poly import BiPoly, RatFn, UniPoly
 from mwq.replay import EXAMPLES, run_example
-from mwq.report import EXIT_INPUT_ERROR, EXIT_INTERNAL, EXIT_MISMATCH, EXIT_OK, RunReport, plain
+from mwq.report import EXIT_INPUT_ERROR, EXIT_INTERNAL, EXIT_MISMATCH, EXIT_OK, RunReport
+from mwq.surface import SectionPoint
 
 Q51 = "u^3 + (271350 - 98*t)*u^2 + t*(t-5825)*(t-2025)*u + 36*t^2*(t-2025)^2"
 C51_1 = "u = 1/144*t^2 + 1231/72*t - 5143775/144"
@@ -456,32 +460,115 @@ def test_records_carry_provenance(capsys):
     assert "halve" in named["halving_witness"]["provenance"]
 
 
-def test_plain_keeps_the_walks_integer_vectors():
-    lat, _ = lattice_from_text("A2")
-    vecs = enumerate_by_norm(lat, Fraction(2))
-    out = plain(vecs)
-    assert type(out) is list and len(out) == len(vecs) == 6
-    assert all(o is v for o, v in zip(out, vecs))
-    assert plain([]) == []
+def _value_record(rep: RunReport) -> dict:
+    """The last result record of `rep`, as a reader of the stream sees it."""
+    return json.loads(rep.render_records().splitlines()[-1])
 
 
-def test_plain_writes_fraction_rows_as_strings():
+def test_plain_keeps_the_walks_integer_vectors(monkeypatch):
+    """The report holds the walk's own list: neither format copies it."""
+    seen = {}
+
+    def emit(rep, fmt):
+        seen["rep"] = rep
+        return EXIT_OK
+
+    monkeypatch.setattr(cli, "enumerate_by_norm",
+                        lambda *a: seen.setdefault("vecs", enumerate_by_norm(*a)))
+    monkeypatch.setattr(cli, "_emit", emit)
+    assert main(["lattice", "enumerate", "A2", "2"]) == EXIT_OK
+    rep, vecs = seen["rep"], seen["vecs"]
+    assert rep.results[-1].value is vecs and len(vecs) == 6
+    assert _value_record(rep)["value"] == [list(v) for v in vecs]
+    empty = RunReport("check")
+    empty.add("vectors", [])
+    assert _value_record(empty)["value"] == []
+    assert empty.render_text().splitlines()[1] == "  vectors = []"
+
+
+def test_plain_writes_fraction_rows_as_strings(capsys):
     lat, _ = lattice_from_text("A2")
     gram = dual_gram(lat).gram
     assert type(gram) is tuple and type(gram[0][0]) is Fraction
-    assert plain(gram) == [["2/3", "1/3"], ["1/3", "2/3"]]
+    assert main(["lattice", "dual", "A2", "--format", "records"]) == EXIT_OK
+    recs = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert recs[1]["name"] == "gram" and recs[1]["value"] == [["2/3", "1/3"], ["1/3", "2/3"]]
+    assert main(["lattice", "dual", "A2", "--format", "text"]) == EXIT_OK
+    assert "  gram = [[2/3, 1/3], [1/3, 2/3]]\n" in capsys.readouterr().out
 
 
 def test_plain_converts_a_mixed_list_item_by_item():
-    out = plain([(1, 2), (Fraction(1, 2), 3)])
-    assert out == [[1, 2], ["1/2", 3]]
-    assert all(type(o) is list for o in out)
+    rep = RunReport("check")
+    rep.add("mixed", [(1, 2), (Fraction(1, 2), 3)])
+    assert _value_record(rep)["value"] == [[1, 2], ["1/2", 3]]
+    assert rep.render_text().splitlines()[1] == "  mixed = [[1, 2], [1/2, 3]]"
 
 
 def test_plain_keeps_a_bool_in_a_vector_a_json_bool():
     rep = RunReport("check")
     rep.add("vectors", [(1, True), (0, False)])
     assert '"value": [[1, true], [0, false]]' in rep.render_records()
+
+
+def _old_plain(value):
+    """The conversion every value went through before it was stored, kept as
+    the oracle of both formats (less its type scan, which only spared a copy)."""
+    if value is None or isinstance(value, (bool, int, str)):
+        return value
+    if isinstance(value, (list, tuple)):
+        return [_old_plain(v) for v in value]
+    if isinstance(value, Fraction):
+        return frac_text(value)
+    if isinstance(value, UniPoly):
+        return poly_text(value)
+    if isinstance(value, RatFn):
+        return ratfn_text(value)
+    if isinstance(value, BiPoly):
+        return bipoly_text(value)
+    if isinstance(value, SectionPoint):
+        return section_text(value)
+    if isinstance(value, dict):
+        return {str(k): _old_plain(v) for k, v in value.items()}
+    return str(value)
+
+
+def _old_fmt(value):
+    if isinstance(value, list):
+        return "[" + ", ".join(_old_fmt(v) for v in value) + "]"
+    if isinstance(value, dict):
+        return "{" + ", ".join(f"{k}: {_old_fmt(v)}" for k, v in value.items()) + "}"
+    return str(value)
+
+
+class _Pair(NamedTuple):
+    height: Fraction
+    place: UniPoly
+
+
+VALUE_ZOO = {
+    "section_in_dict": {"value": 1, "route": "halving", "witness": parse_section(S51_T1)},
+    "contact": [{"place": parse_unipoly("t^2 - 2"), "multiplicity": 2},
+                {"place": parse_unipoly("t + 1/3"), "multiplicity": 4}],
+    "bool_in_vector": [(1, True), (0, False)],
+    "empty": [],
+    "fraction_rows": ((Fraction(2, 3), Fraction(-1, 3)), (Fraction(-1, 3), Fraction(2))),
+    "named_tuple": _Pair(Fraction(-7, 4), parse_unipoly("t^3 - t")),
+    "ratfn_bipoly_none": [parse_ratfn("(t^2 + 1)/(t - 3)"), parse_bipoly("u^2 - t*u + 1/2"),
+                          None, "smooth", Fraction(5)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(VALUE_ZOO))
+def test_value_zoo_renders_as_the_old_conversion(name):
+    """Values are stored as computed and converted only where a format writes
+    them; both formats read as they did when every value was converted first."""
+    value = VALUE_ZOO[name]
+    rep = RunReport("zoo", {"seed": "1"})
+    rep.add(name, value, ("zoo",), ok=True)
+    recs = rep.to_records()
+    recs[1]["value"] = _old_plain(value)
+    assert rep.render_records() == "\n".join(json.dumps(r, sort_keys=True) for r in recs)
+    assert rep.render_text().splitlines()[2] == f"  {name} = {_old_fmt(_old_plain(value))}  [ok]"
 
 
 # `--format text` of the lattice commands, byte for byte: `_fmt` on the walk's
