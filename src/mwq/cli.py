@@ -127,7 +127,7 @@ def _cmd_tangency(args) -> int:
     rep.add(
         "contact",
         [{"place": p, "multiplicity": m} for p, m in tang.contact],
-        ("even_tangency", "irreducible_factors"),
+        ("even_tangency", "squarefree_places"),
     )
     if tang.sqrt_witness is not None:
         rep.add("sqrt_witness", tang.sqrt_witness, ("is_perfect_square",))

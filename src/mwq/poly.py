@@ -16,9 +16,8 @@ Everything is immutable and safe to share between threads.
 from __future__ import annotations
 
 import math
-import random
 from fractions import Fraction
-from itertools import combinations, takewhile
+from itertools import takewhile
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -348,8 +347,10 @@ def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
 
 
 def ord_at(p: UniPoly, place: UniPoly) -> int:
-    """The largest k with place^k dividing p, for a squarefree `place` (its
-    multiplicity when irreducible); large sentinel for p = 0."""
+    """The largest k with place^k dividing p, for a squarefree `place`: the
+    least order of p at a root of `place`, and its order at every root where
+    that order is the same at all of them (`split_by` makes it so); large
+    sentinel for p = 0."""
     if p.is_zero:
         return 10 ** 9
     n = 0
@@ -368,9 +369,11 @@ def squarefree_decompose(p: UniPoly) -> list[tuple[UniPoly, int]]:
     p = p.monic()
     if p.degree == 0:
         return []
-    out: list[tuple[UniPoly, int]] = []
     dp = p.derivative()
     g = poly_gcd(p, dp)
+    if g.degree == 0:  # squarefree, like each Yun block `height_context` splits into places
+        return [(p, 1)]
+    out: list[tuple[UniPoly, int]] = []
     b = p.exact_div(g)
     c = dp.exact_div(g)
     i = 1
@@ -494,266 +497,45 @@ def rational_roots(f: UniPoly) -> list[Fraction]:
     return roots
 
 
-# -- factoring over Z (Zassenhaus) --------------------------------------------
-#
-# A polynomial mod m is a list of ints in [0, m), low degree first, without
-# trailing zeros; the zero polynomial is [].
-
-_SIEVE_PRIMES = 5  # good primes whose factor degrees the sieve intersects
-
-
-def _trim(a: list[int]) -> list[int]:
-    while a and not a[-1]:
-        a.pop()
-    return a
-
-
-def _add_mod(a: Sequence[int], b: Sequence[int], m: int) -> list[int]:
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, y in enumerate(b):
-        out[i] += y
-    return _trim([x % m for x in out])
-
-
-def _sub_mod(a: Sequence[int], b: Sequence[int], m: int) -> list[int]:
-    return _add_mod(a, [-y for y in b], m)
-
-
-def _mul_mod(a: Sequence[int], b: Sequence[int], m: int) -> list[int]:
-    if not a or not b:
-        return []
-    return _trim([x % m for x in _convolve(a, b)])
-
-
-def _divmod_mod(a: Sequence[int], b: Sequence[int], m: int) -> tuple[list[int], list[int]]:
-    """Quotient and remainder of a by b mod m; lead(b) must be a unit mod m."""
-    db = len(b) - 1
-    inv = pow(b[-1], -1, m)
-    r = [x % m for x in a]
-    q = [0] * max(len(a) - db, 0)
-    for k in range(len(q) - 1, -1, -1):
-        c = q[k] = r[k + db] * inv % m
-        if c:
-            for j in range(db):  # r[k + db] becomes 0 and is not read again
-                r[k + j] -= c * b[j]
-    return _trim(q), _trim([x % m for x in r[:db]])
-
-
-def _monic_mod(a: Sequence[int], m: int) -> list[int]:
-    inv = pow(a[-1], -1, m)
-    return [x * inv % m for x in a]
-
-
-def _gcd_mod(a: list[int], b: list[int], p: int) -> list[int]:
-    """Monic gcd mod a prime p."""
-    while b:
-        a, b = b, _divmod_mod(a, b, p)[1]
-    return _monic_mod(a, p)
-
-
-def _xgcd_mod(g: list[int], h: list[int], p: int) -> tuple[list[int], list[int]]:
-    """s, t with s g + t h = 1 mod a prime p, deg s < deg h and deg t < deg g,
-    for coprime g and h of positive degree."""
-    r0, r1, s0, s1, t0, t1 = g, h, [1], [], [], [1]
-    while r1:
-        q, r = _divmod_mod(r0, r1, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, _sub_mod(s0, _mul_mod(q, s1, p), p)
-        t0, t1 = t1, _sub_mod(t0, _mul_mod(q, t1, p), p)
-    inv = pow(r0[0], -1, p)
-    return [x * inv % p for x in s0], [x * inv % p for x in t0]
-
-
-def _powmod(a: list[int], e: int, f: list[int], m: int) -> list[int]:
-    """a^e mod (f, m), by repeated squaring."""
-    out, a = [1], _divmod_mod(a, f, m)[1]
-    while e:
-        if e & 1:
-            out = _divmod_mod(_mul_mod(out, a, m), f, m)[1]
-        e >>= 1
-        if e:
-            a = _divmod_mod(_mul_mod(a, a, m), f, m)[1]
-    return out
-
-
-def _distinct_degree(f: list[int], p: int) -> list[tuple[list[int], int]]:
-    """Distinct-degree factorization of a monic squarefree f mod a prime p:
-    pairs (g, d), g the product of the irreducible factors of degree d."""
+def squarefree_places(p: UniPoly) -> list[tuple[UniPoly, int]]:
+    """The places of p with their multiplicities, ordered by degree, then
+    coefficients.  Each block of the squarefree decomposition loses the monic
+    linear factors of its rational roots, one place each, and the rootless
+    rest of the block, if any, stays whole as one monic place: nothing is
+    factored over Z, as no consumer reads irreducibility, only degrees,
+    multiplicities and valuations (`split_by` cuts a block where one of those
+    changes).  No integer derived from `p` is ever factored, and sympy is not
+    used."""
     out = []
-    x = h = [0, 1]
-    d = 0
-    while 2 * (d + 1) < len(f):
-        d += 1
-        h = _powmod(h, p, f, p)  # x^(p^d) mod f
-        g = _gcd_mod(f, _sub_mod(h, x, p), p)
-        if len(g) > 1:
-            out.append((g, d))
-            f = _divmod_mod(f, g, p)[0]
-            h = _divmod_mod(h, f, p)[1]
-    if len(f) > 1:
-        out.append((f, len(f) - 1))
-    return out
-
-
-def _equal_degree(g: list[int], d: int, p: int, rng: random.Random) -> list[list[int]]:
-    """The monic irreducible factors of g mod an odd prime p, where g is a
-    product of distinct ones of degree d (Cantor-Zassenhaus)."""
-    if len(g) - 1 == d:
-        return [g]
-    e = (p ** d - 1) // 2
-    while True:
-        a = _trim([rng.randrange(p) for _ in range(len(g) - 1)])
-        h = _gcd_mod(g, _sub_mod(_powmod(a, e, g, p), [1], p), p)
-        if 1 < len(h) < len(g):
-            return (_equal_degree(h, d, p, rng)
-                    + _equal_degree(_divmod_mod(g, h, p)[0], d, p, rng))
-
-
-def _hensel_step(f: Sequence[int], g: list[int], h: list[int], s: list[int], t: list[int],
-                 m: int) -> tuple[list[int], list[int], list[int], list[int]]:
-    """From f = g h and s g + t h = 1 mod m, h monic, the same mod m^2
-    (von zur Gathen-Gerhard, Algorithm 15.10)."""
-    m *= m
-    e = _sub_mod(f, _mul_mod(g, h, m), m)
-    q, r = _divmod_mod(_mul_mod(s, e, m), h, m)
-    g = _add_mod(g, _add_mod(_mul_mod(t, e, m), _mul_mod(q, g, m), m), m)
-    h = _add_mod(h, r, m)
-    b = _sub_mod(_add_mod(_mul_mod(s, g, m), _mul_mod(t, h, m), m), [1], m)
-    c, d = _divmod_mod(_mul_mod(s, b, m), h, m)
-    s = _sub_mod(s, d, m)
-    t = _sub_mod(t, _add_mod(_mul_mod(t, b, m), _mul_mod(c, g, m), m), m)
-    return g, h, s, t
-
-
-def _hensel_lift(f: Sequence[int], facs: list[list[int]], p: int, big: int) -> list[list[int]]:
-    """The monic lifts mod `big` = p^(2^k) of the monic factors `facs` mod p of
-    f = lc(f) * prod(facs) mod p: lift a split into two halves, then each half."""
-    if len(facs) == 1:
-        return [_monic_mod(f, big)]
-    k = len(facs) // 2
-    g, h = [f[-1] % p], [1]
-    for a in facs[:k]:
-        g = _mul_mod(g, a, p)
-    for a in facs[k:]:
-        h = _mul_mod(h, a, p)
-    s, t = _xgcd_mod(g, h, p)
-    m = p
-    while m < big:
-        g, h, s, t = _hensel_step(f, g, h, s, t, m)
-        m *= m
-    return _hensel_lift(g, facs[:k], p, big) + _hensel_lift(h, facs[k:], p, big)
-
-
-def _recombine(f: UniPoly, lifted: list[list[int]], big: int,
-               degrees: int) -> list[tuple[int, ...]]:
-    """The irreducible factors of the primitive f over Z from the monic lifts
-    mod `big` of its factors mod p (von zur Gathen-Gerhard, Algorithm 15.19):
-    subsets of increasing size whose product, times lc(f) and read as
-    symmetric residues, has a primitive part that divides f exactly; each
-    factor found is divided out.  Bit d of `degrees` is set if a factor of
-    degree d may exist."""
-    out = []
-    size = 1
-    while 2 * size <= len(lifted):
-        for subset in combinations(range(len(lifted)), size):
-            if not degrees >> sum(len(lifted[i]) - 1 for i in subset) & 1:
-                continue
-            g = [f._p[-1] % big]
-            for i in subset:
-                g = _mul_mod(g, lifted[i], big)
-            g = _canonical([c - big if 2 * c > big else c for c in g], 1, 1)
-            if f._p[0] % g._p[0]:  # f is rootless, so no constant term is 0
-                continue
-            q, r = divmod(f, g)
-            if r.is_zero:
-                out.append(g._p)
-                f = q
-                lifted = [a for i, a in enumerate(lifted) if i not in subset]
-                break
-        else:
-            size += 1
-    return out + [f._p]
-
-
-def _factor_squarefree(p: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """The irreducible factors over Z, primitive with positive leading entry,
-    of a primitive, squarefree, rootless integer polynomial `p` of degree >= 2
-    (low degree first, positive leading entry), by Zassenhaus's method
-    (Zassenhaus 1969; von zur Gathen-Gerhard, ch. 14-15).
-
-    A prime q is good if it is odd, does not divide lc(p) and keeps p
-    squarefree; the primes skipped are bounded by the bit size of
-    lc(p) * disc(p), and no integer is factored.  Degree sieve (Musser 1978):
-    the degrees that products of the factors mod each of the first
-    _SIEVE_PRIMES good primes reach are intersected, and if only 0 and deg p
-    survive, p is irreducible.  Otherwise the factors mod the good prime with
-    the fewest of them are split by Cantor-Zassenhaus, Hensel-lifted past
-    2 |lc(p)| 2^n ||p||_2, which bounds the coefficients of lc(p)/lc(g) * g for
-    every factor g of p (Mignotte), and recombined."""
-    n = len(p) - 1
-    dp = [i * a for i, a in enumerate(p)][1:]
-    degrees = (1 << (n + 1)) - 1
-    best = None
-    sieved = 0
-    for q in _primes():
-        if q == 2 or p[-1] % q == 0:
-            continue
-        pq = _monic_mod(p, q)
-        if len(_gcd_mod(pq, _trim([a % q for a in dp]), q)) > 1:
-            continue
-        ddf = _distinct_degree(pq, q)
-        reach, count = 1, 0
-        for g, d in ddf:
-            for _ in range((len(g) - 1) // d):
-                reach |= reach << d
-                count += 1
-        degrees &= reach
-        if degrees == 1 | (1 << n):
-            return [p]
-        if best is None or count < best[0]:
-            best = (count, q, ddf)
-        sieved += 1
-        if sieved == _SIEVE_PRIMES:
-            break
-    _, q, ddf = best
-    rng = random.Random(q)
-    facs = [h for g, d in ddf for h in _equal_degree(g, d, q, rng)]
-    bound2 = 4 * p[-1] ** 2 * 4 ** n * sum(a * a for a in p)  # (2 |lc| 2^n ||p||_2)^2
-    big = q
-    while big * big <= bound2:
-        big *= big
-    return _recombine(_make(1, 1, p), _hensel_lift(p, facs, q, big), big, degrees)
-
-
-def split_squarefree(f: UniPoly) -> list[UniPoly]:
-    """The monic irreducible factors over Q, unsorted, of a monic squarefree f
-    of positive degree.  f loses the linear factors of its rational roots; a
-    rootless cofactor of degree 2 or 3 is irreducible, and one of degree >= 4
-    is factored over Z by `_factor_squarefree`."""
-    out = []
-    for r in rational_roots(f):
-        linear = UniPoly.of(-r, 1)
-        out.append(linear)
-        f = f.exact_div(linear)
-    if 2 <= f.degree <= 3:
-        out.append(f)
-    elif f.degree >= 4:
-        out.extend(_make(1, g[-1], g) for g in _factor_squarefree(f._p))
-    return out
-
-
-def irreducible_factors(p: UniPoly) -> list[tuple[UniPoly, int]]:
-    """Monic irreducible factors over Q with multiplicity, ordered by degree,
-    then coefficients: `split_squarefree` of each block of the squarefree
-    decomposition.  No integer derived from `p` is ever factored, and sympy is
-    not used."""
-    if p.is_zero:
-        raise ValueError("factoring the zero polynomial")
-    out = [(g, mult) for f, mult in squarefree_decompose(p) for g in split_squarefree(f)]
+    for f, mult in squarefree_decompose(p):
+        for r in rational_roots(f):
+            linear = UniPoly.of(-r, 1)
+            out.append((linear, mult))
+            f = f.exact_div(linear)
+        if f.degree > 0:
+            out.append((f, mult))
     out.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
     return out
+
+
+def split_by(block: UniPoly, a: UniPoly) -> list[UniPoly]:
+    """The pieces of a squarefree block on each of which ord(a) is constant,
+    in increasing order of it; their product is the block.  Coprime
+    refinement by repeated gcd (Bach-Driscoll-Shallit 1993): the roots of
+    gcd(block, a) are those where a vanishes, and dividing a by that gcd
+    lowers its order there by one.  A degree-1 block, or any block when
+    a = 0, comes back as it is, with no gcd taken."""
+    if block.degree == 1 or a.is_zero:
+        return [block]
+    pieces = []
+    while block.degree > 0:
+        g = poly_gcd(block, a)
+        if g.degree < block.degree:
+            pieces.append(block.exact_div(g))
+        block = g
+        if g.degree > 0:
+            a = a.exact_div(g)
+    return pieces
 
 
 def cubic_discriminant(c1: UniPoly, c2: UniPoly, c3: UniPoly) -> UniPoly:

@@ -19,9 +19,9 @@ from .poly import (
     RatFn,
     UNIPOLY_ONE,
     UniPoly,
-    irreducible_factors,
     is_perfect_square,
-    ord_at,
+    poly_gcd,
+    squarefree_places,
 )
 from .surface import (
     INFINITY_PLACE,
@@ -126,13 +126,17 @@ def even_tangency(quartic: PreparedQuartic, conic: Conic) -> TangencyReport:
     root multiplicities, and the marked point absorbs the remaining
     deg-8 Bezout budget.  Even tangency over the ground field amounts to g
     being a square in Q[t] with every contact at a smooth point of the quartic.
-    Its square root h, of degree <= 4, is factored with the multiplicities
-    doubled; g itself is factored only when it is not a square.
+    The contact places are the `squarefree_places` of its square root h, of
+    degree <= 3 (deg g <= 6, as deg c_k <= 2k), with the multiplicities
+    doubled, or of g itself only when it is not a square.  A place is a block
+    of roots, not factored further, so a contact at a singular point is found
+    by a gcd: gcd(h, f_u, f_t) is nontrivial exactly when gcd(place, f_u, f_t)
+    is for some place.
     """
     g = quartic.f.eval_u(conic.q)  # nonzero: construction refuses a root q of the cubic
     witness = is_perfect_square(g)
-    factors = (irreducible_factors(g) if witness is None
-               else [(p, 2 * mult) for p, mult in irreducible_factors(witness)])
+    factors = (squarefree_places(g) if witness is None
+               else [(p, 2 * mult) for p, mult in squarefree_places(witness)])
     contact_raw: list[tuple[ContactPlace, int]] = sorted(
         factors, key=lambda fm: (fm[1], fm[0].degree, fm[0].coeffs)
     )
@@ -148,17 +152,12 @@ def even_tangency(quartic: PreparedQuartic, conic: Conic) -> TangencyReport:
             "even multiplicities, but the restriction is not a square over Q "
             "(leading coefficient is not a rational square)",
         )
-    # contacts must avoid the singular points of the quartic
+    # contacts must avoid the singular points of the quartic; the marked point
+    # is smooth by assumption, and every other contact is a root of h
     f_u = quartic.curve.cubic_u.eval_u(conic.q)
     f_t = quartic.f_t.eval_u(conic.q)
-    for place, _mult in contact:
-        if place == INFINITY_PLACE:
-            continue  # the marked point is smooth by assumption
-        if ord_at(f_u, place) > 0 and ord_at(f_t, place) > 0:
-            return TangencyReport(
-                False, contact, None,
-                "contact at a singular point of the quartic",
-            )
+    if poly_gcd(poly_gcd(f_u, witness), f_t).degree > 0:
+        return TangencyReport(False, contact, None, "contact at a singular point of the quartic")
     return TangencyReport(True, contact, witness)
 
 

@@ -31,8 +31,9 @@ from .poly import (
     is_perfect_square,
     ord_at,
     rational_roots,
-    split_squarefree,
+    split_by,
     squarefree_decompose,
+    squarefree_places,
 )
 
 INFINITY_PLACE = "inf"
@@ -236,9 +237,10 @@ _KODAIRA = {
 
 
 class PlaceData:
-    """A place of bad reduction, or the block of all I1 places (see
-    `height_context`), together with its fiber type: `family` is 'I', 'I*' or
-    an additive type, and `n` the index of I_n and I_n* (0 for the others).
+    """A place of bad reduction: infinity, or a squarefree block of roots of
+    the discriminant that share one fiber type (see `height_context`), of
+    `degree` roots.  `family` is 'I', 'I*' or an additive type, and `n` the
+    index of I_n and I_n* (0 for the others).
     `kodaira`, `m_v`, `euler` and `root_label()` are read off the one Kodaira
     table.  `curve` is the curve whose fiber it is.  A frozen value, equal
     only to itself."""
@@ -294,10 +296,11 @@ def _classify(v_c4: int, v_c6: int, v_disc: int) -> tuple[str, int]:
 def kodaira_type_at(curve: WeierstrassCurve, place: Place) -> PlaceData:
     """Fiber type, component count and Euler number at a bad place.
 
-    The place is INFINITY_PLACE, or a squarefree polynomial all of whose roots
-    carry one fiber type: an irreducible factor of the discriminant, or its
-    simple part (every fiber I1).  The discriminant, c4 and c6 have weights
-    12, 4 and 6.
+    The place is INFINITY_PLACE, or a squarefree polynomial at each of whose
+    roots the discriminant, c4 and c6 have the same orders, so that all of
+    them carry one fiber type: a block of the discriminant cut by `split_by`,
+    or its simple part (every fiber I1).  The discriminant, c4 and c6 have
+    weights 12, 4 and 6.
     """
     if place == INFINITY_PLACE:
         degree = 1
@@ -326,33 +329,63 @@ def local_correction(pd: PlaceData, point: SectionPoint) -> Fraction:
     (1988), Thm 5.2).  It needs a minimal model at the place, which the curve
     (or, at infinity, its twisted model) is wherever `_classify` succeeds.  The
     value is the diagonal entry of the inverse Cartan matrix of the fiber at
-    the component that P meets, and 0 on the identity component.
+    the component that P meets, and 0 on the identity component, so 0 on a
+    fiber of one component (I1, II) before any valuation is read.  On a place
+    of degree >= 2 every valuation read must be the same at each of its roots;
+    `_place_correction` cuts a block so that it is.
 
     x has weight 2 and y weight 3.  The polynomials in x are evaluated
     homogeneously on x = num/den, as den^k F(x) of weight w_F + k deg den:
     they are reached only when v(x) >= 0, so they have the valuations of
     their values.
     """
-    if point.is_zero:
+    if point.is_zero or pd.m_v == 1:
         return Fraction(0)
     curve, place = pd.curve, pd.place
-    c1, c2, c3 = curve.c1, curve.c2, curve.c3
-    num, den = point.x.num, point.x.den
+    den = point.x.den
     v_y = _valuation(point.y, place, 3)
     if _valuation(point.x, place, 2) < 0 or v_y <= 0:
         return Fraction(0)  # P meets the zero point, or misses the singular point
-    fp = 3 * num * num + 2 * c1 * num * den + c2 * den * den  # den^2 f'(x)
-    if _valuation(fp, place, 4 + 2 * den.degree) <= 0:
+    if _valuation(_fp(curve, point.x), place, 4 + 2 * den.degree) <= 0:
         return Fraction(0)
     if pd.family == "I":
         n = pd.n
         m = min(Fraction(v_y), Fraction(n, 2))
         return m * (n - m) / n
-    n2, nd, d2 = num * num, num * den, den * den
-    psi3 = (3 * n2 * n2 + 4 * c1 * n2 * nd + 6 * c2 * n2 * d2 + 12 * c3 * nd * d2
-            + (4 * c1 * c3 - c2 * c2) * d2 * d2)  # den^4 psi3(x)
-    v_psi3 = _valuation(psi3, place, 8 + 4 * den.degree)
+    v_psi3 = _valuation(_psi3(curve, point.x), place, 8 + 4 * den.degree)
     return Fraction(2 * v_y, 3) if v_psi3 >= 3 * v_y else Fraction(v_psi3, 4)
+
+
+def _fp(curve: WeierstrassCurve, x: RatFn) -> UniPoly:
+    """den^2 f'(x) for x = num/den."""
+    num, den = x.num, x.den
+    return 3 * num * num + 2 * curve.c1 * num * den + curve.c2 * den * den
+
+
+def _psi3(curve: WeierstrassCurve, x: RatFn) -> UniPoly:
+    """den^4 psi3(x) for x = num/den."""
+    c1, c2, c3 = curve.c1, curve.c2, curve.c3
+    n2, nd, d2 = x.num * x.num, x.num * x.den, x.den * x.den
+    return (3 * n2 * n2 + 4 * c1 * n2 * nd + 6 * c2 * n2 * d2 + 12 * c3 * nd * d2
+            + (4 * c1 * c3 - c2 * c2) * d2 * d2)
+
+
+def _place_correction(pd: PlaceData, point: SectionPoint) -> Fraction:
+    """The sum of contr_v(P) over the roots v of the place.  P may meet
+    different components over different roots of one block, so a place of
+    degree >= 2 and more than one component is cut by `split_by` along each
+    quantity `local_correction` reads: the denominator of x (its order fixes
+    the sign of v(x), as x is reduced), the numerator and denominator of y,
+    f'(x) and psi3(x).  Each piece adds its degree times its correction."""
+    if pd.degree == 1 or pd.m_v == 1 or point.is_zero:
+        return pd.degree * local_correction(pd, point)
+    curve, x = pd.curve, point.x
+    pieces = [pd.place]
+    for a in (x.den, point.y.num, point.y.den, _fp(curve, x), _psi3(curve, x)):
+        pieces = [b for piece in pieces for b in split_by(piece, a)]
+    return sum(piece.degree
+               * local_correction(PlaceData(piece, pd.family, pd.n, piece.degree, curve), point)
+               for piece in pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -387,19 +420,25 @@ def height_context(curve: WeierstrassCurve) -> HeightContext:
     """Classify every bad fiber of the curve.  The context is immutable, so one
     context serves every height pairing on the curve.
 
-    Only the repeated part of the discriminant is factored: Yun's blocks are
-    squarefree, so each goes to `split_squarefree` as it stands.  The simple
-    part is one place: v(disc) = 1 forces v(c4) = 0, as 1728 disc =
-    c4^3 - c6^2, so each of its roots carries an I1 fiber, of Euler number 1
-    and with no root lattice.  A section meets an I1 fiber at a smooth point,
-    so its local correction there is 0 root by root; `kodaira_type_at` still
-    checks the block's type."""
+    Nothing is factored.  Each repeated block of Yun's decomposition goes to
+    `squarefree_places`, which takes off its rational roots as linear places
+    and keeps the rootless rest whole; that rest is cut by `split_by` along
+    c4, then c6, so that (v(c4), v(c6), v(disc)) is the same at each root of
+    a piece: an I2 root and a type II root both have v(disc) = 2, and can
+    share a block.  The simple part is one place: v(disc) = 1 forces
+    v(c4) = 0, as 1728 disc = c4^3 - c6^2, so each of its roots carries an I1
+    fiber, of Euler number 1 and with no root lattice.  A section meets an I1
+    fiber at a smooth point, so its local correction there is 0 root by root;
+    `kodaira_type_at` still checks the block's type."""
     places = []
     for block, mult in squarefree_decompose(curve.discriminant):
         if mult == 1:
             places.append(kodaira_type_at(curve, block))
-        else:
-            places.extend(kodaira_type_at(curve, irr) for irr in split_squarefree(block))
+            continue
+        for place, _ in squarefree_places(block):  # each of multiplicity 1 in the block
+            places.extend(kodaira_type_at(curve, piece)
+                          for by_c4 in split_by(place, curve.c4_quantity)
+                          for piece in split_by(by_c4, curve.c6_quantity))
     places.sort(key=lambda pd: pd.place.coeffs)
     if curve.discriminant.degree < 12:  # the discriminant has weight 12
         places.append(kodaira_type_at(curve, INFINITY_PLACE))
@@ -413,7 +452,7 @@ def height_context(curve: WeierstrassCurve) -> HeightContext:
 
 def _self_height(ctx: HeightContext, p: SectionPoint) -> Fraction:
     chi = Fraction(1)  # chi(O_S) = 1: the surface is rational
-    corr = sum(pd.degree * local_correction(pd, p) for pd in ctx.places)
+    corr = sum(_place_correction(pd, p) for pd in ctx.places)
     return 2 * chi + 2 * section_O_intersection(p) - corr
 
 

@@ -761,6 +761,10 @@ GOLDEN_RECORDS = {
     "curve_fibers_5.1": ["curve", "fibers", Q51],
     # disc = 108 - 27 t^2: the I1 places t -+ 2 are one block, II* at infinity
     "curve_fibers_reducible_I1": ["curve", "fibers", "u^3 - 3*u + t"],
+    # one Yun block of degree 6 and multiplicity 2 that c4 cuts into I2 over
+    # t^2 - 2 and II over t^4 - 13/3 t^2 + 4
+    "curve_fibers_mixed_I2_II_block": [
+        "curve", "fibers", "u^3 + (9*(t^2-2)^2 - 3*t^2)*u + 2*t^3 - 6*t*(t^2-2)^2"],
     "curve_height_5.1": ["curve", "height", Q51, S51_T1, S51_T2],
     # a 2-torsion section through the I2 fiber over the degree-2 place t^2 - 2
     "curve_height_torsion_I2_degree2": ["curve", "height", "u^3 + u^2 + (t^2 - 2)*u",

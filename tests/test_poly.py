@@ -1,5 +1,5 @@
 """Exact polynomial arithmetic: gcd, squarefree parts, square roots,
-rational roots, irreducible factors."""
+rational roots, places and their coprime refinement."""
 
 import math
 import random
@@ -20,12 +20,13 @@ from mwq.poly import (
     UNIPOLY_ZERO,
     UniPoly,
     cubic_discriminant,
-    irreducible_factors,
     is_perfect_square,
     ord_at,
     poly_gcd,
     rational_roots,
+    split_by,
     squarefree_decompose,
+    squarefree_places,
 )
 
 
@@ -243,12 +244,12 @@ def test_rational_roots_of_example_discriminant():
     assert Fraction(0) in roots and Fraction(2025) in roots
 
 
-def test_irreducible_factors_round_trip():
+def test_squarefree_places_round_trip():
     rng = random.Random(909)
     for _ in range(10):
         p = rand_poly(rng, rng.randint(1, 5))
         rebuilt = UniPoly.const(p.coeff(p.degree))
-        for f, m in irreducible_factors(p):
+        for f, m in squarefree_places(p):
             assert f.coeff(f.degree) == 1
             rebuilt = rebuilt * f ** m
         assert rebuilt == p
@@ -321,6 +322,20 @@ def factors_by_sympy(p: UniPoly) -> list[tuple[UniPoly, int]]:
         for f, m in expr.factor_list()[1]
     ]
     return sorted(out, key=lambda fm: (fm[0].degree, fm[0].coeffs))
+
+
+def places_by_sympy(p: UniPoly) -> list[tuple[UniPoly, int]]:
+    """Oracle: `factors_by_sympy` grouped into places, ordered as they are.
+    Per multiplicity, each linear factor is a place alone, and the other
+    factors, multiplied together, are one more place."""
+    places, rest = [], {}
+    for f, m in factors_by_sympy(p):
+        if f.degree == 1:
+            places.append((f, m))
+        else:
+            rest[m] = rest.get(m, UNIPOLY_ONE) * f
+    places += [(f, m) for m, f in rest.items()]
+    return sorted(places, key=lambda fm: (fm[0].degree, fm[0].coeffs))
 
 
 def rational_roots_by_sympy(p: UniPoly) -> list[Fraction]:
@@ -413,26 +428,20 @@ I1_IMAGES = (
     ("5.2", 17 * 59, 0), ("5.2", N51, 0),
 )
 
+# Rootless pieces, each kept whole as one place whether it is irreducible or
+# not: products of several irreducible factors, irreducibles that split
+# modulo every prime, large leading coefficients and 51-digit coefficients.
 ROOTLESS = {
     "none": UNIPOLY_ONE,
     "(t^2+1)(t^2+2)": UniPoly.of(1, 0, 1) * UniPoly.of(2, 0, 1),
-    # irreducible, but reducible modulo every prime
     "t^4-10t^2+1": UniPoly.of(1, 0, -10, 0, 1),
     "t^8-40t^6+352t^4-960t^2+576": UniPoly.of(576, 0, -960, 0, 352, 0, -40, 0, 1),
-    # each factor splits modulo every prime, so a factor over Z is a product
-    # of two or more factors modulo any prime
     "(t^4+1)(t^4-t^2+1)": UniPoly.of(1, 0, 0, 0, 1) * UniPoly.of(1, 0, -1, 0, 1),
     "(t^4+1)(t^4-10t^2+1)(t^4-t^2+1)":
         UniPoly.of(1, 0, 0, 0, 1) * UniPoly.of(1, 0, -10, 0, 1) * UniPoly.of(1, 0, -1, 0, 1),
-    # leading coefficients divisible by 3*5*7*11, so no prime up to 11 is used
     "(1155t^4+t+1)(2310t^4-3t^3+5)": UniPoly.of(1, 1, 0, 0, 1155) * UniPoly.of(5, 0, 0, -3, 2310),
-    # a factor with 51-digit coefficients that recombination must read from
-    # its Hensel lifts
     "51-digit quintic*(t^2+t+1)":
         UniPoly.of(-(N51 + 2), 3, -N51, 0, 0, 1) * UniPoly.of(1, 1, 1),
-    # t (t+1) (t^2+t+1) mod 2, as few factors as modulo the next good primes,
-    # so a factorizer that admitted 2 would split there, where
-    # Cantor-Zassenhaus does not work
     "(t^2-t-4)(t^2-t+3)": UniPoly.of(-4, -1, 1) * UniPoly.of(3, -1, 1),
     **{f"I1 {base} t->{lam}*t+{mu}": horner(I1_BLOCKS[base], UniPoly.of(mu, lam))
        for base, lam, mu in I1_IMAGES},
@@ -458,19 +467,62 @@ def _each_rootless_alone(test):
     rootless_mult=st.integers(1, 2),
 )
 @_each_rootless_alone
-def test_irreducible_factors_match_sympy(lin, higher, rootless, rootless_mult):
+def test_squarefree_places_match_sympy(lin, higher, rootless, rootless_mult):
     """Linear factors times quadratics and cubics, each possibly repeated,
-    and a rootless piece of degree >= 4 that must be factored over Z."""
+    and a rootless piece that joins the place of its multiplicity whole."""
     p = UNIPOLY_ONE
     for num, den, mult in lin:
         p = p * UniPoly.of(-num, den) ** mult
     for cs, mult in higher:
         p = p * UniPoly(cs) ** mult
     p = p * ROOTLESS[rootless] ** rootless_mult
-    got = irreducible_factors(p)
-    assert got == factors_by_sympy(p)
+    got = squarefree_places(p)
+    assert got == places_by_sympy(p)
     for f in [p] + [f for f, _ in got]:
         assert_canonical(f)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    factors=st.lists(
+        st.lists(st.integers(-6, 6), min_size=2, max_size=4).filter(lambda cs: cs[-1]),
+        min_size=1, max_size=5,
+    ),
+    powers=st.lists(st.integers(0, 3), min_size=15, max_size=15),
+    extra=st.lists(st.integers(-6, 6), max_size=4),
+)
+@example(factors=[[-2, 0, 1], [-3, 0, 1], [-4, 0, 3]], powers=[0, 1, 1] + [0] * 12, extra=[1])
+def test_split_by_matches_sympy(factors, powers, extra):
+    """The block is the product of the distinct irreducible factors (sympy) of
+    the drawn polynomials, and a a product of powers of those factors times
+    one more drawn polynomial.  The pieces multiply back to the block, and
+    on each one ord_at(a, piece) is the order of a at every irreducible
+    factor of the piece, read off sympy's factorization of a."""
+    p = UNIPOLY_ONE
+    for cs in factors:
+        p = p * UniPoly(cs)
+    irreducibles = [f for f, _ in factors_by_sympy(p)]
+    block, a = UNIPOLY_ONE, UniPoly(extra) if any(extra) else UNIPOLY_ONE
+    for f, k in zip(irreducibles, powers):
+        block, a = block * f, a * f ** k
+    order = dict(factors_by_sympy(a))
+    pieces = split_by(block, a)
+    product = UNIPOLY_ONE
+    for piece in pieces:
+        product = product * piece
+        assert {order.get(f, 0) for f, _ in factors_by_sympy(piece)} == {ord_at(a, piece)}
+    assert product == block
+    assert [ord_at(a, piece) for piece in pieces] == sorted({order.get(f, 0) for f in irreducibles})
+
+
+def test_split_by_returns_a_linear_block_as_it_is(monkeypatch):
+    import mwq.poly
+
+    monkeypatch.setattr(mwq.poly, "poly_gcd", lambda *a: pytest.fail("a gcd was taken"))
+    linear = UniPoly.of(-3, 1)
+    for a in (UNIPOLY_ZERO, UNIPOLY_ONE, linear ** 2, UniPoly.of(1, 0, 1)):
+        pieces = split_by(linear, a)
+        assert len(pieces) == 1 and pieces[0] is linear
 
 
 def test_primes_match_sympy():

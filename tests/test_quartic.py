@@ -8,7 +8,7 @@ import pytest
 import mwq.quartic
 from mwq.cli import main
 from mwq.parsing import parse_curve_rhs, parse_section, parse_unipoly
-from mwq.poly import BiPoly, T, UNIPOLY_ONE, UNIPOLY_ZERO, RatFn, UniPoly, irreducible_factors
+from mwq.poly import BiPoly, T, UNIPOLY_ONE, UNIPOLY_ZERO, RatFn, UniPoly
 from mwq.replay import EXAMPLES
 from mwq.quartic import (
     Conic,
@@ -214,6 +214,22 @@ def test_conic_through_singular_point_rejected(q51):
     assert not rep.is_even_tangential
 
 
+# f = (u - q) K + h^2 with K(t, q) = t^2 + 1 and h = (t^2 + 1)(t - 3): the
+# conic u = q = t^2 meets the quartic with even contact along h = 0, and
+# f_u = K and f_t = -q' K vanish on it over the roots of t^2 + 1.  Since
+# deg f(t, q) <= 6, h has degree <= 3, so its rootless places are irreducible
+SINGULAR_CONTACT = "(u - t^2)*(u^2 - t^4 + t^2 + 1) + (t^2 + 1)^2*(t - 3)^2"
+
+
+def test_a_rootless_contact_at_singular_points_is_refused():
+    quartic = PreparedQuartic(parse_curve_rhs(SINGULAR_CONTACT))
+    rep = even_tangency(quartic, conic_t2())
+    assert not rep.is_even_tangential
+    assert rep.note == "contact at a singular point of the quartic"
+    assert rep.contact == contact_by_factoring_g(quartic, conic_t2())
+    assert rep.contact == ((UniPoly.of(-3, 1), 2), (UniPoly.of(1, 0, 1), 2), (INFINITY_PLACE, 2))
+
+
 def test_component_conic_rejected(capsys):
     # a conic that is a component of the "quartic" (u - t^2)(u^2 + 1) never
     # reaches the tangency test: the reducible quartic is refused on entry
@@ -226,9 +242,12 @@ def test_component_conic_rejected(capsys):
 
 
 def contact_by_factoring_g(quartic, conic):
-    """Oracle: the contact read off the factors of g = f(t, q) itself."""
+    """Oracle: the contact read off sympy's irreducible factors of g = f(t, q)
+    itself, grouped into places (`places_by_sympy`)."""
+    from test_poly import places_by_sympy
+
     g = quartic.f.eval_u(conic.q)
-    contact = sorted(irreducible_factors(g), key=lambda fm: (fm[1], fm[0].degree, fm[0].coeffs))
+    contact = sorted(places_by_sympy(g), key=lambda fm: (fm[1], fm[0].degree, fm[0].coeffs))
     return tuple(contact + ([(INFINITY_PLACE, 8 - g.degree)] if g.degree < 8 else []))
 
 

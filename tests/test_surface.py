@@ -19,8 +19,8 @@ from mwq.parsing import parse_curve_rhs, parse_section, parse_unipoly, poly_text
 from mwq.replay import EXAMPLES
 from mwq.report import EXIT_INPUT_ERROR, EXIT_OK
 from mwq.poly import (
-    T, UNIPOLY_ONE, UNIPOLY_ZERO, BiPoly, RatFn, UniPoly, irreducible_factors,
-    is_perfect_square, poly_gcd, rational_roots, squarefree_decompose,
+    T, UNIPOLY_ONE, UNIPOLY_ZERO, BiPoly, RatFn, UniPoly, is_perfect_square, poly_gcd,
+    rational_roots, squarefree_decompose,
 )
 from mwq.surface import (
     INFINITY_PLACE,
@@ -296,14 +296,17 @@ def test_euler_sum_is_twelve(e51, e52):
 
 
 # ---------------------------------------------------------------------------
-# the simple part of the discriminant: one place, never factored
+# places: the simple part of the discriminant is one place, never factored,
+# and a repeated block is cut only where the fiber type changes
 # ---------------------------------------------------------------------------
 
 
 def _per_place_context(curve):
-    """The oracle: each irreducible factor of the discriminant classified as a
-    place of its own."""
-    places = [kodaira_type_at(curve, irr) for irr, _ in irreducible_factors(curve.discriminant)]
+    """The oracle: each irreducible factor of the discriminant, read off
+    sympy's factorization, classified as a place of its own."""
+    from test_poly import factors_by_sympy
+
+    places = [kodaira_type_at(curve, irr) for irr, _ in factors_by_sympy(curve.discriminant)]
     if curve.discriminant.degree < 12:
         places.append(kodaira_type_at(curve, INFINITY_PLACE))
     return surface.HeightContext(curve, tuple(places))
@@ -322,11 +325,61 @@ def test_a_reducible_simple_part_is_one_I1_place():
     assert len(_per_place_context(curve).places) == 3
 
 
+def _matches_the_per_place_context(ctx):
+    """Each place of the context is a product of places of the oracle, all of
+    its fiber type, whose degrees add up to its own."""
+    oracle = _per_place_context(ctx.curve).places
+    covered = 0
+    for pd in ctx.places:
+        if pd.place == INFINITY_PLACE:
+            parts = [q for q in oracle if q.place == INFINITY_PLACE]
+        else:
+            parts = [q for q in oracle if q.place != INFINITY_PLACE
+                     and poly_gcd(q.place, pd.place).degree > 0]
+        assert {q.kodaira for q in parts} == {pd.kodaira}
+        assert sum(q.degree for q in parts) == pd.degree
+        covered += len(parts)
+    assert covered == len(oracle)
+
+
+# disc = -324 (t^2 - 2)^2 (t^2 - 3)^2 (3t^2 - 4)^2: one Yun block of degree 6,
+# in which c4 = -9 (t^2 - 3)(3t^2 - 4) vanishes at the four type II roots and
+# not at the two I2 roots, all with v(disc) = 2
+MIXED_I2_II = "u^3 + (9*(t^2-2)^2 - 3*t^2)*u + 2*t^3 - 6*t*(t^2-2)^2"
+
+
+def test_a_mixed_I2_II_block_is_cut_by_c4():
+    curve = _curve(MIXED_I2_II)
+    assert [(f.degree, m) for f, m in squarefree_decompose(curve.discriminant)] == [(6, 2)]
+    ctx = height_context(curve)
+    assert [(pd.label, pd.kodaira, pd.degree) for pd in ctx.places] == [
+        ("t^2-2", "I2", 2), ("t^4-13/3*t^2+4", "II", 4)]
+    assert sum(pd.degree * pd.euler for pd in ctx.places) == 12
+    _matches_the_per_place_context(ctx)
+
+
+# b = (t^2 + 1)(t^2 + 2) is one rootless I2 block of degree 4, and the section
+# (t^2 + 1, t (t^2 + 1)) meets the node over the roots of t^2 + 1 only:
+# f(x) = x (x^2 + a x + b) = (t^2 + 1)^2 t^2 for a = t^2 - (t^2 + 1) - (t^2 + 2)
+SPLIT_I2 = "u^3 - (t^2 + 3)*u^2 + (t^2 + 1)*(t^2 + 2)*u"
+
+
+def test_a_section_meets_different_components_over_one_block():
+    curve = _curve(SPLIT_I2)
+    ctx = height_context(curve)
+    block = UniPoly.of(1, 0, 1) * UniPoly.of(2, 0, 1)
+    assert [(pd.place, pd.kodaira) for pd in ctx.places if pd.m_v > 1] == [(block, "I2")]
+    _matches_the_per_place_context(ctx)
+    p = parse_section("(t^2 + 1, t^3 + t)")
+    assert height_pairing(ctx, p, p) == 1  # 2 - 2 * (1/2): the two roots of t^2 + 1
+
+
 @pytest.mark.parametrize("rhs, table", [
     (EXAMPLES["5.1"]["quartic"], SECTIONS_51),
     (EXAMPLES["5.2"]["quartic"], SECTIONS_52),
     (SPLIT_I1, {"p": "(0, t)"}),
-], ids=["5.1", "5.2", "split_I1"])
+    (SPLIT_I2, {"p": "(t^2 + 1, t^3 + t)", "torsion": "(0, 0)"}),
+], ids=["5.1", "5.2", "split_I1", "split_I2"])
 def test_height_pairing_matches_the_per_place_context(rhs, table):
     curve = _curve(rhs)
     ctx, oracle = height_context(curve), _per_place_context(curve)
@@ -344,12 +397,12 @@ def test_the_I1_quintic_is_never_factored(capsys, monkeypatch, name):
     simple = [f for f, mult in squarefree_decompose(curve.discriminant) if mult == 1]
     assert [f.degree for f in simple] == [5]
     factored = []
-    real = mwq.surface.split_squarefree
-    monkeypatch.setattr(mwq.surface, "split_squarefree",
+    real = mwq.surface.squarefree_places
+    monkeypatch.setattr(mwq.surface, "squarefree_places",
                         lambda p: factored.append(p) or real(p))
     assert main(["example", name]) == EXIT_OK
     capsys.readouterr()
-    assert factored  # the repeated part is factored
+    assert factored  # the repeated part is split into places
     assert all(poly_gcd(p, simple[0]).degree == 0 for p in factored)
 
 
