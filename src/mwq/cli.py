@@ -8,12 +8,12 @@ deterministic line-delimited JSON stream.
 
 from __future__ import annotations
 
-import argparse
-import functools
 import os
 import re
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
 from . import mwtable
 from .lattice import dual_gram, enumerate_by_norm, lattice_from_text
@@ -265,61 +265,169 @@ def _cmd_lattice(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-@functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The parser, built on first use and kept: `parse_args` leaves it unchanged."""
-    top = argparse.ArgumentParser(
-        prog="mwq",
-        description="Mordell-Weil lattice computations for plane quartics and "
-        "their even tangential conics",
-    )
-    sub = top.add_subparsers(dest="command", required=True)
+class _Positional(NamedTuple):
+    name: str
+    help: str
+    choices: tuple = ()
+    optional: bool = False  # may be left out, as may each one after it
 
-    def with_format(p):
-        p.add_argument("--format", choices=("text", "records"), default="text")
-        return p
 
-    p = with_format(sub.add_parser("table", help="print or verify the 60-row count table"))
-    p.add_argument("--verify", action="store_true")
-    p.add_argument("--rows", help="row range a..b")
-    p.set_defaults(func=_cmd_table)
+class _Option(NamedTuple):
+    help: str
+    metavar: str = ""  # names the value; an option without one is a flag
+    choices: tuple = ()
+    default: object = None
 
-    p = with_format(sub.add_parser("example", help="replay a built-in scenario end to end"))
-    p.add_argument("which", choices=sorted(EXAMPLES))
-    p.set_defaults(func=_cmd_example)
 
-    for name, func, extra in (
-        ("tangency", _cmd_tangency, ["conic"]),
-        ("symbol", _cmd_symbol, ["conic"]),
-        ("zariski", _cmd_zariski, ["conic1", "conic2"]),
-        ("feasibility", _cmd_feasibility, ["conic"]),
-    ):
-        p = with_format(sub.add_parser(name))
-        p.add_argument("quartic")
-        for arg in extra:
-            p.add_argument(arg)
-        p.set_defaults(func=func)
+class _Command(NamedTuple):
+    run: Callable
+    help: str
+    positionals: tuple = ()
+    options: tuple = ()  # (`--name`, _Option), besides --format
 
-    p = with_format(sub.add_parser("curve", help="group law, fibers and heights"))
-    p.add_argument("op", choices=tuple(_CURVE_POINTS))
-    p.add_argument("curve")
-    p.add_argument("p1", nargs="?")
-    p.add_argument("p2", nargs="?")
-    p.set_defaults(func=_cmd_curve)
 
-    p = with_format(sub.add_parser("lattice", help="enumerate vectors, roots, duals"))
-    p.add_argument("op", choices=("enumerate", "roots", "dual"))
-    p.add_argument("lattice", help="e.g. A5, D4*+A1*, <1/6>, (1/10)[[2,1],[1,3]]")
-    p.add_argument("norm", nargs="?", help="target norm for `enumerate`")
-    p.set_defaults(func=_cmd_lattice)
+_FORMAT = ("--format", _Option("output format (default text)", "text|records",
+                               ("text", "records"), "text"))
+_QUARTIC = _Positional("quartic", "the quartic: `y^2 = f(t, u)` or the bare f(t, u)")
+_CONIC = _Positional("conic", "the conic: `u = q(t)` or the bare q(t)")
+_POINT = "a section: `O` or `(x(t), y(t))`"
 
-    return top
+_COMMANDS = {
+    "table": _Command(_cmd_table, "print or verify the 60-row count table", (), (
+        ("--verify", _Option("check each row against the paper's counts", default=False)),
+        ("--rows", _Option("only rows a to b, or only row a", "a..b")),
+    )),
+    "example": _Command(_cmd_example, "replay a built-in scenario end to end", (
+        _Positional("which", "the worked example", tuple(sorted(EXAMPLES))),
+    )),
+    "tangency": _Command(_cmd_tangency, "whether the conic is even tangential to the quartic",
+                         (_QUARTIC, _CONIC)),
+    "symbol": _Command(_cmd_symbol, "the quadratic-residue symbol of the conic mod the quartic",
+                       (_QUARTIC, _CONIC)),
+    "zariski": _Command(_cmd_zariski, "whether two conics make a Zariski pair with the quartic",
+                        (_QUARTIC, _CONIC._replace(name="conic1"),
+                         _CONIC._replace(name="conic2"))),
+    "feasibility": _Command(_cmd_feasibility, "whether a dihedral cover branched there can exist",
+                            (_QUARTIC, _CONIC)),
+    "curve": _Command(_cmd_curve, "group law, fibers and heights", (
+        _Positional("op", "the operation", tuple(_CURVE_POINTS)),
+        _Positional("curve", "the curve: `y^2 = f(t, u)` or the bare f(t, u)"),
+        _Positional("p1", _POINT, optional=True),
+        _Positional("p2", _POINT, optional=True),
+    )),
+    "lattice": _Command(_cmd_lattice, "enumerate vectors, roots, duals", (
+        _Positional("op", "the operation", ("enumerate", "roots", "dual")),
+        _Positional("lattice", "e.g. A5, D4*+A1*, <1/6>, (1/10)[[2,1],[1,3]]"),
+        _Positional("norm", "target norm for `enumerate`", optional=True),
+    )),
+}
+
+_HELP = ("-h", "--help")
+
+
+def _synopsis(name: str | None) -> str:
+    """What follows `mwq` in the usage of the command `name`, or of any."""
+    if name is None:
+        return "<command> [arguments] [--format text|records]"
+    cmd = _COMMANDS[name]
+    words = [f"[{p.name}]" if p.optional else p.name for p in cmd.positionals]
+    words += [f"[{opt} {o.metavar}]" if o.metavar else f"[{opt}]"
+              for opt, o in (*cmd.options, _FORMAT)]
+    return " ".join([name, *words])
+
+
+def _help(name: str | None) -> str:
+    """`mwq --help`, or with a name, `mwq <name> --help`."""
+    lines = [f"usage: mwq {_synopsis(name)}", ""]
+    if name is None:
+        lines += ["Mordell-Weil lattice computations for plane quartics and their even",
+                  "tangential conics.", "", "commands:"]
+        lines += [f"  {_synopsis(each)}\n      {cmd.help}" for each, cmd in _COMMANDS.items()]
+        lines += ["", "`mwq <command> --help` describes one command.  After `--`, every",
+                  "argument is a positional, also one that starts with `-`."]
+        return "\n".join(lines)
+    cmd = _COMMANDS[name]
+    lines.append(cmd.help)
+    if cmd.positionals:
+        lines.append("\npositionals:")
+    for p in cmd.positionals:
+        choices = f" ({', '.join(p.choices)})" if p.choices else ""
+        optional = " (may be left out)" if p.optional else ""
+        lines.append(f"  {p.name:<9} {p.help}{choices}{optional}")
+    lines.append("\noptions:")
+    for opt, o in (*cmd.options, _FORMAT):
+        lines.append(f"  {f'{opt} {o.metavar}'.strip():<22} {o.help}")
+    lines.append(f"  {'-h, --help':<22} print this help")
+    return "\n".join(lines)
+
+
+def _print_help(name: str | None):
+    print(_help(name))
+    raise SystemExit(0)
+
+
+def _usage_error(name: str | None, message: str):
+    prog = f"mwq {name}" if name else "mwq"
+    print(f"usage: mwq {_synopsis(name)}\n{prog}: error: {message}", file=sys.stderr)
+    raise SystemExit(EXIT_INPUT_ERROR)
+
+
+def _read_argv(argv: list[str]):
+    """The handler of the command argv names, and its arguments as attributes.
+    Before `--`, `-h`, `--help` and each argument that starts with `--` is an
+    option, taken in full, its value after `=` or in the next argument; every
+    other argument is a positional."""
+    if not argv or argv[0] not in _COMMANDS:
+        if argv and argv[0] in _HELP:
+            _print_help(None)
+        _usage_error(None, f"unknown command {argv[0]!r}" if argv else "a command is required")
+    name, rest = argv[0], iter(argv[1:])
+    cmd = _COMMANDS[name]
+    options = dict((*cmd.options, _FORMAT))
+    args = {opt[2:]: o.default for opt, o in options.items()}
+    given = []
+    for arg in rest:
+        if arg == "--":
+            given.extend(rest)
+            break
+        elif arg in _HELP:
+            _print_help(name)
+        elif arg.startswith("--"):
+            opt, eq, value = arg.partition("=")
+            o = options.get(opt)
+            if o is None:
+                _usage_error(name, f"unknown option {opt}")
+            if not o.metavar:
+                if eq:
+                    _usage_error(name, f"option {opt} takes no value")
+                value = True
+            elif not eq:
+                value = next(rest, None)
+                if value is None:
+                    _usage_error(name, f"option {opt} needs a value: {o.metavar}")
+            if o.choices and value not in o.choices:
+                _usage_error(name, f"option {opt} takes {' or '.join(o.choices)}, not {value!r}")
+            args[opt[2:]] = value
+        else:
+            given.append(arg)
+    spec = cmd.positionals
+    for p, value in zip(spec, given):
+        if p.choices and value not in p.choices:
+            _usage_error(name, f"{p.name} must be one of {', '.join(p.choices)}, not {value!r}")
+        args[p.name] = value
+    if len(given) > len(spec):
+        _usage_error(name, f"unexpected argument {given[len(spec)]!r}")
+    missing = [p.name for p in spec[len(given):] if not p.optional]
+    if missing:
+        _usage_error(name, f"missing {' '.join(missing)}")
+    args.update((p.name, None) for p in spec[len(given):])
+    return cmd.run, SimpleNamespace(**args)
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    run, args = _read_argv(sys.argv[1:] if argv is None else argv)
     try:
-        return args.func(args)
+        return run(args)
     except ValueError as exc:  # ParseError and InputFormatError too
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

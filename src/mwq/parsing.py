@@ -61,40 +61,47 @@ class InputFormatError(ValueError):
 # tokenizer / recursive descent evaluating in the target type
 # ---------------------------------------------------------------------------
 
-_OPS = set("+-*/^(),=")
+_OPS = frozenset("+-*/^(),=")
+
+# A token is an ASCII numeral, a name (an `isalpha` character, then `isalnum`
+# ones), `**`, an operator, or any other character that is not a space,
+# refused where the grammar reaches it.  `[^\W\d_]` is `isalnum` but not a
+# decimal digit, which on ASCII text is `isalpha`; elsewhere it also takes a
+# numeral character that is no letter, such as '²' or '½', which `_scan`
+# splits off.
+_TOKEN = re.compile(r"[0-9]+|[^\W\d_][^\W_]*|\*\*|\S")
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    toks = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "0123456789":  # ASCII only: `str.isdigit` takes '²' and '٣' too
-            j = i
-            while j < len(text) and text[j] in "0123456789":
-                j += 1
-            toks.append(("num", text[i:j], i))
-            i = j
-        elif ch.isalpha():
-            j = i
-            while j < len(text) and text[j].isalnum():
-                j += 1
-            toks.append(("name", text[i:j], i))
-            i = j
-        elif text[i : i + 2] == "**":
-            toks.append(("op", "^", i))
-            i += 2
-        elif ch in _OPS:
-            toks.append(("op", ch, i))
-            i += 1
-        else:  # refused where the grammar reaches it, by `take` or `expect_end`
-            toks.append(("bad", ch, i))
-            i += 1
-    toks.append(("end", "", len(text)))
+def _scan(text: str, start: int = 0, end: int | None = None):
+    """(token, position) for each token of text[start:end]: a match of
+    `_TOKEN`, or, where it opens with a numeral character that is no letter,
+    that character and then the tokens of the rest of the match."""
+    for m in _TOKEN.finditer(text, start, len(text) if end is None else end):
+        tok, pos = m[0], m.start()
+        if tok[0].isnumeric() and not (tok[0].isalpha() or tok[0].isdecimal()):
+            yield tok[0], pos
+            yield from _scan(text, pos + 1, m.end())
+        else:
+            yield tok, pos
+
+
+def _tokenize(text: str) -> list[str]:
+    """The tokens of `text`, `**` read as `^`, then "" for its end.  On ASCII
+    text the matches of `_TOKEN` are the tokens."""
+    toks = _TOKEN.findall(text) if text.isascii() else [tok for tok, _pos in _scan(text)]
+    if "**" in toks:
+        toks = ["^" if tok == "**" else tok for tok in toks]
+    toks.append("")
     return toks
+
+
+def _outside(tok: str) -> bool:
+    """Whether the token is a character outside the grammar."""
+    return len(tok) == 1 and tok not in _OPS and not tok.isalpha() and tok not in "0123456789"
+
+
+def _numeral(tok: str) -> bool:
+    return tok.isdigit() and tok.isascii()  # `isdigit` alone takes '²' and '٣' too
 
 
 class _Target(NamedTuple):
@@ -120,133 +127,136 @@ _RESULT = {"+": "sum", "-": "difference", "*": "product", "/": "quotient"}
 
 
 class _Parser:
-    """Recursive descent that evaluates as it reads, in the given target."""
+    """Recursive descent that evaluates as it reads, in the given target.
+    Tokens carry no position: an error finds its token's position by scanning
+    the text again.  A character outside the grammar is refused where the pass
+    takes it, whatever the grammar wanted there."""
 
     def __init__(self, text: str, target: _Target):
+        self.text = text
         self.toks = _tokenize(text)
         self.i = 0
         self.depth = 0
         self.target = target
 
-    def peek(self):
-        return self.toks[self.i]
-
-    def take(self):
+    def take(self) -> str:
         tok = self.toks[self.i]
-        if tok[0] == "bad":
-            raise ParseError(f"unexpected character {tok[1]!r}", tok[2])
         self.i += 1
         return tok
 
+    def error(self, message: str, k: int) -> ParseError:
+        """The ParseError of token k."""
+        tok = self.toks[k]
+        if _outside(tok):
+            message = f"unexpected character {tok!r}"
+        positions = [pos for _tok, pos in _scan(self.text)] + [len(self.text)]
+        return ParseError(message, positions[k])
+
     def frame(self, want: str, shape: str):
         """Take the frame token `want`, or refuse the argument's shape."""
-        if self.take()[1] != want:
+        tok = self.take()
+        if tok != want:
+            if _outside(tok):
+                raise self.error(f"unexpected character {tok!r}", self.i - 1)
             raise InputFormatError(shape)
 
-    def enter(self, pos: int):
+    def enter(self, k: int):
         self.depth += 1
         if self.depth > DEPTH_CAP:
-            raise ParseError(f"nesting exceeds the cap: depth at most {DEPTH_CAP}", pos)
+            raise self.error(f"nesting exceeds the cap: depth at most {DEPTH_CAP}", k)
 
     def expect_end(self):
-        kind, val, pos = self.take()
-        if kind != "end":
-            raise ParseError(f"trailing input {val!r}", pos)
+        tok = self.take()
+        if tok:
+            raise self.error(f"trailing input {tok!r}", self.i - 1)
 
-    def combine(self, a, op: str, b, pos: int):
-        """a op b, refused at the operator if its degree would exceed the cap."""
+    def combine(self, a, op: str, b, k: int):
+        """a op b, refused at the operator, token k, if its degree would exceed the cap."""
         tg = self.target
         if op == "/" and tg.is_zero(b):
-            raise ParseError("division by zero", pos)
+            raise self.error("division by zero", k)
         if op in tg.grows and tg.grown(a, op, b) > POWER_CAP:
-            raise ParseError(f"{_RESULT[op]} exceeds the cap: degree at most {POWER_CAP}", pos)
+            raise self.error(f"{_RESULT[op]} exceeds the cap: degree at most {POWER_CAP}", k)
         return tg.ops[op](a, b)
 
     def expr(self):
         acc = self.term()
-        while True:
-            kind, val, pos = self.peek()
-            if kind == "op" and val in "+-":
-                self.take()
-                acc = self.combine(acc, val, self.term(), pos)
-            else:
-                return acc
+        toks = self.toks
+        while (op := toks[self.i]) == "+" or op == "-":
+            k = self.i
+            self.i += 1
+            acc = self.combine(acc, op, self.term(), k)
+        return acc
 
     def term(self):
         acc = self.factor()
-        while True:
-            kind, val, pos = self.peek()
-            if kind == "op" and val in "*/":
-                self.take()
-                acc = self.combine(acc, val, self.factor(), pos)
-            else:
-                return acc
+        toks = self.toks
+        while (op := toks[self.i]) == "*" or op == "/":
+            k = self.i
+            self.i += 1
+            acc = self.combine(acc, op, self.factor(), k)
+        return acc
 
     def factor(self):
         tg = self.target
-        kind, val, pos = self.peek()
-        if kind == "op" and val == "-":
-            self.take()
-            self.enter(pos)
+        k = self.i
+        if self.toks[k] == "-":
+            self.i += 1
+            self.enter(k)
             value = tg.neg(self.factor())
             self.depth -= 1
             return value
         base = self.atom()
-        kind, val, pos = self.peek()
-        if kind == "op" and val == "^":
-            self.take()
-            nkind, nval, npos = self.take()
-            neg = False
-            if nkind == "op" and nval == "-":
-                neg = True
-                nkind, nval, npos = self.take()
-            if nkind != "num":
-                raise ParseError("exponent must be an integer", npos)
-            exponent = _literal(nval, npos)
-            if exponent > POWER_CAP or exponent * tg.degree(base) > POWER_CAP:
-                raise ParseError(
-                    f"power exceeds the cap: exponent and degree at most {POWER_CAP}", npos
-                )
-            power = tg.power(base, exponent)
-            if neg:
-                if tg.is_zero(power):
-                    raise ParseError("zero to a negative power", npos)
-                power = tg.ops["/"](tg.const(1), power)
-            return power
-        return base
+        if self.toks[self.i] != "^":
+            return base
+        neg = self.toks[self.i + 1] == "-"
+        k = self.i + 1 + neg  # the exponent
+        self.i = k + 1
+        if not _numeral(self.toks[k]):
+            raise self.error("exponent must be an integer", k)
+        exponent = self.literal(k)
+        if exponent > POWER_CAP or exponent * tg.degree(base) > POWER_CAP:
+            raise self.error(f"power exceeds the cap: exponent and degree at most {POWER_CAP}", k)
+        power = tg.power(base, exponent)
+        if neg:
+            if tg.is_zero(power):
+                raise self.error("zero to a negative power", k)
+            power = tg.ops["/"](tg.const(1), power)
+        return power
 
     def atom(self):
-        kind, val, pos = self.take()
-        if kind == "num":
-            return self.target.const(_literal(val, pos))
-        if kind == "name":
-            if val in self.target.names:
-                return self.target.names[val]
-            if val == "u":
-                raise InputFormatError(_NOT_IN_T)
-            raise ParseError(f"unknown name {val!r}", pos)
-        if kind == "op" and val == "(":
-            self.enter(pos)
+        tg = self.target
+        k = self.i
+        tok = self.take()
+        if tok in tg.names:
+            return tg.names[tok]
+        if _numeral(tok):
+            return tg.const(self.literal(k))
+        if tok == "(":
+            self.enter(k)
             inner = self.expr()
             self.depth -= 1
-            kind, val, pos = self.take()
-            if not (kind == "op" and val == ")"):
-                raise ParseError("expected ')'", pos)
+            if self.take() != ")":
+                raise self.error("expected ')'", self.i - 1)
             return inner
-        raise ParseError(f"unexpected token {val!r}", pos)
+        if tok == "u":
+            raise InputFormatError(_NOT_IN_T)
+        if tok[:1].isalpha():
+            raise self.error(f"unknown name {tok!r}", k)
+        raise self.error(f"unexpected token {tok!r}", k)
+
+    def literal(self, k: int) -> int:
+        """The integer literal of token k.  Python refuses to convert a string
+        of more than `sys.get_int_max_str_digits()` digits; that is a fault of
+        the input, reported at the literal."""
+        digits = self.toks[k]
+        try:
+            return int(digits)
+        except ValueError:
+            raise self.error(f"integer literal of {len(digits)} digits is too long", k) from None
 
 
 _NOT_IN_T = "expression must not involve u"
-
-
-def _literal(digits: str, pos: int) -> int:
-    """The integer literal at `pos`.  Python refuses to convert a string of
-    more than `sys.get_int_max_str_digits()` digits; that is a fault of the
-    input, reported at the literal."""
-    try:
-        return int(digits)
-    except ValueError:
-        raise ParseError(f"integer literal of {len(digits)} digits is too long", pos) from None
 
 
 _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
@@ -272,7 +282,7 @@ def _evaluate(text: str, target: _Target, frame: tuple = (), shape: str = ""):
     """The value of `text` in `target`.  A text with an `=` token opens with
     the tokens `frame`, and is refused with `shape` where one is missing."""
     p = _Parser(text, target)
-    if frame and any(val == "=" for _kind, val, _pos in p.toks):
+    if frame and "=" in p.toks:
         for want in frame:
             p.frame(want, shape)
     value = p.expr()
@@ -290,10 +300,10 @@ def _repeated(one, mul, base, exponent: int):
 # -- curves and conics: sparse maps {(deg_u, deg_t): nonzero coefficient} ----
 
 
-def _monomials_add(a: dict, b: dict, sign: int = 1) -> dict:
+def _monomials_add(a: dict, b: dict) -> dict:
     out = dict(a)
     for k, c in b.items():
-        s = out.get(k, 0) + sign * c
+        s = out[k] + c if k in out else c
         if s:
             out[k] = s
         else:
@@ -301,11 +311,17 @@ def _monomials_add(a: dict, b: dict, sign: int = 1) -> dict:
     return out
 
 
+def _monomials_neg(a: dict) -> dict:
+    return {k: -c for k, c in a.items()}
+
+
 def _monomials_mul(a: dict, b: dict) -> dict:
-    if len(a) > len(b):
+    if len(b) == 1 and 1 in b.values() or len(a) > len(b):
         a, b = b, a
     if len(a) == 1:
         ((au, at), x), = a.items()
+        if x == 1:  # a monomial such as t or u^2 shifts the keys of b
+            return {(au + bu, at + bt): y for (bu, bt), y in b.items()}
         return {(au + bu, at + bt): x * y for (bu, bt), y in b.items()}
     out: dict = {}
     for (au, at), x in a.items():
@@ -327,8 +343,8 @@ def _monomials_power(base: dict, exponent: int) -> dict:
 def _monomials_divide(a: dict, b: dict) -> dict:
     if len(b) != 1 or (0, 0) not in b:
         raise InputFormatError("expression must be polynomial (no division by t or u)")
-    inv = Fraction(1) / b[0, 0]
-    return {k: c * inv for k, c in a.items()}
+    d = b[0, 0]
+    return {k: Fraction(c, d) for k, c in a.items()}
 
 
 def _monomials_degree(a: dict) -> int:
@@ -349,9 +365,9 @@ def _monomials_grown(a: dict, _op: str, b: dict) -> int:
 _MONOMIALS = _Target(
     const=lambda n: {(0, 0): n} if n else {},
     names={"t": {(0, 1): 1}, "u": {(1, 0): 1}},
-    ops={"+": _monomials_add, "-": lambda a, b: _monomials_add(a, b, -1),
+    ops={"+": _monomials_add, "-": lambda a, b: _monomials_add(a, _monomials_neg(b)),
          "*": _monomials_mul, "/": _monomials_divide},
-    neg=lambda a: {k: -c for k, c in a.items()},
+    neg=_monomials_neg,
     power=_monomials_power,
     is_zero=operator.not_,
     degree=_monomials_degree,
@@ -438,7 +454,7 @@ def parse_section(text: str):
     from .surface import SectionPoint
 
     p = _Parser(text, _RATFN)
-    if p.peek()[1].lower() in ("o", "zero"):
+    if p.toks[0].lower() in ("o", "zero"):
         p.take()
         p.expect_end()
         return SectionPoint.zero()

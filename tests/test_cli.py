@@ -400,11 +400,97 @@ def test_input_errors_exit_2(capsys):
     assert main(["tangency", Q51, "u = t^3"]) == EXIT_INPUT_ERROR
     assert main(["curve", "check", Q51, "(1, 2,"]) == EXIT_INPUT_ERROR
     capsys.readouterr()
-    with pytest.raises(SystemExit) as exc:  # argparse: the option does not exist
+    with pytest.raises(SystemExit) as exc:  # a usage error: the option does not exist
         main(["curve", "height", Q51, "(0, 6*t^2 - 12150*t)", "(0, 6*t^2 - 12150*t)",
               "--component", "t=1"])
     assert exc.value.code == EXIT_INPUT_ERROR
     assert "--component" in capsys.readouterr().err
+
+
+# (argv, what stderr must name): each a usage error of one command, or of none
+USAGE_ERRORS = [
+    ([], "command"),
+    (["frob"], "'frob'"),
+    (["table", "extra"], "'extra'"),
+    (["table", "--rows"], "--rows"),
+    (["table", "--verif"], "--verif"),  # an option is spelled in full
+    (["table", "--verify=yes"], "--verify"),
+    (["example"], "which"),
+    (["example", "9.9"], "'9.9'"),
+    (["tangency", Q52], "conic"),
+    (["symbol", Q52, C52_1, "extra"], "'extra'"),
+    (["symbol", Q52, C52_1, "--format"], "--format"),
+    (["symbol", Q52, C52_1, "--format", "xml"], "'xml'"),
+    (["zariski", Q52, C52_1], "conic2"),
+    (["feasibility"], "quartic conic"),
+    (["curve", "frob", Q52], "'frob'"),
+    (["curve", "check"], "curve"),
+    (["lattice", "frob", "A2"], "'frob'"),
+    (["lattice", "enumerate", "A2", "2", "3"], "'3'"),
+]
+
+
+@pytest.mark.parametrize("argv, named", USAGE_ERRORS,
+                         ids=[f"{(argv or ['none'])[0]}:{named}" for argv, named in USAGE_ERRORS])
+def test_usage_errors_exit_2_naming_the_argument(capsys, argv, named):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_INPUT_ERROR
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage: mwq ")
+    assert named in err.splitlines()[-1]
+
+
+COMMAND_POSITIONALS = {
+    "table": (), "example": ("which",), "tangency": ("quartic", "conic"),
+    "symbol": ("quartic", "conic"), "zariski": ("quartic", "conic1", "conic2"),
+    "feasibility": ("quartic", "conic"), "curve": ("op", "curve", "p1", "p2"),
+    "lattice": ("op", "lattice", "norm"),
+}
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_lists_every_command_and_positional(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([flag])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    for name, positionals in COMMAND_POSITIONALS.items():
+        assert f"\n  {' '.join((name, *positionals))}" in out.replace("[", "").replace("]", "")
+        with pytest.raises(SystemExit) as exc:
+            main([name, "--format", "records", flag, "ignored"])
+        assert exc.value.code == 0
+        out_command = capsys.readouterr().out
+        assert out_command.startswith(f"usage: mwq {name}")
+        for positional in positionals:
+            assert f"\n  {positional} " in out_command
+
+
+def test_option_values_after_an_equals_sign(capsys):
+    for spaced, joined in (
+        (["symbol", Q52, C52_1, "--format", "records"], ["symbol", Q52, C52_1, "--format=records"]),
+        (["table", "--rows", "3..4", "--verify"], ["table", "--verify", "--rows=3..4"]),
+    ):
+        outputs = []
+        for argv in (spaced, joined):
+            assert main(argv) == EXIT_OK
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
+
+def test_arguments_after_a_double_dash_are_positionals(capsys):
+    negated_twice = "--(" + C52_1.removeprefix("u = ") + ")"
+    assert main(["symbol", "--format", "records", "--", Q52, negated_twice]) == EXIT_OK
+    assert _results(capsys)["symbol"] == 1
+    # read as a norm, not as a request for help
+    assert main(["lattice", "enumerate", "--", "A2", "-h"]) == EXIT_INPUT_ERROR
+    assert "bad number '-h'" in capsys.readouterr().err
+    with pytest.raises(SystemExit):  # before `--`, an option
+        main(["symbol", Q52, negated_twice])
+    assert "unknown option" in capsys.readouterr().err
+    # a single dash starts no option: `-2` is the norm, refused as such
+    assert main(["lattice", "enumerate", "A2", "-2"]) == EXIT_INPUT_ERROR
+    assert "norm must be positive" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
@@ -991,11 +1077,14 @@ def test_python_dash_m_runs_the_command_line():
 
 # The command line imports no class-generation machinery: `dataclasses` pulls in
 # `inspect`, and `traceback` loads only where an unexpected error is reported.
+# Nor does it read argv with `argparse`, which loads `gettext` and `locale`.
 NO_MACHINERY = ("import sys\n"
                 "from mwq.cli import main\n"
                 "rcs = [main(argv + ['--format', 'records'])\n"
                 "       for argv in (['lattice', 'enumerate', 'A2', '2'], ['example', '5.2'])]\n"
-                "loaded = sorted({'dataclasses', 'inspect', 'traceback'} & set(sys.modules))\n"
+                "machinery = {'dataclasses', 'inspect', 'traceback',\n"
+                "             'argparse', 'gettext', 'locale'}\n"
+                "loaded = sorted(machinery & set(sys.modules))\n"
                 "print(rcs, loaded, file=sys.stderr)")
 
 

@@ -1,6 +1,7 @@
 """The text grammar: one fault per input, pinned with its error class, message
 and position; and the printers round-trip exactly through the parsers."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,7 @@ from mwq.parsing import (
     poly_text,
     ratfn_text,
 )
+from mwq.parsing import _scan, _tokenize
 from mwq.poly import T, UNIPOLY_ZERO, BiPoly, RatFn, UniPoly
 
 NOT_POLYNOMIAL = "expression must be polynomial (no division by t or u)"
@@ -231,6 +233,98 @@ def test_any_text_over_the_alphabet_is_parsed_or_refused_as_input(text):
             parse(arg)
         except (ParseError, InputFormatError):
             pass
+
+
+# ---------------------------------------------------------------------------
+# the tokenizer against a character-by-character reference
+# ---------------------------------------------------------------------------
+
+
+def _reference_tokenize(text: str) -> list[tuple[str, str, int]]:
+    """(kind, token, position) for each token, then ("end", "", len(text))."""
+    toks = []
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch in "0123456789":  # ASCII only: `str.isdigit` takes '\u00b2' and '\u0663' too
+            j = i
+            while j < len(text) and text[j] in "0123456789":
+                j += 1
+            toks.append(("num", text[i:j], i))
+            i = j
+        elif ch.isalpha():
+            j = i
+            while j < len(text) and text[j].isalnum():
+                j += 1
+            toks.append(("name", text[i:j], i))
+            i = j
+        elif text[i : i + 2] == "**":
+            toks.append(("op", "^", i))
+            i += 2
+        elif ch in "+-*/^(),=":
+            toks.append(("op", ch, i))
+            i += 1
+        else:
+            toks.append(("bad", ch, i))
+            i += 1
+    toks.append(("end", "", len(text)))
+    return toks
+
+
+# the grammar's characters and the frames' names, `**`, and characters beside
+# the grammar: an underscore, a sign, a letter, a superscript, a vulgar
+# fraction, an Arabic-Indic digit and two spaces that are not ASCII
+_PIECES = list("0123456789tuyO+-*/^(),= ") + ["**", "_", "$", "\u00e9", "\u00b2", "\u00bd",
+                                               "\u0663", "\u00a0", "\u2003"]
+_drawn_texts = st.lists(st.sampled_from(_PIECES), max_size=25).map("".join)
+
+# every message a ParseError can carry; a quoted token is the token at the position
+_PARSE_MESSAGES = re.compile(
+    r"division by zero|zero to a negative power|exponent must be an integer|expected '\)'"
+    r"|integer literal of [0-9]+ digits is too long"
+    r"|(sum|difference|product|quotient) exceeds the cap: degree at most [0-9]+"
+    r"|power exceeds the cap: exponent and degree at most [0-9]+"
+    r"|nesting exceeds the cap: depth at most [0-9]+"
+    r"|(?P<kind>unknown name|trailing input|unexpected token|unexpected character) (?P<tok>'.*')"
+)
+_INPUT_FORMAT_MESSAGES = {NOT_POLYNOMIAL, NOT_IN_T, SECTION_SHAPE,
+                          "section must have two coordinates"}
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=_drawn_texts)
+def test_tokenizer_matches_the_character_by_character_reference(text):
+    want = _reference_tokenize(text)
+    assert _tokenize(text) == [tok for _kind, tok, _pos in want]
+    assert [pos for _tok, pos in _scan(text)] + [len(text)] == [pos for *_, pos in want]
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=_drawn_texts)
+def test_first_fault_is_reported_in_the_error_tables_format(text):
+    toks = _reference_tokenize(text)
+    at = {pos: (kind, tok) for kind, tok, pos in toks}
+    first_bad = next((pos for kind, _tok, pos in toks if kind == "bad"), len(text) + 1)
+    for parse in (parse_bipoly, parse_ratfn, parse_section):
+        try:
+            parse(text)
+        except ParseError as err:
+            assert type(err) is ParseError
+            assert str(err) == f"{err.message} (at position {err.pos})"
+            m = _PARSE_MESSAGES.fullmatch(err.message)
+            assert m is not None, err.message
+            # a fault is reported where its token starts, no later than the
+            # first character outside the grammar, and that one as itself
+            assert err.pos in at and err.pos <= first_bad
+            assert (m["kind"] == "unexpected character") == (err.pos == first_bad)
+            if m["kind"] is not None:
+                assert m["tok"] == repr(at[err.pos][1])
+        except InputFormatError as err:
+            assert type(err) is InputFormatError
+            assert str(err) in _INPUT_FORMAT_MESSAGES
 
 
 # ---------------------------------------------------------------------------
