@@ -10,6 +10,15 @@ enters any computation in this package.  Three value types live here:
   * RatFn   -- reduced rational functions num/den with monic denominator,
   * BiPoly  -- polynomials in a second variable u with UniPoly coefficients.
 
+Every gcd is the heuristic gcd GCDHEU on the primitive parts A and B
+(`_gcd_parts`): one integer gcd of A(xi) and B(xi), read back as symmetric
+xi-adic digits, gives a candidate, accepted only if it divides A and B
+exactly in Z[t].  For xi >= 2 min(|A|, |B|) + 2 an accepted candidate is the
+gcd, so the result is exact, not probable; a rejected one raises xi, and the
+retries end because a reading is spoilt only by a divisor of the resultant
+of the cofactors.  The exact divisions also give the cofactors, which Yun's
+decomposition, `split_by` and `RatFn` take instead of dividing again.
+
 Everything is immutable and safe to share between threads.
 """
 
@@ -338,12 +347,113 @@ T = UniPoly.of(0, 1)
 
 
 def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
-    """Monic gcd; gcd(a, 0) = monic(a)."""
-    # each remainder is stored as content times primitive part, so this is the
-    # primitive remainder sequence: contents never enter the next division
-    while not b.is_zero:
-        a, b = b, a % b
-    return a.monic()
+    """Monic gcd; gcd(a, 0) = monic(a).  See `_gcd_parts` for how."""
+    return _gcd_parts(a, b)[0]
+
+
+def _gcd_parts(a: UniPoly, b: UniPoly) -> tuple[UniPoly, UniPoly, UniPoly]:
+    """(g, a/g, b/g) for the monic gcd g of a and b, by the heuristic gcd
+    GCDHEU (Char-Geddes-Gonnet 1989; Geddes-Czapor-Labahn 1992, 7.7) on the
+    primitive parts A and B; gcd(a, 0) = monic(a), and gcd(0, 0) = 0 with
+    zero cofactors.
+
+    With M = min(|A|, |B|) (max-norms) and xi >= 2M + 2, take the integer
+    gamma = gcd(A(xi), B(xi)), read it back as the polynomial G of its
+    symmetric xi-adic digits (`_xi_digits`, each of absolute value at most
+    xi/2, so G(xi) = gamma), and accept C = pp(G) only if it divides A and B
+    exactly in Z[t]; the quotients are the cofactors.
+
+    Correctness.  An accepted C is the gcd H of A and B.  C divides H, so
+    H = C h with h in Z[t] (Gauss), and H(xi) divides gamma = cont(G) C(xi),
+    so h(xi) divides cont(G), which is at most xi/2.  Every root z of h is
+    a root of the one of A, B of norm M, so |z| < 1 + M (Cauchy), and if h
+    had degree d >= 1, |h(xi)| >= prod |xi - z| > (xi - 1 - M)^d >= xi/2.
+    So h is a unit.  (gamma != 0 for the same reason: that input has no
+    root at xi.)
+
+    Termination.  With A = H A', B = H B', gamma = |H(xi)| k for
+    k = gcd(A'(xi), B'(xi)), the integer that spoils the reading; k divides
+    the resultant R of the coprime cofactors A', B' (R = U A' + V B' with
+    U, V in Z[t]).  Once xi > 2 |R| |H|, the digits of gamma are those of
+    +-k H, so C = H is read and accepted.  A rejected candidate sets
+    xi <- floor(xi * 73794 / 27011) (a factor near 1 + sqrt 3, as in GCL),
+    so xi passes that bound after finitely many tries.  The start
+    xi = 2M + 29 is past the correctness bound; no retry cap is needed."""
+    p, q = a._p, b._p
+    if not p:
+        return (b.monic(), a, _cofactor(b, (1,), q[-1])) if q else (a, a, a)
+    if not q:
+        return a.monic(), _cofactor(a, (1,), p[-1]), b
+    if len(p) == 1 or len(q) == 1:
+        return UNIPOLY_ONE, a, b
+    xi = 2 * min(max(map(abs, p)), max(map(abs, q))) + 29
+    while True:
+        digits = _xi_digits(math.gcd(_horner(p, xi), _horner(q, xi)), xi)
+        if len(digits) == 1:  # pp(G) = 1 divides both
+            return UNIPOLY_ONE, a, b
+        if len(digits) <= min(len(p), len(q)):
+            c = math.gcd(*digits)
+            if digits[-1] < 0:
+                c = -c
+            g = tuple(x // c for x in digits) if c != 1 else tuple(digits)
+            qa = _quotient(p, g)
+            if qa is not None:
+                qb = _quotient(q, g)
+                if qb is not None:
+                    lead = g[-1]
+                    return _make(1, lead, g), _cofactor(a, qa, lead), _cofactor(b, qb, lead)
+        xi = xi * 73794 // 27011
+
+
+def _horner(p: Sequence[int], x: int) -> int:
+    acc = 0
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
+
+
+def _xi_digits(gamma: int, xi: int) -> list[int]:
+    """The symmetric xi-adic digits of gamma > 0, low first: each digit d
+    has -xi/2 < d <= xi/2, and sum d_i xi^i = gamma."""
+    half = xi // 2
+    digits = []
+    while gamma:
+        gamma, d = divmod(gamma, xi)
+        if d > half:
+            d -= xi
+            gamma += 1
+        digits.append(d)
+    return digits
+
+
+def _quotient(a: Sequence[int], c: Sequence[int]) -> Optional[tuple[int, ...]]:
+    """a / c in Z[t] for integer coefficient lists, c with a nonzero leading
+    entry, or None when c does not divide a; stops at the first remainder
+    coefficient the leading entry of c does not divide."""
+    dc = len(c) - 1
+    dq = len(a) - 1 - dc
+    if dq < 0:
+        return None
+    rem = list(a)
+    quo = [0] * (dq + 1)
+    lead = c[-1]
+    for k in range(dq, -1, -1):
+        x, r = divmod(rem[k + dc], lead)
+        if r:
+            return None
+        if x:
+            quo[k] = x
+            for j in range(dc):
+                rem[k + j] -= x * c[j]
+    if any(rem[:dc]):
+        return None
+    return tuple(quo)
+
+
+def _cofactor(p: UniPoly, quo: tuple[int, ...], lead: int) -> UniPoly:
+    """p / g for a nonzero p and the monic g = G / lead, given the primitive
+    quotient quo = P / G with a positive leading entry (G primitive, lead > 0)."""
+    return _make(*_product(p._n, p._d, lead, 1), quo)
 
 
 def ord_at(p: UniPoly, place: UniPoly) -> int:
@@ -369,21 +479,15 @@ def squarefree_decompose(p: UniPoly) -> list[tuple[UniPoly, int]]:
     p = p.monic()
     if p.degree == 0:
         return []
-    dp = p.derivative()
-    g = poly_gcd(p, dp)
+    g, b, c = _gcd_parts(p, p.derivative())
     if g.degree == 0:  # squarefree, like each Yun block `height_context` splits into places
         return [(p, 1)]
     out: list[tuple[UniPoly, int]] = []
-    b = p.exact_div(g)
-    c = dp.exact_div(g)
     i = 1
     while b.degree > 0:
-        d = c - b.derivative()
-        fi = poly_gcd(b, d)
+        fi, b, c = _gcd_parts(b, c - b.derivative())
         if fi.degree > 0:
             out.append((fi, i))
-        b = b.exact_div(fi)
-        c = d.exact_div(fi)
         i += 1
     return out
 
@@ -519,8 +623,8 @@ def squarefree_places(p: UniPoly) -> list[tuple[UniPoly, int]]:
 
 
 def split_by(block: UniPoly, a: UniPoly) -> list[UniPoly]:
-    """The pieces of a squarefree block on each of which ord(a) is constant,
-    in increasing order of it; their product is the block.  Coprime
+    """The pieces of a monic squarefree block on each of which ord(a) is
+    constant, in increasing order of it; their product is the block.  Coprime
     refinement by repeated gcd (Bach-Driscoll-Shallit 1993): the roots of
     gcd(block, a) are those where a vanishes, and dividing a by that gcd
     lowers its order there by one.  A degree-1 block, or any block when
@@ -529,12 +633,10 @@ def split_by(block: UniPoly, a: UniPoly) -> list[UniPoly]:
         return [block]
     pieces = []
     while block.degree > 0:
-        g = poly_gcd(block, a)
+        g, rest, a_rest = _gcd_parts(block, a)
         if g.degree < block.degree:
-            pieces.append(block.exact_div(g))
-        block = g
-        if g.degree > 0:
-            a = a.exact_div(g)
+            pieces.append(rest)
+        block, a = g, a_rest
     return pieces
 
 
@@ -574,9 +676,7 @@ class RatFn:
             if den != UNIPOLY_ONE:
                 num, den = _scaled(num, den._d, den._n), UNIPOLY_ONE
         else:
-            g = poly_gcd(num, den)
-            if g.degree > 0:
-                num, den = num.exact_div(g), den.exact_div(g)
+            _, num, den = _gcd_parts(num, den)
             lead, d = den._n * den._p[-1], den._d
             if lead != d:  # divide both by the leading coefficient lead/d
                 h = math.gcd(lead, d)

@@ -358,3 +358,21 @@ def test_bipoly_round_trip(f):
 @given(r=_ratfns)
 def test_ratfn_round_trip(r):
     assert parse_ratfn(ratfn_text(r)) == r
+
+
+@pytest.mark.parametrize("text", [
+    "(t+1)^50/(t+2)^50+(t+5)^50/(t+3)^50",
+    "(t+1)^50/(t+2)^50+1/(t+3)^50",
+])
+def test_sums_of_high_powers_reduce_as_sympy_cancels(text):
+    """The reduced numerator and monic denominator are sympy's `cancel`
+    of the same sum, divided by its denominator's leading coefficient."""
+    import sympy
+
+    t = sympy.Symbol("t")
+    num, den = sympy.fraction(sympy.cancel(sympy.sympify(text.replace("^", "**"), locals={"t": t})))
+    num, den = (sympy.Poly(p, t).all_coeffs()[::-1] for p in (num, den))
+    lead = Fraction(int(den[-1].p), int(den[-1].q))
+    expected = [UniPoly([Fraction(int(c.p), int(c.q)) / lead for c in cs]) for cs in (num, den)]
+    got = parse_ratfn(text)
+    assert [got.num, got.den] == expected

@@ -1,16 +1,18 @@
 """Exact polynomial arithmetic: gcd, squarefree parts, square roots,
 rational roots, places and their coprime refinement."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
 from itertools import islice
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mwq.poly import (
+    _gcd_parts,
     _primes,
     BiPoly,
     InternalInconsistencyError,
@@ -91,6 +93,76 @@ def test_gcd_divides_both_exactly_and_is_monic():
         assert (a % g).is_zero and (b % g).is_zero
 
 
+def prs_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
+    """Oracle: the monic gcd by the primitive remainder sequence.  Each
+    remainder is held as content times primitive part, so contents never
+    enter the next division."""
+    while not b.is_zero:
+        a, b = b, a % b
+    return a.monic()
+
+
+def gcd_by_sympy(a: UniPoly, b: UniPoly) -> UniPoly:
+    """Oracle: sympy's gcd over QQ, made monic."""
+    import sympy
+
+    x = sympy.Symbol("x")
+    sa, sb = (sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)]
+                         or [0], x, domain="QQ") for p in (a, b))
+    g = sa.gcd(sb)
+    return UniPoly([Fraction(int(c.p), int(c.q)) for c in reversed(g.all_coeffs())]).monic()
+
+
+@st.composite
+def gcd_inputs(draw):
+    """A pair (a, b) with rational contents: products with a shared factor,
+    coprime pairs, or pairs with a constant or zero side, on coefficients of
+    1 to 45 bits."""
+    bits = draw(st.sampled_from([1, 2, 4, 8, 20, 45]))
+    coeff = st.integers(-(2 ** bits), 2 ** bits)
+
+    def poly(lo, hi):
+        return UniPoly(draw(st.lists(coeff, min_size=lo, max_size=hi)))
+
+    a, b = poly(1, 6), poly(1, 6)
+    kind = draw(st.sampled_from(["shared", "coprime", "constant"]))
+    if kind == "shared":
+        g = poly(2, 5)
+        a, b = a * g, b * g
+    elif kind == "coprime":
+        assume(prs_gcd(a, b).degree == 0)
+    else:
+        b = poly(0, 1)
+    scale = st.fractions(min_value=-1000, max_value=1000, max_denominator=50).filter(bool)
+    a, b = a * draw(scale), b * draw(scale)
+    return (b, a) if draw(st.booleans()) else (a, b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(gcd_inputs())
+def test_heuristic_gcd_matches_remainder_sequence_and_sympy(ab):
+    a, b = ab
+    g, qa, qb = _gcd_parts(a, b)
+    assert poly_gcd(a, b) == g == prs_gcd(a, b) == gcd_by_sympy(a, b)
+    assert g * qa == a and g * qb == b
+    for p in (g, qa, qb):
+        assert_canonical(p)
+
+
+def test_rejected_candidate_takes_a_larger_xi(monkeypatch):
+    """At xi = 31, gcd(a(31), b(31)) = 17 reads as t - 14, which divides
+    neither; the next xi gives 1."""
+    import mwq.poly
+
+    digits = mwq.poly._xi_digits
+    calls = []
+    monkeypatch.setattr(mwq.poly, "_xi_digits", lambda *args: calls.append(args) or digits(*args))
+    a, b = UniPoly.of(1, 0, 1, 1), UniPoly.of(-1, -1, -1, 1)
+    assert _gcd_parts(a, b) == (UNIPOLY_ONE, a, b)
+    assert calls[0] == (17, 31) and digits(17, 31) == [-14, 1]
+    assert len(calls) == 2
+
+
 # ---------------------------------------------------------------------------
 # squarefree decomposition
 # ---------------------------------------------------------------------------
@@ -127,6 +199,48 @@ def test_squarefree_round_trip():
 def test_squarefree_rejects_zero():
     with pytest.raises(ValueError):
         squarefree_decompose(UNIPOLY_ZERO)
+
+
+_factor_powers = st.lists(
+    st.tuples(st.lists(st.integers(-2 ** 20, 2 ** 20), min_size=2, max_size=4), st.integers(1, 4)),
+    min_size=1, max_size=4,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(factors=_factor_powers, lead=st.fractions(-50, 50, max_denominator=9).filter(bool))
+@example(factors=[([-1, 1], 3), ([1, 0, 1], 1)], lead=Fraction(-2, 3))
+def test_yun_blocks_multiply_back(factors, lead):
+    """The blocks, each to its multiplicity, multiply back to p / lc(p); they
+    are monic, squarefree and pairwise coprime (by the remainder sequence),
+    with increasing multiplicities."""
+    p = UniPoly.const(lead)
+    for cs, mult in factors:
+        p = p * UniPoly(cs) ** mult
+    assume(not p.is_zero)
+    blocks = squarefree_decompose(p)
+    rebuilt = UNIPOLY_ONE
+    for f, mult in blocks:
+        rebuilt = rebuilt * f ** mult
+        assert f.degree > 0 and f == f.monic() and prs_gcd(f, f.derivative()) == UNIPOLY_ONE
+    assert rebuilt == p.monic()
+    mults = [mult for _, mult in blocks]
+    assert mults == sorted(set(mults))
+    for (f, _), (h, _) in itertools.combinations(blocks, 2):
+        assert prs_gcd(f, h) == UNIPOLY_ONE
+
+
+def test_yun_step_with_a_zero_derivative_difference(monkeypatch):
+    """On (t - 1)^3 (t^2 + 1), the last step's d = c - b' is 0, and
+    gcd(b, 0) = b ends the loop with b's block at multiplicity 3."""
+    import mwq.poly
+
+    parts = mwq.poly._gcd_parts
+    calls = []
+    monkeypatch.setattr(mwq.poly, "_gcd_parts", lambda a, b: calls.append((a, b)) or parts(a, b))
+    p = UniPoly.of(-1, 1) ** 3 * UniPoly.of(1, 0, 1)
+    assert squarefree_decompose(p) == [(UniPoly.of(1, 0, 1), 1), (UniPoly.of(-1, 1), 3)]
+    assert calls[-1] == (UniPoly.of(-1, 1), UNIPOLY_ZERO)
 
 
 # ---------------------------------------------------------------------------
@@ -518,11 +632,37 @@ def test_split_by_matches_sympy(factors, powers, extra):
 def test_split_by_returns_a_linear_block_as_it_is(monkeypatch):
     import mwq.poly
 
-    monkeypatch.setattr(mwq.poly, "poly_gcd", lambda *a: pytest.fail("a gcd was taken"))
+    monkeypatch.setattr(mwq.poly, "_gcd_parts", lambda *a: pytest.fail("a gcd was taken"))
     linear = UniPoly.of(-3, 1)
     for a in (UNIPOLY_ZERO, UNIPOLY_ONE, linear ** 2, UniPoly.of(1, 0, 1)):
         pieces = split_by(linear, a)
         assert len(pieces) == 1 and pieces[0] is linear
+
+
+@settings(max_examples=80, deadline=None)
+@given(factors=_factor_powers, extra=st.lists(st.integers(-2 ** 20, 2 ** 20), max_size=4))
+@example(factors=[([-1, 1], 2), ([2, 1], 1), ([1, 0, 1], 3)], extra=[5])
+@example(factors=[([-1, 1], 1), ([0, 1], 1)], extra=[])
+def test_split_by_pieces_multiply_back(factors, extra):
+    """The block is the monic squarefree part of the drawn product, and a the
+    product itself times one more drawn polynomial.  The
+    pieces multiply back to the block, and on each piece P with k = ord(a, P)
+    the order is k at every root: P^k divides a and P is coprime to a / P^k
+    (by the remainder sequence); k increases from piece to piece."""
+    a = UniPoly(extra) if any(extra) else UNIPOLY_ONE
+    for cs, mult in factors:
+        a = a * UniPoly(cs) ** mult
+    assume(not a.is_zero and a.degree > 0)
+    block = a.exact_div(prs_gcd(a, a.derivative())).monic()
+    pieces = split_by(block, a)
+    product = UNIPOLY_ONE
+    for piece in pieces:
+        product = product * piece
+        k = ord_at(a, piece)
+        assert prs_gcd(piece, a.exact_div(piece ** k)) == UNIPOLY_ONE
+    assert product == block
+    orders = [ord_at(a, piece) for piece in pieces]
+    assert orders == sorted(set(orders))
 
 
 def test_primes_match_sympy():

@@ -175,6 +175,18 @@ def test_add_matches_printed_section(e51):
     )
 
 
+def test_doubling_a_section_with_rational_coordinates(e51):
+    """x(-2(s_o + s_t1 + s_t2)) has degree 10/8 and coefficients of over 100
+    bits; its double, whose every RatFn is reduced by a gcd of such
+    polynomials, lies on the curve with x of degree 40/38."""
+    pts = secs(SECTIONS_51)
+    s = negate(e51, double(e51, add(e51, add(e51, pts["s_o"], pts["s_t1"]), pts["s_t2"])))
+    assert (s.x.num.degree, s.x.den.degree) == (10, 8)
+    d = double(e51, s)
+    assert on_curve(e51, d)
+    assert (d.x.num.degree, d.x.den.degree) == (40, 38)
+
+
 def test_group_law_under_100_random_specializations(e51):
     """Specializing commutes with the group law, and the specialized law is
     commutative/associative with O neutral."""
