@@ -480,7 +480,7 @@ def squarefree_decompose(p: UniPoly) -> list[tuple[UniPoly, int]]:
     if p.degree == 0:
         return []
     g, b, c = _gcd_parts(p, p.derivative())
-    if g.degree == 0:  # squarefree, like each Yun block `height_context` splits into places
+    if g.degree == 0:  # squarefree: one block
         return [(p, 1)]
     out: list[tuple[UniPoly, int]] = []
     i = 1
@@ -603,40 +603,48 @@ def rational_roots(f: UniPoly) -> list[Fraction]:
 
 def squarefree_places(p: UniPoly) -> list[tuple[UniPoly, int]]:
     """The places of p with their multiplicities, ordered by degree, then
-    coefficients.  Each block of the squarefree decomposition loses the monic
-    linear factors of its rational roots, one place each, and the rootless
-    rest of the block, if any, stays whole as one monic place: nothing is
-    factored over Z, as no consumer reads irreducibility, only degrees,
-    multiplicities and valuations (`split_by` cuts a block where one of those
-    changes).  No integer derived from `p` is ever factored, and sympy is not
-    used."""
-    out = []
-    for f, mult in squarefree_decompose(p):
-        for r in rational_roots(f):
-            linear = UniPoly.of(-r, 1)
-            out.append((linear, mult))
-            f = f.exact_div(linear)
-        if f.degree > 0:
-            out.append((f, mult))
+    coefficients: the `block_places` of each block of the squarefree
+    decomposition.  Nothing is factored over Z, as no consumer reads
+    irreducibility, only degrees, multiplicities and valuations (`split_by`
+    cuts a block where one of those changes).  No integer derived from `p` is
+    ever factored, and sympy is not used."""
+    out = [(place, mult) for f, mult in squarefree_decompose(p) for place in block_places(f)]
     out.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
     return out
 
 
-def split_by(block: UniPoly, a: UniPoly) -> list[UniPoly]:
+def block_places(block: UniPoly) -> list[UniPoly]:
+    """The places of a monic squarefree block, with no second Yun pass: the
+    monic linear factor of each rational root, one place each, then the
+    rootless rest of the block, if any, whole as one monic place."""
+    out = []
+    for r in rational_roots(block):
+        linear = UniPoly.of(-r, 1)
+        out.append(linear)
+        block = block.exact_div(linear)
+    if block.degree > 0:
+        out.append(block)
+    return out
+
+
+def split_by(block: UniPoly, a: UniPoly) -> list[tuple[UniPoly, int]]:
     """The pieces of a monic squarefree block on each of which ord(a) is
-    constant, in increasing order of it; their product is the block.  Coprime
-    refinement by repeated gcd (Bach-Driscoll-Shallit 1993): the roots of
-    gcd(block, a) are those where a vanishes, and dividing a by that gcd
-    lowers its order there by one.  A degree-1 block, or any block when
-    a = 0, comes back as it is, with no gcd taken."""
+    constant, each with that order, in increasing order of it; their product
+    is the block.  Coprime refinement by repeated gcd (Bach-Driscoll-Shallit
+    1993): the roots of gcd(block, a) are those where a vanishes, and dividing
+    a by that gcd lowers its order there by one, so a piece cut off at step k
+    (from 0) has order k.  A degree-1 block, or any block when a = 0, comes
+    back as it is, with no gcd taken, and its order from `ord_at`."""
     if block.degree == 1 or a.is_zero:
-        return [block]
+        return [(block, ord_at(a, block))]
     pieces = []
+    k = 0
     while block.degree > 0:
         g, rest, a_rest = _gcd_parts(block, a)
         if g.degree < block.degree:
-            pieces.append(rest)
+            pieces.append((rest, k))
         block, a = g, a_rest
+        k += 1
     return pieces
 
 

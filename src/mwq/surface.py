@@ -27,13 +27,13 @@ from .poly import (
     InternalInconsistencyError,
     RatFn,
     UniPoly,
+    block_places,
     cubic_discriminant,
     is_perfect_square,
     ord_at,
     rational_roots,
     split_by,
     squarefree_decompose,
-    squarefree_places,
 )
 
 INFINITY_PLACE = "inf"
@@ -89,7 +89,8 @@ class WeierstrassCurve:
     """y^2 = u^3 + c1 u^2 + c2 u + c3 with deg c_k <= 2k and nonzero discriminant.
 
     A frozen value: the discriminant, c4, c6, the cubic and its derivative in
-    u are each built on first use and kept on the instance."""
+    u, the first smooth fiber t0 and the cubic read mod (t - t0)^3 there are
+    each built on first use and kept on the instance."""
 
     def __init__(self, c1: UniPoly, c2: UniPoly, c3: UniPoly):
         for k, c in enumerate((c1, c2, c3), start=1):
@@ -141,6 +142,17 @@ class WeierstrassCurve:
     def c6_quantity(self) -> UniPoly:
         # c6 up to the constant -32
         return 2 * self.c1 ** 3 - 9 * self.c1 * self.c2 + 27 * self.c3
+
+    @cached_property
+    def good_fiber(self) -> Fraction:
+        """The least integer t0 >= 0 whose fiber is smooth, where
+        `two_torsion_free` and `halve` specialize."""
+        return _good_fiber(self)
+
+    @cached_property
+    def local_cubic(self) -> BiPoly:
+        """The cubic at the good fiber: f(t0 + s, u) mod s^3."""
+        return _local(self.cubic, self.good_fiber)
 
     def __repr__(self):
         from .parsing import bipoly_text
@@ -294,13 +306,14 @@ def _classify(v_c4: int, v_c6: int, v_disc: int) -> tuple[str, int]:
 
 
 def kodaira_type_at(curve: WeierstrassCurve, place: Place) -> PlaceData:
-    """Fiber type, component count and Euler number at a bad place.
+    """Fiber type, component count and Euler number at a bad place, from the
+    valuations of the discriminant, c4 and c6 read here.
 
     The place is INFINITY_PLACE, or a squarefree polynomial at each of whose
     roots the discriminant, c4 and c6 have the same orders, so that all of
-    them carry one fiber type: a block of the discriminant cut by `split_by`,
-    or its simple part (every fiber I1).  The discriminant, c4 and c6 have
-    weights 12, 4 and 6.
+    them carry one fiber type.  The discriminant, c4 and c6 have weights 12,
+    4 and 6.  `height_context` calls this only at infinity: at its finite
+    places the refinement that finds them has already given each valuation.
     """
     if place == INFINITY_PLACE:
         degree = 1
@@ -382,7 +395,7 @@ def _place_correction(pd: PlaceData, point: SectionPoint) -> Fraction:
     curve, x = pd.curve, point.x
     pieces = [pd.place]
     for a in (x.den, point.y.num, point.y.den, _fp(curve, x), _psi3(curve, x)):
-        pieces = [b for piece in pieces for b in split_by(piece, a)]
+        pieces = [b for piece in pieces for b, _ in split_by(piece, a)]
     return sum(piece.degree
                * local_correction(PlaceData(piece, pd.family, pd.n, piece.degree, curve), point)
                for piece in pieces)
@@ -420,25 +433,29 @@ def height_context(curve: WeierstrassCurve) -> HeightContext:
     """Classify every bad fiber of the curve.  The context is immutable, so one
     context serves every height pairing on the curve.
 
-    Nothing is factored.  Each repeated block of Yun's decomposition goes to
-    `squarefree_places`, which takes off its rational roots as linear places
-    and keeps the rootless rest whole; that rest is cut by `split_by` along
-    c4, then c6, so that (v(c4), v(c6), v(disc)) is the same at each root of
-    a piece: an I2 root and a type II root both have v(disc) = 2, and can
-    share a block.  The simple part is one place: v(disc) = 1 forces
-    v(c4) = 0, as 1728 disc = c4^3 - c6^2, so each of its roots carries an I1
-    fiber, of Euler number 1 and with no root lattice.  A section meets an I1
-    fiber at a smooth point, so its local correction there is 0 root by root;
-    `kodaira_type_at` still checks the block's type."""
+    Nothing is factored, and no finite valuation is read twice.  Each block
+    of Yun's decomposition of the discriminant has its multiplicity as
+    v(disc) at every root.  A repeated block is cut by `split_by` along c4,
+    then c6, whose orders on each piece are the steps that cut it off, so
+    that (v(c4), v(c6), v(disc)) is the same at each root of a piece: an I2
+    root and a type II root both have v(disc) = 2, and can share a block.
+    Each piece then gives up its rational roots as linear places and keeps
+    its rootless rest whole (`block_places`).  The simple part is one place:
+    v(disc) = 1 forces v(c4) = v(c6) = 0, as 1728 disc = c4^3 - c6^2, so each
+    of its roots carries an I1 fiber, of Euler number 1 and with no root
+    lattice.  A section meets an I1 fiber at a smooth point, so its local
+    correction there is 0 root by root.  The fiber at infinity is typed by
+    `kodaira_type_at`, and the Euler numbers must sum to 12."""
+    c4, c6 = curve.c4_quantity, curve.c6_quantity
     places = []
     for block, mult in squarefree_decompose(curve.discriminant):
         if mult == 1:
-            places.append(kodaira_type_at(curve, block))
+            places.append(PlaceData(block, *_classify(0, 0, 1), block.degree, curve))
             continue
-        for place, _ in squarefree_places(block):  # each of multiplicity 1 in the block
-            places.extend(kodaira_type_at(curve, piece)
-                          for by_c4 in split_by(place, curve.c4_quantity)
-                          for piece in split_by(by_c4, curve.c6_quantity))
+        for by_c4, v_c4 in split_by(block, c4):
+            for piece, v_c6 in split_by(by_c4, c6):
+                places.extend(PlaceData(place, *_classify(v_c4, v_c6, mult), place.degree, curve)
+                              for place in block_places(piece))
     places.sort(key=lambda pd: pd.place.coeffs)
     if curve.discriminant.degree < 12:  # the discriminant has weight 12
         places.append(kodaira_type_at(curve, INFINITY_PLACE))
@@ -483,6 +500,11 @@ def _good_fiber(curve: WeierstrassCurve, avoid: UniPoly = UNIPOLY_ONE) -> Fracti
     return Fraction(k)
 
 
+def _local(f: BiPoly, t0: Fraction) -> BiPoly:
+    """f(t0 + s, u) mod s^3: f read near the fiber over t0."""
+    return BiPoly([c.shift(t0, 3) for c in f.coeffs])
+
+
 def _lifted_roots(local: BiPoly, t0: Fraction,
                   residual: Callable[[UniPoly], UniPoly]) -> list[UniPoly]:
     """The lifts mod (t - t0)^3 of the rational roots of poly(t0, u), in
@@ -496,7 +518,8 @@ def _lifted_roots(local: BiPoly, t0: Fraction,
         p_0'(r) b = -(p_2(r) + p_1'(r) a + p_0''(r) a^2 / 2).
 
     Each lift L is checked exactly: `residual(L)`, poly(t0 + s, L(s)) from
-    the caller's own expression for poly, not from the p_k, vanishes mod s^3.
+    the caller's own expression for poly, not from the p_k, is built once and
+    vanishes mod s^3.
     """
     p0, p1, p2 = (local.coeff_t(k) for k in range(3))
     d0, d1 = p0.derivative(), p1.derivative()
@@ -506,7 +529,8 @@ def _lifted_roots(local: BiPoly, t0: Fraction,
         a = -p1(r) / d0(r)
         b = -(p2(r) + d1(r) * a + dd0(r) * a * a / 2) / d0(r)
         lift = UniPoly.of(r, a, b)
-        if any(residual(lift).coeff(k) for k in range(3)):
+        res = residual(lift)
+        if any(res.coeff(k) for k in range(3)):
             raise InternalInconsistencyError(f"lift of the root {r} is not a root mod (t - t0)^3")
         lifts.append(lift.shift(-t0))
     return lifts
@@ -531,9 +555,13 @@ def halve(curve: WeierstrassCurve, point: SectionPoint) -> Optional[SectionPoint
     III.2.3) as two polynomial identities.  With slope f'(X) / 2Y, the double
     of (X, Y) has x = x_P iff f'(X)^2 = 4 f(X) (x_P + c1 + 2X), and then
     y = y_P iff f'(X) (X - x_P) - 2 f(X) = 2 Y y_P; Y = +sqrt f(X) is tried
-    first.  A 2-torsion point (y_P = 0) has H = ((X - x_P)^2 - f'(x_P))^2, so
-    its candidates are x_P +- sqrt(f'(x_P)), tried in ascending order at a
-    smooth fiber that separates them, as the lifts are at t0.
+    first.  t0 is the curve's first smooth fiber, and f mod (t - t0)^3 there
+    its `local_cubic`, both shared with `two_torsion_free`, unless
+    y_P(t0) = 0: then t0 moves on to the least smooth fiber where y_P does
+    not vanish, and f is shifted there.  A 2-torsion point (y_P = 0) has
+    H = ((X - x_P)^2 - f'(x_P))^2, so its candidates are x_P +- sqrt(f'(x_P)),
+    tried in ascending order at a smooth fiber that separates them, as the
+    lifts are at t0.
     """
     if point.is_zero:
         raise ValueError("halving the zero section")
@@ -550,8 +578,12 @@ def halve(curve: WeierstrassCurve, point: SectionPoint) -> Optional[SectionPoint
         t0 = _good_fiber(curve, g)
         candidates = sorted((x_p - g, x_p + g), key=lambda c: c(t0))
     else:
-        t0 = _good_fiber(curve, y_p)
-        local = BiPoly([c.shift(t0, 3) for c in f.coeffs])
+        t0 = curve.good_fiber
+        if y_p(t0):
+            local = curve.local_cubic
+        else:  # the least smooth fiber where y_P does not vanish lies further on
+            t0 = _good_fiber(curve, y_p)
+            local = _local(f, t0)
         local_p = local.deriv_u()
         c, b, a = local.coeffs[:3]
         x = x_p.shift(t0, 3)
@@ -577,8 +609,9 @@ def halve(curve: WeierstrassCurve, point: SectionPoint) -> Optional[SectionPoint
 def two_torsion_free(curve: WeierstrassCurve) -> bool:
     """True iff the cubic has no root in Q[t] of degree <= 2.  At a smooth
     fiber the cubic's roots are simple, so such a root is the lift of a
-    rational root there, and the lifts are checked exactly."""
-    cubic = curve.cubic
-    t0 = _good_fiber(curve)
-    local = BiPoly([c.shift(t0, 3) for c in cubic.coeffs])
-    return not any(cubic.eval_u(x).is_zero for x in _lifted_roots(local, t0, local.eval_u))
+    rational root there, and the lifts are checked exactly.  The fiber is the
+    curve's first smooth one, and the cubic is read there as its kept
+    `local_cubic`, which `halve` reuses."""
+    local = curve.local_cubic
+    return not any(curve.cubic.eval_u(x).is_zero
+                   for x in _lifted_roots(local, curve.good_fiber, local.eval_u))

@@ -1,5 +1,7 @@
 """Round-trip parsing, report determinism, and the command-line surface."""
 
+import contextlib
+import io
 import json
 import os
 import random
@@ -10,6 +12,8 @@ from pathlib import Path
 from typing import NamedTuple
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mwq.cli as cli
 import mwq.mwtable as mwtable
@@ -493,6 +497,62 @@ def test_arguments_after_a_double_dash_are_positionals(capsys):
     assert "norm must be positive" in capsys.readouterr().err
 
 
+# Valid and broken fragments for each kind of positional, for the whole
+# command-line fuzz; lattice norms stay at most 10, so that no walk is long.
+FUZZ_FRAGMENTS = {
+    "quartic": (Q51, Q52, Q52_IMAGE, "y^2 = u^3 + t^2*u + 1", "u^3 - 3*u + t^2",
+                "u^3 + t^4*u + t^6", "u^3 + t*u^2 + t^3*u", "u^3 + t", "u^2 + t", "u^3 + t^7",
+                "u^3 + (t", "u^3 + 1/0", "u^3 + t^99999*u", "u^3 + t^-1", "u^3 + x", "y^2 = ", ""),
+    "conic": (C51_1, C51_2, C52_1, C52_2, "u = t^2", "t^2 + 1", "u = t^3", "u = 0*t^2",
+              "u = ", "u = 1/(t", "u = t^2 + s", "u = (t^2 + 1)/t"),
+    "section": ("O", "(0, 6*t^2 - 12150*t)", S51_T1, S51_T2, "(0, 4*t^2)", "(0, 0)", "(t, t^2)",
+                "(0, t^3)", "(1, 2,", "(1/t, 1)", "(t^2/(t - 1), 1)", "(t^-1, 1)", "()",
+                "(0, 1/0)"),
+    "lattice": ("A1", "A2", "D4", "D4*+A1*", "<1/6>", "E6*", "(1/10)[[2,1],[1,3]]",
+                "[[2,1],[1,2]]", "A0", "Z5", "[[1,2],[2,1]]", "[[0]]", "(1/0)[[1]]", "A2+", "<-1>"),
+    "norm": ("0", "1", "2", "1/2", "4/3", "10", "-1", "x", "1/0", "3/7", "1e3"),
+}
+FUZZ_KIND = {"quartic": "quartic", "curve": "quartic", "conic": "conic", "conic1": "conic",
+             "conic2": "conic", "p1": "section", "p2": "section", "lattice": "lattice",
+             "norm": "norm"}
+FUZZ_NOISE = ("--format", "records", "--format=text", "--format=xml", "--", "--help", "-h",
+              "--frob", "--verify", "--rows", "1..2", "70", "")
+
+
+@st.composite
+def _fuzz_argv(draw):
+    """A command of `_COMMANDS`, its positionals (one too few, all, or one
+    too many) drawn from the fragments of their kind or from their choices,
+    and options, `--` and noise words put in at drawn places."""
+    name = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    spec = cli._COMMANDS[name].positionals
+    count = draw(st.sampled_from([len(spec)] * 4 + [len(spec) - 1, len(spec) + 1]))
+    argv = []
+    for p in spec[:count]:
+        pool = (*p.choices, "frob") if p.choices else FUZZ_FRAGMENTS[FUZZ_KIND[p.name]]
+        argv.append(draw(st.sampled_from(pool)))
+    if count > len(spec):
+        argv.append(draw(st.sampled_from(FUZZ_FRAGMENTS["quartic"])))
+    noise = draw(st.lists(st.sampled_from(FUZZ_NOISE), max_size=2)) if draw(st.booleans()) else []
+    for word in noise:
+        argv.insert(draw(st.integers(0, len(argv))), word)
+    return [name, *argv]
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=_fuzz_argv())
+def test_no_command_line_exits_3(argv):
+    """Whatever the words, a run ends in 0, 1 or 2: an answer, a mismatch or
+    an input error, never an internal error or an uncaught exception."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # help and usage errors
+            code = exc.code
+    assert code in (EXIT_OK, EXIT_MISMATCH, EXIT_INPUT_ERROR), (argv, err.getvalue())
+
+
 @pytest.mark.parametrize("argv", [
     ["curve", "fibers", "u^3 + t^1000000*u + 1"],
     ["curve", "check", Q51, "((t^1000)^1000, 1)"],
@@ -957,7 +1017,7 @@ def test_public_api_is_used_in_src_or_named_in_readme():
 # ---------------------------------------------------------------------------
 
 COUNTED = ("height_context", "singular_configuration", "even_tangency", "halve",
-           "kodaira_type_at", "cubic_discriminant", "on_curve")
+           "_classify", "cubic_discriminant", "on_curve", "_local")
 
 
 @pytest.fixture
@@ -988,18 +1048,21 @@ def call_counts(monkeypatch):
 
 
 @pytest.mark.parametrize("argv, expected", [
-    # four bad places: t, t-2025, a quintic and infinity; the three sections
-    # are checked on the curve once, as reported records, and nothing else is
-    # (a conic's lift is a checked square root); the fiber at infinity reads
-    # the valuations of the curve's own discriminant, c4, c6
+    # four bad places, each classified once: t, t-2025, a quintic and
+    # infinity; the three sections are checked on the curve once, as reported
+    # records, and nothing else is (a conic's lift is a checked square root);
+    # the fiber at infinity reads the valuations of the curve's own
+    # discriminant, c4, c6
     (["example", "5.1"],
      {"height_context": 1, "even_tangency": 2, "halve": 2, "singular_configuration": 1,
-      "kodaira_type_at": 4, "cubic_discriminant": 1, "on_curve": 3}),
+      "_classify": 4, "cubic_discriminant": 1, "on_curve": 3}),
     # three bad places: t (I4), a quintic (I1) and infinity (III)
     (["example", "5.2"],
-     {"height_context": 1, "kodaira_type_at": 3, "cubic_discriminant": 1, "on_curve": 3}),
+     {"height_context": 1, "_classify": 3, "cubic_discriminant": 1, "on_curve": 3}),
+    # the curve's good-fiber model is built once, by `two_torsion_free`, and
+    # both halvings read it
     (["zariski", Q51, C51_1, C51_2],
-     {"height_context": 1, "even_tangency": 2, "halve": 2, "on_curve": 0}),
+     {"height_context": 1, "even_tangency": 2, "halve": 2, "on_curve": 0, "_local": 1}),
     (["symbol", Q51, C51_1], {"even_tangency": 1, "on_curve": 0}),
 ], ids=["example_5.1", "example_5.2", "zariski_5.1", "symbol_5.1_conic1"])
 def test_each_fact_computed_once(capsys, call_counts, argv, expected):

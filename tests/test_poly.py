@@ -610,8 +610,8 @@ def test_split_by_matches_sympy(factors, powers, extra):
     """The block is the product of the distinct irreducible factors (sympy) of
     the drawn polynomials, and a a product of powers of those factors times
     one more drawn polynomial.  The pieces multiply back to the block, and
-    on each one ord_at(a, piece) is the order of a at every irreducible
-    factor of the piece, read off sympy's factorization of a."""
+    the order returned with each one is the order of a at every irreducible
+    factor of the piece, read off sympy's factorization of a, and ord_at."""
     p = UNIPOLY_ONE
     for cs in factors:
         p = p * UniPoly(cs)
@@ -622,11 +622,11 @@ def test_split_by_matches_sympy(factors, powers, extra):
     order = dict(factors_by_sympy(a))
     pieces = split_by(block, a)
     product = UNIPOLY_ONE
-    for piece in pieces:
+    for piece, k in pieces:
         product = product * piece
-        assert {order.get(f, 0) for f, _ in factors_by_sympy(piece)} == {ord_at(a, piece)}
+        assert {order.get(f, 0) for f, _ in factors_by_sympy(piece)} == {k} == {ord_at(a, piece)}
     assert product == block
-    assert [ord_at(a, piece) for piece in pieces] == sorted({order.get(f, 0) for f in irreducibles})
+    assert [k for _, k in pieces] == sorted({order.get(f, 0) for f in irreducibles})
 
 
 def test_split_by_returns_a_linear_block_as_it_is(monkeypatch):
@@ -634,9 +634,10 @@ def test_split_by_returns_a_linear_block_as_it_is(monkeypatch):
 
     monkeypatch.setattr(mwq.poly, "_gcd_parts", lambda *a: pytest.fail("a gcd was taken"))
     linear = UniPoly.of(-3, 1)
-    for a in (UNIPOLY_ZERO, UNIPOLY_ONE, linear ** 2, UniPoly.of(1, 0, 1)):
-        pieces = split_by(linear, a)
-        assert len(pieces) == 1 and pieces[0] is linear
+    for a, k in ((UNIPOLY_ZERO, 10 ** 9), (UNIPOLY_ONE, 0), (linear ** 2, 2),
+                 (UniPoly.of(1, 0, 1), 0)):
+        (piece, order), = split_by(linear, a)
+        assert piece is linear and order == k
 
 
 @settings(max_examples=80, deadline=None)
@@ -648,7 +649,8 @@ def test_split_by_pieces_multiply_back(factors, extra):
     product itself times one more drawn polynomial.  The
     pieces multiply back to the block, and on each piece P with k = ord(a, P)
     the order is k at every root: P^k divides a and P is coprime to a / P^k
-    (by the remainder sequence); k increases from piece to piece."""
+    (by the remainder sequence); k is the order returned with P, and
+    increases from piece to piece."""
     a = UniPoly(extra) if any(extra) else UNIPOLY_ONE
     for cs, mult in factors:
         a = a * UniPoly(cs) ** mult
@@ -656,12 +658,11 @@ def test_split_by_pieces_multiply_back(factors, extra):
     block = a.exact_div(prs_gcd(a, a.derivative())).monic()
     pieces = split_by(block, a)
     product = UNIPOLY_ONE
-    for piece in pieces:
+    for piece, k in pieces:
         product = product * piece
-        k = ord_at(a, piece)
         assert prs_gcd(piece, a.exact_div(piece ** k)) == UNIPOLY_ONE
     assert product == block
-    orders = [ord_at(a, piece) for piece in pieces]
+    orders = [k for _, k in pieces]
     assert orders == sorted(set(orders))
 
 

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,7 +20,7 @@ from mwq.parsing import parse_curve_rhs, parse_section, parse_unipoly, poly_text
 from mwq.replay import EXAMPLES
 from mwq.report import EXIT_INPUT_ERROR, EXIT_OK
 from mwq.poly import (
-    T, UNIPOLY_ONE, UNIPOLY_ZERO, BiPoly, RatFn, UniPoly, is_perfect_square, poly_gcd,
+    T, UNIPOLY_ONE, UNIPOLY_ZERO, BiPoly, RatFn, UniPoly, is_perfect_square, ord_at, poly_gcd,
     rational_roots, squarefree_decompose,
 )
 from mwq.surface import (
@@ -408,14 +409,62 @@ def test_the_I1_quintic_is_never_factored(capsys, monkeypatch, name):
     curve = _curve(EXAMPLES[name]["quartic"])
     simple = [f for f, mult in squarefree_decompose(curve.discriminant) if mult == 1]
     assert [f.degree for f in simple] == [5]
-    factored = []
-    real = mwq.surface.squarefree_places
-    monkeypatch.setattr(mwq.surface, "squarefree_places",
-                        lambda p: factored.append(p) or real(p))
+    # the repeated blocks are cut by `split_by` along c4 and c6, and each
+    # piece loses its rational roots in `block_places`
+    cut = {"split_by": [], "block_places": []}
+    for cutter, seen in cut.items():
+        real = getattr(mwq.surface, cutter)
+        monkeypatch.setattr(mwq.surface, cutter,
+                            lambda p, *rest, seen=seen, real=real: seen.append(p) or real(p, *rest))
     assert main(["example", name]) == EXIT_OK
     capsys.readouterr()
-    assert factored  # the repeated part is split into places
-    assert all(poly_gcd(p, simple[0]).degree == 0 for p in factored)
+    assert all(cut.values())  # the repeated part is split into places
+    assert all(poly_gcd(p, simple[0]).degree == 0 for seen in cut.values() for p in seen)
+
+
+def _fiber_types(ctx):
+    """The Kodaira type of each fiber over the algebraic closure, as a
+    multiset: each type with the total degree of the places that carry it."""
+    return Counter(pd.kodaira for pd in ctx.places for _ in range(pd.degree))
+
+
+@pytest.mark.parametrize("rhs", [EXAMPLES["5.1"]["quartic"], EXAMPLES["5.2"]["quartic"],
+                                 SPLIT_I1, SPLIT_I2, MIXED_I2_II],
+                         ids=["5.1", "5.2", "split_I1", "split_I2", "mixed_I2_II"])
+def test_fiber_types_match_the_per_place_context(rhs):
+    """`height_context` reads each finite valuation off its refinement; the
+    oracle reads `ord_at` on sympy's irreducible factors."""
+    curve = _curve(rhs)
+    assert _fiber_types(height_context(curve)) == _fiber_types(_per_place_context(curve))
+
+
+def _small_poly(degree):
+    return st.lists(st.integers(-3, 3), min_size=degree + 1, max_size=degree + 1).map(UniPoly)
+
+
+@settings(max_examples=40, deadline=None)
+@given(c1=_small_poly(2), c2=_small_poly(3), x=_small_poly(1), y=_small_poly(2))
+def test_planted_fiber_types_match_the_per_place_context(c1, c2, x, y):
+    """A planted section: with c2, x and y divisible by t and
+    c3 = y^2 - x^3 - c1 x^2 - c2 x, P = (x, y) lies on the curve, and c3 is
+    divisible by t^2, so the surface is singular over (t, u) = (0, 0) and the
+    discriminant has at least a double root 0.  The fiber types, and the
+    height of P, agree with the per-place oracle."""
+    c2, x, y = T * c2, T * x, T * y
+    c3 = y * y - x ** 3 - c1 * x * x - c2 * x
+    assume(not cubic_discriminant(c1, c2, c3).is_zero)
+    curve = WeierstrassCurve(c1, c2, c3)
+    assert ord_at(curve.discriminant, T) >= 2
+    try:
+        ctx = height_context(curve)
+    except ValueError:  # a place where the model is not minimal
+        with pytest.raises(ValueError, match="not minimal"):
+            _per_place_context(curve)
+        return
+    oracle = _per_place_context(curve)
+    assert _fiber_types(ctx) == _fiber_types(oracle)
+    p = SectionPoint.of(x, y)
+    assert height_pairing(ctx, p, p) == height_pairing(oracle, p, p)
 
 
 # ---------------------------------------------------------------------------
@@ -1032,6 +1081,17 @@ def test_lifted_roots_of_a_square_root_and_the_exact_check(monkeypatch):
         _lifted_roots(local, Fraction(0), local.eval_u)
 
 
+@pytest.mark.parametrize("local, lifts", [
+    (BiPoly([-T - 1, UNIPOLY_ONE]), 1),  # u = 1 + s
+    (BiPoly([-T - 1, UNIPOLY_ZERO, UNIPOLY_ONE]), 2),  # u^2 = 1 + s
+])
+def test_lifted_roots_build_one_residual_per_lift(local, lifts):
+    calls = []
+    residual = lambda lift: calls.append(lift) or local.eval_u(lift)  # noqa: E731
+    assert len(_lifted_roots(local, Fraction(1), residual)) == lifts
+    assert len(calls) == lifts
+
+
 def halving_quartic(curve, x_p):
     """Oracle: the halving quartic H = f'(X)^2 - 4 (c1 + 2X + x_P) f(X) over Q[t]."""
     f = curve.cubic
@@ -1084,3 +1144,23 @@ def test_halving_slices_match_the_global_quartic(monkeypatch):
         shifted = BiPoly([c.shift(t0) for c in halving_quartic(curve, point.x.num).coeffs])
         assert [local.coeff_t(k) for k in range(3)] == [shifted.coeff_t(k) for k in range(3)]
     assert len(cases) > 30 and 0 < halved < len(cases)
+
+
+# A planted section R = (0, t^3) (c3 = t^6), whose double P has polynomial
+# coordinates with y_P vanishing at the smooth fiber t = 2, moved by
+# t -> t + 2 so that this fiber is the curve's first smooth one, t0 = 0.
+PLANTED_HALF = "u^3 + (t^2 - t - 2)*u^2 - (t^4 + 2*t^3)*u + t^6"
+
+
+def test_halve_moves_past_a_first_fiber_where_y_vanishes(monkeypatch):
+    curve = _curve(PLANTED_HALF.replace("t", "(t + 2)"))
+    half = SectionPoint.of(UNIPOLY_ZERO, (T + 2) ** 3)
+    point = double(curve, half)
+    assert curve.good_fiber == 0 and point.y(0) == 0 and _halvable_input(point)
+    built = []
+    original = surface._local
+    monkeypatch.setattr(surface, "_local", lambda f, t0: built.append(t0) or original(f, t0))
+    got = halve(curve, point)
+    assert got == half and double(curve, got) == point
+    assert built == [1]  # the next smooth fiber, where y_P does not vanish
+    assert "local_cubic" not in vars(curve)  # the first fiber's model was not built
