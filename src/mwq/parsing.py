@@ -11,7 +11,10 @@ the pass reaches it, so the first fault in reading order is reported.  Curves
 and conics evaluate into a sparse map {(deg_u, deg_t): coefficient} of
 monomials, where every divisor must be a nonzero constant; a power of a
 single monomial is taken in closed form, any other power by repeated
-products, and the map becomes a `BiPoly` or `UniPoly` once, at the end.
+products, and the map becomes a `BiPoly` or `UniPoly` once, at the end.  A
+term's leading run of simple factors (numerals and variables, each maybe
+raised to a numeral power, joined by `*` or by `/` and a nonzero numeral), as
+in `4862648/3*u*t^2`, is folded into one monomial before any map is built.
 Section coordinates evaluate in `RatFn`, where a divisor may be any nonzero
 polynomial in t.  Conics and sections know only the name `t`: a `u` is
 refused at its token.
@@ -36,7 +39,7 @@ from __future__ import annotations
 import operator
 import re
 from fractions import Fraction
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Optional
 
 from .poly import T, UNIPOLY_ONE, BiPoly, RatFn, UniPoly
 
@@ -121,6 +124,7 @@ class _Target(NamedTuple):
     degree: Callable
     grows: str
     grown: Callable
+    fold: Optional[dict] = None  # variable -> (deg_u, deg_t), where a term's simple factors fold
 
 
 _RESULT = {"+": "sum", "-": "difference", "*": "product", "/": "quotient"}
@@ -189,13 +193,80 @@ class _Parser:
         return acc
 
     def term(self):
-        acc = self.factor()
+        """Factors joined by `*` and `/`, taken left to right.  In a target of
+        monomial maps a leading run of simple factors is first folded into
+        one monomial (`run`); the loop goes on from where the run stopped."""
+        acc = self.run() if self.target.fold else None
+        if acc is None:
+            acc = self.factor()
         toks = self.toks
         while (op := toks[self.i]) == "*" or op == "/":
             k = self.i
             self.i += 1
             acc = self.combine(acc, op, self.factor(), k)
         return acc
+
+    def run(self) -> Optional[dict]:
+        """The map of the leading run of simple factors at the current token,
+        or None, having taken nothing, where there is none.  The run is read
+        into one coefficient, an integer numerator and denominator, and its
+        degrees in u and t, and its map is built once.  Factors join by `*`,
+        or by `/` and a nonzero numeral not raised to a power.  The run stops
+        before a factor or an operator that is not simple or that `term` may
+        refuse (a power or a product past the cap, a zero divisor), so that
+        every fault is raised by `factor` and `combine`, at the same token, as
+        if nothing had been folded."""
+        toks = self.toks
+        first = self.simple(self.i)
+        if first is None:
+            return None
+        num, du, dt, i = first
+        den = 1
+        while True:
+            op = toks[i]
+            if op == "*":
+                nxt = self.simple(i + 1)
+                if nxt is None:
+                    break
+                fn, fu, ft, j = nxt
+                if du + fu > POWER_CAP or dt + ft > POWER_CAP:
+                    break
+                num, du, dt, i = num * fn, du + fu, dt + ft, j
+            elif op == "/" and _numeral(toks[i + 1]) and toks[i + 2] != "^":
+                d = self.literal(i + 1)
+                if not d:
+                    break
+                den, i = den * d, i + 2
+            else:
+                break
+        self.i = i
+        if not num:
+            return {}
+        return {(du, dt): num if den == 1 else Fraction(num, den)}
+
+    def simple(self, k: int) -> Optional[tuple]:
+        """(integer coefficient, deg_u, deg_t, next token) of a simple factor
+        at token k, or None: an ASCII numeral or a variable of the target,
+        with an optional `^` and an ASCII numeral at most POWER_CAP.  Each
+        numeral is read by `literal`, which refuses one too long where
+        `factor` would."""
+        toks = self.toks
+        tok = toks[k]
+        key = self.target.fold.get(tok)
+        if key is not None:
+            c, (du, dt) = 1, key
+        elif _numeral(tok):
+            c, du, dt = self.literal(k), 0, 0
+        else:
+            return None
+        if toks[k + 1] != "^":
+            return c, du, dt, k + 1
+        if not _numeral(toks[k + 2]):
+            return None
+        e = self.literal(k + 2)
+        if e > POWER_CAP:  # a factor has degree at most 1
+            return None
+        return c ** e, du * e, dt * e, k + 3
 
     def factor(self):
         tg = self.target
@@ -373,6 +444,7 @@ _MONOMIALS = _Target(
     degree=_monomials_degree,
     grows="*",  # a divisor must be a constant
     grown=_monomials_grown,
+    fold={"t": (0, 1), "u": (1, 0)},
 )
 
 
@@ -393,7 +465,7 @@ def _to_bipoly(a: dict) -> BiPoly:
 
 
 # a conic is a polynomial in t: its `u` is refused at that token, as a section's is
-_CONIC = _MONOMIALS._replace(names={"t": _MONOMIALS.names["t"]})
+_CONIC = _MONOMIALS._replace(names={"t": _MONOMIALS.names["t"]}, fold={"t": (0, 1)})
 
 
 # -- section coordinates: rational functions in t --------------------------

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import takewhile
+from itertools import compress, takewhile
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -529,15 +529,33 @@ def is_perfect_square(p: UniPoly) -> Optional[UniPoly]:
     return None
 
 
+def _sieve(n: int) -> tuple[int, ...]:
+    """The primes below n, by the sieve of Eratosthenes."""
+    marks = bytearray([1]) * n
+    marks[:2] = b"\0\0"
+    for p in range(2, math.isqrt(n - 1) + 1):
+        if marks[p]:
+            marks[p * p::p] = bytes(len(range(p * p, n, p)))
+    return tuple(compress(range(n), marks))
+
+
+# the primes below 1000, kept for every call of `_primes`: immutable, so safe
+# to share between threads
+_SMALL_PRIMES = _sieve(1000)
+
+
 def _primes() -> Iterator[int]:
-    """2, 3, 5, 7, ... by trial division up to the square root, without end."""
-    found: list[int] = []
-    q = 2
+    """2, 3, 5, 7, ... without end: the kept primes below 1000, then each
+    further one by trial division up to the square root.  The only place
+    primes are drawn."""
+    yield from _SMALL_PRIMES
+    found = list(_SMALL_PRIMES)
+    q = found[-1] + 2
     while True:
         if all(q % r for r in takewhile(lambda r: r * r <= q, found)):
             found.append(q)
             yield q
-        q += 1
+        q += 2
 
 
 def _horner_mod(p: Sequence[int], x: int, m: int) -> int:
@@ -609,7 +627,8 @@ def squarefree_places(p: UniPoly) -> list[tuple[UniPoly, int]]:
     cuts a block where one of those changes).  No integer derived from `p` is
     ever factored, and sympy is not used."""
     out = [(place, mult) for f, mult in squarefree_decompose(p) for place in block_places(f)]
-    out.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
+    if len(out) > 1:
+        out.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
     return out
 
 
@@ -648,22 +667,35 @@ def split_by(block: UniPoly, a: UniPoly) -> list[tuple[UniPoly, int]]:
     return pieces
 
 
-def cubic_discriminant(c1: UniPoly, c2: UniPoly, c3: UniPoly) -> UniPoly:
-    """The discriminant 18 c1 c2 c3 - 4 c1^3 c3 + c1^2 c2^2 - 4 c2^3 - 27 c3^2
-    of u^3 + c1 u^2 + c2 u + c3 in integers: each term has weight 6 (c_k has
-    weight k), so it is the same form in A_k = D^k c_k over D^6, D the lcm of
-    the contents' denominators."""
+def cubic_invariants(c1: UniPoly, c2: UniPoly, c3: UniPoly) -> tuple[UniPoly, UniPoly, UniPoly]:
+    """(disc, c4, c6) of u^3 + c1 u^2 + c2 u + c3, in one pass over integers:
+    disc = c1^2 c2^2 - 4 c2^3 + 18 c1 c2 c3 - 4 c1^3 c3 - 27 c3^2 and, up to
+    the constants 16 and -32 (only their valuations are read),
+    c4 = c1^2 - 3 c2 and c6 = 2 c1^3 - 9 c1 c2 + 27 c3.  With c_k of weight
+    k, each is a form of weight 6, 2 and 3 in A_k = D^k c_k, over D^6, D^2
+    and D^3, D the lcm of the contents' denominators; the three share the
+    products A1^2, A1 A2, A1^3 and A2^2:
+
+        disc = A2^2 (A1^2 - 4 A2) + A3 (18 A1 A2 - 4 A1^3 - 27 A3)."""
     den = math.lcm(c1._d, c2._d, c3._d)
     a1, a2, a3 = ([c._n * (den ** k // c._d) * x for x in c._p]
                   for k, c in enumerate((c1, c2, c3), start=1))
-    a11, a22 = _convolve(a1, a1), _convolve(a2, a2)
-    terms = ((18, _convolve(_convolve(a1, a2), a3)), (-4, _convolve(_convolve(a11, a1), a3)),
-             (1, _convolve(a11, a22)), (-4, _convolve(a22, a2)), (-27, _convolve(a3, a3)))
-    acc = [0] * max(len(t) for _, t in terms)
-    for k, t in terms:
-        for i, x in enumerate(t):
+    a11, a12, a22 = _convolve(a1, a1), _convolve(a1, a2), _convolve(a2, a2)
+    a111 = _convolve(a11, a1)
+    disc = _sum((1, _convolve(a22, _sum((1, a11), (-4, a2)))),
+                (1, _convolve(a3, _sum((18, a12), (-4, a111), (-27, a3)))))
+    return (_canonical(disc, 1, den ** 6), _canonical(_sum((1, a11), (-3, a2)), 1, den ** 2),
+            _canonical(_sum((2, a111), (-9, a12), (27, a3)), 1, den ** 3))
+
+
+def _sum(*terms: tuple[int, list[int]]) -> list[int]:
+    """The coefficients of sum k p over the (k, p) pairs of an integer and
+    the coefficient list of an integer polynomial."""
+    acc = [0] * max(len(p) for _k, p in terms)
+    for k, p in terms:
+        for i, x in enumerate(p):
             acc[i] += k * x
-    return _canonical(acc, 1, den ** 6)
+    return acc
 
 
 class RatFn:

@@ -17,7 +17,6 @@ from . import mwtable
 from .poly import (
     BiPoly,
     RatFn,
-    UNIPOLY_ONE,
     UniPoly,
     is_perfect_square,
     poly_gcd,
@@ -131,15 +130,16 @@ def even_tangency(quartic: PreparedQuartic, conic: Conic) -> TangencyReport:
     doubled, or of g itself only when it is not a square.  A place is a block
     of roots, not factored further, so a contact at a singular point is found
     by a gcd: gcd(h, f_u, f_t) is nontrivial exactly when gcd(place, f_u, f_t)
-    is for some place.
+    is for some place.  It is taken as gcd(gcd(h, f_u), f_t), and f_t (with
+    the quartic's `f_t`) is read only where gcd(h, f_u) is nontrivial.
     """
     g = quartic.f.eval_u(conic.q)  # nonzero: construction refuses a root q of the cubic
     witness = is_perfect_square(g)
-    factors = (squarefree_places(g) if witness is None
-               else [(p, 2 * mult) for p, mult in squarefree_places(witness)])
-    contact_raw: list[tuple[ContactPlace, int]] = sorted(
-        factors, key=lambda fm: (fm[1], fm[0].degree, fm[0].coeffs)
-    )
+    contact_raw: list[tuple[ContactPlace, int]] = (
+        squarefree_places(g) if witness is None
+        else [(p, 2 * mult) for p, mult in squarefree_places(witness)])
+    if len(contact_raw) > 1:
+        contact_raw.sort(key=lambda fm: (fm[1], fm[0].degree, fm[0].coeffs))
     inf_mult = 8 - g.degree
     if inf_mult > 0:
         contact_raw.append((INFINITY_PLACE, inf_mult))
@@ -154,9 +154,8 @@ def even_tangency(quartic: PreparedQuartic, conic: Conic) -> TangencyReport:
         )
     # contacts must avoid the singular points of the quartic; the marked point
     # is smooth by assumption, and every other contact is a root of h
-    f_u = quartic.curve.cubic_u.eval_u(conic.q)
-    f_t = quartic.f_t.eval_u(conic.q)
-    if poly_gcd(poly_gcd(f_u, witness), f_t).degree > 0:
+    common = poly_gcd(quartic.curve.cubic_u.eval_u(conic.q), witness)
+    if common.degree > 0 and poly_gcd(common, quartic.f_t.eval_u(conic.q)).degree > 0:
         return TangencyReport(False, contact, None, "contact at a singular point of the quartic")
     return TangencyReport(True, contact, witness)
 
@@ -307,15 +306,21 @@ def _certificate_of_half(
 def verify_splitting_certificate(
     quartic: PreparedQuartic, conic: Conic, cert: SplittingCertificate
 ) -> bool:
-    """Exact polynomial expansion of the certificate identity."""
+    """The certificate identity, exactly, coefficient by coefficient in u.
+    With A = a1, B = a3 - a1 q and C = a2 - q the right side is
+    (A u + B)^2 + (u + C)^2 (u - q), monic cubic in u as f is, so it equals
+    f = u^3 + c1 u^2 + c2 u + c3 exactly when
+
+        c1 = A^2 + 2C - q,  c2 = 2AB + C^2 - 2Cq,  c3 = B^2 - C^2 q
+
+    in Q[t].  The degree bounds on a1, a2 and a3 are checked first."""
     if cert.a1.degree > 1 or cert.a2.degree > 2 or cert.a3.degree > 3:
         return False
-    q = conic.q
-    lin = BiPoly([cert.a3 - cert.a1 * q, cert.a1])  # a1*(u - q) + a3
-    shifted = BiPoly([cert.a2 - q, UNIPOLY_ONE])  # u - q + a2
-    u_minus_q = BiPoly([-q, UNIPOLY_ONE])
-    rhs = lin * lin + shifted * shifted * u_minus_q
-    return rhs == quartic.f
+    curve, q = quartic.curve, conic.q
+    a, b, c = cert.a1, cert.a3 - cert.a1 * q, cert.a2 - q
+    cq = c * q
+    return (curve.c1 == a * a + 2 * c - q and curve.c2 == 2 * a * b + c * c - 2 * cq
+            and curve.c3 == b * b - c * cq)
 
 
 # ---------------------------------------------------------------------------

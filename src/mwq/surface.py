@@ -28,7 +28,7 @@ from .poly import (
     RatFn,
     UniPoly,
     block_places,
-    cubic_discriminant,
+    cubic_invariants,
     is_perfect_square,
     ord_at,
     rational_roots,
@@ -88,9 +88,10 @@ class SectionPoint:
 class WeierstrassCurve:
     """y^2 = u^3 + c1 u^2 + c2 u + c3 with deg c_k <= 2k and nonzero discriminant.
 
-    A frozen value: the discriminant, c4, c6, the cubic and its derivative in
-    u, the first smooth fiber t0 and the cubic read mod (t - t0)^3 there are
-    each built on first use and kept on the instance."""
+    A frozen value: the discriminant, c4 and c6 (read together from one
+    integer pass, `invariants`), the cubic and its derivative in u, the first
+    smooth fiber t0 and the cubic read mod (t - t0)^3 there are each built on
+    first use and kept on the instance."""
 
     def __init__(self, c1: UniPoly, c2: UniPoly, c3: UniPoly):
         for k, c in enumerate((c1, c2, c3), start=1):
@@ -130,18 +131,22 @@ class WeierstrassCurve:
         return ((x + self.c1) * x + self.c2) * x + self.c3
 
     @cached_property
+    def invariants(self) -> tuple[UniPoly, UniPoly, UniPoly]:
+        """(discriminant, c4, c6), c4 and c6 up to the constants 16 and -32
+        (only valuations are ever read), from one `cubic_invariants` pass."""
+        return cubic_invariants(self.c1, self.c2, self.c3)
+
+    @property
     def discriminant(self) -> UniPoly:
-        return cubic_discriminant(self.c1, self.c2, self.c3)
+        return self.invariants[0]
 
-    @cached_property
+    @property
     def c4_quantity(self) -> UniPoly:
-        # c4 up to the constant 16; only valuations are ever used
-        return self.c1 * self.c1 - 3 * self.c2
+        return self.invariants[1]
 
-    @cached_property
+    @property
     def c6_quantity(self) -> UniPoly:
-        # c6 up to the constant -32
-        return 2 * self.c1 ** 3 - 9 * self.c1 * self.c2 + 27 * self.c3
+        return self.invariants[2]
 
     @cached_property
     def good_fiber(self) -> Fraction:
@@ -456,7 +461,8 @@ def height_context(curve: WeierstrassCurve) -> HeightContext:
             for piece, v_c6 in split_by(by_c4, c6):
                 places.extend(PlaceData(place, *_classify(v_c4, v_c6, mult), place.degree, curve)
                               for place in block_places(piece))
-    places.sort(key=lambda pd: pd.place.coeffs)
+    if len(places) > 1:
+        places.sort(key=lambda pd: pd.place.coeffs)
     if curve.discriminant.degree < 12:  # the discriminant has weight 12
         places.append(kodaira_type_at(curve, INFINITY_PLACE))
     total = sum(pd.degree * pd.euler for pd in places)

@@ -935,6 +935,36 @@ def test_golden_records(capsys, name):
     assert capsys.readouterr().out == expected
 
 
+def _golden_certificates():
+    """(quartic, conic, certificate texts) of each golden symbol record that
+    holds a splitting certificate."""
+    for name in sorted(GOLDEN_RECORDS):
+        argv = GOLDEN_RECORDS[name]
+        lines = (RECORDS_DIR / f"{name}.jsonl").read_text(encoding="utf-8").splitlines()
+        for rec in map(json.loads, lines):
+            if argv[0] == "symbol" and rec.get("name") == "splitting_certificate":
+                yield pytest.param(argv[1], argv[2], rec["value"], id=name)
+
+
+@pytest.mark.parametrize("quartic, conic, cert", list(_golden_certificates()))
+def test_certificate_check_agrees_with_sympy_on_the_goldens(quartic, conic, cert):
+    """`verify_splitting_certificate` and the sympy expansion agree on each
+    golden certificate, which holds, and on each of its corruptions: a
+    constant added to a1, a2 or a3, or a changed top coefficient (of t^k in
+    a_k), each of which fails."""
+    from mwq.quartic import Conic, PreparedQuartic, SplittingCertificate, verify_splitting_certificate
+
+    q, c = PreparedQuartic(parse_curve_rhs(quartic)), Conic(parse_conic_rhs(conic))
+    variants = [cert] + [{**cert, key: f"({cert[key]}) + {bump}"}
+                         for k, key in enumerate(("a1", "a2", "a3"), start=1)
+                         for bump in ("1", f"t^{k}")]
+    for texts in variants:
+        expanded = _certificate_expands_to_quartic(quartic, conic, texts)
+        assert expanded == (texts is cert)
+        certificate = SplittingCertificate(*(parse_unipoly(texts[k]) for k in ("a1", "a2", "a3")))
+        assert verify_splitting_certificate(q, c, certificate) == expanded
+
+
 def _public_functions() -> set[str]:
     """Names of the public functions defined in the mwq modules."""
     import importlib
@@ -1012,12 +1042,13 @@ def test_public_api_is_used_in_src_or_named_in_readme():
 
 # ---------------------------------------------------------------------------
 # each fact once: one analysis per quartic, one classification per bad fiber,
-# one tangency and halving per conic, one cubic discriminant per curve (the
-# fiber at infinity is read off its degree: the discriminant has weight 12)
+# one tangency and halving per conic, one pass for the discriminant, c4 and c6
+# per curve (the fiber at infinity is read off the degree of the discriminant,
+# which has weight 12)
 # ---------------------------------------------------------------------------
 
 COUNTED = ("height_context", "singular_configuration", "even_tangency", "halve",
-           "_classify", "cubic_discriminant", "on_curve", "_local")
+           "_classify", "cubic_invariants", "on_curve", "_local")
 
 
 @pytest.fixture
@@ -1055,10 +1086,10 @@ def call_counts(monkeypatch):
     # discriminant, c4, c6
     (["example", "5.1"],
      {"height_context": 1, "even_tangency": 2, "halve": 2, "singular_configuration": 1,
-      "_classify": 4, "cubic_discriminant": 1, "on_curve": 3}),
+      "_classify": 4, "cubic_invariants": 1, "on_curve": 3}),
     # three bad places: t (I4), a quintic (I1) and infinity (III)
     (["example", "5.2"],
-     {"height_context": 1, "_classify": 3, "cubic_discriminant": 1, "on_curve": 3}),
+     {"height_context": 1, "_classify": 3, "cubic_invariants": 1, "on_curve": 3}),
     # the curve's good-fiber model is built once, by `two_torsion_free`, and
     # both halvings read it
     (["zariski", Q51, C51_1, C51_2],

@@ -32,6 +32,7 @@ PRODUCT_CAP = f"product exceeds the cap: degree at most {POWER_CAP}"
 QUOTIENT_CAP = f"quotient exceeds the cap: degree at most {POWER_CAP}"
 SUM_CAP = f"sum exceeds the cap: degree at most {POWER_CAP}"
 DIFFERENCE_CAP = f"difference exceeds the cap: degree at most {POWER_CAP}"
+POWER = f"power exceeds the cap: exponent and degree at most {POWER_CAP}"
 DEPTH = f"nesting exceeds the cap: depth at most {DEPTH_CAP}"
 CURVE_SHAPE = "curve must have the form `y^2 = f(t, u)`"
 CONIC_SHAPE = "conic must have the form `u = q(t)`"
@@ -103,6 +104,21 @@ SINGLE_FAULTS = [
     (parse_curve_rhs, "y^2 = u^3 + 1/(t - t) + $", ParseError, "division by zero", 13),
     (parse_section, "(1/(t-t), $)", ParseError, "division by zero", 2),
     (parse_curve_rhs, "$^2 = u", ParseError, "unexpected character '$'", 0),
+    # a term's leading run of simple factors is folded into one monomial, and
+    # stops before whatever it would refuse: each fault is still raised at its
+    # own token, by the same check, as when the factors are taken one by one
+    (parse_bipoly, "t^60*t^41", ParseError, PRODUCT_CAP, 4),
+    (parse_bipoly, "t^100*t", ParseError, PRODUCT_CAP, 5),
+    (parse_curve_rhs, "u^50*t*u^51", ParseError, PRODUCT_CAP, 6),
+    (parse_bipoly, "2*t^101", ParseError, POWER, 4),
+    (parse_bipoly, "2^101*t", ParseError, POWER, 2),
+    (parse_bipoly, "3/0*t", ParseError, "division by zero", 1),
+    (parse_bipoly, "t*u/0", ParseError, "division by zero", 3),
+    (parse_conic_rhs, "u*t^-1", InputFormatError, NOT_IN_T, None),
+    (parse_bipoly, "u*t^-1", InputFormatError, NOT_POLYNOMIAL, None),
+    (parse_bipoly, "t*3/t", InputFormatError, NOT_POLYNOMIAL, None),
+    (parse_bipoly, "2*" + "7" * 5000, ParseError, "integer literal of 5000 digits is too long", 2),
+    (parse_bipoly, "2*t^" + "9" * 5000, ParseError, "integer literal of 5000 digits is too long", 4),
     # digits are ASCII: a superscript or a non-ASCII decimal digit is a
     # character outside the grammar, refused where it stands
     (parse_bipoly, "t^\u00b2", ParseError, "unexpected character '\u00b2'", 2),
@@ -145,6 +161,21 @@ def test_division_rule():
     assert parse_ratfn("(2*t)^-2") == RatFn(UniPoly.const(1), UniPoly.of(0, 0, 4))
 
 
+@pytest.mark.parametrize("text, value", [
+    ("t/2^2", T * Fraction(1, 4)),  # a divisor raised to a power ends the run
+    ("0^0*t", T),
+    ("0*t^60*t^60", UNIPOLY_ZERO),  # a zero product caps no degree
+    ("t^60*0*t^60", UNIPOLY_ZERO),
+    ("6/4*t/3", T * Fraction(1, 2)),
+    ("2/-1*t", -2 * T),  # a signed divisor ends the run
+    ("3*t*t^2/6*t^0", T ** 3 * Fraction(1, 2)),
+    ("(2*t)*(t/2)", T ** 2),
+])
+def test_folded_runs_read_as_their_products(text, value):
+    assert parse_unipoly(text) == value
+    assert parse_bipoly(text) == BiPoly([value])
+
+
 def test_degree_budget_is_per_variable_and_read_on_the_operands():
     # degree 60 in t and 60 in u: each within the cap
     assert parse_bipoly("u^60*t^60") == BiPoly([UNIPOLY_ZERO] * 60 + [UniPoly.of(*[0] * 60, 1)])
@@ -184,9 +215,7 @@ def _expressions(draw, depth: int = 4) -> str:
     return f"({a}) {op} ({draw(_expressions(depth - 1))})"
 
 
-@settings(max_examples=120, deadline=None)
-@given(text=_expressions())
-def test_parse_bipoly_matches_sympy_expand(text):
+def _assert_parse_bipoly_matches_sympy(text: str):
     import sympy
 
     t, u = sympy.symbols("t u")
@@ -203,6 +232,45 @@ def test_parse_bipoly_matches_sympy_expand(text):
         for du, row in enumerate(f.coeffs) for dt, c in enumerate(row.coeffs) if c != 0
     }
     assert got == want
+
+
+@settings(max_examples=120, deadline=None)
+@given(text=_expressions())
+def test_parse_bipoly_matches_sympy_expand(text):
+    _assert_parse_bipoly_matches_sympy(text)
+
+
+# a simple factor: a numeral or a variable, each maybe raised to a numeral power
+_SIMPLE = st.one_of(
+    st.integers(0, 10 ** 12).map(str),
+    st.sampled_from(["t", "u"]),
+    st.builds("{}^{}".format, st.sampled_from(["t", "u", "0", "1", "2", "7"]), st.integers(0, 9)),
+)
+
+
+@st.composite
+def _monomial_runs(draw) -> str:
+    """An expanded sum: each term a run of simple factors joined by `*`, or
+    by `/` and a nonzero numeral, as a printed polynomial is."""
+    terms = []
+    for _ in range(draw(st.integers(1, 8))):
+        run = draw(_SIMPLE)
+        for _ in range(draw(st.integers(0, 4))):
+            if draw(st.integers(0, 3)):
+                run += "*" + draw(_SIMPLE)
+            else:
+                run += "/" + str(draw(st.integers(1, 999)))
+        terms.append(run)
+    signs = draw(st.lists(st.sampled_from([" + ", " - ", "+", "-"]),
+                          min_size=len(terms), max_size=len(terms)))
+    text = "".join(sign + term for sign, term in zip(signs, terms))
+    return text.lstrip(" +")
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=_monomial_runs())
+def test_parse_bipoly_of_monomial_runs_matches_sympy_expand(text):
+    _assert_parse_bipoly_matches_sympy(text)
 
 
 # the characters of the grammar, and `=` and space

@@ -21,7 +21,7 @@ from mwq.poly import (
     UNIPOLY_ONE,
     UNIPOLY_ZERO,
     UniPoly,
-    cubic_discriminant,
+    cubic_invariants,
     is_perfect_square,
     ord_at,
     poly_gcd,
@@ -669,7 +669,9 @@ def test_split_by_pieces_multiply_back(factors, extra):
 def test_primes_match_sympy():
     import sympy
 
-    assert list(islice(_primes(), 300)) == list(sympy.primerange(2, sympy.prime(300) + 1))
+    walk = list(islice(_primes(), 300))  # past the kept primes below 1000
+    assert walk == list(sympy.primerange(2, sympy.prime(300) + 1))
+    assert list(islice(_primes(), 300)) == walk  # a second walk finds the same
 
 
 @pytest.mark.parametrize("quartic", [
@@ -872,9 +874,11 @@ def test_eval_u_matches_unipoly_horner(cs, x):
     assert got == horner(f, px)
 
 
-def discriminant_by_unipoly(c1, c2, c3):
-    """Oracle: the discriminant of u^3 + c1 u^2 + c2 u + c3 in UniPoly arithmetic."""
-    return 18 * c1 * c2 * c3 - 4 * c1 ** 3 * c3 + c1 ** 2 * c2 ** 2 - 4 * c2 ** 3 - 27 * c3 ** 2
+def invariants_by_unipoly(c1, c2, c3):
+    """Oracle: the discriminant, c4 and c6 of u^3 + c1 u^2 + c2 u + c3 (c4 and
+    c6 up to the constants 16 and -32) in UniPoly arithmetic."""
+    return (18 * c1 * c2 * c3 - 4 * c1 ** 3 * c3 + c1 ** 2 * c2 ** 2 - 4 * c2 ** 3 - 27 * c3 ** 2,
+            c1 * c1 - 3 * c2, 2 * c1 ** 3 - 9 * c1 * c2 + 27 * c3)
 
 
 @settings(max_examples=150, deadline=None)
@@ -882,9 +886,10 @@ def discriminant_by_unipoly(c1, c2, c3):
 @example(c1=[], c2=[], c3=[])
 def test_integer_discriminant_matches_unipoly_formula(c1, c2, c3):
     c1, c2, c3 = UniPoly(c1), UniPoly(c2), UniPoly(c3)
-    got = cubic_discriminant(c1, c2, c3)
-    assert_canonical(got)
-    assert got == discriminant_by_unipoly(c1, c2, c3)
+    got = cubic_invariants(c1, c2, c3)
+    for p in got:
+        assert_canonical(p)
+    assert got == invariants_by_unipoly(c1, c2, c3)
 
 
 def test_unipoly_errors_and_immutability():

@@ -226,6 +226,7 @@ def test_a_rootless_contact_at_singular_points_is_refused():
     rep = even_tangency(quartic, conic_t2())
     assert not rep.is_even_tangential
     assert rep.note == "contact at a singular point of the quartic"
+    assert "f_t" in vars(quartic)  # gcd(h, f_u) is nontrivial: f_t is read
     assert rep.contact == contact_by_factoring_g(quartic, conic_t2())
     assert rep.contact == ((UniPoly.of(-3, 1), 2), (UniPoly.of(1, 0, 1), 2), (INFINITY_PLACE, 2))
 
@@ -333,6 +334,15 @@ def test_symbols_51(q51):
     assert sym2.value == -1 and sym2.route == ROUTE_HALVING_ABSENCE
 
 
+def test_symbols_read_f_t_only_at_a_common_root_of_h_and_f_u():
+    # neither 5.1 conic meets the quartic where f_u vanishes on a contact, so
+    # the third gcd, and with it the quartic's f_t, is never taken
+    quartic = PreparedQuartic(parse_curve_rhs(Q51_TEXT))
+    assert qr_symbol(quartic, Conic(C51_1)).value == 1
+    assert qr_symbol(quartic, Conic(C51_2)).value == -1
+    assert "f_t" not in vars(quartic)
+
+
 def test_symbols_52(q52):
     assert qr_symbol(q52, Conic(C52_1)).value == 1
     assert qr_symbol(q52, Conic(C52_2)).value == -1
@@ -380,10 +390,25 @@ def test_certificate_52(q52):
     assert verify_splitting_certificate(q52, Conic(C52_1), cert)
 
 
-def test_corrupted_certificate_fails(q51):
+def test_corrupted_certificate_fails(q51, q52):
+    # a constant added to a1, a2 or a3, or a changed top coefficient (of t^k
+    # in a_k, within the degree bound): each breaks one of the identities
+    for quartic, conic in ((q51, Conic(C51_1)), (q52, Conic(C52_1))):
+        cert = qr_symbol(quartic, conic).witness_certificate
+        assert verify_splitting_certificate(quartic, conic, cert)
+        for k in range(3):
+            for bump in (UNIPOLY_ONE, T ** (k + 1)):
+                bad = SplittingCertificate(*(a + bump if i == k else a for i, a in enumerate(cert)))
+                assert not verify_splitting_certificate(quartic, conic, bad)
+
+
+@pytest.mark.parametrize("extra", ["u^2", "u", "1"])
+def test_certificate_of_another_quartic_fails(q51, extra):
+    # f + u^2, f + u and f + 1 each change one coefficient of f in u, and so
+    # one of the three identities the certificate is checked against
     cert = qr_symbol(q51, Conic(C51_1)).witness_certificate
-    bad = SplittingCertificate(cert.a1, cert.a2, cert.a3 + 1)
-    assert not verify_splitting_certificate(q51, Conic(C51_1), bad)
+    other = PreparedQuartic(parse_curve_rhs(f"{Q51_TEXT} + {extra}"))
+    assert not verify_splitting_certificate(other, Conic(C51_1), cert)
 
 
 def test_certificate_rejects_wrong_section(q51):

@@ -30,7 +30,7 @@ from mwq.surface import (
     WeierstrassCurve,
     _lifted_roots,
     add,
-    cubic_discriminant,
+    cubic_invariants,
     double,
     halve,
     height_context,
@@ -233,23 +233,59 @@ def test_constant_discriminant():
     assert c.discriminant == UniPoly.const(-27)
 
 
-def test_cubic_discriminant_against_sympy():
+def _sympy_invariants(c1, c2, c3):
+    """disc, c1^2 - 3 c2 and 2 c1^3 - 9 c1 c2 + 27 c3 of u^3 + c1 u^2 + c2 u + c3,
+    expanded by sympy."""
     import sympy as sp
 
     t, u = sp.symbols("t u")
+    s1, s2, s3 = (sum(sp.Rational(a.numerator, a.denominator) * t ** i
+                      for i, a in enumerate(c.coeffs)) for c in (c1, c2, c3))
+    cubic = u ** 3 + s1 * u ** 2 + s2 * u + s3
+    return (sp.Poly(sp.expand(e), t) for e in (sp.discriminant(cubic, u), s1 ** 2 - 3 * s2,
+                                                 2 * s1 ** 3 - 9 * s1 * s2 + 27 * s3))
 
-    def to_sympy(c):
-        return sum(sp.Rational(a.numerator, a.denominator) * t ** i
-                   for i, a in enumerate(c.coeffs))
 
+def _as_sympy(p):
+    import sympy as sp
+
+    t = sp.Symbol("t")
+    return sp.Poly(sum(sp.Rational(a.numerator, a.denominator) * t ** i
+                       for i, a in enumerate(p.coeffs)), t)
+
+
+def test_cubic_discriminant_against_sympy():
     rng = random.Random(505)
     for _ in range(20):
         c1, c2, c3 = (UniPoly([Fraction(rng.randint(-9, 9), rng.randint(1, 4))
                                for _ in range(rng.randint(1, 2 * k + 1))])
                       for k in (1, 2, 3))
-        cubic = u ** 3 + to_sympy(c1) * u ** 2 + to_sympy(c2) * u + to_sympy(c3)
-        expected = sp.expand(sp.discriminant(cubic, u))
-        assert sp.expand(to_sympy(cubic_discriminant(c1, c2, c3)) - expected) == 0
+        got = cubic_invariants(c1, c2, c3)
+        assert [_as_sympy(p) for p in got] == list(_sympy_invariants(c1, c2, c3))
+
+
+def _rational_poly(max_degree: int):
+    """A polynomial of degree at most max_degree with a rational content."""
+    return st.builds(
+        lambda cs, num, den: UniPoly(cs) * Fraction(num, den),
+        st.lists(st.integers(-50, 50), max_size=max_degree + 1),
+        st.integers(-30, 30).filter(bool), st.integers(1, 40),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(c1=_rational_poly(2), c2=_rational_poly(4), c3=_rational_poly(6),
+       zero=st.sampled_from(["", "c1", "c2", "c1 c2"]))
+def test_cubic_invariants_match_sympy(c1, c2, c3, zero):
+    """disc, c4 and c6 from one integer pass equal sympy's, with deg c_k <= 2k,
+    rational contents, and c1 or c2 (or both) zero."""
+    c1 = UNIPOLY_ZERO if "c1" in zero else c1
+    c2 = UNIPOLY_ZERO if "c2" in zero else c2
+    got = cubic_invariants(c1, c2, c3)
+    assert [_as_sympy(p) for p in got] == list(_sympy_invariants(c1, c2, c3))
+    if not got[0].is_zero:  # the curve reads its three invariants from that one pass
+        curve = WeierstrassCurve(c1, c2, c3)
+        assert (curve.discriminant, curve.c4_quantity, curve.c6_quantity) == got
 
 
 def test_example_discriminant_roots(e51, e52):
@@ -452,7 +488,7 @@ def test_planted_fiber_types_match_the_per_place_context(c1, c2, x, y):
     height of P, agree with the per-place oracle."""
     c2, x, y = T * c2, T * x, T * y
     c3 = y * y - x ** 3 - c1 * x * x - c2 * x
-    assume(not cubic_discriminant(c1, c2, c3).is_zero)
+    assume(not cubic_invariants(c1, c2, c3)[0].is_zero)
     curve = WeierstrassCurve(c1, c2, c3)
     assert ord_at(curve.discriminant, T) >= 2
     try:
