@@ -36,12 +36,13 @@ the read that builds it, before its Gram or its copies are built.
 
 from __future__ import annotations
 
+import math
 import operator
 import re
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
 
-from .poly import T, UNIPOLY_ONE, BiPoly, RatFn, UniPoly
+from .poly import T, UNIPOLY_ONE, BiPoly, RatFn, UniPoly, _canonical
 
 
 POWER_CAP = 100
@@ -117,7 +118,7 @@ class _Target(NamedTuple):
 
     const: Callable  # integer literal -> value
     names: dict  # variable -> value
-    ops: dict  # "+", "-", "*", "/" -> (a, b) -> a op b
+    ops: dict  # "+", "-" (unless `add_in` is set), "*", "/" -> (a, b) -> a op b
     neg: Callable
     power: Callable  # (base, exponent >= 0) -> base^exponent
     is_zero: Callable
@@ -125,6 +126,7 @@ class _Target(NamedTuple):
     grows: str
     grown: Callable
     fold: Optional[dict] = None  # variable -> (deg_u, deg_t), where a term's simple factors fold
+    add_in: Optional[Callable] = None  # (acc, op, b): acc op= b in place, for op + and -
 
 
 _RESULT = {"+": "sum", "-": "difference", "*": "product", "/": "quotient"}
@@ -184,12 +186,23 @@ class _Parser:
         return tg.ops[op](a, b)
 
     def expr(self):
+        """Terms joined by `+` and `-`.  Where the target adds in place
+        (monomial maps, whose sums and differences are never refused), the
+        first term is copied once, at the first operator, and each further
+        term is added into that copy."""
         acc = self.term()
         toks = self.toks
+        add_in = self.target.add_in
+        owned = False
         while (op := toks[self.i]) == "+" or op == "-":
             k = self.i
             self.i += 1
-            acc = self.combine(acc, op, self.term(), k)
+            if add_in is None:
+                acc = self.combine(acc, op, self.term(), k)
+                continue
+            if not owned:
+                acc, owned = dict(acc), True
+            add_in(acc, op, self.term())
         return acc
 
     def term(self):
@@ -371,15 +384,17 @@ def _repeated(one, mul, base, exponent: int):
 # -- curves and conics: sparse maps {(deg_u, deg_t): nonzero coefficient} ----
 
 
-def _monomials_add(a: dict, b: dict) -> dict:
-    out = dict(a)
+def _monomials_add_in(acc: dict, op: str, b: dict) -> None:
+    """acc + b or acc - b, in place in acc."""
     for k, c in b.items():
-        s = out[k] + c if k in out else c
-        if s:
-            out[k] = s
+        if op == "-":
+            c = -c
+        if k not in acc:
+            acc[k] = c
+        elif s := acc[k] + c:
+            acc[k] = s
         else:
-            del out[k]  # s = 0 only where a holds the monomial
-    return out
+            del acc[k]
 
 
 def _monomials_neg(a: dict) -> dict:
@@ -436,8 +451,7 @@ def _monomials_grown(a: dict, _op: str, b: dict) -> int:
 _MONOMIALS = _Target(
     const=lambda n: {(0, 0): n} if n else {},
     names={"t": {(0, 1): 1}, "u": {(1, 0): 1}},
-    ops={"+": _monomials_add, "-": lambda a, b: _monomials_add(a, _monomials_neg(b)),
-         "*": _monomials_mul, "/": _monomials_divide},
+    ops={"*": _monomials_mul, "/": _monomials_divide},
     neg=_monomials_neg,
     power=_monomials_power,
     is_zero=operator.not_,
@@ -445,23 +459,34 @@ _MONOMIALS = _Target(
     grows="*",  # a divisor must be a constant
     grown=_monomials_grown,
     fold={"t": (0, 1), "u": (1, 0)},
+    add_in=_monomials_add_in,
 )
+
+
+def _row(terms) -> UniPoly:
+    """The UniPoly of (deg_t, coefficient) pairs of distinct degrees, each
+    coefficient an int or a Fraction, built from their integer numerators
+    over the lcm of their denominators."""
+    ratios = [(dt, c, 1) if type(c) is int else (dt, c.numerator, c.denominator)
+              for dt, c in terms]
+    den = math.lcm(*(d for _dt, _n, d in ratios))
+    row = [0] * (1 + max((dt for dt, _n, _d in ratios), default=-1))
+    for dt, n, d in ratios:
+        row[dt] = n * (den // d)
+    return _canonical(row, 1, den)
 
 
 def _to_unipoly(a: dict) -> UniPoly:
     """The UniPoly of a sparse map without u."""
-    row = [0] * (1 + max((dt for _du, dt in a), default=-1))
-    for (_du, dt), c in a.items():
-        row[dt] = c
-    return UniPoly(row)
+    return _row((dt, c) for (_du, dt), c in a.items())
 
 
 def _to_bipoly(a: dict) -> BiPoly:
     """The BiPoly of a sparse map: one UniPoly per degree in u."""
-    rows: list[dict] = [{} for _ in range(1 + max((du for du, _dt in a), default=-1))]
+    rows: list[list] = [[] for _ in range(1 + max((du for du, _dt in a), default=-1))]
     for (du, dt), c in a.items():
-        rows[du][0, dt] = c
-    return BiPoly(list(map(_to_unipoly, rows)))
+        rows[du].append((dt, c))
+    return BiPoly(list(map(_row, rows)))
 
 
 # a conic is a polynomial in t: its `u` is refused at that token, as a section's is

@@ -250,23 +250,18 @@ class UniPoly:
             return self
         return _make(1, self._p[-1], self._p)
 
-    def shift(self, a: Scalar, order: Optional[int] = None) -> "UniPoly":
-        """Return p(t + a), or its part mod t^order, by repeated synthetic
-        division on integers.  With a = n/d and P the primitive part,
-        Q(x) = d^deg P(x/d) has integer coefficients and
-        P(a + t) = d^-deg Q(n + d t): shift Q by n, then scale the coefficient
-        of t^i by d^i."""
-        p = self._p
-        if not p or not a and order is None:
-            return self
-        n, d = a.numerator, a.denominator
-        deg = len(p) - 1
-        q = [x * d ** (deg - i) for i, x in enumerate(p)]
-        for i in range(deg if n else 0):
-            for j in range(deg - 1, i - 1, -1):
-                q[j] += n * q[j + 1]
-        q = [x * d ** i for i, x in enumerate(q[:order])]
-        return _canonical(q, self._n, self._d * d ** deg)
+    def jet(self, t0: int) -> tuple[tuple[int, int, int], int]:
+        """p(t0 + s) mod s^3 at an integer t0: the coefficients of 1, s and s^2
+        as integers over one positive denominator, the content's.  With P the
+        primitive part they are the content's numerator times P(t0), P'(t0)
+        and P''(t0) / 2, from one Horner pass."""
+        v0 = v1 = v2 = 0
+        for x in reversed(self._p):
+            v2 = v2 * t0 + v1
+            v1 = v1 * t0 + v0
+            v0 = v0 * t0 + x
+        n = self._n
+        return (n * v0, n * v1, n * v2), self._d
 
     def __repr__(self):
         from .parsing import poly_text
@@ -819,13 +814,6 @@ class BiPoly:
 
     def coeff_u(self, k: int) -> UniPoly:
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else UNIPOLY_ZERO
-
-    def coeff_t(self, k: int) -> UniPoly:
-        """The coefficient of t^k, a polynomial in u, read off the ints of
-        each coefficient's content and primitive part."""
-        ratios = [(c._n * c._p[k], c._d) if k < len(c._p) else (0, 1) for c in self.coeffs]
-        den = math.lcm(*(d for _, d in ratios))
-        return _canonical([n * (den // d) for n, d in ratios], 1, den)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, BiPoly) and self.coeffs == other.coeffs

@@ -17,9 +17,10 @@ at v (Silverman 1988); cross pairings follow by bilinearity.
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
 from fractions import Fraction
-from typing import Callable, NamedTuple, Optional, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 from .poly import (
     UNIPOLY_ONE,
@@ -27,6 +28,8 @@ from .poly import (
     InternalInconsistencyError,
     RatFn,
     UniPoly,
+    _canonical,
+    _horner,
     block_places,
     cubic_invariants,
     is_perfect_square,
@@ -90,8 +93,9 @@ class WeierstrassCurve:
 
     A frozen value: the discriminant, c4 and c6 (read together from one
     integer pass, `invariants`), the cubic and its derivative in u, the first
-    smooth fiber t0 and the cubic read mod (t - t0)^3 there are each built on
-    first use and kept on the instance."""
+    smooth fiber t0 and the cubic's integer jets there (`fiber_jets`: c1, c2
+    and c3 mod (t - t0)^3, scaled to integers by the powers of one
+    denominator) are each built on first use and kept on the instance."""
 
     def __init__(self, c1: UniPoly, c2: UniPoly, c3: UniPoly):
         for k, c in enumerate((c1, c2, c3), start=1):
@@ -149,15 +153,16 @@ class WeierstrassCurve:
         return self.invariants[2]
 
     @cached_property
-    def good_fiber(self) -> Fraction:
+    def good_fiber(self) -> int:
         """The least integer t0 >= 0 whose fiber is smooth, where
         `two_torsion_free` and `halve` specialize."""
         return _good_fiber(self)
 
     @cached_property
-    def local_cubic(self) -> BiPoly:
-        """The cubic at the good fiber: f(t0 + s, u) mod s^3."""
-        return _local(self.cubic, self.good_fiber)
+    def fiber_jets(self) -> tuple[int, Jet, Jet, Jet]:
+        """The cubic at the good fiber as integer jets, which `two_torsion_free`
+        and `halve` share."""
+        return _fiber_jets(self, self.good_fiber)
 
     def __repr__(self):
         from .parsing import bipoly_text
@@ -496,50 +501,115 @@ def height_pairing(ctx: HeightContext, p: SectionPoint, q: SectionPoint) -> Frac
 # ---------------------------------------------------------------------------
 
 
-def _good_fiber(curve: WeierstrassCurve, avoid: UniPoly = UNIPOLY_ONE) -> Fraction:
+def _good_fiber(curve: WeierstrassCurve, avoid: UniPoly = UNIPOLY_ONE) -> int:
     """The least integer t0 >= 0 with a smooth fiber (disc(t0) != 0) at which
     `avoid`, a nonzero polynomial, does not vanish either."""
     disc = curve.discriminant
     k = 0
-    while disc(Fraction(k)) == 0 or avoid(Fraction(k)) == 0:
+    while disc(k) == 0 or avoid(k) == 0:
         k += 1
-    return Fraction(k)
+    return k
 
 
-def _local(f: BiPoly, t0: Fraction) -> BiPoly:
-    """f(t0 + s, u) mod s^3: f read near the fiber over t0."""
-    return BiPoly([c.shift(t0, 3) for c in f.coeffs])
+# A jet is a quantity read mod s^3 near a fiber, s = t - t0: the three integer
+# coefficients of 1, s and s^2.  With one denominator D, c_k is scaled by D^k
+# and u (and x_P) by D, so that in Y = D u every polynomial in u the fiber
+# work reads has integer jets for coefficients.
+
+Jet = tuple[int, int, int]
 
 
-def _lifted_roots(local: BiPoly, t0: Fraction,
-                  residual: Callable[[UniPoly], UniPoly]) -> list[UniPoly]:
-    """The lifts mod (t - t0)^3 of the rational roots of poly(t0, u), in
-    ascending order of those roots, shifted back to t; every root of poly in
-    Q[t] of degree <= 2 is among them.  `local` is poly(t0 + s, u), read only
-    mod s^3, whose fiber p_0 = poly(t0, u) has simple roots, so it goes
-    straight to the p-adic root finder.  With p_k(u) the
-    coefficient of s^k in `local`, a root r of p_0 lifts to r + a s + b s^2:
+def _fiber_jets(curve: WeierstrassCurve, t0: int) -> tuple[int, Jet, Jet, Jet]:
+    """(D, a, b, c): the cubic near the fiber over t0 as integer jets
+    a = D c1, b = D^2 c2 and c = D^3 c3, for D the lcm of the denominators of
+    the jets of c1, c2 and c3 (`UniPoly.jet`).  In Y = D u the cubic is
+    D^-3 F(Y), F = Y^3 + a Y^2 + b Y + c."""
+    (a, da), (b, db), (c, dc) = (ck.jet(t0) for ck in (curve.c1, curve.c2, curve.c3))
+    den = math.lcm(da, db, dc)
+    return (den, _jet_scaled(a, den // da), _jet_scaled(b, den ** 2 // db),
+            _jet_scaled(c, den ** 3 // dc))
 
-        p_0'(r) a = -p_1(r),
-        p_0'(r) b = -(p_2(r) + p_1'(r) a + p_0''(r) a^2 / 2).
 
-    Each lift L is checked exactly: `residual(L)`, poly(t0 + s, L(s)) from
-    the caller's own expression for poly, not from the p_k, is built once and
-    vanishes mod s^3.
+def _jet_scaled(p: Jet, k: int) -> Jet:
+    return p if k == 1 else (k * p[0], k * p[1], k * p[2])
+
+
+def _jet_product(p: Jet, q: Jet) -> Jet:
+    """p q mod s^3."""
+    p0, p1, p2 = p
+    q0, q1, q2 = q
+    return p0 * q0, p0 * q1 + p1 * q0, p0 * q2 + p1 * q1 + p2 * q0
+
+
+def _cubic_at(a: Jet, b: Jet, c: Jet, n: Jet, e: int) -> tuple[Jet, Jet]:
+    """(e^3 F(n/e), e^2 F'(n/e)) mod s^3 for F = Y^3 + a Y^2 + b Y + c at the
+    jet n/e, so both in integers."""
+    e2 = e * e
+    ea = _jet_scaled(a, e)
+    n2, ean = _jet_product(n, n), _jet_product(ea, n)
+    f = _jet_product(tuple(x + y + e2 * z for x, y, z in zip(n2, ean, b)), n)
+    f = tuple(x + e2 * e * z for x, z in zip(f, c))
+    fp = tuple(3 * x + 2 * y + e2 * z for x, y, z in zip(n2, ean, b))
+    return f, fp
+
+
+def _lifted_roots(slices: Sequence[Sequence[int]], t0: int, den: int,
+                  residual: Callable[[Jet, int], Jet]) -> list[UniPoly]:
+    """The lifts mod (t - t0)^3 of the rational roots of a polynomial's fiber
+    over t0, in ascending order of those roots, as polynomials in t; every
+    root of the polynomial in Q[t] of degree <= 2 is among them.
+
+    The polynomial is read in the scaled variable Y = den u, through the
+    integer coefficient lists, low degree first, of its slices p_0, p_1 and
+    p_2, the coefficients of 1, s and s^2 (s = t - t0).  The fiber p_0 is
+    monic with simple roots, so its rational roots are integers.  It goes
+    straight to the p-adic root finder, but read in u: the primitive part of
+    p_0(den u), the fiber itself, has smaller integers than the monic p_0,
+    and costs the finder less.  Each root u comes back as the integer
+    r = den u, which lifts to r + A s + B s^2 with
+
+        p_0'(r) A = -p_1(r),
+        p_0'(r) B = -(p_2(r) + p_1'(r) A + p_0''(r) A^2 / 2),
+
+    so A = -e1 / d and B = -e2 / d^3 for the integers d = p_0'(r),
+    e1 = p_1(r) and e2 = d^2 p_2(r) - d e1 p_1'(r) + e1^2 p_0''(r) / 2.  Each
+    lift, Y = n / e for an integer jet n over the least e, is checked exactly:
+    `residual(n, e)`, the polynomial's jet at the lift from the caller's own
+    expression for it, not from the p_k, made integral by a power of e, is
+    built once and must be zero.  The lift leaves as u = n / (e den) with
+    s = t - t0, through one `_canonical`.
     """
-    p0, p1, p2 = (local.coeff_t(k) for k in range(3))
-    d0, d1 = p0.derivative(), p1.derivative()
-    dd0 = d0.derivative()
+    p0, p1, p2 = slices
+    d0 = [i * x for i, x in enumerate(p0)][1:]
+    h0 = [i * (i - 1) // 2 * x for i, x in enumerate(p0)][2:]  # p_0'' / 2
+    d1 = [i * x for i, x in enumerate(p1)][1:]
+    in_u = [x * den ** i for i, x in enumerate(p0)]  # p_0(den u)
     lifts = []
-    for r in sorted(rational_roots(p0)):
-        a = -p1(r) / d0(r)
-        b = -(p2(r) + d1(r) * a + dd0(r) * a * a / 2) / d0(r)
-        lift = UniPoly.of(r, a, b)
-        res = residual(lift)
-        if any(res.coeff(k) for k in range(3)):
-            raise InternalInconsistencyError(f"lift of the root {r} is not a root mod (t - t0)^3")
-        lifts.append(lift.shift(-t0))
+    for root in sorted(rational_roots(_canonical(in_u, 1, 1))):
+        r = root.numerator * den // root.denominator
+        d, e1 = _horner(d0, r), _horner(p1, r)
+        e2 = (_horner(p2, r) * d - _horner(d1, r) * e1) * d + _horner(h0, r) * e1 * e1
+        d3 = d ** 3
+        g1, g2 = math.gcd(e1, d), math.gcd(e2, d3)
+        e = math.lcm(d // g1, d3 // g2)
+        n = (r * e, -e1 * e // d, -e2 * e // d3)
+        if any(residual(n, e)):
+            raise InternalInconsistencyError(
+                f"lift of the root {Fraction(r, den)} is not a root mod (t - t0)^3")
+        n0, n1, n2 = n
+        lifts.append(_canonical([n0 - (n1 - n2 * t0) * t0, n1 - 2 * n2 * t0, n2], 1, e * den))
     return lifts
+
+
+def _halving_slices(a: Jet, b: Jet, c: Jet, x: Jet) -> list[list[int]]:
+    """The slices p_0, p_1, p_2 of the halving quartic in Y = D X, for the
+    cubic's jets a, b, c and the jet x = D x_P, all over one D:
+
+        Y^4 - 4x Y^3 - (2b + 4ax) Y^2 - (8c + 4bx) Y + b^2 - 4c(a + x)."""
+    ax, bx, bb = _jet_product(a, x), _jet_product(b, x), _jet_product(b, b)
+    cax = _jet_product(c, (a[0] + x[0], a[1] + x[1], a[2] + x[2]))
+    return [[bb[k] - 4 * cax[k], -8 * c[k] - 4 * bx[k], -2 * b[k] - 4 * ax[k], -4 * x[k],
+             int(k == 0)] for k in range(3)]
 
 
 def halve(curve: WeierstrassCurve, point: SectionPoint) -> Optional[SectionPoint]:
@@ -554,20 +624,22 @@ def halve(curve: WeierstrassCurve, point: SectionPoint) -> Optional[SectionPoint
     At a smooth fiber t0 with y_P(t0) != 0 the four roots of H(t0, X) are
     distinct (two halves sharing an x would make P(t0) 2-torsion), so each
     rational root has one lift mod (t - t0)^3, read off in closed form by
-    `_lifted_roots`, and a half has that lift as its x.  H is read only mod
-    (t - t0)^3, from a, b, c and x shifted to t0, and each lift is checked on
-    f'^2 - 4 (a + 2X + x) f there.  Each candidate X is decided by exact checks
-    alone: f(X) = Y^2 a nonzero square, then the tangent law (Silverman, AEC
-    III.2.3) as two polynomial identities.  With slope f'(X) / 2Y, the double
-    of (X, Y) has x = x_P iff f'(X)^2 = 4 f(X) (x_P + c1 + 2X), and then
-    y = y_P iff f'(X) (X - x_P) - 2 f(X) = 2 Y y_P; Y = +sqrt f(X) is tried
-    first.  t0 is the curve's first smooth fiber, and f mod (t - t0)^3 there
-    its `local_cubic`, both shared with `two_torsion_free`, unless
-    y_P(t0) = 0: then t0 moves on to the least smooth fiber where y_P does
-    not vanish, and f is shifted there.  A 2-torsion point (y_P = 0) has
-    H = ((X - x_P)^2 - f'(x_P))^2, so its candidates are x_P +- sqrt(f'(x_P)),
-    tried in ascending order at a smooth fiber that separates them, as the
-    lifts are at t0.
+    `_lifted_roots`, and a half has that lift as its x.  H is never built
+    over Q[t]: its three slices mod (t - t0)^3 are integer lists in Y = D X,
+    formed straight from the cubic's integer jets (`fiber_jets`) and the jet
+    of x_P, all over one denominator D, and each lift is checked on the jet of
+    f'^2 - 4 (a + 2X + x) f from the cubic's jets.  Each candidate X is
+    decided by exact checks alone: f(X) = Y^2 a nonzero square, then the
+    tangent law (Silverman, AEC III.2.3) as two polynomial identities.  With
+    slope f'(X) / 2Y, the double of (X, Y) has x = x_P iff
+    f'(X)^2 = 4 f(X) (x_P + c1 + 2X), and then y = y_P iff
+    f'(X) (X - x_P) - 2 f(X) = 2 Y y_P; Y = +sqrt f(X) is tried first.  t0 is
+    the curve's first smooth fiber, and the jets there its `fiber_jets`, both
+    shared with `two_torsion_free`, unless y_P(t0) = 0: then t0 moves on to the
+    least smooth fiber where y_P does not vanish, and the jets are built
+    there.  A 2-torsion point (y_P = 0) has H = ((X - x_P)^2 - f'(x_P))^2, so
+    its candidates are x_P +- sqrt(f'(x_P)), tried in ascending order at a
+    smooth fiber that separates them, as the lifts are at t0.
     """
     if point.is_zero:
         raise ValueError("halving the zero section")
@@ -586,17 +658,24 @@ def halve(curve: WeierstrassCurve, point: SectionPoint) -> Optional[SectionPoint
     else:
         t0 = curve.good_fiber
         if y_p(t0):
-            local = curve.local_cubic
+            den, a, b, c = curve.fiber_jets
         else:  # the least smooth fiber where y_P does not vanish lies further on
             t0 = _good_fiber(curve, y_p)
-            local = _local(f, t0)
-        local_p = local.deriv_u()
-        c, b, a = local.coeffs[:3]
-        x = x_p.shift(t0, 3)
-        quartic = BiPoly([b * b - 4 * c * (a + x), -8 * c - 4 * b * x, -2 * b - 4 * a * x,
-                          -4 * x, UNIPOLY_ONE])
-        candidates = _lifted_roots(quartic, t0, lambda lift: (
-            local_p.eval_u(lift) ** 2 - 4 * (a + 2 * lift + x) * local.eval_u(lift)))
+            den, a, b, c = _fiber_jets(curve, t0)
+        x, dx = x_p.jet(t0)
+        m = dx // math.gcd(den, dx)
+        if m != 1:  # one denominator for the cubic and x_P: D = lcm(den, dx)
+            den *= m
+            a, b, c = _jet_scaled(a, m), _jet_scaled(b, m * m), _jet_scaled(c, m ** 3)
+        x = _jet_scaled(x, den // dx)
+
+        def residual(n: Jet, e: int) -> Jet:  # e^4 D^4 H at X = n / (e D)
+            f_n, fp_n = _cubic_at(a, b, c, n, e)
+            lin = tuple(e * (ak + xk) + 2 * nk for ak, xk, nk in zip(a, x, n))
+            sq, prod = _jet_product(fp_n, fp_n), _jet_product(lin, f_n)
+            return tuple(u - 4 * v for u, v in zip(sq, prod))
+
+        candidates = _lifted_roots(_halving_slices(a, b, c, x), t0, den, residual)
     for cand in candidates:
         f_x = f.eval_u(cand)
         g = is_perfect_square(f_x)
@@ -616,8 +695,12 @@ def two_torsion_free(curve: WeierstrassCurve) -> bool:
     """True iff the cubic has no root in Q[t] of degree <= 2.  At a smooth
     fiber the cubic's roots are simple, so such a root is the lift of a
     rational root there, and the lifts are checked exactly.  The fiber is the
-    curve's first smooth one, and the cubic is read there as its kept
-    `local_cubic`, which `halve` reuses."""
-    local = curve.local_cubic
-    return not any(curve.cubic.eval_u(x).is_zero
-                   for x in _lifted_roots(local, curve.good_fiber, local.eval_u))
+    curve's first smooth one, and the cubic is read there through its kept
+    integer jets (`fiber_jets`), which `halve` reuses: in Y = D u its slices
+    are the jets' coefficient lists, and each lift is checked on the jet of
+    F = Y^3 + a Y^2 + b Y + c, evaluated by Horner."""
+    den, a, b, c = curve.fiber_jets
+    slices = [[c[k], b[k], a[k], int(k == 0)] for k in range(3)]
+    lifts = _lifted_roots(slices, curve.good_fiber, den,
+                          lambda n, e: _cubic_at(a, b, c, n, e)[0])
+    return not any(curve.cubic.eval_u(x).is_zero for x in lifts)

@@ -1048,14 +1048,15 @@ def test_public_api_is_used_in_src_or_named_in_readme():
 # ---------------------------------------------------------------------------
 
 COUNTED = ("height_context", "singular_configuration", "even_tangency", "halve",
-           "_classify", "cubic_invariants", "on_curve", "_local")
+           "_classify", "cubic_invariants", "on_curve", "_fiber_jets")
 
 
 @pytest.fixture
 def call_counts(monkeypatch):
     """Count calls of the COUNTED functions through every mwq namespace that
-    binds them (the package binds names with `from .x import y`)."""
-    counts = dict.fromkeys(COUNTED, 0)
+    binds them (the package binds names with `from .x import y`), and of the
+    method `UniPoly.jet` as "jet"."""
+    counts = dict.fromkeys(COUNTED + ("jet",), 0)
     wrappers = {}
 
     def counting(name, original):
@@ -1075,6 +1076,7 @@ def call_counts(monkeypatch):
             if id(original) not in wrappers:
                 wrappers[id(original)] = counting(name, original)
             monkeypatch.setattr(module, name, wrappers[id(original)])
+    monkeypatch.setattr(UniPoly, "jet", counting("jet", UniPoly.jet))
     return counts
 
 
@@ -1090,10 +1092,12 @@ def call_counts(monkeypatch):
     # three bad places: t (I4), a quintic (I1) and infinity (III)
     (["example", "5.2"],
      {"height_context": 1, "_classify": 3, "cubic_invariants": 1, "on_curve": 3}),
-    # the curve's good-fiber model is built once, by `two_torsion_free`, and
-    # both halvings read it
+    # the curve's jets at its good fiber are built once, by `two_torsion_free`
+    # (one jet each of c1, c2 and c3), and both halvings read them, each
+    # adding the one jet of its x_P
     (["zariski", Q51, C51_1, C51_2],
-     {"height_context": 1, "even_tangency": 2, "halve": 2, "on_curve": 0, "_local": 1}),
+     {"height_context": 1, "even_tangency": 2, "halve": 2, "on_curve": 0, "_fiber_jets": 1,
+      "jet": 5}),
     (["symbol", Q51, C51_1], {"even_tangency": 1, "on_curve": 0}),
 ], ids=["example_5.1", "example_5.2", "zariski_5.1", "symbol_5.1_conic1"])
 def test_each_fact_computed_once(capsys, call_counts, argv, expected):

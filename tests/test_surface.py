@@ -1,6 +1,8 @@
 """Group law, fiber classification, local corrections, heights, halving."""
 
+import contextlib
 import itertools
+import math
 import os
 import random
 import subprocess
@@ -10,7 +12,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mwq import surface
@@ -94,6 +96,14 @@ TORSION = [
 
 def secs(table):
     return {k: parse_section(v) for k, v in table.items()}
+
+
+def shifted(p, a):
+    """p(t + a), by Horner in UniPoly arithmetic."""
+    acc = UNIPOLY_ZERO
+    for c in reversed(p.coeffs):
+        acc = acc * (T + a) + c
+    return acc
 
 
 def multiple(curve, n, p):
@@ -618,7 +628,7 @@ def test_sO_shifted_denominator():
     base = curve_51()
 
     def sh(p):
-        return p.shift(3464)
+        return shifted(p, 3464)
 
     curve = WeierstrassCurve(sh(base.c1), sh(base.c2), sh(base.c3))
     pts = secs(SECTIONS_51)
@@ -640,10 +650,10 @@ def test_sO_pole_at_infinity():
 
     def flip_ratfn(r, w):
         k = max(r.num.degree, r.den.degree)
-        return RatFn(flip(r.num.shift(3465), k) * T ** w, flip(r.den.shift(3465), k))
+        return RatFn(flip(shifted(r.num, 3465), k) * T ** w, flip(shifted(r.den, 3465), k))
 
     base = curve_51()
-    curve = WeierstrassCurve(*(flip(c.shift(3465), 2 * k)
+    curve = WeierstrassCurve(*(flip(shifted(c, 3465), 2 * k)
                                for k, c in enumerate((base.c1, base.c2, base.c3), 1)))
     s = double(base, secs(SECTIONS_51)["s_t1"])
     moved = SectionPoint(flip_ratfn(s.x, 2), flip_ratfn(s.y, 3))
@@ -1087,6 +1097,57 @@ def test_halving_and_two_torsion_never_import_sympy():
     assert proc.returncode == 0, proc.stderr
 
 
+# ---------------------------------------------------------------------------
+# the fiber work on integer jets, and the UniPoly/BiPoly method it replaced,
+# kept here as an independent oracle
+# ---------------------------------------------------------------------------
+
+
+def _column(f, k):
+    """The coefficient of t^k of a BiPoly, a polynomial in u."""
+    return UniPoly([c.coeff(k) for c in f.coeffs])
+
+
+def lifted_roots_by_bipoly(local, t0):
+    """Oracle: the lifts mod (t - t0)^3 of the rational roots of local(0, u),
+    for local = poly(t0 + s, u), in UniPoly and Fraction arithmetic on the
+    slices p_k = `_column(local, k)`, each checked on local itself, and
+    shifted back to t."""
+    p0, p1, p2 = (_column(local, k) for k in range(3))
+    d0, d1 = p0.derivative(), p1.derivative()
+    dd0 = d0.derivative()
+    lifts = []
+    for r in sorted(rational_roots(p0)):
+        a = -p1(r) / d0(r)
+        b = -(p2(r) + d1(r) * a + dd0(r) * a * a / 2) / d0(r)
+        lift = UniPoly.of(r, a, b)
+        assert not any(local.eval_u(lift).coeff(k) for k in range(3))
+        lifts.append(shifted(lift, -t0))
+    return lifts
+
+
+def local_at(f, t0):
+    """f(t0 + s, u), s written t."""
+    return BiPoly([shifted(c, t0) for c in f.coeffs])
+
+
+def scaled_slices(local, den):
+    """The slices p_0, p_1, p_2 of a monic local = poly(t0 + s, u) in
+    Y = den u, as integer lists: the coefficient of u^k scaled by
+    den^(deg - k)."""
+    n = local.degree_u
+    slices = [[den ** (n - k) * c.coeff(j) for k, c in enumerate(local.coeffs)] for j in range(3)]
+    assert all(c.denominator == 1 for p in slices for c in p)
+    return [[int(c) for c in p] for p in slices]
+
+
+def residual_of(local, den):
+    """The residual check of `_lifted_roots` for local = poly(t0 + s, u): the
+    jet of poly at u = n / (e den)."""
+    return lambda n, e: [local.eval_u(UniPoly.of(*n) * Fraction(1, e * den)).coeff(k)
+                         for k in range(3)]
+
+
 _quadratic = st.tuples(*[st.fractions(min_value=-20, max_value=20, max_denominator=6)] * 3)
 
 
@@ -1099,8 +1160,10 @@ def test_lifted_roots_are_exactly_the_roots_of_degree_at_most_two(roots, t0):
     poly = BiPoly([UNIPOLY_ONE])
     for r in rs:
         poly = poly * BiPoly([-r, UNIPOLY_ONE])
-    local = BiPoly([c.shift(Fraction(t0)) for c in poly.coeffs])
-    assert _lifted_roots(local, Fraction(t0), local.eval_u) == sorted(rs, key=lambda r: r(t0))
+    local = local_at(poly, t0)
+    den = math.lcm(*(c.denominator for r in rs for c in shifted(r, t0).coeffs))
+    got = _lifted_roots(scaled_slices(local, den), t0, den, residual_of(local, den))
+    assert got == sorted(rs, key=lambda r: r(t0))
 
 
 def test_lifted_roots_of_a_square_root_and_the_exact_check(monkeypatch):
@@ -1108,13 +1171,13 @@ def test_lifted_roots_of_a_square_root_and_the_exact_check(monkeypatch):
     # -+(1 + s/2 - s^2/8), i.e. -+(-t^2/8 + 3t/4 + 3/8)
     lift = UniPoly.of(Fraction(3, 8), Fraction(3, 4), Fraction(-1, 8))
     local = BiPoly([-T - 1, UNIPOLY_ZERO, UNIPOLY_ONE])
-    assert _lifted_roots(local, Fraction(1), local.eval_u) == [-lift, lift]
+    assert _lifted_roots(scaled_slices(local, 1), 1, 1, residual_of(local, 1)) == [-lift, lift]
     # 1 is no root of u^2 - 2: its "lift" fails the exact check, which raises
     # (it is not an assert, so this also holds under python -O)
     monkeypatch.setattr(surface, "rational_roots", lambda p: [Fraction(1)])
     local = BiPoly([UniPoly.const(-2), UNIPOLY_ZERO, UNIPOLY_ONE])
     with pytest.raises(InternalInconsistencyError):
-        _lifted_roots(local, Fraction(0), local.eval_u)
+        _lifted_roots(scaled_slices(local, 1), 0, 1, residual_of(local, 1))
 
 
 @pytest.mark.parametrize("local, lifts", [
@@ -1123,9 +1186,34 @@ def test_lifted_roots_of_a_square_root_and_the_exact_check(monkeypatch):
 ])
 def test_lifted_roots_build_one_residual_per_lift(local, lifts):
     calls = []
-    residual = lambda lift: calls.append(lift) or local.eval_u(lift)  # noqa: E731
-    assert len(_lifted_roots(local, Fraction(1), residual)) == lifts
+    check = residual_of(local, 1)
+    residual = lambda n, e: calls.append(n) or check(n, e)  # noqa: E731
+    assert len(_lifted_roots(scaled_slices(local, 1), 1, 1, residual)) == lifts
     assert len(calls) == lifts
+
+
+def test_a_lift_off_the_cubic_is_refused(e51, monkeypatch):
+    """Each lift is checked on the cubic's own expression, not on the slices
+    it was read from: slices with a wrong s-coefficient give a lift that
+    fails that check (only the Y^0 entry of p_1 is changed, so the roots of
+    p_0 are those of the fiber), and so does a cubic that is not the one the
+    slices were read from (a curve with a 2-torsion root u = t, whose fiber
+    has a rational root to lift)."""
+    original = surface._halving_slices
+
+    def off(*jets):
+        p0, p1, p2 = original(*jets)
+        return p0, [p1[0] + 1] + p1[1:], p2
+
+    point = double(e51, secs(SECTIONS_51)["s_o"])
+    monkeypatch.setattr(surface, "_halving_slices", off)
+    with pytest.raises(InternalInconsistencyError):
+        halve(e51, point)
+    original_cubic = surface._cubic_at
+    monkeypatch.setattr(surface, "_cubic_at", lambda a, b, c, n, e: original_cubic(
+        a, b, (c[0], c[1] + 1, c[2]), n, e))
+    with pytest.raises(InternalInconsistencyError):
+        two_torsion_free(_curve("u^3 + (1-t)*u^2 + u - t^2 - t"))
 
 
 def halving_quartic(curve, x_p):
@@ -1135,9 +1223,11 @@ def halving_quartic(curve, x_p):
     return fp * fp + BiPoly([-4 * (curve.c1 + x_p), -8]) * f
 
 
-# coordinate changes t -> sub, u -> u + a(t), which keep the prepared form
+# coordinate changes t -> sub, u -> u + a(t), which keep the prepared form;
+# the last keeps the singular fiber at t = 0, so that the jets are read at a
+# fiber t0 != 0 and a half's x, -a(t), is quadratic
 IMAGE_MAPS = [("t", "0"), ("2*t - 2", "2*t^2 - t + 1/2"), ("3*t - 5", "t^2 - 3*t + 1/2"),
-              ("-t/4 + 7", "-5*t")]
+              ("-t/4 + 7", "-5*t"), ("2*t", "t^2/3 - 3*t + 1/2")]
 
 
 def _image_of_conic_lift(which, name, sub, a):
@@ -1151,15 +1241,9 @@ def _image_of_conic_lift(which, name, sub, a):
     return WeierstrassCurve.from_cubic(parse_curve_rhs(rhs)), point
 
 
-def test_halving_slices_match_the_global_quartic(monkeypatch):
-    """`halve` reads H only mod (t - t0)^3; its three slices equal those of
-    the global H shifted to t0, on sections of 5.1/5.2 and on conic lifts of
-    their images."""
-    seen = []
-    original = surface._lifted_roots
-    monkeypatch.setattr(surface, "_lifted_roots",
-                        lambda local, t0, residual: seen.append((local, t0)) or
-                        original(local, t0, residual))
+def _halving_cases():
+    """(curve, point) with y_P != 0 to halve: sections of 5.1/5.2, and the
+    conic lifts of their images."""
     cases = []
     for curve_of, table in ((curve_51, SECTIONS_51), (curve_52, SECTIONS_52)):
         curve, pts = curve_of(), secs(table)
@@ -1170,16 +1254,100 @@ def test_halving_slices_match_the_global_quartic(monkeypatch):
                     cases.append((curve, point))
     for which, name, (sub, a) in itertools.product(("5.1", "5.2"), ("s1", "s2"), IMAGE_MAPS):
         cases.append(_image_of_conic_lift(which, name, sub, a))
+    return cases
+
+
+def test_halving_slices_match_the_global_quartic(monkeypatch):
+    """`halve` reads H only mod (t - t0)^3; its three slices equal those of
+    the global H shifted to t0 and scaled to Y = D X, on sections of 5.1/5.2
+    and on conic lifts of their images."""
+    seen = []
+    original = surface._lifted_roots
+    monkeypatch.setattr(surface, "_lifted_roots",
+                        lambda slices, t0, den, residual: seen.append((slices, t0, den)) or
+                        original(slices, t0, den, residual))
+    cases = _halving_cases()
     halved = 0
     for curve, point in cases:
         assert on_curve(curve, point)
         seen.clear()
         half = halve(curve, point)
         halved += half is not None
-        (local, t0), = seen
-        shifted = BiPoly([c.shift(t0) for c in halving_quartic(curve, point.x.num).coeffs])
-        assert [local.coeff_t(k) for k in range(3)] == [shifted.coeff_t(k) for k in range(3)]
+        (slices, t0, den), = seen
+        local = local_at(halving_quartic(curve, point.x.num), t0)
+        assert [list(p) for p in slices] == scaled_slices(local, den)
     assert len(cases) > 30 and 0 < halved < len(cases)
+
+
+@contextlib.contextmanager
+def recorded_lifts():
+    """Record (t0, D, lifts) of each `_lifted_roots` call while open."""
+    seen = []
+    original = surface._lifted_roots
+
+    def recording(slices, t0, den, residual):
+        lifts = original(slices, t0, den, residual)
+        seen.append((t0, den, lifts))
+        return lifts
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(surface, "_lifted_roots", recording)
+        yield seen
+
+
+def _assert_jet_lifts_match_the_oracle(curve, point, seen):
+    """The jet lifts of `two_torsion_free(curve)` and of `halve(curve, point)`
+    equal the oracle's lifts; returns the denominators D used."""
+    seen.clear()
+    two_torsion_free(curve)
+    halve(curve, point)
+    (t0, d1, cubic_lifts), (t1, d2, halving_lifts) = seen
+    assert cubic_lifts == lifted_roots_by_bipoly(local_at(curve.cubic, t0), t0)
+    assert halving_lifts == lifted_roots_by_bipoly(
+        local_at(halving_quartic(curve, point.x.num), t1), t1)
+    return d1, d2
+
+
+def test_jet_lifts_match_the_bipoly_lifts_on_conic_lifts():
+    """On the conic lifts of the images of 5.1/5.2, and on the sections of
+    5.1/5.2 `_halving_cases` adds to them (among them doubles, which halve)."""
+    dens = set()
+    with recorded_lifts() as seen:
+        for curve, point in _halving_cases():
+            dens.update(_assert_jet_lifts_match_the_oracle(curve, point, seen))
+    assert dens - {1}  # a common denominator D > 1 is exercised
+
+
+def _planted(degree):
+    return st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=2),
+                    min_size=1, max_size=degree + 1).map(UniPoly)
+
+
+@settings(max_examples=40, deadline=None)
+@given(c1=_planted(2), c2=_planted(3), x=_planted(1), y=_planted(2))
+@example(c1=UniPoly.of(-2, -1, 1), c2=UniPoly.of(0, 0, -2, -1), x=UNIPOLY_ZERO,
+         y=UniPoly.of(0, 0, 1))  # PLANTED_HALF, whose 2P halves
+def test_jet_lifts_match_the_bipoly_lifts_on_planted_sections(c1, c2, x, y):
+    """A planted section, as in `test_planted_fiber_types_match_the_per_place_context`:
+    with c2, x and y divisible by t and c3 = y^2 - x^3 - c1 x^2 - c2 x,
+    P = (x, y) lies on the curve, whose fiber at t = 0 is singular, so the
+    jets are read at a fiber t0 >= 1.  The jet lifts of `two_torsion_free`
+    and of `halve` on P and on 2P, where 2P is an input `halve` takes, equal
+    the oracle's."""
+    c2, x, y = T * c2, T * x, T * y
+    assume(not y.is_zero)
+    c3 = y * y - x ** 3 - c1 * x * x - c2 * x
+    assume(not cubic_invariants(c1, c2, c3)[0].is_zero)
+    curve = WeierstrassCurve(c1, c2, c3)
+    point = SectionPoint.of(x, y)
+    assert on_curve(curve, point)
+    with recorded_lifts() as seen:
+        _assert_jet_lifts_match_the_oracle(curve, point, seen)
+        twice = double(curve, point)
+        if _halvable_input(twice) and not twice.y.is_zero:
+            _assert_jet_lifts_match_the_oracle(curve, twice, seen)
+            half = halve(curve, twice)
+            assert half is not None and double(curve, half) == twice
 
 
 # A planted section R = (0, t^3) (c3 = t^6), whose double P has polynomial
@@ -1194,9 +1362,10 @@ def test_halve_moves_past_a_first_fiber_where_y_vanishes(monkeypatch):
     point = double(curve, half)
     assert curve.good_fiber == 0 and point.y(0) == 0 and _halvable_input(point)
     built = []
-    original = surface._local
-    monkeypatch.setattr(surface, "_local", lambda f, t0: built.append(t0) or original(f, t0))
+    original = surface._fiber_jets
+    monkeypatch.setattr(surface, "_fiber_jets",
+                        lambda curve, t0: built.append(t0) or original(curve, t0))
     got = halve(curve, point)
     assert got == half and double(curve, got) == point
     assert built == [1]  # the next smooth fiber, where y_P does not vanish
-    assert "local_cubic" not in vars(curve)  # the first fiber's model was not built
+    assert "fiber_jets" not in vars(curve)  # the first fiber's jets were not built
