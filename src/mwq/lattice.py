@@ -3,9 +3,8 @@
 ADE root lattices and their duals, exact short-vector enumeration in the
 Fincke-Pohst style (one LDL^T per lattice, found by an elimination in
 integers, then a walk in integers: no Fraction per call and no floating
-point), orthogonal complements over Z, sublattice embeddings found by
-exhaustive enumeration, and the Mordell-Weil structures whose norm-2 /
-norm-1/2 vector counts this package reports.
+point), orthogonal complements over Z, and the Mordell-Weil structures whose
+norm-2 / norm-1/2 vector counts this package reports.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ import math
 import operator
 import re
 from fractions import Fraction
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .parsing import RANK_CAP, parse_rational
 from .poly import InternalInconsistencyError
@@ -289,7 +288,7 @@ def enumerate_by_norm(lat: GramLattice, q: Fraction) -> list[Vector]:
 
 
 # ---------------------------------------------------------------------------
-# integer linear algebra: kernels, complements, embeddings
+# integer linear algebra: kernels and complements
 # ---------------------------------------------------------------------------
 
 
@@ -343,61 +342,6 @@ def orthogonal_complement_basis(
     return kernel
 
 
-def find_sublattice_embeddings(
-    big: GramLattice, small: GramLattice
-) -> Iterator[tuple[Vector, ...]]:
-    """Yield column tuples B with B^T G B = small.gram, by exhaustive search."""
-    g, k = small.gram, small.rank
-    if k == 0:
-        yield ()
-        return
-    by_norm: dict[Fraction, list[Vector]] = {}
-    for j in range(k):
-        q = g[j][j]
-        if q not in by_norm:
-            by_norm[q] = enumerate_by_norm(big, q)
-    cols: list[Vector] = []
-
-    def extend(j: int):
-        if j == k:
-            yield tuple(cols)
-            return
-        for v in by_norm[g[j][j]]:
-            if all(big.inner(cols[i], v) == g[i][j] for i in range(j)):
-                cols.append(v)
-                yield from extend(j + 1)
-                cols.pop()
-
-    yield from extend(0)
-
-
-def find_sublattice_embedding(
-    big: GramLattice, small: GramLattice
-) -> Optional[tuple[Vector, ...]]:
-    """First embedding in canonical order, or None (absence is a valid answer)."""
-    for cols in find_sublattice_embeddings(big, small):
-        for i in range(len(cols)):
-            for j in range(len(cols)):
-                if big.inner(cols[i], cols[j]) != small.gram[i][j]:
-                    raise InternalInconsistencyError(
-                        f"embedding misses the Gram entry ({i}, {j})"
-                    )
-        return cols
-    return None
-
-
-def isometric(a: GramLattice, b: GramLattice) -> bool:
-    """Exact isometry test by exhaustive basis matching (small ranks only)."""
-    if a.rank != b.rank:
-        return False
-    if a.rank == 0:
-        return True
-    if a.det() != b.det():
-        return False
-    # equal determinants force any Gram-preserving column matrix to be unimodular
-    return find_sublattice_embedding(a, b) is not None
-
-
 # ---------------------------------------------------------------------------
 # Mordell-Weil structures
 # ---------------------------------------------------------------------------
@@ -406,7 +350,8 @@ def isometric(a: GramLattice, b: GramLattice) -> bool:
 class MWStructure(NamedTuple):
     """Free part of a Mordell-Weil lattice, its odd torsion, and the Gram of
     the narrow part (sections meeting the identity component of every fiber).
-    Build it with `make_mw_structure`, which checks how the three fit."""
+    Build it with `make_mw_structure`, which derives the narrow Gram from the
+    free part."""
 
     mw_free: GramLattice
     torsion: tuple[int, ...]
@@ -435,28 +380,22 @@ def integral_dual_basis(lat: GramLattice) -> list[Vector]:
     return [vec[:r] for vec in kernel]
 
 
-def make_mw_structure(
-    mw_free: GramLattice, torsion: Sequence[int], narrow_gram: GramLattice
-) -> MWStructure:
-    """Bundle a free Gram with its odd torsion and its narrow Gram.
+def make_mw_structure(mw_free: GramLattice, torsion: Sequence[int]) -> MWStructure:
+    """Bundle a free Gram with its odd torsion and the Gram of its narrow part.
 
-    The narrow part lies in the integral-pairing sublattice K of the free part.
-    Requiring K to be isometric to the designated narrow Gram forces equal
-    determinants, hence index 1: the narrow part is exactly K.  That is what
-    lets `count_qretc` decide membership in the narrow part by integrality,
-    without choosing a basis of it.
+    On a rational elliptic surface the free part of the Mordell-Weil lattice
+    is the dual of the narrow part (Shioda, Comment. Math. Univ. St. Pauli 39,
+    1990, sections 8-10; Oguiso-Shioda, ibid. 40, 1991), so the narrow part is
+    exactly the integral-pairing sublattice K of the free part.  Its Gram is
+    taken in the basis `integral_dual_basis` returns.  That duality is also
+    what lets `count_qretc` decide membership in the narrow part by
+    integrality, without choosing a basis of it.
     """
     if any(order % 2 == 0 for order in torsion):
         raise ValueError("torsion orders must be odd")
     kernel = integral_dual_basis(mw_free)
-    restricted = GramLattice(
-        tuple(tuple(mw_free.inner(b1, b2) for b2 in kernel) for b1 in kernel)
-    )
-    if not isometric(restricted, narrow_gram):
-        raise ValueError(
-            "integral-pairing sublattice is not isometric to the designated narrow Gram"
-        )
-    return MWStructure(mw_free, tuple(torsion), narrow_gram)
+    narrow = GramLattice(tuple(tuple(mw_free.inner(b1, b2) for b2 in kernel) for b1 in kernel))
+    return MWStructure(mw_free, tuple(torsion), narrow)
 
 
 # the two norms the table counts at, built once
@@ -480,10 +419,11 @@ def count_etc(mw: MWStructure) -> int:
 
 def count_qretc(mw: MWStructure) -> int:
     """Half the number of vectors v with <v,v> = 1/2 whose double lies in the
-    narrow part.  The narrow part is the integral-pairing sublattice (checked
-    by `make_mw_structure`), so 2v is narrow iff <2v, e_j> is an integer for
-    every basis vector e_j, i.e. iff 2*(igram v)_j = 0 mod den.  Odd torsion
-    cannot enter: 2*tau = 0 forces tau = 0."""
+    narrow part.  The narrow part is the integral-pairing sublattice (by the
+    Shioda duality that `make_mw_structure` cites), so 2v is narrow iff
+    <2v, e_j> is an integer for every basis vector e_j, i.e. iff
+    2*(igram v)_j = 0 mod den.  Odd torsion cannot enter: 2*tau = 0 forces
+    tau = 0."""
     lat = mw.mw_free
     hits = 0
     for v in enumerate_by_norm(lat, _HALVING_NORM):

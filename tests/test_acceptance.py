@@ -15,7 +15,6 @@ from fractions import Fraction
 from mwq.lattice import (
     GramLattice,
     enumerate_by_norm,
-    isometric,
     lattice_from_text,
     orthogonal_complement_basis,
 )
@@ -33,7 +32,7 @@ from mwq.surface import (
     height_context,
     height_pairing,
 )
-from test_lattice import orthogonal_complement_gram
+from test_lattice import isometric, orthogonal_complement_gram
 from test_surface import multiple
 
 

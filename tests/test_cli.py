@@ -159,7 +159,7 @@ def test_table_mismatch_detected_with_altered_fixture(capsys, monkeypatch):
     rows = list(mwtable.builtin_table())
     r = rows[39]
     rows[39] = mwtable.TableRow(r.row_no, r.sing_type, r.sing_text, r.line_class, r.fiber_roots,
-                                r.mw_text, r.narrow_text, 99, r.qretc_expected, r.notes)
+                                r.mw_text, 99, r.qretc_expected, r.notes)
     monkeypatch.setattr(mwtable, "builtin_table", lambda: tuple(rows))
     assert main(["table", "--verify"]) == EXIT_MISMATCH
     out = capsys.readouterr().out
@@ -1223,7 +1223,7 @@ def _values():
         "MWStructure": (lambda: lattice.MWStructure(lattice.GramLattice(gram), (3,),
                                                     lattice.GramLattice(gram)), "torsion", "value"),
         "TableRow": (lambda: mwtable.TableRow(1, ("A6",), "A6", "s", ("A1", "A6"), "<1/14>",
-                                              "<14>", 0, 0, ()), "etc_expected", "value"),
+                                              0, 0, ()), "etc_expected", "value"),
         "PreparedQuartic": (lambda: quartic.PreparedQuartic(parse_curve_rhs(Q52)), "f", "value"),
         "Conic": (lambda: quartic.Conic(parse_conic_rhs(C52_1)), "q", "value"),
         "TangencyReport": (lambda: quartic.TangencyReport(*tang_args), "note", "value"),

@@ -44,6 +44,7 @@ from mwq.surface import (
     section_O_intersection,
     two_torsion_free,
 )
+from test_poly import factors_by_sympy
 
 
 def curve_51():
@@ -363,8 +364,6 @@ def test_euler_sum_is_twelve(e51, e52):
 def _per_place_context(curve):
     """The oracle: each irreducible factor of the discriminant, read off
     sympy's factorization, classified as a place of its own."""
-    from test_poly import factors_by_sympy
-
     places = [kodaira_type_at(curve, irr) for irr, _ in factors_by_sympy(curve.discriminant)]
     if curve.discriminant.degree < 12:
         places.append(kodaira_type_at(curve, INFINITY_PLACE))
