@@ -92,8 +92,8 @@ class GramLattice:
     integer matrix den * gram, so that pairings, kernels and complements are
     integer work.  One integer elimination on `igram` (`_eliminate`) gives,
     per level of the LDL^T form, the integers `cd`, the `bands` of nonzero
-    `num` and the reduced pair `weights` that every `enumerate_by_norm` walk
-    reads, and the determinant that `det` returns.  `gram` stays a matrix of
+    `num` and the reduced pair `weights` that every short-vector walk reads,
+    and the determinant that `det` returns.  `gram` stays a matrix of
     Fractions: the records print it.  A frozen value; equality and hash read
     `gram` alone, as every other attribute follows from it."""
 
@@ -206,8 +206,14 @@ def dual_gram(lat: GramLattice) -> GramLattice:
 # ---------------------------------------------------------------------------
 
 
-def enumerate_by_norm(lat: GramLattice, q: Fraction) -> list[Vector]:
-    """All integer vectors v with v^T G v = q exactly, lexicographically sorted.
+# the most nodes one walk may visit: each level adds its range length before
+# looping over it, so the cap holds before the work is done
+WALK_NODE_BUDGET = 10**7
+
+
+def _norm_pairs(lat: GramLattice, q: Fraction) -> list[Vector]:
+    """One vector of each pair +-v with v^T G v = q, in walk order: the one
+    whose last nonzero coordinate is positive.  q must be positive.
 
     With y_i = cd[i]*x_i + C_i, C_i = sum_{j>i} num[i][j]*x_j, the LDL^T form
     reads unit*v^T G v = sum_i k[i]*y_i^2 with integers cd, num, k and one
@@ -218,73 +224,93 @@ def enumerate_by_norm(lat: GramLattice, q: Fraction) -> list[Vector]:
     is |y_i| <= isqrt(rem // k[i]), and the last coordinate must use the
     budget up: k[0]*y_0^2 == rem.
 
-    Each pair v, -v is walked once (Schnorr-Euchner): exactly one of the two
-    has its last nonzero coordinate positive.  While every coordinate above
+    Each pair is walked once (Schnorr-Euchner): while every coordinate above
     level i is 0 the center C_i is 0, so the walk takes x_i > 0 there (or
-    x_i = 0 and goes on down); the vector found and its negation are both
-    emitted.  q > 0 rules out the zero vector.
+    x_i = 0 and goes on down).  q > 0 rules out the zero vector.  Raises
+    ValueError once the walk would visit more than WALK_NODE_BUDGET nodes.
+    """
+    n = lat.rank
+    if n == 0:
+        return []
+    unit = math.lcm(q.denominator, *(wd for _, wd in lat.weights))
+    k = [wn * (unit // wd) for wn, wd in lat.weights]
+    rem = q.numerator * (unit // q.denominator)
+    out: list[Vector] = []
+    x = [0] * n
+    nodes = 0
+    for i in range(n - 1, 0, -1):  # x_j = 0 for every j > i
+        nodes = _walk(i, rem, 1, x, lat.cd, k, lat.bands, out, nodes)
+    # the axis x = (x_0, 0, ..., 0), with x_0 > 0
+    t, r = divmod(rem, k[0])
+    s0 = math.isqrt(t)
+    if not r and s0 * s0 == t and s0 % lat.cd[0] == 0:
+        out.append((s0 // lat.cd[0],) + (0,) * (n - 1))
+    return out
+
+
+def _walk(i: int, rem: int, start: Optional[int], x: list[int], cd: Sequence[int],
+          k: Sequence[int], bands: Sequence[Band], out: list[Vector], nodes: int) -> int:
+    """Levels i..1 of `_norm_pairs` below the coordinates set in x; level 0 is
+    solved inline.  `start` replaces the lower end of level i's range when it
+    is not None.  Returns the node count, `nodes` plus this call's levels."""
+    ci, ki = cd[i], k[i]
+    lo, hi, row = bands[i]
+    c = sum(map(operator.mul, row, x[lo:hi]))
+    s = math.isqrt(rem // ki)
+    if start is None:
+        start = -((s + c) // ci)
+    stop = (s - c) // ci + 1
+    nodes += stop - start
+    if nodes > WALK_NODE_BUDGET:
+        raise ValueError(f"the short-vector walk would pass its budget of {WALK_NODE_BUDGET} nodes")
+    if i > 1:
+        for xi in range(start, stop):
+            x[i] = xi
+            y = ci * xi + c
+            nodes = _walk(i - 1, rem - ki * y * y, None, x, cd, k, bands, out, nodes)
+        x[i] = 0
+        return nodes
+    cd0, k0 = cd[0], k[0]
+    lo0, hi0, row0 = bands[0]
+    c0 = sum(map(operator.mul, row0, x[lo0:hi0]))  # x[1] == 0: C_0 above level 1
+    r01 = row0[0] if row0 and lo0 == 1 else 0  # num[0][1]
+    hi = tuple(x[2:])
+    for x1 in range(start, stop):
+        y = ci * x1 + c
+        t, r = divmod(rem - ki * y * y, k0)
+        if r:
+            continue
+        s0 = math.isqrt(t)
+        if s0 * s0 != t:
+            continue
+        c01 = c0 + r01 * x1
+        for y0 in (s0, -s0) if s0 else (0,):
+            x0, r = divmod(y0 - c01, cd0)
+            if not r:
+                out.append((x0, x1) + hi)
+    return nodes
+
+
+def enumerate_by_norm(lat: GramLattice, q: Fraction) -> list[Vector]:
+    """All integer vectors v with v^T G v = q exactly, lexicographically sorted.
+
+    `_norm_pairs` walks one vector of each pair +-v.  Each is flipped, if need
+    be, to the one whose first nonzero coordinate is positive, and that half
+    is sorted once: every vector of the other half is lexicographically below
+    every vector of this one, and negation reverses their order, so the
+    negations of the sorted half in reverse, then the half, are the sorted
+    list of both.
     """
     q = Fraction(q)
     if q.numerator <= 0:
         raise ValueError("norm must be positive")
-    n = lat.rank
-    if n == 0:
-        return []
-    cd, bands = lat.cd, lat.bands
-    unit = math.lcm(q.denominator, *(wd for _, wd in lat.weights))
-    k = [wn * (unit // wd) for wn, wd in lat.weights]
-    cd0, k0 = cd[0], k[0]
-    lo0, hi0, row0 = bands[0]
-    out: list[Vector] = []
-    x = [0] * n
+    half = [v if next(filter(None, v)) > 0 else _negate(v) for v in _norm_pairs(lat, q)]
+    half.sort()
+    return [_negate(v) for v in reversed(half)] + half
 
-    def walk(i: int, rem: int, start: Optional[int] = None):
-        """Levels i..1 below the coordinates set in x; level 0 is solved inline.
-        `start` replaces the lower end of level i's range."""
-        ci, ki = cd[i], k[i]
-        lo, hi, row = bands[i]
-        c = sum(map(operator.mul, row, x[lo:hi]))
-        s = math.isqrt(rem // ki)
-        if start is None:
-            start = -((s + c) // ci)
-        stop = (s - c) // ci + 1
-        if i > 1:
-            for xi in range(start, stop):
-                x[i] = xi
-                y = ci * xi + c
-                walk(i - 1, rem - ki * y * y)
-            x[i] = 0
-            return
-        c0 = sum(map(operator.mul, row0, x[lo0:hi0]))  # x[1] == 0: C_0 above level 1
-        r01 = row0[0] if row0 and lo0 == 1 else 0  # num[0][1]
-        hi = tuple(x[2:])
-        neg = tuple(map(operator.neg, hi))
-        for x1 in range(start, stop):
-            y = ci * x1 + c
-            t, r = divmod(rem - ki * y * y, k0)
-            if r:
-                continue
-            s0 = math.isqrt(t)
-            if s0 * s0 != t:
-                continue
-            c01 = c0 + r01 * x1
-            for y0 in (s0, -s0) if s0 else (0,):
-                x0, r = divmod(y0 - c01, cd0)
-                if not r:
-                    out.append((x0, x1) + hi)
-                    out.append((-x0, -x1) + neg)
 
-    rem = q.numerator * (unit // q.denominator)
-    for i in range(n - 1, 0, -1):  # x_j = 0 for every j > i
-        walk(i, rem, 1)
-    # the axis x = (x_0, 0, ..., 0), with x_0 > 0
-    t, r = divmod(rem, k0)
-    s0 = math.isqrt(t)
-    if not r and s0 * s0 == t and s0 % cd0 == 0:
-        zeros = (0,) * (n - 1)
-        out += [(s0 // cd0,) + zeros, (-(s0 // cd0),) + zeros]
-    out.sort()
-    return out
+def _negate(v: Vector) -> Vector:
+    return tuple(map(operator.neg, v))
 
 
 # ---------------------------------------------------------------------------
@@ -404,36 +430,36 @@ _HALVING_NORM = Fraction(1, 2)
 
 
 def count_etc(mw: MWStructure) -> int:
-    """Half the number of norm-2 vectors of the narrow part.  Torsion never
-    contributes: the narrow part sits in the free part and the pairing kills
-    torsion classes."""
-    if mw.narrow_gram.rank == 0:
-        return 0
-    n = len(enumerate_by_norm(mw.narrow_gram, _ROOT_NORM))
-    if n % 2:
-        raise InternalInconsistencyError(
-            f"odd number {n} of norm-2 vectors; v and -v must pair up"
-        )
-    return n // 2
+    """The number of pairs +-v of norm-2 vectors of the narrow part: one walk
+    over the pairs, no mirror and no sort.  Torsion never contributes: the
+    narrow part sits in the free part and the pairing kills torsion classes."""
+    return _pair_count(_norm_pairs(mw.narrow_gram, _ROOT_NORM), "norm-2 vectors")
 
 
 def count_qretc(mw: MWStructure) -> int:
-    """Half the number of vectors v with <v,v> = 1/2 whose double lies in the
-    narrow part.  The narrow part is the integral-pairing sublattice (by the
+    """The number of pairs +-v with <v,v> = 1/2 whose double lies in the
+    narrow part, tested on one vector of each pair (v and -v pass or fail
+    together).  The narrow part is the integral-pairing sublattice (by the
     Shioda duality that `make_mw_structure` cites), so 2v is narrow iff
     <2v, e_j> is an integer for every basis vector e_j, i.e. iff
     2*(igram v)_j = 0 mod den.  Odd torsion cannot enter: 2*tau = 0 forces
     tau = 0."""
     lat = mw.mw_free
-    hits = 0
-    for v in enumerate_by_norm(lat, _HALVING_NORM):
-        if all(2 * sum(map(operator.mul, row, v)) % lat.den == 0 for row in lat.igram):
-            hits += 1
-    if hits % 2:
+    return _pair_count(
+        [v for v in _norm_pairs(lat, _HALVING_NORM)
+         if all(2 * sum(map(operator.mul, row, v)) % lat.den == 0 for row in lat.igram)],
+        "norm-1/2 halvings",
+    )
+
+
+def _pair_count(pairs: list[Vector], what: str) -> int:
+    """len(pairs), once no vector is in it twice: the walk reaches each pair
+    +-v by the same sign, so a pair walked twice shows as a repeated vector."""
+    if len(set(pairs)) != len(pairs):
         raise InternalInconsistencyError(
-            f"odd number {hits} of norm-1/2 halvings; v and -v must pair up"
+            f"{what} repeated; the walk must reach each pair v, -v once"
         )
-    return hits // 2
+    return len(pairs)
 
 
 # ---------------------------------------------------------------------------

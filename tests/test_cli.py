@@ -340,6 +340,20 @@ def test_lattice_rank_cap_is_an_input_error(capsys, text):
     assert f"at most {RANK_CAP}" in err and "internal error" not in err
 
 
+# the caps bound the text, the node budget bounds the walk: a small rank with a
+# huge norm is refused by the count, before the walk does the work, while A100's
+# roots (166,650 nodes) stay well inside it
+def test_walk_node_budget_is_an_input_error(capsys):
+    from mwq.lattice import WALK_NODE_BUDGET
+
+    assert main(["lattice", "enumerate", "A2", "99999999999999999999999"]) == EXIT_INPUT_ERROR
+    err = capsys.readouterr().err
+    assert f"budget of {WALK_NODE_BUDGET} nodes" in err and "internal error" not in err
+    assert main(["lattice", "roots", "A100", "--format", "records"]) == 0
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [r["value"] for r in records if r.get("name") == "count"] == [10100]
+
+
 # numerals are an optional sign, digits and an optional /digits: Python's
 # Fraction(str) forms (underscores, decimals, exponents, spaces, non-ASCII
 # digits) are input errors that name the text

@@ -2,8 +2,10 @@
 operations on Mordell-Weil structures."""
 
 import ast
+import gc
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -456,12 +458,18 @@ def test_count_qretc_spot_rows():
     assert count_qretc(row(5).mw) == 1
 
 
-def test_odd_vector_counts_are_internal_inconsistencies(monkeypatch):
+def test_repeated_pair_vectors_are_internal_inconsistencies(monkeypatch):
+    # the counts read the pair walk directly, so an odd total cannot happen;
+    # a pair walked twice shows as a repeated vector
     import mwq.lattice as lattice
 
-    real = lattice.enumerate_by_norm
-    # drop one vector of each +-v pair set, so the counts come out odd
-    monkeypatch.setattr(lattice, "enumerate_by_norm", lambda lat, norm: real(lat, norm)[:-1])
+    real = lattice._norm_pairs
+
+    def walked_twice(lat, q):  # the first pair is walked a second time
+        pairs = real(lat, q)
+        return pairs + pairs[:1]
+
+    monkeypatch.setattr(lattice, "_norm_pairs", walked_twice)
     with pytest.raises(lattice.InternalInconsistencyError, match="norm-2"):
         count_etc(row(10).mw)
     with pytest.raises(lattice.InternalInconsistencyError, match="norm-1/2"):
@@ -515,16 +523,21 @@ def test_no_float_enters_src():
     assert found == []
 
 
+# the elimination, the pair walk (`_norm_pairs` and its levels `_walk`) and
+# the sorted mirror `enumerate_by_norm` that the CLI prints
+_INTEGER_ONLY = ("_eliminate", "_norm_pairs", "_walk", "enumerate_by_norm")
+
+
 def test_no_fraction_in_the_elimination_or_the_walk():
-    # the elimination and every enumerate_by_norm call work in integers: in
-    # their bodies the one Fraction is the coercion `q = Fraction(q)`, only
-    # q's numerator and denominator are read, nothing reads the Fraction Gram
-    # or a pairing, and nothing divides with `/`
+    # the elimination and every walk work in integers: in their bodies the
+    # one Fraction is the coercion `q = Fraction(q)`, only q's numerator and
+    # denominator are read, nothing reads the Fraction Gram or a pairing, and
+    # nothing divides with `/`
     path = Path(__file__).resolve().parent.parent / "src" / "mwq" / "lattice.py"
     coercion = ast.dump(ast.parse("q = Fraction(q)").body[0])
     checked, found = set(), []
     for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-        if not (isinstance(fn, ast.FunctionDef) and fn.name in ("_eliminate", "enumerate_by_norm")):
+        if not (isinstance(fn, ast.FunctionDef) and fn.name in _INTEGER_ONLY):
             continue
         checked.add(fn.name)
         for node in (n for stmt in fn.body if ast.dump(stmt) != coercion for n in ast.walk(stmt)):
@@ -534,7 +547,7 @@ def test_no_fraction_in_the_elimination_or_the_walk():
                     or isinstance(node, ast.Attribute) and node.attr in ("gram", "inner", "norm", "det")
                     or isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)):
                 found.append(f"{fn.name}:{node.lineno}")
-    assert checked == {"_eliminate", "enumerate_by_norm"}
+    assert checked == set(_INTEGER_ONLY)
     assert found == []
 
 
@@ -558,6 +571,55 @@ def test_norm_half_only_where_counts_allow():
     mw = row(24).mw  # <1/4> + <1/4>: four norm-1/2 vectors, none with 2s narrow
     assert len(enumerate_by_norm(mw.mw_free, Fraction(1, 2))) == 4
     assert count_qretc(mw) == 0
+
+
+def test_pair_counts_match_half_the_sorted_lists_on_every_row():
+    # the counts read one vector of each pair off the walk; on all sixty rows
+    # they are half the counts over enumerate_by_norm's full sorted lists,
+    # with the same integrality test for "2v is narrow" applied to both signs
+    for r in builtin_table():
+        narrow, free = r.mw.narrow_gram, r.mw.mw_free
+        roots = enumerate_by_norm(narrow, 2)
+        assert count_etc(r.mw) == len(roots) // 2, r.row_no
+        halves = enumerate_by_norm(free, Fraction(1, 2))
+        hits = [v for v in halves
+                if all(2 * sum(map(operator.mul, row, v)) % free.den == 0 for row in free.igram)]
+        assert count_qretc(r.mw) == len(hits) // 2, r.row_no
+        assert len(roots) % 2 == len(hits) % 2 == 0, r.row_no
+
+
+def test_the_walks_leave_no_reference_cycle():
+    # each result is freed by its refcount when the caller drops it: with the
+    # cyclic collector off, the calls leave nothing for it to find
+    lat, mw59, mw40 = lattice_from_text("E8")[0], row(59).mw, row(40).mw
+    gc.collect()
+    gc.disable()
+    try:
+        enumerate_by_norm(lat, 4)
+        count_etc(mw59)
+        count_qretc(mw40)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_no_nested_function_in_src_names_itself():
+    # a closure that names itself holds its own cell: a reference cycle that
+    # keeps the closure and everything it reaches alive until the cyclic
+    # collector runs
+    src = Path(__file__).resolve().parent.parent / "src" / "mwq"
+    found = []
+    for path in sorted(src.rglob("*.py")):
+        for outer in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if not isinstance(outer, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for fn in ast.walk(outer):
+                if fn is outer or not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                if any(isinstance(n, ast.Name) and n.id == fn.name
+                       for stmt in fn.body for n in ast.walk(stmt)):
+                    found.append(f"{path.name}:{fn.lineno} {fn.name}")
+    assert found == []
 
 
 def test_qretc_integrality_matches_span_membership():
