@@ -104,7 +104,7 @@ def _cmd_table(args) -> int:
                 **({"etc_expected": r["etc_expected"], "qretc_expected": r["qretc_expected"]}
                    if args.verify else {}),
             },
-            ("verify_table", "count_etc", "count_qretc", "enumerate_by_norm"),
+            ("verify_table", "count_etc", "count_qretc"),
             ok=ok,
         )
     matched = sum(1 for r in results if r["ok"])

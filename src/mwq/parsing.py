@@ -11,13 +11,14 @@ the pass reaches it, so the first fault in reading order is reported.  Curves
 and conics evaluate into a sparse map {(deg_u, deg_t): coefficient} of
 monomials, where every divisor must be a nonzero constant; a power of a
 single monomial is taken in closed form, any other power by repeated
-products, and the map becomes a `BiPoly` or `UniPoly` once, at the end.  A
-term's leading run of simple factors (numerals and variables, each maybe
-raised to a numeral power, joined by `*` or by `/` and a nonzero numeral), as
-in `4862648/3*u*t^2`, is folded into one monomial before any map is built.
+products, and the map becomes a `BiPoly` or `UniPoly` once, at the end.
 Section coordinates evaluate in `RatFn`, where a divisor may be any nonzero
-polynomial in t.  Conics and sections know only the name `t`: a `u` is
-refused at its token.
+polynomial in t.  In every target a term's leading run of simple factors
+(numerals and variables, each maybe raised to a numeral power, joined by `*`
+or by `/` and a nonzero numeral), as in `4862648/3*u*t^2` or
+`-2335/576*t^2`, is folded into one coefficient and its degrees, and its
+value, a map or a `RatFn`, is built once.  Conics and sections know only the
+name `t`: a `u` is refused at its token.
 
 Syntax errors carry the offending position.  Degrees are bounded while
 reading, before anything is expanded: a power's exponent, and the degree in t
@@ -42,7 +43,7 @@ import re
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
 
-from .poly import T, UNIPOLY_ONE, BiPoly, RatFn, UniPoly, _canonical
+from .poly import T, UNIPOLY_ONE, BiPoly, RatFn, UniPoly, _canonical, _polynomial
 
 
 POWER_CAP = 100
@@ -125,7 +126,8 @@ class _Target(NamedTuple):
     degree: Callable
     grows: str
     grown: Callable
-    fold: Optional[dict] = None  # variable -> (deg_u, deg_t), where a term's simple factors fold
+    fold: dict  # variable -> (deg_u, deg_t), for the simple factors a term's run folds
+    monomial: Callable  # (num, den, deg_u, deg_t) -> num/den u^deg_u t^deg_t, a run's value
     add_in: Optional[Callable] = None  # (acc, op, b): acc op= b in place, for op + and -
 
 
@@ -206,10 +208,10 @@ class _Parser:
         return acc
 
     def term(self):
-        """Factors joined by `*` and `/`, taken left to right.  In a target of
-        monomial maps a leading run of simple factors is first folded into
-        one monomial (`run`); the loop goes on from where the run stopped."""
-        acc = self.run() if self.target.fold else None
+        """Factors joined by `*` and `/`, taken left to right.  A leading run
+        of simple factors is first folded into one monomial (`run`); the loop
+        goes on from where the run stopped."""
+        acc = self.run()
         if acc is None:
             acc = self.factor()
         toks = self.toks
@@ -219,11 +221,12 @@ class _Parser:
             acc = self.combine(acc, op, self.factor(), k)
         return acc
 
-    def run(self) -> Optional[dict]:
-        """The map of the leading run of simple factors at the current token,
+    def run(self):
+        """The value of the leading run of simple factors at the current token,
         or None, having taken nothing, where there is none.  The run is read
         into one coefficient, an integer numerator and denominator, and its
-        degrees in u and t, and its map is built once.  Factors join by `*`,
+        degrees in u and t, and its value is built once, by the target's
+        `monomial`.  Factors join by `*`,
         or by `/` and a nonzero numeral not raised to a power.  The run stops
         before a factor or an operator that is not simple or that `term` may
         refuse (a power or a product past the cap, a zero divisor), so that
@@ -253,9 +256,7 @@ class _Parser:
             else:
                 break
         self.i = i
-        if not num:
-            return {}
-        return {(du, dt): num if den == 1 else Fraction(num, den)}
+        return self.target.monomial(num, den, du, dt)
 
     def simple(self, k: int) -> Optional[tuple]:
         """(integer coefficient, deg_u, deg_t, next token) of a simple factor
@@ -397,6 +398,12 @@ def _monomials_add_in(acc: dict, op: str, b: dict) -> None:
             del acc[k]
 
 
+def _monomials_monomial(num: int, den: int, du: int, dt: int) -> dict:
+    if not num:
+        return {}
+    return {(du, dt): num if den == 1 else Fraction(num, den)}
+
+
 def _monomials_neg(a: dict) -> dict:
     return {k: -c for k, c in a.items()}
 
@@ -459,6 +466,7 @@ _MONOMIALS = _Target(
     grows="*",  # a divisor must be a constant
     grown=_monomials_grown,
     fold={"t": (0, 1), "u": (1, 0)},
+    monomial=_monomials_monomial,
     add_in=_monomials_add_in,
 )
 
@@ -517,6 +525,8 @@ _RATFN = _Target(
     degree=lambda a: max(a.num.degree, a.den.degree),
     grows="+-*/",
     grown=_ratfn_grown,
+    fold={"t": (0, 1)},
+    monomial=lambda num, den, _du, dt: _polynomial(_canonical([0] * dt + [num], 1, den)),
 )
 
 

@@ -694,7 +694,13 @@ def _sum(*terms: tuple[int, list[int]]) -> list[int]:
 
 
 class RatFn:
-    """Rational function num/den with monic denominator and gcd(num, den) = 1."""
+    """Rational function num/den with monic denominator and gcd(num, den) = 1.
+
+    A monic constant denominator is 1.  Where both operands have it, `+`,
+    `-`, `*` and unary minus act on the numerators alone, and so does `/` by
+    a nonzero constant: the result is canonical as it stands, so it is built
+    directly (`_polynomial`), with no product by the denominator 1 and no
+    gcd.  Any other pair takes the constructor, which cancels the gcd."""
 
     __slots__ = ("num", "den")
 
@@ -739,9 +745,9 @@ class RatFn:
         if isinstance(x, RatFn):
             return x
         if isinstance(x, UniPoly):
-            return RatFn(x)
+            return _polynomial(x)
         if isinstance(x, (int, Fraction)):
-            return RatFn(UniPoly.const(x))
+            return _polynomial(UniPoly.const(x))
         raise TypeError(f"cannot coerce {x!r} to RatFn")
 
     def __eq__(self, other) -> bool:
@@ -755,19 +761,28 @@ class RatFn:
         return hash((self.num, self.den))
 
     def __neg__(self):
+        if len(self.den._p) == 1:
+            return _polynomial(-self.num)
         return RatFn(-self.num, self.den)
 
     def __add__(self, other):
         other = RatFn._coerce(other)
+        if len(self.den._p) == len(other.den._p) == 1:
+            return _polynomial(self.num + other.num)
         return RatFn(self.num * other.den + other.num * self.den, self.den * other.den)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self + (-RatFn._coerce(other))
+        other = RatFn._coerce(other)
+        if len(self.den._p) == len(other.den._p) == 1:
+            return _polynomial(self.num - other.num)
+        return self + (-other)
 
     def __mul__(self, other):
         other = RatFn._coerce(other)
+        if len(self.den._p) == len(other.den._p) == 1:
+            return _polynomial(self.num * other.num)
         return RatFn(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
@@ -776,6 +791,8 @@ class RatFn:
         other = RatFn._coerce(other)
         if other.is_zero:
             raise ZeroDivisionError("division by the zero rational function")
+        if len(self.den._p) == len(other.den._p) == len(other.num._p) == 1:
+            return _polynomial(self.num // other.num)
         return RatFn(self.num * other.den, self.den * other.num)
 
     def __call__(self, x: Scalar) -> Fraction:
@@ -788,6 +805,18 @@ class RatFn:
         from .parsing import ratfn_text
 
         return f"RatFn({ratfn_text(self)})"
+
+
+_set_ratfn_num = RatFn.num.__set__
+_set_ratfn_den = RatFn.den.__set__
+
+
+def _polynomial(num: UniPoly) -> RatFn:
+    """The RatFn num/1, canonical as it stands, so built with no gcd."""
+    r = object.__new__(RatFn)
+    _set_ratfn_num(r, num)
+    _set_ratfn_den(r, UNIPOLY_ONE)
+    return r
 
 
 class BiPoly:

@@ -23,7 +23,7 @@ from .quartic import (
     zariski_verdict,
 )
 from .report import RunReport
-from .surface import add, double, height_pairing, on_curve
+from .surface import add, double, height_gram, height_pairing, on_curve
 
 
 EXAMPLES: dict[str, dict] = {
@@ -92,14 +92,15 @@ def run_example(which: str) -> RunReport:
         rep.add(f"fiber[{label}]", got, ("height_context", "kodaira_type_at"), ok=got == expected)
 
     hh = data["heights"]
+    gram = height_gram(ctx, (s_t1, s_t2))  # each self-height once, s_t1 - s_t2's too
     checks = [
-        ("height[s_o,s_o]", height_pairing(ctx, s_o, s_o), hh["s_o"]),
-        ("height[s_t1,s_t1]", height_pairing(ctx, s_t1, s_t1), hh["s_t1"]),
-        ("height[s_t2,s_t2]", height_pairing(ctx, s_t2, s_t2), hh["s_t2"]),
-        ("height[s_t1,s_t2]", height_pairing(ctx, s_t1, s_t2), hh["cross"]),
+        ("height[s_o,s_o]", height_pairing(ctx, s_o, s_o), hh["s_o"], "height_pairing"),
+        ("height[s_t1,s_t1]", gram[0][0], hh["s_t1"], "height_gram"),
+        ("height[s_t2,s_t2]", gram[1][1], hh["s_t2"], "height_gram"),
+        ("height[s_t1,s_t2]", gram[0][1], hh["cross"], "height_gram"),
     ]
-    for name, got, expected in checks:
-        rep.add(name, got, ("height_pairing",), ok=got == expected)
+    for name, got, expected, source in checks:
+        rep.add(name, got, (source,), ok=got == expected)
 
     s1 = double(curve, s_o)
     rep.add("double(s_o) == printed s1", s1, ("double",), ok=s1 == s1_printed)

@@ -12,7 +12,8 @@ applies.  Heights follow Shioda's formula
     <P, P> = 2 chi + 2 P.O - sum_v deg v * contr_v(P)
 
 with each local correction contr_v read off the valuations of P's coordinates
-at v (Silverman 1988); cross pairings follow by bilinearity.
+at v (Silverman 1988); cross pairings follow by bilinearity, and
+`height_gram` takes each self-height a Gram matrix needs once.
 """
 
 from __future__ import annotations
@@ -484,16 +485,43 @@ def _self_height(ctx: HeightContext, p: SectionPoint) -> Fraction:
     return 2 * chi + 2 * section_O_intersection(p) - corr
 
 
+def height_gram(ctx: HeightContext, points: Sequence[SectionPoint]) -> list[list[Fraction]]:
+    """The Gram matrix of Shioda's pairing on the points, which must lie on
+    the curve: <P, P> = 2 chi + 2 P.O - sum_v deg v * contr_v(P), and, for
+    i < j, <P_i, P_j> = (<P_i, P_i> + <P_j, P_j> - <D, D>) / 2 with
+    D = P_i - P_j, by bilinearity (Shioda 1990).  Each distinct section's
+    self-height, the differences' included, is computed once, and serves
+    its negative too (<-P, -P> = <P, P>); a repeated point pairs with itself
+    at its self-height, and the zero section pairs to 0 with everything."""
+    curve = ctx.curve
+    selves: dict[SectionPoint, Fraction] = {}
+
+    def self_height(p: SectionPoint) -> Fraction:
+        if p.is_zero:
+            return Fraction(0)
+        if p not in selves:
+            selves[p] = selves[negate(curve, p)] = _self_height(ctx, p)
+        return selves[p]
+
+    gram = [[Fraction(0)] * len(points) for _ in points]
+    for j, q in enumerate(points):
+        gram[j][j] = self_height(q)
+        for i, p in enumerate(points[:j]):
+            if p.is_zero or q.is_zero:
+                continue
+            if p == q:
+                h = gram[i][i]
+            else:
+                h = (gram[i][i] + gram[j][j] - self_height(add(curve, p, negate(curve, q)))) / 2
+            gram[i][j] = gram[j][i] = h
+    return gram
+
+
 def height_pairing(ctx: HeightContext, p: SectionPoint, q: SectionPoint) -> Fraction:
-    """Shioda's pairing: <P, P> = 2 chi + 2 P.O - sum_v deg v * contr_v(P), and
-    <P, Q> = (<P, P> + <Q, Q> - <P - Q, P - Q>) / 2 by bilinearity.  Pairing
-    anything with the zero section is 0.  P and Q must lie on the curve."""
-    if p.is_zero or q.is_zero:
-        return Fraction(0)
-    if p == q:
-        return _self_height(ctx, p)
-    diff = add(ctx.curve, p, negate(ctx.curve, q))
-    return (_self_height(ctx, p) + _self_height(ctx, q) - _self_height(ctx, diff)) / 2
+    """Shioda's pairing <P, Q>, the off-diagonal entry of `height_gram` on
+    (P, Q): <P, P> costs one self-height, a pairing with the zero section
+    none.  P and Q must lie on the curve."""
+    return height_gram(ctx, (p, q))[0][1]
 
 
 # ---------------------------------------------------------------------------

@@ -287,6 +287,45 @@ def test_curve_height_command(capsys):
     assert "height = 0" in capsys.readouterr().out
 
 
+# Section text at the caps: the sums of high powers that once took seconds in
+# the gcd, degree-100 powers and folded runs are answered; one step past a cap
+# is refused with exit 2, by the cap's message at its token (the position
+# within the coordinate's text).  No wall-clock bound is set.
+SECTION_TEXT_AT_THE_CAPS = [
+    ("(t+1)^50/(t+2)^50+(t+5)^50/(t+3)^50", None),
+    ("(t+1)^50/(t+2)^50+1/(t+3)^50", None),
+    ("t^100", None),
+    ("(t+1)^100", None),
+    ("-2335/576*t^100", None),
+    ("t^50*t^50", None),
+    ("t*(t+1)^99", None),
+    ("t^100/(t+1)^100", None),
+    ("t^100*t", ("product exceeds the cap: degree at most 100", 5)),
+    ("t^99*(t+1)^2", ("product exceeds the cap: degree at most 100", 4)),
+    ("2*t^101", ("power exceeds the cap: exponent and degree at most 100", 4)),
+    ("(t+1)^101", ("power exceeds the cap: exponent and degree at most 100", 6)),
+    ("2^101*t", ("power exceeds the cap: exponent and degree at most 100", 2)),
+    ("1/t^60/t^41", ("quotient exceeds the cap: degree at most 100", 6)),
+    ("1/t^60 - 1/(t+1)^41", ("difference exceeds the cap: degree at most 100", 7)),
+    ("3/0*t", ("division by zero", 1)),
+    ("2*" + "7" * 5000, ("integer literal of 5000 digits is too long", 2)),
+]
+
+
+@pytest.mark.parametrize("text, refusal", SECTION_TEXT_AT_THE_CAPS,
+                         ids=[text[:24] for text, _ in SECTION_TEXT_AT_THE_CAPS])
+def test_section_text_at_the_caps_is_answered_or_refused(capsys, text, refusal):
+    for section, offset in ((f"({text}, 1)", 1), (f"(1, {text})", 4)):
+        rc = main(["curve", "check", Q51, section])
+        out, err = capsys.readouterr()
+        if refusal is None:
+            assert rc == EXIT_OK and "on_curve = False" in out, err
+        else:
+            message, pos = refusal
+            assert rc == EXIT_INPUT_ERROR
+            assert f"{message} (at position {pos + offset})" in err
+
+
 def test_lattice_commands(capsys):
     assert main(["lattice", "roots", "A2"]) == EXIT_OK
     assert "count = 6" in capsys.readouterr().out
@@ -1062,7 +1101,7 @@ def test_public_api_is_used_in_src_or_named_in_readme():
 # ---------------------------------------------------------------------------
 
 COUNTED = ("height_context", "singular_configuration", "even_tangency", "halve",
-           "_classify", "cubic_invariants", "on_curve", "_fiber_jets")
+           "_classify", "cubic_invariants", "on_curve", "_fiber_jets", "_self_height")
 
 
 @pytest.fixture
@@ -1099,13 +1138,14 @@ def call_counts(monkeypatch):
     # infinity; the three sections are checked on the curve once, as reported
     # records, and nothing else is (a conic's lift is a checked square root);
     # the fiber at infinity reads the valuations of the curve's own
-    # discriminant, c4, c6
+    # discriminant, c4, c6; four self-heights: s_o, s_t1, s_t2 and s_t1 - s_t2
     (["example", "5.1"],
      {"height_context": 1, "even_tangency": 2, "halve": 2, "singular_configuration": 1,
-      "_classify": 4, "cubic_invariants": 1, "on_curve": 3}),
+      "_classify": 4, "cubic_invariants": 1, "on_curve": 3, "_self_height": 4}),
     # three bad places: t (I4), a quintic (I1) and infinity (III)
     (["example", "5.2"],
-     {"height_context": 1, "_classify": 3, "cubic_invariants": 1, "on_curve": 3}),
+     {"height_context": 1, "_classify": 3, "cubic_invariants": 1, "on_curve": 3,
+      "_self_height": 4}),
     # the curve's jets at its good fiber are built once, by `two_torsion_free`
     # (one jet each of c1, c2 and c3), and both halvings read them, each
     # adding the one jet of its x_P

@@ -22,9 +22,11 @@ from mwq.parsing import (
     parse_unipoly,
     poly_text,
     ratfn_text,
+    section_text,
 )
 from mwq.parsing import _scan, _tokenize
 from mwq.poly import T, UNIPOLY_ZERO, BiPoly, RatFn, UniPoly
+from mwq.surface import SectionPoint
 
 NOT_POLYNOMIAL = "expression must be polynomial (no division by t or u)"
 NOT_IN_T = "expression must not involve u"
@@ -119,6 +121,15 @@ SINGLE_FAULTS = [
     (parse_bipoly, "t*3/t", InputFormatError, NOT_POLYNOMIAL, None),
     (parse_bipoly, "2*" + "7" * 5000, ParseError, "integer literal of 5000 digits is too long", 2),
     (parse_bipoly, "2*t^" + "9" * 5000, ParseError, "integer literal of 5000 digits is too long", 4),
+    # section coordinates fold their runs too, and refuse the same faults
+    (parse_ratfn, "t^100*t", ParseError, PRODUCT_CAP, 5),
+    (parse_section, "(t, 2*t^101)", ParseError, POWER, 8),
+    (parse_ratfn, "2^101*t", ParseError, POWER, 2),
+    (parse_section, "(3/0*t, 1)", ParseError, "division by zero", 2),
+    (parse_ratfn, "-2335/576*t^60*t^41", ParseError, PRODUCT_CAP, 14),
+    (parse_section, "(1, 2*" + "7" * 5000 + ")", ParseError,
+     "integer literal of 5000 digits is too long", 6),
+    (parse_section, "(t*u, 1)", InputFormatError, NOT_IN_T, None),
     # digits are ASCII: a superscript or a non-ASCII decimal digit is a
     # character outside the grammar, refused where it stands
     (parse_bipoly, "t^\u00b2", ParseError, "unexpected character '\u00b2'", 2),
@@ -174,6 +185,7 @@ def test_division_rule():
 def test_folded_runs_read_as_their_products(text, value):
     assert parse_unipoly(text) == value
     assert parse_bipoly(text) == BiPoly([value])
+    assert parse_ratfn(text) == RatFn(value)
 
 
 def test_degree_budget_is_per_variable_and_read_on_the_operands():
@@ -426,6 +438,20 @@ def test_bipoly_round_trip(f):
 @given(r=_ratfns)
 def test_ratfn_round_trip(r):
     assert parse_ratfn(ratfn_text(r)) == r
+
+
+_polynomials = _unipolys.map(RatFn)
+_sections = st.one_of(
+    st.just(SectionPoint.zero()),
+    st.builds(SectionPoint, _polynomials, _polynomials),
+    st.builds(SectionPoint, _ratfns, _ratfns),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(s=_sections)
+def test_section_round_trip(s):
+    assert parse_section(section_text(s)) == s
 
 
 @pytest.mark.parametrize("text", [

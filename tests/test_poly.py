@@ -868,6 +868,35 @@ def test_eval_u_matches_unipoly_horner(cs, x):
     assert got == horner(f, px)
 
 
+@settings(max_examples=150, deadline=None)
+@given(a=_coeff_lists, b=_coeff_lists, s=_scalars.filter(bool))
+@example(a=[], b=[], s=1)  # zero operands
+@example(a=[1, 2], b=[-1, -2], s=-3)  # a sum that cancels
+def test_polynomial_ratfn_arithmetic_matches_the_constructor(a, b, s):
+    """On operands of denominator 1, `+`, `-`, `*`, negation and `/` by a
+    nonzero constant build their result directly, with no gcd; each gives the
+    num and den that the constructor, which cancels the gcd, gives for the
+    general formula."""
+    pa, pb, one = UniPoly(a), UniPoly(b), UNIPOLY_ONE
+    fa, fb, fs = RatFn(pa), RatFn(pb), RatFn(UniPoly.const(s))
+    cases = [
+        (fa + fb, RatFn(pa * one + pb * one, one * one)),
+        (fa - fb, RatFn(pa * one + (-pb) * one, one * one)),
+        (fa * fb, RatFn(pa * pb, one * one)),
+        (-fa, RatFn(-pa, one)),
+        (fa / fs, RatFn(pa * one, one * UniPoly.const(s))),
+        (fa / s, RatFn(pa * one, one * UniPoly.const(s))),
+        (fa + s, RatFn(pa * one + UniPoly.const(s) * one, one * one)),
+        (s * fa, RatFn(UniPoly.const(s) * pa, one * one)),
+        (fa + pb, RatFn(pa * one + pb * one, one * one)),
+    ]
+    for got, want in cases:
+        assert (got.num, got.den) == (want.num, want.den)
+        assert got.den == UNIPOLY_ONE
+        assert_canonical(got.num)
+        assert_canonical(got.den)
+
+
 def invariants_by_unipoly(c1, c2, c3):
     """Oracle: the discriminant, c4 and c6 of u^3 + c1 u^2 + c2 u + c3 (c4 and
     c6 up to the constants 16 and -32) in UniPoly arithmetic."""

@@ -36,6 +36,7 @@ from mwq.surface import (
     double,
     halve,
     height_context,
+    height_gram,
     height_pairing,
     kodaira_type_at,
     local_correction,
@@ -445,6 +446,58 @@ def test_height_pairing_matches_the_per_place_context(rhs, table):
     pts = gens + [double(curve, g) for g in gens] + [add(curve, gens[0], g) for g in gens[1:]]
     for p, q in itertools.combinations_with_replacement(pts, 2):
         assert height_pairing(ctx, p, q) == height_pairing(oracle, p, q)
+
+
+def _pairwise_height(ctx, p, q):
+    """The oracle for `height_gram`: <P, Q> from three self-heights a pair,
+    <P, P> + <Q, Q> - <P - Q, P - Q> over 2, each one taken afresh."""
+    if p.is_zero or q.is_zero:
+        return Fraction(0)
+    if p == q:
+        return surface._self_height(ctx, p)
+    diff = add(ctx.curve, p, negate(ctx.curve, q))
+    return (surface._self_height(ctx, p) + surface._self_height(ctx, q)
+            - surface._self_height(ctx, diff)) / 2
+
+
+@pytest.mark.parametrize("rhs, table", [
+    (EXAMPLES["5.1"]["quartic"], SECTIONS_51),
+    (EXAMPLES["5.2"]["quartic"], SECTIONS_52),
+    (SPLIT_I1, {"p": "(0, t)"}),
+    (SPLIT_I2, {"p": "(t^2 + 1, t^3 + t)", "torsion": "(0, 0)"}),
+], ids=["5.1", "5.2", "split_I1", "split_I2"])
+def test_height_gram_matches_the_pairwise_formula(rhs, table):
+    """Entry by entry, on the generators, their sums and differences, a
+    repeated point and the zero section, in both the refined and the
+    per-place context; and the Gram is symmetric."""
+    curve = _curve(rhs)
+    gens = list(secs(table).values())
+    pts = (gens + [add(curve, gens[0], g) for g in gens[1:]]
+           + [add(curve, gens[0], negate(curve, g)) for g in gens[1:]]
+           + [gens[0], SectionPoint.zero()])
+    for ctx in (height_context(curve), _per_place_context(curve)):
+        gram = height_gram(ctx, pts)
+        assert len(gram) == len(pts) and all(len(row) == len(pts) for row in gram)
+        for i, j in itertools.product(range(len(pts)), repeat=2):
+            assert gram[i][j] == gram[j][i] == _pairwise_height(ctx, pts[i], pts[j]), (i, j)
+        assert height_gram(ctx, ()) == []
+
+
+def test_height_gram_takes_each_self_height_once(e52, monkeypatch):
+    """n distinct points cost n self-heights and one per pair's difference;
+    a repeated point and the zero section cost none."""
+    ctx = height_context(e52)
+    s_o, s_t1, s_t2 = secs(SECTIONS_52).values()
+    seen = []
+    real = surface._self_height
+    monkeypatch.setattr(surface, "_self_height", lambda c, p: seen.append(p) or real(c, p))
+    for points, calls in [((s_t1, s_t2), 3), ((s_o, s_t1, s_t2), 6), ((s_o, s_o), 1),
+                          ((s_o, SectionPoint.zero()), 1), ((SectionPoint.zero(),) * 2, 0),
+                          ((s_t1, s_t2, s_t1), 3)]:
+        seen.clear()
+        gram = height_gram(ctx, points)
+        assert len(seen) == len(set(seen)) == calls, points
+        assert height_pairing(ctx, points[0], points[1]) == gram[0][1]
 
 
 @pytest.mark.parametrize("name", ["5.1", "5.2"])
